@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-differential fuzz-smoke bench-smoke bench bench-json check
+.PHONY: all build vet test test-differential test-benchmark fuzz-smoke bench-smoke bench bench-json check
 
 all: check
 
@@ -21,11 +21,17 @@ test:
 # journal byte-identity; this target fails if any of them is skipped or
 # matches nothing.
 test-differential:
-	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestStreamPanic|TestStreamCancel|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestCoord|TestFleetWorker|TestFleetCoordinator|TestServe|TestFleetdSmoke' \
-		./internal/mem ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/pool ./internal/fleet/coord ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestStreamPanic|TestStreamCancel|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke' \
+		./internal/mem ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/pool ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"
+
+# benchmark/ is a Go module of its own, so the root ./... patterns never
+# compile it; vet and test it here so a change to the packages it drives
+# cannot silently break the benchmark program.
+test-benchmark:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # A few seconds of coverage-guided fuzzing per native target: the
 # assembler must never panic on arbitrary source, and no UART input may
@@ -39,11 +45,10 @@ fuzz-smoke:
 # One-iteration benchmark pass so throughput regressions surface in PRs
 # without burning CI minutes. NoBlocks rides along so the block layer's
 # contribution stays individually measurable; MachineChurn guards the
-# recycled machine-lifecycle overhead, and Coordinator_ShardScaling the
-# multi-process spawn/supervise/merge overhead.
+# recycled machine-lifecycle overhead, and Fleetd_WarmResubmit the
+# daemon's warm-resubmission latency.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputNoBlocks$$|BenchmarkFleet_MachineChurn' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='BenchmarkCoordinator_ShardScaling' -benchtime=1x ./cmd/eilid-fleet
 	$(GO) test -run='^$$' -bench='BenchmarkFleetd_WarmResubmit' -benchtime=1x ./cmd/eilid-fleetd
 
 bench:
@@ -58,9 +63,8 @@ bench:
 bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput|BenchmarkFleet_MachineChurn' -benchtime=2s . > BENCH.txt.tmp
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator_FleetMatrix$$|BenchmarkTable4$$' -benchtime=1x . >> BENCH.txt.tmp
-	$(GO) test -run='^$$' -bench='BenchmarkCoordinator_ShardScaling' -benchtime=1x ./cmd/eilid-fleet >> BENCH.txt.tmp
 	$(GO) test -run='^$$' -bench='BenchmarkFleetd_WarmResubmit' -benchtime=10x ./cmd/eilid-fleetd >> BENCH.txt.tmp
 	@f=$$($(GO) run ./cmd/eilid-benchjson -next < BENCH.txt.tmp) || { rm -f BENCH.txt.tmp; exit 1; }; \
 	rm -f BENCH.txt.tmp; echo "wrote $$f"
 
-check: build vet test test-differential bench-smoke
+check: build vet test test-differential test-benchmark bench-smoke

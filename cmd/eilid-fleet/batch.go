@@ -1,10 +1,9 @@
 package main
 
-// Single-process batch execution: the default mode's aggregate/stream/
-// verify paths over one fleet.Runner, plus the -resume path that
-// completes an interrupted journal. Both write the same canonical
-// NDJSON journal the coordinator's merge produces — byte-identical
-// whatever path computed it.
+// Batch execution: the default mode's aggregate/stream/verify paths
+// over one fleet.Runner, plus the -resume path that completes an
+// interrupted journal. Both write the same canonical NDJSON journal —
+// byte-identical whatever path computed it.
 
 import (
 	"bufio"
@@ -48,7 +47,7 @@ func (jw *journalWriter) close() error {
 	return err
 }
 
-// batchOpts carries the single-process batch-mode flag values.
+// batchOpts carries the batch-mode flag values.
 type batchOpts struct {
 	jsonOut        string // -json: journal destination ("-" = stdout)
 	verify         bool

@@ -16,13 +16,6 @@
 //	            [-interrupt-after K]
 //	eilid-fleet -spec batch.json [execution flags] | -dump-spec [matrix flags]
 //	eilid-fleet -resume out.ndjson [-workers N] [-recycle=β] [-q]
-//	eilid-fleet -coordinator N [-shards M] [-worker-threads T]
-//	            [-heartbeat D] [-liveness D] [-worker-restarts R]
-//	            [-backoff D] [-shard-dir DIR] [-worker-via 'CMD …']
-//	            [-fault-kill-worker K@J,…] [-fault-wedge-worker K@J,…]
-//	            -json out.ndjson [matrix flags as above]
-//	eilid-fleet -spec - -shard lo:hi -journal shard.ndjson
-//	            [-heartbeat D] [-stall-after J -stall-mode kill|wedge]
 //
 // Every mode is a view over one canonical fleet.BatchSpec: the matrix
 // and fault flags parse into it, `-spec batch.json` loads it from JSON
@@ -44,9 +37,11 @@
 // -json streams a resumable NDJSON journal: a header line
 // fingerprinting the matrix, one JSON line per job written and flushed
 // as the job completes (in job order), and one deterministic summary
-// line. The matrix is never materialized in memory, so arbitrarily
-// large scenario spaces stream in bounded space. `-json -` sends the
-// stream to stdout and implies -q, keeping the stream pure NDJSON.
+// line. The whole job list is enumerated in memory up front (NewRunner
+// builds every Job), but results are not retained: each is written as
+// it completes, and only the aggregate counters and the out-of-order
+// window stay in memory. `-json -` sends the stream to stdout and
+// implies -q, keeping the stream pure NDJSON.
 //
 // On SIGINT/SIGTERM the fleet stops dispatch, drains the in-flight
 // jobs, journals an interrupted marker and exits with code 3; a second
@@ -65,26 +60,6 @@
 // index (or derived from -fault-seed) for crash-safety testing, and
 // -interrupt-after K simulates a kill after the K-th result for
 // deterministic resume tests.
-//
-// -coordinator N shards the resolved job-index space across N
-// supervised eilid-fleet worker subprocesses (see internal/fleet/coord
-// and README "Architecture") and merges their shard journals into
-// -json, byte-identical to an uninterrupted single-process run. Each
-// worker receives the serialized BatchSpec on stdin (`-spec -`) and
-// rebuilds the identical matrix from it — nothing about the batch is
-// replayed through flags. Workers that wedge or die — including
-// kill -9 — are restarted with exponential backoff and their
-// unfinished indices reassigned, resuming from the dead worker's torn
-// journal; when a shard's restart budget (-worker-restarts) is
-// exhausted its remainder runs in-process and the batch completes in
-// degraded mode rather than failing. -worker-via launches every worker
-// through a command prefix (e.g. -worker-via 'sh -c "exec \"$0\"
-// \"$@\""', or an ssh command) instead of direct exec — the remote-
-// transport seam, with the same byte-identical merge contract.
-// -fault-kill-worker and -fault-wedge-worker inject deterministic
-// process-level faults for testing. -shard/-journal is the worker side
-// of the protocol; it is spawned by the coordinator but can be invoked
-// by hand to run one index range into a shard journal.
 //
 // -verify additionally replays the matrix sequentially and fails unless
 // the concurrent results are byte-identical — the fleet's determinism
@@ -169,21 +144,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faultPanics := fs.Int("fault-panics", 1, "panics to derive from -fault-seed")
 	faultTransients := fs.Int("fault-transients", 1, "transient failures to derive from -fault-seed")
 	interruptAfter := fs.Int("interrupt-after", -1, "act as if interrupted after K results (deterministic resume testing; -1 = off)")
-	coordinator := fs.Int("coordinator", 0, "shard the batch across N supervised worker processes and merge their journals into -json (0 = off)")
-	shardsFlag := fs.Int("shards", 0, "shard count for -coordinator (0 = one per worker process)")
-	workerThreads := fs.Int("worker-threads", 0, "in-process pool size of each spawned worker (0 = GOMAXPROCS/N)")
-	heartbeat := fs.Duration("heartbeat", 500*time.Millisecond, "worker heartbeat interval on the shard journal")
-	liveness := fs.Duration("liveness", 5*time.Second, "SIGKILL a worker whose shard journal stops growing for this long")
-	workerRestarts := fs.Int("worker-restarts", 2, "restarts per shard before its remainder runs in-process (degraded mode)")
-	backoff := fs.Duration("backoff", 200*time.Millisecond, "initial worker-restart backoff, doubling per restart")
-	shardDir := fs.String("shard-dir", "", "directory for shard journals (default: a temp dir, removed on success)")
-	workerVia := fs.String("worker-via", "", "coordinator: launch workers through this command prefix (e.g. 'sh -c' wrapper or an ssh command) instead of direct exec")
-	faultKillWorker := fs.String("fault-kill-worker", "", "coordinator fault injection: SIGKILL shard K's worker right after it journals job J (comma-separated K@J)")
-	faultWedgeWorker := fs.String("fault-wedge-worker", "", "coordinator fault injection: silently wedge shard K's worker after job J (comma-separated K@J)")
-	shardFlag := fs.String("shard", "", "worker mode: run only job indices lo:hi and journal them to -journal")
-	journalFlag := fs.String("journal", "", "worker mode: shard journal destination")
-	stallAfter := fs.Int("stall-after", -1, "worker mode: freeze after journalling this job index (fault injection; -1 = off)")
-	stallMode := fs.String("stall-mode", "kill", "worker mode: stall variant — kill (announced on the journal) or wedge (silent)")
 	quiet := fs.Bool("q", false, "suppress the per-job table")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -213,23 +173,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *gen < 0:
 		fmt.Fprintf(stderr, "eilid-fleet: -gen must be >= 0 (got %d)\n", *gen)
 		return 2
-	case *coordinator < 0:
-		fmt.Fprintf(stderr, "eilid-fleet: -coordinator must be >= 0 (got %d)\n", *coordinator)
-		return 2
-	}
-
-	workerMode := *shardFlag != "" || *journalFlag != ""
-	if workerMode && (*shardFlag == "" || *journalFlag == "") {
-		fmt.Fprintln(stderr, "eilid-fleet: worker mode needs both -shard and -journal")
-		return 2
-	}
-	if workerMode && (*coordinator != 0 || *resume != "" || *verify || *jsonOut != "" || *interruptAfter >= 0 || *dumpSpec) {
-		fmt.Fprintln(stderr, "eilid-fleet: -shard/-journal (worker mode) cannot combine with -coordinator, -resume, -verify, -json, -interrupt-after or -dump-spec")
-		return 2
-	}
-	if *workerVia != "" && *coordinator == 0 {
-		fmt.Fprintln(stderr, "eilid-fleet: -worker-via only applies to -coordinator mode")
-		return 2
 	}
 
 	var resumeConflicts []string
@@ -243,10 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"json": true, "verify": true, "fault-panic": true, "fault-transient": true,
 			"fault-hang": true, "fault-seed": true, "fault-panics": true,
 			"fault-transients": true, "interrupt-after": true,
-			"coordinator": true, "shards": true, "shard": true, "journal": true,
-			"stall-after": true, "stall-mode": true,
-			"fault-kill-worker": true, "fault-wedge-worker": true,
-			"spec": true, "dump-spec": true, "worker-via": true,
+			"spec": true, "dump-spec": true,
 		}
 		fs.Visit(func(f *flag.Flag) {
 			if incompatible[f.Name] {
@@ -292,21 +232,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runDumpSpec(spec, stdout, stderr)
 	}
 
-	if *coordinator > 0 {
-		if *verify || *interruptAfter >= 0 {
-			fmt.Fprintln(stderr, "eilid-fleet: -coordinator cannot combine with -resume, -verify or -interrupt-after")
-			return 2
-		}
-		if *jsonOut == "" || *jsonOut == "-" {
-			fmt.Fprintln(stderr, "eilid-fleet: -coordinator needs -json FILE for the merged journal")
-			return 2
-		}
-		if spec.Fault.Enabled() || *faultSeed != 0 {
-			fmt.Fprintln(stderr, "eilid-fleet: -coordinator injects process-level faults (-fault-kill-worker, -fault-wedge-worker); drop the job-level -fault-* flags")
-			return 2
-		}
-	}
-
 	// Graceful shutdown: the first SIGINT/SIGTERM stops dispatch and
 	// drains the in-flight jobs so the journal ends on a clean record
 	// boundary; a second one force-quits.
@@ -328,11 +253,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		interrupt()
 		if _, ok := <-sigc; ok {
 			// Hard quit skips deferred cleanup, so a WriteFileAtomic in
-			// flight (resume compaction, coordinator merge) can orphan
-			// its temp file mid-rename. Temp names are unique and the
-			// next atomic write to the same journal reaps `path.tmp*`
-			// leftovers, so the orphan can neither be mistaken for a
-			// journal nor accrete across crashes.
+			// flight (resume compaction) can orphan its temp file
+			// mid-rename. Temp names are unique and the next atomic
+			// write to the same journal reaps `path.tmp*` leftovers, so
+			// the orphan can neither be mistaken for a journal nor
+			// accrete across crashes.
 			os.Exit(130)
 		}
 	}()
@@ -344,12 +269,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *resume != "" {
-		return runResume(pipeline, *resume, fleet.ExecSpec{
-			Workers:    *workers,
+		exec := fleet.ExecSpec{
 			NoRecycle:  !*recycle,
 			JobTimeout: fleet.Duration(*jobTimeout),
 			MaxRetries: *retries,
-		}, cancel, *quiet, stdout, stderr)
+		}
+		if set["workers"] {
+			// As in assembleSpec: the default stays "0 = GOMAXPROCS at
+			// run time", which ResolveSpec accepts on any host.
+			exec.Workers = *workers
+		}
+		return runResume(pipeline, *resume, exec, cancel, *quiet, stdout, stderr)
 	}
 
 	runner, err := fleet.NewRunner(pipeline, spec)
@@ -368,26 +298,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-	}
-
-	if workerMode {
-		return runWorker(runner, *shardFlag, *journalFlag, *heartbeat, *stallAfter, *stallMode, cancel, stderr)
-	}
-	if *coordinator > 0 {
-		return runCoordinator(runner, coordOpts{
-			procs:         *coordinator,
-			shards:        *shardsFlag,
-			workerThreads: *workerThreads,
-			heartbeat:     *heartbeat,
-			liveness:      *liveness,
-			restarts:      *workerRestarts,
-			backoff:       *backoff,
-			shardDir:      *shardDir,
-			via:           *workerVia,
-			faultKill:     *faultKillWorker,
-			faultWedge:    *faultWedgeWorker,
-			out:           *jsonOut,
-		}, cancel, *quiet, stdout, stderr)
 	}
 
 	return runBatch(runner, batchOpts{

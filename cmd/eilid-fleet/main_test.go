@@ -342,6 +342,40 @@ func TestFleetFlagErrors(t *testing.T) {
 	}
 }
 
+// TestFleetCoordinatorFlagValidation: nonsense execution knobs are
+// exit-2 usage errors at parse time, and so are the flags of the
+// multi-process coordinator and worker modes, which no longer exist —
+// a script still passing them must fail loudly rather than fall back
+// to a single-process run.
+func TestFleetCoordinatorFlagValidation(t *testing.T) {
+	cases := [][]string{
+		{"-workers", "0"},
+		{"-workers", "-3"},
+		{"-job-timeout", "-1s"},
+		{"-repeat", "0"},
+		{"-gen", "-1"},
+		// Removed coordinator mode and its process faults.
+		{"-coordinator", "2"},
+		{"-coordinator", "2", "-json", "x.ndjson"},
+		{"-json", "x.ndjson", "-fault-kill-worker", "0@1"},
+		{"-json", "x.ndjson", "-fault-wedge-worker", "0@2"},
+		{"-worker-via", "sh -c"},
+		// Removed worker mode.
+		{"-shard", "0:4"},
+		{"-journal", "x.ndjson"},
+		{"-shard", "0:4", "-journal", "x.ndjson"},
+		{"-gen", "4", "-no-apps", "-no-scenarios", "-stall-after", "2"},
+		{"-resume", "x.ndjson", "-coordinator", "2"},
+		{"-resume", "x.ndjson", "-shard", "0:4"},
+	}
+	for _, args := range cases {
+		var out, errb strings.Builder
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("run(%v) exit %d, want 2\nstderr: %s", args, code, errb.String())
+		}
+	}
+}
+
 // TestFleetResumeReapsOrphanTemp: a force quit (second signal) exits
 // mid-WriteFileAtomic without deferred cleanup and can strand
 // `journal.tmp*` files next to the journal. A later resume — which

@@ -3,7 +3,7 @@ package main
 // Spec assembly: every non-resume mode runs over one canonical
 // fleet.BatchSpec, built here — from the matrix/execution/fault flags,
 // or loaded from JSON via -spec (the same serialized form -dump-spec
-// prints and the coordinator ships to its workers over stdin).
+// prints and eilid-fleetd accepts).
 
 import (
 	"encoding/json"
@@ -119,9 +119,8 @@ func assembleSpec(fv specFlags, stderr io.Writer) (fleet.BatchSpec, int) {
 }
 
 // loadSpec reads a serialized BatchSpec from a JSON file, or from
-// stdin when path is "-" — the form coordinator-spawned workers
-// receive. Unknown fields are errors: a typo'd knob in a spec file
-// must not silently select a different batch.
+// stdin when path is "-". Unknown fields are errors: a typo'd knob in
+// a spec file must not silently select a different batch.
 func loadSpec(path string) (fleet.BatchSpec, error) {
 	var r io.Reader
 	if path == "-" {
@@ -159,45 +158,4 @@ func runDumpSpec(spec fleet.BatchSpec, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "%s\n", b)
 	return 0
-}
-
-// splitCommand splits a -worker-via command string into an argument
-// vector, honoring single and double quotes (no escape processing —
-// quote styles nest the other kind verbatim, shell-style).
-func splitCommand(s string) ([]string, error) {
-	var out []string
-	var cur []rune
-	inWord := false
-	quote := rune(0)
-	for _, r := range s {
-		switch {
-		case quote != 0:
-			if r == quote {
-				quote = 0
-			} else {
-				cur = append(cur, r)
-			}
-		case r == '\'' || r == '"':
-			quote = r
-			inWord = true
-		case r == ' ' || r == '\t':
-			if inWord {
-				out = append(out, string(cur))
-				cur, inWord = cur[:0], false
-			}
-		default:
-			cur = append(cur, r)
-			inWord = true
-		}
-	}
-	if quote != 0 {
-		return nil, fmt.Errorf("unbalanced %c quote in command %q", quote, s)
-	}
-	if inWord {
-		out = append(out, string(cur))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty command")
-	}
-	return out, nil
 }

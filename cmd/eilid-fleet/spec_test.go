@@ -146,8 +146,6 @@ func TestSpecFlagErrors(t *testing.T) {
 		{[]string{"-spec", unknown}, "bogus"},
 		{[]string{"-spec", garbage}, "spec"},
 		{[]string{"-spec", filepath.Join(dir, "missing.json")}, "spec"},
-		{[]string{"-worker-via", "sh -c", "-apps", "LightSensor"}, "-worker-via"},
-		{[]string{"-coordinator", "2", "-json", filepath.Join(dir, "x.ndjson"), "-worker-via", "'unbalanced"}, "quote"},
 	}
 	for _, tc := range cases {
 		var out, errb strings.Builder
@@ -170,40 +168,5 @@ func TestSpecFlagErrors(t *testing.T) {
 	}
 	if spec.Exec.Workers != 3 {
 		t.Errorf("explicit -workers did not override the spec file: %+v", spec.Exec)
-	}
-}
-
-func TestSplitCommand(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"sh -c", []string{"sh", "-c"}},
-		{`sh -c 'exec "$0" "$@"'`, []string{"sh", "-c", `exec "$0" "$@"`}},
-		{`ssh -o "StrictHostKeyChecking no" host`, []string{"ssh", "-o", "StrictHostKeyChecking no", "host"}},
-		{"  spaced   out  ", []string{"spaced", "out"}},
-		{`a 'b "c" d'`, []string{"a", `b "c" d`}},
-		{`''`, []string{""}},
-	}
-	for _, tc := range cases {
-		got, err := splitCommand(tc.in)
-		if err != nil {
-			t.Errorf("splitCommand(%q): %v", tc.in, err)
-			continue
-		}
-		if len(got) != len(tc.want) {
-			t.Errorf("splitCommand(%q) = %q, want %q", tc.in, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("splitCommand(%q)[%d] = %q, want %q", tc.in, i, got[i], tc.want[i])
-			}
-		}
-	}
-	for _, bad := range []string{"", "   ", "a 'unbalanced", `a "unbalanced`} {
-		if got, err := splitCommand(bad); err == nil {
-			t.Errorf("splitCommand(%q) = %q, want error", bad, got)
-		}
 	}
 }

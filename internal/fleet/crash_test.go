@@ -544,6 +544,23 @@ func TestJournalParseAndValidate(t *testing.T) {
 		}
 	})
 
+	t.Run("retired-markers", func(t *testing.T) {
+		// Shard, heartbeat, shard-done and fault lines are not part of
+		// the format: a journal carrying one is rejected, never skipped.
+		nl := bytes.IndexByte(clean, '\n') + 1
+		for _, marker := range []string{
+			`{"journal":"shard","lo":0,"hi":2}`,
+			`{"journal":"heartbeat","done":0}`,
+			`{"journal":"shard-done","done":2}`,
+			`{"journal":"fault","mode":"stall","index":0}`,
+		} {
+			bad := append(append(append([]byte{}, clean[:nl]...), marker+"\n"...), clean[nl:]...)
+			if _, err := ParseJournal(bad); err == nil || !strings.Contains(err.Error(), "unknown marker") {
+				t.Errorf("journal with %s: err = %v, want an unknown-marker error", marker, err)
+			}
+		}
+	})
+
 	t.Run("version-mismatch", func(t *testing.T) {
 		bad := bytes.Replace(clean, []byte(`"version":1`), []byte(`"version":99`), 1)
 		if _, err := ParseJournal(bad); err == nil {

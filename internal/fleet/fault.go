@@ -32,8 +32,8 @@ func IsTransientErr(s string) bool { return strings.HasPrefix(s, TransientErrPre
 // FailCount attempts, for transients): a retried or resumed job runs
 // clean, which is exactly the convergence property the differential
 // suites pin. As the Fault section of a BatchSpec it serializes with
-// the spec, but it is never carried across a resume and never shipped
-// to coordinator workers.
+// the spec, but it is never carried across a resume, and eilid-fleetd
+// refuses a spec that enables it.
 type FaultSpec struct {
 	// PanicAt lists job indices whose first attempt panics. Panics are
 	// not retried in-run: the job is recorded as a deterministic failure

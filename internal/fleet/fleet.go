@@ -374,8 +374,7 @@ func (r *Runner) Workers() int { return r.workers }
 
 // Spec returns the runner's resolved BatchSpec — the canonical,
 // serializable identity of the batch. It round-trips: NewRunner on the
-// returned spec enumerates the identical job matrix, which is how a
-// coordinator ships its batch to worker processes.
+// returned spec enumerates the identical job matrix.
 func (r *Runner) Spec() BatchSpec { return r.spec }
 
 // Run executes the matrix on the worker pool and aggregates the report.
@@ -417,12 +416,12 @@ func (r *Runner) RunStreamCancel(cancel <-chan struct{}, emit func(JobResult)) (
 	start := time.Now()
 	rep = &Report{Workers: r.workers}
 	_, interrupted = pool.StreamIndexedCancel(len(r.jobs), r.workers, cancel, r.runJobSafe, func(_ int, jr JobResult) {
-		rep.Add(jr)
+		rep.add(jr)
 		if emit != nil {
 			emit(jr)
 		}
 	})
-	return rep.Finish(time.Since(start)), interrupted, nil
+	return rep.finish(time.Since(start)), interrupted, nil
 }
 
 // RunIndices executes only the named jobs (the remainder of an

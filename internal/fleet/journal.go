@@ -29,15 +29,6 @@ package fleet
 // loses nothing. ParseJournal tolerates a truncated final line — the
 // signature of a crash mid-write — and treats the affected job as
 // never run.
-//
-// Shard journals (internal/fleet/coord) reuse the same format: the
-// header is the full matrix header, a {"journal":"shard","lo":L,"hi":H}
-// marker names the contiguous index range the worker was assigned, and
-// the stream carries extra liveness lines — {"journal":"heartbeat"}
-// at a wall-clock interval, {"journal":"fault"} before an injected
-// stall, {"journal":"shard-done"} on completion. None of those markers
-// appear in a canonical (merged or single-process) journal; the merge
-// keeps only the header, the job lines and the summary.
 
 import (
 	"bytes"
@@ -46,6 +37,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // JournalVersion is the format version stamped into (and required of)
@@ -82,9 +74,9 @@ func (s JournalSpec) Fingerprint() string {
 }
 
 // journalSpec derives the journal-header matrix description from a
-// resolved MatrixSpec. It is a pure projection — JournalHeader, resume
-// and the coordinator/worker handshake all fingerprint through it, so
-// there is exactly one place the canonical JSON shape lives (pinned
+// resolved MatrixSpec. It is a pure projection — JournalHeader,
+// JournalHeaderForSpec and resume all fingerprint through it, so there
+// is exactly one place the canonical JSON shape lives (pinned
 // bytes-and-sha256 by the golden-fingerprint test).
 func (m MatrixSpec) journalSpec() JournalSpec {
 	s := JournalSpec{
@@ -137,42 +129,6 @@ type journalInterrupted struct {
 	Jobs      int    `json:"jobs"`
 }
 
-// JournalShard is the assignment marker a shard worker writes right
-// after the header: this journal covers job indices [Lo, Hi). The
-// coordinator validates it against the range it assigned, so a garbled
-// worker invocation cannot smuggle results into the wrong shard.
-type JournalShard struct {
-	Journal string `json:"journal"`
-	Lo      int    `json:"lo"`
-	Hi      int    `json:"hi"`
-}
-
-// journalHeartbeat is the worker liveness line: emitted at a wall-clock
-// interval so the supervising coordinator can tell a slow shard from a
-// wedged one. Done is how many jobs the shard has journalled so far.
-type journalHeartbeat struct {
-	Journal string `json:"journal"`
-	Done    int    `json:"done"`
-}
-
-// journalShardDone marks a shard journal as complete: every assigned
-// index has a result line above it.
-type journalShardDone struct {
-	Journal string `json:"journal"`
-	Done    int    `json:"done"`
-}
-
-// journalFault is written by a worker immediately before an injected
-// process-level stall (see the coordinator's -fault-kill-worker): the
-// supervising coordinator SIGKILLs the worker the moment it reads the
-// marker, making "worker dies after journalling job Index" a
-// deterministic, testable event.
-type journalFault struct {
-	Journal string `json:"journal"`
-	Mode    string `json:"mode"`
-	Index   int    `json:"index"`
-}
-
 // JournalSummary is the deterministic final line of a completed
 // journal: aggregate counters and the detection matrix, with the
 // wall-clock and worker figures deliberately left out so completed
@@ -214,7 +170,10 @@ func JournalHeaderForSpec(spec BatchSpec) (*JournalHeader, error) {
 	}
 	m := rs.Matrix
 	js := m.journalSpec()
-	jobs := m.Repeat * len(m.Defenses) * (len(m.Apps) + len(m.Scenarios) + m.Generated.Count)
+	jobs, ok := m.JobCount(math.MaxInt)
+	if !ok {
+		return nil, fmt.Errorf("fleet: matrix job count overflows")
+	}
 	return &JournalHeader{
 		Journal:     journalMagic,
 		Version:     JournalVersion,
@@ -244,27 +203,6 @@ func WriteJournalInterrupted(w io.Writer, completed, jobs int) error {
 	return writeLine(w, &journalInterrupted{Journal: "interrupted", Completed: completed, Jobs: jobs})
 }
 
-// WriteJournalShard emits a shard worker's assignment marker.
-func WriteJournalShard(w io.Writer, lo, hi int) error {
-	return writeLine(w, &JournalShard{Journal: "shard", Lo: lo, Hi: hi})
-}
-
-// WriteJournalHeartbeat emits a worker liveness line.
-func WriteJournalHeartbeat(w io.Writer, done int) error {
-	return writeLine(w, &journalHeartbeat{Journal: "heartbeat", Done: done})
-}
-
-// WriteJournalShardDone emits the shard completion marker.
-func WriteJournalShardDone(w io.Writer, done int) error {
-	return writeLine(w, &journalShardDone{Journal: "shard-done", Done: done})
-}
-
-// WriteJournalFault emits the injected-stall marker the coordinator's
-// deterministic worker-kill fault keys on.
-func WriteJournalFault(w io.Writer, mode string, index int) error {
-	return writeLine(w, &journalFault{Journal: "fault", Mode: mode, Index: index})
-}
-
 // WriteJournalSummary emits the deterministic summary line for a
 // completed batch.
 func WriteJournalSummary(w io.Writer, rep *Report) error {
@@ -290,12 +228,6 @@ type Journal struct {
 	// Truncated reports whether the final line was cut off mid-write —
 	// the signature of a hard crash; the partial line is ignored.
 	Truncated bool
-	// Shard is the assignment marker of a shard-worker journal (nil for
-	// a canonical journal), and ShardDone whether the worker finished
-	// its range. Heartbeats counts liveness lines seen.
-	Shard      *JournalShard
-	ShardDone  bool
-	Heartbeats int
 }
 
 // ParseJournal reads a journal stream. It fails on a missing or
@@ -362,25 +294,6 @@ func ParseJournal(data []byte) (*Journal, error) {
 			// Informational; the per-index results decide what remains.
 		case "summary":
 			j.Complete = true
-		case "shard":
-			var sm JournalShard
-			if err := json.Unmarshal(line, &sm); err != nil {
-				return nil, fmt.Errorf("fleet: journal shard marker corrupt: %w", err)
-			}
-			if sm.Lo < 0 || sm.Hi <= sm.Lo || sm.Hi > j.Header.Jobs {
-				return nil, fmt.Errorf("fleet: journal shard marker [%d, %d) out of range [0, %d)", sm.Lo, sm.Hi, j.Header.Jobs)
-			}
-			if j.Shard != nil {
-				return nil, fmt.Errorf("fleet: journal line %d: duplicate shard marker", li+1)
-			}
-			j.Shard = &sm
-		case "shard-done":
-			j.ShardDone = true
-		case "heartbeat":
-			j.Heartbeats++
-		case "fault":
-			// Injected-stall marker: the worker stopped on purpose right
-			// after the preceding job line; nothing to record.
 		default:
 			return nil, fmt.Errorf("fleet: journal line %d: unknown marker %q", li+1, probe.Journal)
 		}
@@ -429,21 +342,6 @@ func (j *Journal) Remaining() []int {
 	return out
 }
 
-// RemainingRange lists the indices in [lo, hi) with no record at all —
-// the reassignment set for a dead worker's shard. Unlike Remaining,
-// recorded failures count as done: a shard worker's failure record is a
-// final deterministic result (worker-level faults kill the process, not
-// the job), and re-running it would produce the identical line.
-func (j *Journal) RemainingRange(lo, hi int) []int {
-	var out []int
-	for i := lo; i < hi; i++ {
-		if _, ok := j.Results[i]; !ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Merged returns the full result set in canonical job order; every
 // index must be present (len(Remaining()) == 0 after the resume ran).
 func (j *Journal) Merged() ([]JobResult, error) {
@@ -461,10 +359,9 @@ func (j *Journal) Merged() ([]JobResult, error) {
 // WriteJournalFile durably writes a complete canonical journal —
 // header, every job line in index order, deterministic summary — via
 // WriteFileAtomic, so neither a crash nor a power loss can leave a
-// torn or empty file where a complete journal used to be. Both the
-// resume compaction and the coordinator's shard merge go through it,
-// which is what keeps their outputs byte-identical to an uninterrupted
-// single-process run.
+// torn or empty file where a complete journal used to be. The resume
+// compaction goes through it, which is what keeps a resumed journal
+// byte-identical to an uninterrupted run's.
 func WriteJournalFile(path string, h *JournalHeader, results []JobResult, rep *Report) error {
 	return WriteFileAtomic(path, func(w io.Writer) error {
 		if err := WriteJournalHeader(w, h); err != nil {

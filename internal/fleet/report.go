@@ -48,8 +48,8 @@ type MatrixCell struct {
 	Compromised int `json:"compromised"`
 }
 
-// Add folds one job result into the aggregate counters (not Results).
-func (r *Report) Add(jr JobResult) {
+// add folds one job result into the aggregate counters (not Results).
+func (r *Report) add(jr JobResult) {
 	r.Jobs++
 	r.TotalCycles += jr.Cycles
 	r.TotalInsns += jr.Insns
@@ -89,8 +89,8 @@ func (r *Report) Add(jr JobResult) {
 	}
 }
 
-// Finish stamps the wall-clock figures.
-func (r *Report) Finish(wall time.Duration) *Report {
+// finish stamps the wall-clock figures.
+func (r *Report) finish(wall time.Duration) *Report {
 	r.WallMS = float64(wall.Microseconds()) / 1000
 	if s := wall.Seconds(); s > 0 {
 		r.MCyclesPerSec = float64(r.TotalCycles) / s / 1e6
@@ -104,9 +104,9 @@ func (r *Report) Finish(wall time.Duration) *Report {
 func Aggregate(results []JobResult, workers int, wall time.Duration) *Report {
 	rep := &Report{Workers: workers, Results: results}
 	for _, jr := range results {
-		rep.Add(jr)
+		rep.add(jr)
 	}
-	return rep.Finish(wall)
+	return rep.finish(wall)
 }
 
 // ResultsJSON marshals only the deterministic per-job results — the
@@ -244,4 +244,3 @@ func WriteNDJSONLine(w io.Writer, jr JobResult) error {
 	_, err = w.Write(b)
 	return err
 }
-

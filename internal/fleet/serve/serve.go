@@ -71,6 +71,11 @@ type Options struct {
 // DefaultMaxQueue is the queue bound when Options.MaxQueue is zero.
 const DefaultMaxQueue = 64
 
+// MaxBatchJobs caps the job count of one submitted batch. The runner
+// enumerates every job (and generates every scenario) before the first
+// one runs, so an uncapped matrix lets one POST exhaust the daemon.
+const MaxBatchJobs = 65536
+
 // Server owns the warm cache, the batch registry and the single
 // executor goroutine. Create with New, serve via Handler, shut down
 // with Drain (graceful) or Stop (cancel in-flight).
@@ -118,14 +123,14 @@ type Batch struct {
 // return. Wall-clock fields describe the run site and are not part of
 // any determinism contract (the journal deliberately excludes them).
 type BatchStatus struct {
-	ID           string  `json:"id"`
-	State        string  `json:"state"`
-	Fingerprint  string  `json:"fingerprint"`
-	Jobs         int     `json:"jobs"`
-	Completed    int     `json:"completed"`
-	Failures     int     `json:"failures"`
-	ChecksFailed int     `json:"checks_failed"`
-	Error        string  `json:"error,omitempty"`
+	ID           string `json:"id"`
+	State        string `json:"state"`
+	Fingerprint  string `json:"fingerprint"`
+	Jobs         int    `json:"jobs"`
+	Completed    int    `json:"completed"`
+	Failures     int    `json:"failures"`
+	ChecksFailed int    `json:"checks_failed"`
+	Error        string `json:"error,omitempty"`
 	// FirstJobMS is the submission-to-first-job-line latency — the
 	// warmth observable: a warm resubmission skips artifact builds and
 	// machine construction, which is exactly the gap between a cold and
@@ -173,14 +178,22 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Submit validates a spec and enqueues it as a new batch — the
-// programmatic core of POST /batches. The spec goes through the exact
-// validation surface `eilid-fleet -spec` applies: ResolveSpec for
+// programmatic core of POST /batches. The spec goes through the
+// validation surface `eilid-fleet -spec` applies — ResolveSpec for
 // registry names and ranges, and the journal header derived from the
-// resolved matrix.
+// resolved matrix — and two limits of its own: no fault injection (a
+// test harness, not something a network client may switch on) and at
+// most MaxBatchJobs jobs.
 func (s *Server) Submit(spec fleet.BatchSpec) (*Batch, error) {
 	resolved, err := fleet.ResolveSpec(spec)
 	if err != nil {
 		return nil, err
+	}
+	if resolved.Fault.Enabled() {
+		return nil, fmt.Errorf("serve: fault injection is not accepted over HTTP")
+	}
+	if _, ok := resolved.Matrix.JobCount(MaxBatchJobs); !ok {
+		return nil, fmt.Errorf("serve: batch exceeds %d jobs", MaxBatchJobs)
 	}
 	header, err := fleet.JournalHeaderForSpec(resolved)
 	if err != nil {

@@ -295,8 +295,10 @@ func TestServeStopCancelsInFlight(t *testing.T) {
 }
 
 // TestServeRejectsUnknownFields pins the validation surface: POST
-// /batches applies DisallowUnknownFields, exactly like `eilid-fleet
-// -spec` on a file.
+// /batches applies DisallowUnknownFields and ResolveSpec, exactly like
+// `eilid-fleet -spec` on a file, and additionally refuses fault
+// injection and matrices past MaxBatchJobs — each a 400 before
+// anything is queued.
 func TestServeRejectsUnknownFields(t *testing.T) {
 	s := New(newPipeline(t), Options{})
 	defer s.Stop()
@@ -307,6 +309,12 @@ func TestServeRejectsUnknownFields(t *testing.T) {
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "typo_field": 1}`,
 		`{"matrix": {"apps": ["NoSuchApp"], "no_scenarios": true}}`,
 		`{"matrix": `, // truncated JSON
+		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"workers": 1152921504606846976}}`,
+		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"job_timeout": "1h"}, "fault": {"hang_at": [0], "hang_for": "1h"}}`,
+		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "fault": {"panic_at": [0]}}`,
+		`{"matrix": {"no_apps": true, "no_scenarios": true, "generated": {"seed": 1, "count": 4611686018427387904}}}`,
+		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true, "repeat": 4611686018427387904}}`,
+		`{"matrix": {"no_apps": true, "no_scenarios": true, "generated": {"seed": 1, "count": 16385}}}`, // 65540 jobs
 	} {
 		resp, err := http.Post(ts.URL+"/batches", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -317,6 +325,12 @@ func TestServeRejectsUnknownFields(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s: got %s (%s), want 400", body, resp.Status, raw)
 		}
+	}
+	s.mu.Lock()
+	registered := len(s.order)
+	s.mu.Unlock()
+	if registered != 0 {
+		t.Errorf("%d rejected batches were registered", registered)
 	}
 	if resp, err := http.Get(ts.URL + "/batches/b-999/journal"); err != nil {
 		t.Fatal(err)

@@ -3,10 +3,9 @@ package fleet
 // BatchSpec is the canonical, serializable description of one fleet
 // batch — the single source of truth every other shape is derived
 // from. The CLI flags parse into a BatchSpec (and a spec file loads
-// one via `-spec`), the journal header fingerprint is computed from
-// its resolved matrix, and the coordinator ships the spec to worker
-// processes as JSON over stdin instead of replaying a flag vector, so
-// a knob added here is automatically a knob everywhere.
+// one via `-spec`), eilid-fleetd accepts the same JSON over HTTP, and
+// the journal header fingerprint is computed from its resolved matrix,
+// so a knob added here is automatically a knob everywhere.
 //
 // The three sections split along the determinism contract:
 //
@@ -16,13 +15,13 @@ package fleet
 //     retry budget) that must never change results, only how fast or
 //     how safely they are computed.
 //   - Fault injects deterministic faults for the crash-safety suites;
-//     it is never carried across a resume and never shipped to
-//     coordinator workers.
+//     it is never carried across a resume, and eilid-fleetd refuses
+//     it.
 //
 // ResolveSpec canonicalizes the matrix against the registries; a
 // resolved spec is idempotent under re-resolution, which is what lets
-// a coordinator serialize its resolved spec, a worker re-resolve it,
-// and both arrive at the identical fingerprint.
+// a spec be dumped, stored, re-loaded and re-resolved to the identical
+// fingerprint.
 
 import (
 	"encoding/json"
@@ -74,6 +73,11 @@ type GeneratedSpec struct {
 	Count int    `json:"count,omitempty"`
 }
 
+// MaxWorkers bounds ExecSpec.Workers. The runner allocates per-worker
+// state up front, so an unbounded pool size from a spec file or an
+// HTTP body could exhaust memory before a single job runs.
+const MaxWorkers = 256
+
 // ExecSpec holds the execution knobs. None of them may change job
 // results — only how fast, how concurrently or how safely the batch
 // computes them — so none of them enter the journal fingerprint, and
@@ -82,7 +86,7 @@ type GeneratedSpec struct {
 // GOMAXPROCS.
 type ExecSpec struct {
 	// Workers sizes the pool (0 = GOMAXPROCS at run time; 1 =
-	// sequential).
+	// sequential; at most MaxWorkers).
 	Workers int `json:"workers,omitempty"`
 	// NoRecycle makes every job construct a fresh machine instead of
 	// recycling a pooled one — the reference lifecycle the recycling
@@ -139,13 +143,16 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // registry drift between two processes shows up as a fingerprint
 // mismatch instead of silently different matrices), names are
 // validated, Repeat defaults to 1, and an unused generated seed is
-// zeroed. Exec and Fault pass through untouched — their sentinel
-// semantics (0 = default) are resolved at run time, never baked into
-// a serialized spec.
+// zeroed. Exec and Fault pass through untouched (Exec.Workers is only
+// range-checked) — their sentinel semantics (0 = default) are resolved
+// at run time, never baked into a serialized spec.
 //
 // Resolution is idempotent and needs no build artifacts, so `-dump-
 // spec` can emit the canonical spec without assembling any firmware.
 func ResolveSpec(spec BatchSpec) (BatchSpec, error) {
+	if w := spec.Exec.Workers; w < 0 || w > MaxWorkers {
+		return spec, fmt.Errorf("fleet: exec workers must be in [0, %d] (got %d)", MaxWorkers, w)
+	}
 	m := &spec.Matrix
 	switch {
 	case m.NoApps:
@@ -217,9 +224,28 @@ func ResolveSpec(spec BatchSpec) (BatchSpec, error) {
 	return spec, nil
 }
 
+// JobCount returns how many jobs the resolved matrix enumerates —
+// Repeat × defenses × (apps + scenarios + generated) — or ok=false
+// when that exceeds limit. It multiplies factor by factor against the
+// limit, so no Repeat or Generated.Count can overflow the count.
+func (m MatrixSpec) JobCount(limit int) (n int, ok bool) {
+	n = len(m.Apps) + len(m.Scenarios)
+	if m.Generated.Count > limit-n {
+		return 0, false
+	}
+	n += m.Generated.Count
+	for _, f := range []int{len(m.Defenses), m.Repeat} {
+		if f > 0 && n > limit/f {
+			return 0, false
+		}
+		n *= f
+	}
+	return n, true
+}
+
 // Fingerprint resolves the spec and returns the sha256 journal
 // fingerprint its matrix would carry — the identity every journal
-// header, resume and coordinator/worker handshake agrees on.
+// header and resume agrees on.
 func (s BatchSpec) Fingerprint() (string, error) {
 	rs, err := ResolveSpec(s)
 	if err != nil {

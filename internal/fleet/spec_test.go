@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -88,8 +89,8 @@ func TestJournalSpecGoldenFingerprint(t *testing.T) {
 }
 
 // TestResolveSpecIdempotent: resolving a resolved spec is a no-op —
-// the property that lets a coordinator serialize its resolved spec and
-// a worker re-resolve it to the identical matrix and fingerprint.
+// the property that lets a dumped spec be re-loaded and re-resolved to
+// the identical matrix and fingerprint.
 func TestResolveSpecIdempotent(t *testing.T) {
 	specs := []BatchSpec{
 		{}, // default everything
@@ -204,18 +205,45 @@ func TestDurationJSON(t *testing.T) {
 	}
 }
 
-// TestResolveSpecErrors: unknown names and a negative generated count
-// are resolution errors, so they surface identically from the CLI, the
-// runner, -dump-spec and the worker handshake.
+// TestResolveSpecErrors: unknown names, a negative generated count and
+// an out-of-range pool size are resolution errors, so they surface
+// identically from the CLI, the runner, -dump-spec and eilid-fleetd.
 func TestResolveSpecErrors(t *testing.T) {
 	for name, spec := range map[string]BatchSpec{
 		"unknown app":      {Matrix: MatrixSpec{Apps: []string{"NoSuchApp"}}},
 		"unknown scenario": {Matrix: MatrixSpec{Scenarios: []string{"no-such-attack"}}},
 		"unknown defense":  {Matrix: MatrixSpec{Defenses: []string{"no-such-defense"}}},
 		"negative gen":     {Matrix: MatrixSpec{Generated: GeneratedSpec{Count: -1}}},
+		"negative workers": {Exec: ExecSpec{Workers: -1}},
+		"huge workers":     {Exec: ExecSpec{Workers: 1 << 60}},
 	} {
 		if _, err := ResolveSpec(spec); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestMatrixJobCount: the count is exact up to the limit and refused
+// past it, including products that would overflow an int.
+func TestMatrixJobCount(t *testing.T) {
+	four := []string{"baseline", "eilid", "shadow", "critvar"}
+	cases := []struct {
+		m     MatrixSpec
+		limit int
+		want  int
+		ok    bool
+	}{
+		{MatrixSpec{Apps: []string{"a"}, Scenarios: []string{"s"}, Defenses: four, Repeat: 2, Generated: GeneratedSpec{Count: 3}}, 40, 40, true},
+		{MatrixSpec{Apps: []string{"a"}, Scenarios: []string{"s"}, Defenses: four, Repeat: 2, Generated: GeneratedSpec{Count: 3}}, 39, 0, false},
+		{MatrixSpec{Defenses: four, Repeat: 1, Generated: GeneratedSpec{Count: 16384}}, 65536, 65536, true},
+		{MatrixSpec{Defenses: four, Repeat: 1, Generated: GeneratedSpec{Count: 16385}}, 65536, 0, false},
+		{MatrixSpec{Defenses: four, Repeat: 1, Generated: GeneratedSpec{Count: 1 << 62}}, math.MaxInt, 0, false},
+		{MatrixSpec{Apps: []string{"a"}, Defenses: four, Repeat: 1 << 62}, math.MaxInt, 0, false},
+		{MatrixSpec{Defenses: four, Repeat: 1, Generated: GeneratedSpec{Count: math.MaxInt}}, math.MaxInt, 0, false},
+	}
+	for i, tc := range cases {
+		if n, ok := tc.m.JobCount(tc.limit); n != tc.want || ok != tc.ok {
+			t.Errorf("case %d: JobCount(%d) = %d, %v; want %d, %v", i, tc.limit, n, ok, tc.want, tc.ok)
 		}
 	}
 }
