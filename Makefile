@@ -34,21 +34,25 @@ test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # A few seconds of coverage-guided fuzzing per native target: the
-# assembler must never panic on arbitrary source, and no UART input may
-# compromise the protected overflow victim. The committed seed corpora
+# assembler must never panic on arbitrary source, no UART input may
+# compromise the protected overflow victim, and the journal parser
+# -resume runs on crash-torn files must never panic and must accept
+# every torn prefix of a valid journal. The committed seed corpora
 # under */testdata/fuzz/ anchor the search; real finds land there as
 # regression inputs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAssemble$$' -fuzztime=5s ./internal/asm
 	$(GO) test -run='^$$' -fuzz='^FuzzUARTPayload$$' -fuzztime=5s ./internal/attacks
+	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=5s ./internal/fleet
 
 # One-iteration benchmark pass so throughput regressions surface in PRs
 # without burning CI minutes. NoBlocks rides along so the block layer's
-# contribution stays individually measurable; MachineChurn guards the
-# recycled machine-lifecycle overhead, and Fleetd_WarmResubmit the
-# daemon's warm-resubmission latency.
+# contribution stays individually measurable; AppsByDefense runs the
+# Table IV apps under every defense column on recycled machines;
+# MachineChurn guards the recycled machine-lifecycle overhead, and
+# Fleetd_WarmResubmit the daemon's warm-resubmission latency.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputNoBlocks$$|BenchmarkFleet_MachineChurn' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputNoBlocks$$|BenchmarkSimulator_AppsByDefense|BenchmarkFleet_MachineChurn' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkFleetd_WarmResubmit' -benchtime=1x ./cmd/eilid-fleetd
 
 bench:

@@ -313,6 +313,62 @@ func BenchmarkSimulator_FleetMatrix(b *testing.B) {
 	b.ReportMetric(float64(jobs)/sec, "jobs/s")
 }
 
+// BenchmarkSimulator_AppsByDefense runs the seven Table IV apps under
+// each defense column on recycled machines, the rate fleet jobs get.
+// Builds, decode caches and machines are made before the timer starts;
+// each iteration recycles and runs every app once. pure-share is the
+// fraction of instructions retired on the pure block path.
+func BenchmarkSimulator_AppsByDefense(b *testing.B) {
+	p := newPipeline(b)
+	for _, spec := range core.Defenses() {
+		b.Run(spec.Name, func(b *testing.B) {
+			var ms []*core.Machine
+			var run []apps.App
+			for _, app := range apps.All() {
+				build, err := p.Build(app.Name+".s", app.Source)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opts := core.MachineOptions{Config: p.Config(), Defense: spec}
+				img := build.Original.Image
+				if spec.Instrumented {
+					opts.ROM = p.ROM()
+					img = build.Instrumented.Image
+				}
+				m, err := core.NewMachine(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.LoadFirmware(img); err != nil {
+					b.Fatal(err)
+				}
+				m.EnablePredecode()
+				m.Snapshot()
+				ms = append(ms, m)
+				run = append(run, app)
+			}
+			var cycles, insns, pure uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k, m := range ms {
+					if err := m.Recycle(); err != nil {
+						b.Fatal(err)
+					}
+					insp, reason, err := fleet.ExecuteAppOn(m, run[k])
+					if err != nil || reason != "" {
+						b.Fatalf("%s: %v %s", run[k].Name, err, reason)
+					}
+					cycles += insp.Cycles
+					insns += m.CPU.Insns
+					pure += m.CPU.PureInsns
+				}
+			}
+			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "simMcycles/s")
+			b.ReportMetric(float64(pure)/float64(insns), "pure-share")
+		})
+	}
+}
+
 // BenchmarkFleet_MachineChurn isolates the per-job machine-lifecycle
 // overhead the fleet pays before the first simulated instruction runs.
 // construct-per-job is the pre-recycling lifecycle: NewMachine + secure

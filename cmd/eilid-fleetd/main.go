@@ -54,6 +54,21 @@ import (
 	"eilid/internal/fleet/serve"
 )
 
+// Connection bounds of the daemon's HTTP server. A connection that
+// never completes a request header is closed after readHeaderTimeout,
+// and a keep-alive connection idle between requests after idleTimeout.
+// There is no write timeout: a journal stream lives as long as its
+// batch.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the connection bounds.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -105,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	// -addr …:0 it is the only way to learn the bound port.
 	fmt.Fprintf(stdout, "eilid-fleetd: listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

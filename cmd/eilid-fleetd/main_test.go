@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -187,5 +188,53 @@ func TestFleetdUsageErrors(t *testing.T) {
 		if code := run(args, io.Discard, &stderr, make(chan os.Signal)); code != 2 {
 			t.Errorf("run(%v) = %d, want 2; stderr: %s", args, code, stderr.String())
 		}
+	}
+}
+
+// TestFleetdBoundsConnections: the daemon's server closes a connection
+// that never sends a request, and a keep-alive connection left idle
+// after one. Each case shortens its bound on the daemon's own server
+// construction instead of waiting out the production timeout.
+func TestFleetdBoundsConnections(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.IdleTimeout != idleTimeout || hs.WriteTimeout != 0 {
+		t.Fatalf("server bounds: header %v, idle %v, write %v", hs.ReadHeaderTimeout, hs.IdleTimeout, hs.WriteTimeout)
+	}
+	for _, tc := range []struct {
+		name    string
+		shorten func(*http.Server)
+		send    string
+	}{
+		{"silent", func(s *http.Server) { s.ReadHeaderTimeout = 50 * time.Millisecond }, ""},
+		{"idle", func(s *http.Server) { s.IdleTimeout = 50 * time.Millisecond }, "GET /healthz HTTP/1.1\r\nHost: fleetd\r\n\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hs := newHTTPServer(http.NotFoundHandler())
+			tc.shorten(hs)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go hs.Serve(ln)
+			defer hs.Close()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := io.WriteString(conn, tc.send); err != nil {
+				t.Fatal(err)
+			}
+			// ReadAll returns nil at EOF, when the server hangs up; a
+			// connection still open runs into the read deadline.
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			out, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatalf("connection still open: %v", err)
+			}
+			if tc.send != "" && !strings.HasPrefix(string(out), "HTTP/1.1 404") {
+				t.Fatalf("response %q", out)
+			}
+		})
 	}
 }

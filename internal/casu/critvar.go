@@ -99,6 +99,13 @@ func (c *CritVar) OnFetch(prev, pc uint16) {
 	}
 }
 
+// QuietFetch implements Defense: every fetch inside a block is quiet.
+// Within a block memory changes only through CPU stores, which OnWrite
+// folds into the attested copies, so the comparators cannot disagree
+// until an off-bus write lands, and those land only before a delivered
+// fetch.
+func (c *CritVar) QuietFetch(prev, pc uint16) bool { return true }
+
 // OnRead implements Defense (reads carry no new information here).
 func (c *CritVar) OnRead(pc, addr uint16, byteWide bool) {}
 

@@ -11,11 +11,26 @@ package casu
 //
 // Contract notes for implementers:
 //
-//   - All observation methods are called synchronously from the CPU's
-//     per-instruction (and per-fused-op) dispatch, so a violation raised
-//     in OnFetch/OnRead/OnWrite/OnInterrupt is visible to the machine's
-//     stop callback cycle-exactly — block execution and per-instruction
-//     execution must observe identical violation points.
+//   - All observation methods are called synchronously from the CPU.
+//     OnRead, OnWrite and OnInterrupt fire for every access and every
+//     accepted interrupt. OnFetch fires for every instruction executed
+//     by per-instruction dispatch (cpu.Step), and for every block entry
+//     under block execution. Inside a fused block, a fetch from prev to
+//     pc is skipped when QuietFetch(prev, pc) holds.
+//   - QuietFetch is static: a function of the two addresses, the
+//     defense's configuration and the code image, never of run-time
+//     state. It may return true only when OnFetch for that straight-line
+//     step can neither trip nor change state that a later callback or
+//     Violation reads. Returning false is always safe. A defense may
+//     rely on one invariant here: inside a block, memory changes only
+//     through CPU stores that OnWrite reports. Off-bus writes (the
+//     harness's arbitrary-write primitive) land only between CPU runs,
+//     so the first fetch after one is always delivered.
+//   - The machine polls Violation after every instruction that
+//     delivered a callback, so a violation raised in
+//     OnFetch/OnRead/OnWrite/OnInterrupt is observed cycle-exactly:
+//     block execution and per-instruction execution reset at identical
+//     points.
 //   - Violation returns the first breach since the last Clear; further
 //     breaches only increment the trip counters.
 //   - Clear re-arms after a device reset (violation state and any
@@ -34,6 +49,9 @@ type Defense interface {
 	// OnInterrupt fires when an interrupt is accepted, before the context
 	// push; pc is the interrupted instruction address.
 	OnInterrupt(pc uint16, line int)
+	// QuietFetch reports that OnFetch(prev, pc) for a straight-line step
+	// inside a fused block may be skipped (cpu.FetchFilter).
+	QuietFetch(prev, pc uint16) bool
 
 	// Violation returns the first breach observed since the last Clear,
 	// or nil.

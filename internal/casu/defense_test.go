@@ -298,3 +298,56 @@ func TestDefensePowerOnAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestQuietFetch: wherever a defense calls a fetch quiet, delivering it
+// trips nothing and leaves the state later callbacks read unchanged;
+// fetches that move that state are loud.
+func TestQuietFetch(t *testing.T) {
+	cfg := testConfig()
+	l := cfg.Layout
+	addrs := []uint16{0x0200, 0xE000, 0xE002, 0xF7FE, l.SecureROMStart, l.SecureROMStart + 2, cfg.ExitPoint, 0xFFFE}
+	for _, prev := range addrs {
+		for _, pc := range addrs {
+			m := NewMonitor(cfg)
+			m.curPC = prev
+			before := m.InSecure()
+			m.OnFetch(prev, pc)
+			if m.QuietFetch(prev, pc) && (m.Violation() != nil || m.InSecure() != before) {
+				t.Errorf("eilid: quiet fetch %04x->%04x tripped %v or changed the secure state", prev, pc, m.Violation())
+			}
+		}
+	}
+	if m := NewMonitor(cfg); !m.QuietFetch(0xE000, 0xE002) || m.QuietFetch(0xF7FE, l.SecureROMStart) {
+		t.Error("eilid: a PMEM step must be quiet, the fall-through into the ROM loud")
+	}
+
+	mem := wordMem{}
+	mem.plant(t, 0xE000, isa.Instruction{Op: isa.ADD, Src: isa.RegOp(4), Dst: isa.RegOp(5)})
+	mem.plant(t, 0xE002, isa.Instruction{Op: isa.ADD, Src: isa.RegOp(5), Dst: isa.RegOp(6)})
+	mem.plant(t, 0xE004, call(0xE100))
+	mem.plant(t, 0xE100, ret())
+	mem.plant(t, 0xE102, isa.Instruction{Op: isa.RETI})
+	s := newShadow(mem)
+	for _, tc := range []struct {
+		prev, pc uint16
+		quiet    bool
+	}{
+		{0xE000, 0xE002, true},
+		{0xE002, 0xE004, false}, // the call is fetched
+		{0xE004, 0xE100, false}, // the call resolves
+		{0xE002, 0xE100, false}, // a ret is fetched
+		{0xE100, 0xE000, false}, // a ret resolves
+		{0xE000, 0xE102, false}, // a reti is fetched
+	} {
+		if got := s.QuietFetch(tc.prev, tc.pc); got != tc.quiet {
+			t.Errorf("shadow: QuietFetch(%04x, %04x) = %v, want %v", tc.prev, tc.pc, got, tc.quiet)
+		}
+	}
+	if len(s.decode) != 0 {
+		t.Error("shadow: QuietFetch filled the decode cache")
+	}
+
+	if !NewCritVar(CritVarConfig{Watch: []uint16{0x0400}, Peek: mem.peek}).QuietFetch(0xE000, 0xE002) {
+		t.Error("critvar: in-block fetches must be quiet")
+	}
+}

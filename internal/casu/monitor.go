@@ -223,6 +223,16 @@ func (m *Monitor) OnFetch(prev, pc uint16) {
 	}
 }
 
+// QuietFetch implements Defense. A fetch of executable code that stays
+// on the same side of the secure-ROM boundary can trip neither W⊕X nor
+// the entry/exit discipline, and the only state it moves, the secure
+// state behind InSecure, keeps its value. PMEM ends where the secure
+// ROM begins, so a fall-through into the ROM is never quiet.
+func (m *Monitor) QuietFetch(prev, pc uint16) bool {
+	l := m.cfg.Layout
+	return l.Executable(pc) && l.InSecureROM(prev) == l.InSecureROM(pc)
+}
+
 // OnRead implements cpu.Watcher: shadow-stack exclusivity on the read side.
 func (m *Monitor) OnRead(pc, addr uint16, byteWide bool) {
 	if !m.cfg.EnforceSecureRegion {

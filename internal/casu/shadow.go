@@ -147,6 +147,16 @@ func (s *ShadowStack) classify(pc uint16) stackOp {
 	if op, ok := s.decode[pc]; ok {
 		return op
 	}
+	op := s.decodeAt(pc)
+	s.decode[pc] = op
+	if pc < s.minCached {
+		s.minCached = pc
+	}
+	return op
+}
+
+// decodeAt classifies the instruction at pc from memory, uncached.
+func (s *ShadowStack) decodeAt(pc uint16) stackOp {
 	words := [3]uint16{s.cfg.Peek(pc), s.cfg.Peek(pc + 2), s.cfg.Peek(pc + 4)}
 	op := stackOp{class: opOther, pc: pc}
 	if in, _, err := isa.Decode(words[:]); err == nil {
@@ -161,10 +171,6 @@ func (s *ShadowStack) classify(pc uint16) stackOp {
 			// ret — the MSP430 emulated `mov @sp+, pc`.
 			op = stackOp{class: opRet, pc: pc}
 		}
-	}
-	s.decode[pc] = op
-	if pc < s.minCached {
-		s.minCached = pc
 	}
 	return op
 }
@@ -217,6 +223,13 @@ func (s *ShadowStack) resolvePending(target uint16) {
 func (s *ShadowStack) OnFetch(prev, pc uint16) {
 	s.resolvePending(pc)
 	s.pending = s.classify(pc)
+}
+
+// QuietFetch implements Defense: only calls, returns and
+// returns-from-interrupt move the shadow stack, so a fetch between two
+// other instructions resolves nothing and records nothing.
+func (s *ShadowStack) QuietFetch(prev, pc uint16) bool {
+	return s.decodeAt(prev).class == opOther && s.decodeAt(pc).class == opOther
 }
 
 // OnRead implements Defense (the shadow stack does not watch reads).

@@ -481,8 +481,11 @@ func (m *Machine) RunUntilReset(maxCycles uint64) (RunResult, error) {
 // and the cycle budget are checked only at block boundaries; anything a
 // block cannot retire bit-exactly (interrupt service, low-power idling,
 // stale or unfused code, a block that would straddle the limit) falls
-// back to per-instruction Step. SetBlockExec(false) reverts to Step
-// dispatch throughout; the block differential tests assert equivalence.
+// back to per-instruction Step. On protected machines the monitor
+// hears only the fetches its QuietFetch does not call quiet inside a
+// block (see cpu.RunBlocks). SetBlockExec(false) reverts to Step
+// dispatch throughout, with every fetch delivered; the block
+// differential tests assert equivalence.
 func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) {
 	startCycles, startInsns, startResets := m.CPU.Cycles, m.CPU.Insns, m.ResetCount
 	// A zero budget can execute nothing: report it as an exhausted
@@ -514,9 +517,10 @@ func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) 
 		}
 		return stop
 	}
-	// Monitor violations must be observed after every instruction, so
-	// the block executor polls this between fused ops on protected
-	// machines; unprotected machines pass nil and pay nothing.
+	// Monitor violations must be observed after every instruction that
+	// delivered a monitor callback, so the block executor polls this
+	// after such fused ops on protected machines; unprotected machines
+	// pass nil and pay nothing.
 	var stopFn func() bool
 	if mon != nil {
 		stopFn = func() bool { return mon.Violation() != nil }

@@ -44,7 +44,8 @@ type DirectBus interface {
 type Watcher interface {
 	// OnFetch fires before the instruction at pc executes; prev is the
 	// address of the previously executed instruction (or the reset
-	// vector target after reset).
+	// vector target after reset). Inside a fused block it is skipped
+	// where the watcher's FetchFilter calls the step quiet.
 	OnFetch(prev, pc uint16)
 	// OnRead fires for each data-bus read issued by the instruction at pc.
 	OnRead(pc, addr uint16, byteWide bool)
@@ -53,6 +54,21 @@ type Watcher interface {
 	// OnInterrupt fires when an interrupt on the given line is accepted,
 	// before the context push; pc is the interrupted instruction address.
 	OnInterrupt(pc uint16, line int)
+}
+
+// FetchFilter is an optional Watcher refinement that lets block
+// execution skip fetches the watcher does not need. QuietFetch(prev, pc)
+// reports that OnFetch(prev, pc), for a straight-line step from the
+// instruction at prev to the one at pc inside a fused block, can
+// neither raise a violation nor change state that a later callback or
+// violation poll reads. It must be static: a function of the two
+// addresses, the watcher's configuration and the code image, never of
+// run-time state. RunBlocks evaluates it once per fused op pair and
+// then delivers only the fetches it does not call quiet, plus every
+// block's entry fetch. Step, and every watcher without the method, keep
+// every-fetch delivery.
+type FetchFilter interface {
+	QuietFetch(prev, pc uint16) bool
 }
 
 // IRQSource supplies pending interrupt lines (implemented by
@@ -131,6 +147,19 @@ type CPU struct {
 	plain    *[1 << 16]bool
 	hook     *func(addr uint16, n int)
 	slowMode bool
+
+	// PureInsns and GuardedInsns count the instructions RunBlocks
+	// retired on its pure path and in its guarded loop; Step retired
+	// the rest of Insns.
+	PureInsns, GuardedInsns uint64
+
+	// The fetch plan (see planFetches) holds, per block-table slot, the
+	// loud and admit bits derived from planFor's FetchFilter; both are
+	// nil when planFor has none. planFor is cleared whenever the block
+	// table changes.
+	planFor Watcher
+	loud    []uint64
+	admit   []uint64
 }
 
 // dirtyWords is the size of the stale bitmap: one bit per word address.
@@ -187,6 +216,7 @@ func (c *CPU) Predecoded() *isa.Predecoded { return c.pre }
 // cache first, then its blocks.
 func (c *CPU) SetBlocks(b *isa.Blocks) {
 	c.blkStart, c.blkTable = b.Table()
+	c.planFor = nil
 }
 
 // InvalidateCode records that the n bytes at addr were overwritten, so
@@ -240,6 +270,7 @@ func (c *CPU) ResetCodeState() {
 func (c *CPU) PowerOn() {
 	c.R = [isa.NumRegs]uint16{}
 	c.Cycles, c.Insns, c.Interrupts = 0, 0, 0
+	c.PureInsns, c.GuardedInsns = 0, 0
 	c.prevPC = 0
 }
 
@@ -993,8 +1024,16 @@ func (c *CPU) staleRange(w0, w1 uint16) bool {
 //   - with GIE set the pending-interrupt poll runs between ops exactly
 //     as Step's does (interrupt visibility can be PC-gated, so it is
 //     not loop-invariant even though pure ops cannot raise requests);
-//   - stop, when non-nil, is polled after every op (the machine's
-//     monitor-violation check) and true ends execution there.
+//   - stop, when non-nil, is the machine's monitor-violation check. It
+//     is polled after every op that delivered a watcher callback, and
+//     true ends execution there.
+//
+// A watcher hears every block's entry fetch and every data access. It
+// hears the other fetches too unless it is a FetchFilter: then only the
+// fetches its QuietFetch does not call quiet are delivered, and a pure
+// block that needs none but its entry fetch runs on the unguarded pure
+// path, as it does with no watcher. If that entry fetch trips, op 0
+// alone retires, as it would per instruction.
 //
 // Interrupt service, low-power idling and non-fused instructions are
 // never handled here; the caller falls back to Step. Returns whether
@@ -1004,6 +1043,9 @@ func (c *CPU) staleRange(w0, w1 uint16) bool {
 func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre uint64, err error) {
 	if c.blkTable == nil || c.slowMode {
 		return false, 0, nil
+	}
+	if c.Watch != nil && c.Watch != c.planFor {
+		c.planFetches()
 	}
 	for {
 		sr := c.R[isa.SR]
@@ -1036,7 +1078,15 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			return
 		}
 
-		if b.Pure && !gie && stop == nil && c.Watch == nil {
+		if c.Watch != nil {
+			// Every block's entry fetch is delivered here. When it
+			// trips on an admitted block, the guarded loop below
+			// retires op 0 alone.
+			lastPre = c.Cycles
+			c.Watch.OnFetch(c.prevPC, pc)
+		}
+		if b.Pure && !gie && (c.Watch == nil ||
+			c.admit != nil && c.admit[i>>6]&(1<<(i&63)) != 0 && (stop == nil || !stop())) {
 			// Pure blocks touch no memory: nothing observes PC, cycles,
 			// SR or prevPC mid-block, so account in bulk, elide dead
 			// flag results, and execute the hot op shapes inline. No
@@ -1045,8 +1095,8 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			// the final op executes. A block whose terminating jump
 			// lands back on its own first op re-runs in place: pure ops
 			// cannot change SR system bits, interrupt visibility or
-			// code memory, so only the deadline admission needs
-			// re-checking per trip.
+			// code memory, and an admitted block's back edge is quiet,
+			// so only the deadline admission needs re-checking per trip.
 			n := len(ops)
 			for {
 				c.R[isa.PC] = ops[n-1].Next
@@ -1097,6 +1147,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 				}
 				c.Cycles += uint64(b.Cycles)
 				c.Insns += uint64(n)
+				c.PureInsns += uint64(n)
 				executed = true
 				if c.R[isa.PC] != pc || c.Cycles+uint64(b.Cycles) > limit {
 					break
@@ -1111,8 +1162,16 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 		for k := range ops {
 			op := &ops[k]
 			lastPre = c.Cycles
+			// heard: the op delivered a callback (the entry fetch, a
+			// loud fetch or a data access), so the violation poll
+			// follows it.
+			heard := false
 			if c.Watch != nil {
-				c.Watch.OnFetch(c.prevPC, op.PC)
+				heard = k == 0 || op.Mem
+				if k > 0 && (c.loud == nil || c.loudAt(op.PC)) {
+					c.Watch.OnFetch(c.prevPC, op.PC)
+					heard = true
+				}
 			}
 			c.R[isa.PC] = op.Next
 			c.prevPC = op.PC
@@ -1121,6 +1180,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			}
 			c.Cycles += uint64(op.Cycles)
 			c.Insns++
+			c.GuardedInsns++
 			executed = true
 			if c.busTouched {
 				return
@@ -1131,12 +1191,73 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 				}
 				g0 = c.invGen
 			}
-			if stop != nil && stop() {
+			if heard && stop != nil && stop() {
 				return
 			}
 			if gie && k+1 < len(ops) && c.IRQ.HighestPending() >= 0 {
 				return
 			}
+		}
+	}
+}
+
+// loudAt reports whether the plan must deliver the fetch of the fused
+// op at pc when control arrives from its predecessor in the block.
+func (c *CPU) loudAt(pc uint16) bool {
+	i := int(pc-c.blkStart) >> 1
+	return c.loud[i>>6]&(1<<(i&63)) != 0
+}
+
+// planFetches derives the fetch plan for the installed block table and
+// the current watcher. A watcher without FetchFilter gets every fetch.
+// Otherwise loud marks each table slot whose op's fetch, arriving from
+// its predecessor in the fused run, is not quiet, and admit marks each
+// pure block that needs no fetch but its entry: every later op's fetch
+// is quiet, and so is the back edge of a block that jumps to its own
+// entry. A fused op has one predecessor (every address belongs to one
+// run), so one predicate call per op pair covers every block. Pairs
+// whose code a write has staled count as loud, so the predicate only
+// ever judges the code image the table was fused from.
+func (c *CPU) planFetches() {
+	c.planFor, c.loud, c.admit = c.Watch, nil, nil
+	f, ok := c.Watch.(FetchFilter)
+	if !ok {
+		return
+	}
+	n := (len(c.blkTable) + 63) >> 6
+	c.loud, c.admit = make([]uint64, n), make([]uint64, n)
+	quiet := func(prev, pc uint16) bool {
+		return !c.staleAt(prev) && !c.staleAt(pc) && f.QuietFetch(prev, pc)
+	}
+	// A block's tail is the block at its second op, which sits higher
+	// in the table, so a downward walk finds the tail's admit bit
+	// already holding "every fetch after the entry is quiet".
+	for i := len(c.blkTable) - 1; i >= 0; i-- {
+		ops := c.blkTable[i].Ops
+		if ops == nil {
+			continue
+		}
+		if len(ops) > 1 {
+			j := int(ops[1].PC-c.blkStart) >> 1
+			if !quiet(ops[0].PC, ops[1].PC) {
+				c.loud[j>>6] |= 1 << (j & 63)
+				continue
+			}
+			if c.admit[j>>6]&(1<<(j&63)) == 0 {
+				continue
+			}
+		}
+		c.admit[i>>6] |= 1 << (i & 63)
+	}
+	for i := range c.blkTable {
+		b := &c.blkTable[i]
+		if c.admit[i>>6]&(1<<(i&63)) == 0 {
+			continue
+		}
+		last := &b.Ops[len(b.Ops)-1]
+		selfLoop := last.U.Class == isa.UJump && last.U.Target == b.Ops[0].PC
+		if !b.Pure || selfLoop && !quiet(last.PC, b.Ops[0].PC) {
+			c.admit[i>>6] &^= 1 << (i & 63)
 		}
 	}
 }
@@ -1152,6 +1273,7 @@ func (c *CPU) blockFault(b *isa.Block, k int, executed bool, lastPre uint64, e e
 		c.Cycles += uint64(b.Ops[j].Cycles)
 	}
 	c.Insns += uint64(k)
+	c.PureInsns += uint64(k)
 	op := &b.Ops[k]
 	c.R[isa.PC] = op.Next
 	c.prevPC = op.PC

@@ -80,12 +80,14 @@ func TestPowerOnZeroesArchitecturalState(t *testing.T) {
 	if c.Cycles == 0 || c.Insns == 0 {
 		t.Fatal("setup: nothing executed")
 	}
+	c.PureInsns, c.GuardedInsns = 1, 1
 	c.PowerOn()
 	if c.R != [isa.NumRegs]uint16{} {
 		t.Errorf("registers after PowerOn: %v", c.R)
 	}
-	if c.Cycles != 0 || c.Insns != 0 || c.Interrupts != 0 || c.prevPC != 0 {
-		t.Errorf("counters after PowerOn: cycles=%d insns=%d irqs=%d prevPC=%04x",
-			c.Cycles, c.Insns, c.Interrupts, c.prevPC)
+	if c.Cycles != 0 || c.Insns != 0 || c.Interrupts != 0 || c.prevPC != 0 ||
+		c.PureInsns != 0 || c.GuardedInsns != 0 {
+		t.Errorf("counters after PowerOn: cycles=%d insns=%d irqs=%d prevPC=%04x pure=%d guarded=%d",
+			c.Cycles, c.Insns, c.Interrupts, c.prevPC, c.PureInsns, c.GuardedInsns)
 	}
 }

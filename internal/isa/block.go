@@ -44,6 +44,9 @@ type BlockOp struct {
 	// unobservable (the pure executor); any path that can hand control
 	// back between ops must keep SR exact.
 	Flags bool
+	// Mem reports whether the op reads or writes memory, so a watcher
+	// may hear OnRead/OnWrite from it (the complement of a pure op).
+	Mem bool
 }
 
 // Block is a basic block: one or more fused ops plus the precomputed
@@ -58,9 +61,11 @@ type Block struct {
 	// Pure marks a block whose every op touches only registers and
 	// folded constants — no memory reads or writes at all. Pure blocks
 	// cannot reach peripherals, cannot modify code, and cannot be
-	// observed mid-block, so the executor runs them with no per-op
-	// guards. Blocks with memory operands stay executable but keep the
-	// guarded loop (any access that leaves plain RAM ends the block).
+	// observed mid-block except through fetches, so the executor runs
+	// them with no per-op guards wherever no watcher needs a fetch
+	// after the entry (see cpu.FetchFilter). Blocks with memory
+	// operands stay executable but keep the guarded loop (any access
+	// that leaves plain RAM ends the block).
 	Pure bool
 	// W0, W1 bound the dirty-map word indices of every op's fetch
 	// address, the range the CPU core scans before entering the block.
@@ -240,7 +245,7 @@ func BuildBlocks(p *Predecoded) *Blocks {
 		for j := i; ; {
 			e := &entries[j]
 			pc := start + uint16(2*j)
-			ops = append(ops, BlockOp{U: &e.U, PC: pc, Next: pc + e.Size, Cycles: e.Cycles})
+			ops = append(ops, BlockOp{U: &e.U, PC: pc, Next: pc + e.Size, Cycles: e.Cycles, Mem: !opPure(&e.U)})
 			idxs = append(idxs, j)
 			if endsBlock(&e.U) || len(ops) >= MaxBlockOps {
 				break
@@ -260,7 +265,7 @@ func BuildBlocks(p *Predecoded) *Blocks {
 			pure := true
 			for k := range sub {
 				cyc += uint32(sub[k].Cycles)
-				pure = pure && opPure(sub[k].U)
+				pure = pure && !sub[k].Mem
 			}
 			bl.blocks[idx] = Block{
 				Ops:    sub,
