@@ -35,15 +35,18 @@ test-benchmark:
 
 # A few seconds of coverage-guided fuzzing per native target: the
 # assembler must never panic on arbitrary source, no UART input may
-# compromise the protected overflow victim, and the journal parser
-# -resume runs on crash-torn files must never panic and must accept
-# every torn prefix of a valid journal. The committed seed corpora
-# under */testdata/fuzz/ anchor the search; real finds land there as
-# regression inputs.
+# compromise the protected overflow victim, the journal parser -resume
+# runs on crash-torn files must never panic and must accept every torn
+# prefix of a valid journal, and the BatchSpec decoder behind -spec and
+# POST /batches must never panic and must resolve every spec it accepts
+# idempotently with an overflow-free job count. The committed seed
+# corpora under */testdata/fuzz/ anchor the search; real finds land
+# there as regression inputs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAssemble$$' -fuzztime=5s ./internal/asm
 	$(GO) test -run='^$$' -fuzz='^FuzzUARTPayload$$' -fuzztime=5s ./internal/attacks
 	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=5s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchSpec$$' -fuzztime=5s ./internal/fleet
 
 # One-iteration benchmark pass so throughput regressions surface in PRs
 # without burning CI minutes. NoBlocks rides along so the block layer's

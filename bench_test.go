@@ -317,7 +317,9 @@ func BenchmarkSimulator_FleetMatrix(b *testing.B) {
 // each defense column on recycled machines, the rate fleet jobs get.
 // Builds, decode caches and machines are made before the timer starts;
 // each iteration recycles and runs every app once. pure-share is the
-// fraction of instructions retired on the pure block path.
+// fraction of instructions retired on the pure block path, and
+// exits/kcycle counts the block executor's returns to the run loop
+// (every reason in CPU.BlockExits) per thousand simulated cycles.
 func BenchmarkSimulator_AppsByDefense(b *testing.B) {
 	p := newPipeline(b)
 	for _, spec := range core.Defenses() {
@@ -347,7 +349,7 @@ func BenchmarkSimulator_AppsByDefense(b *testing.B) {
 				ms = append(ms, m)
 				run = append(run, app)
 			}
-			var cycles, insns, pure uint64
+			var cycles, insns, pure, exits uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for k, m := range ms {
@@ -361,10 +363,14 @@ func BenchmarkSimulator_AppsByDefense(b *testing.B) {
 					cycles += insp.Cycles
 					insns += m.CPU.Insns
 					pure += m.CPU.PureInsns
+					for _, n := range m.CPU.BlockExits {
+						exits += n
+					}
 				}
 			}
 			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "simMcycles/s")
 			b.ReportMetric(float64(pure)/float64(insns), "pure-share")
+			b.ReportMetric(float64(exits)/float64(cycles)*1e3, "exits/kcycle")
 		})
 	}
 }

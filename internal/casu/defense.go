@@ -16,7 +16,7 @@ package casu
 //     accepted interrupt. OnFetch fires for every instruction executed
 //     by per-instruction dispatch (cpu.Step), and for every block entry
 //     under block execution. Inside a fused block, a fetch from prev to
-//     pc is skipped when QuietFetch(prev, pc) holds.
+//     pc may be skipped when QuietFetch(prev, pc) holds.
 //   - QuietFetch is static: a function of the two addresses, the
 //     defense's configuration and the code image, never of run-time
 //     state. It may return true only when OnFetch for that straight-line

@@ -284,7 +284,9 @@ func (m *Monitor) OnInterrupt(pc uint16, line int) {
 
 // GateIRQ wraps an interrupt source so that requests are invisible while
 // the CPU executes inside the secure ROM — the hardware interrupt gate
-// that gives EILIDsw its atomicity. pcNow reads the live PC.
+// that gives EILIDsw its atomicity. PCNow reads the live PC. The gate
+// is a static function of the PC (cpu.IRQGate), so block execution
+// re-polls it only where a fused block crosses the ROM boundary.
 type GateIRQ struct {
 	Inner interface {
 		HighestPending() int
@@ -296,11 +298,15 @@ type GateIRQ struct {
 
 // HighestPending implements cpu.IRQSource.
 func (g *GateIRQ) HighestPending() int {
-	if g.Layout.InSecureROM(g.PCNow()) {
+	if g.Masked(g.PCNow()) {
 		return -1
 	}
 	return g.Inner.HighestPending()
 }
+
+// Masked implements cpu.IRQGate: requests are hidden exactly while the
+// PC is inside the secure ROM.
+func (g *GateIRQ) Masked(pc uint16) bool { return g.Layout.InSecureROM(pc) }
 
 // Acknowledge implements cpu.IRQSource.
 func (g *GateIRQ) Acknowledge(line int) { g.Inner.Acknowledge(line) }

@@ -30,6 +30,9 @@ func (s *simCtl) StoreWord(addr uint16, v uint16) {
 	s.code = v
 }
 
+// QuietLoad implements mem.QuietLoader: only a store halts.
+func (s *simCtl) QuietLoad(addr uint16) bool { return true }
+
 // Machine is a complete simulated device: CPU, memory, peripherals, and
 // whichever defense monitor the configured DefenseSpec wires to the
 // buses (the CASU/EILID monitor with its secure ROM, a hardware shadow
@@ -481,10 +484,13 @@ func (m *Machine) RunUntilReset(maxCycles uint64) (RunResult, error) {
 // and the cycle budget are checked only at block boundaries; anything a
 // block cannot retire bit-exactly (interrupt service, low-power idling,
 // stale or unfused code, a block that would straddle the limit) falls
-// back to per-instruction Step. On protected machines the monitor
-// hears only the fetches its QuietFetch does not call quiet inside a
-// block (see cpu.RunBlocks). SetBlockExec(false) reverts to Step
-// dispatch throughout, with every fetch delivered; the block
+// back to per-instruction Step. Blocks run through interrupt-enabled
+// code and through status polls: every peripheral register but UART
+// RX declares its reads quiet (mem.QuietLoader), and the EILID gate
+// declares which PCs it masks (cpu.IRQGate). On protected machines the
+// monitor hears only the fetches its QuietFetch does not call quiet
+// inside a block (see cpu.RunBlocks). SetBlockExec(false) reverts to
+// Step dispatch throughout, with every fetch delivered; the block
 // differential tests assert equivalence.
 func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) {
 	startCycles, startInsns, startResets := m.CPU.Cycles, m.CPU.Insns, m.ResetCount

@@ -103,3 +103,51 @@ func TestRunBlocksEntryTrip(t *testing.T) {
 		t.Errorf("pc %04x prev %04x r10 %d after op 0", c.PC(), c.PrevPC(), c.R[10])
 	}
 }
+
+// TestRunBlocksExitReasons pins the exit counters: every RunBlocks
+// return counts exactly one reason, so the counts sum to the calls. It
+// also pins the hoisted interrupt poll: with GIE set and nothing
+// pending, a PC-independent source keeps pure blocks and their
+// self-loops on the pure path.
+func TestRunBlocksExitReasons(t *testing.T) {
+	c := blockProgram(t)
+	irq := &testIRQ{pending: map[int]bool{8: true}}
+	c.IRQ = irq
+	c.R[isa.SR] |= isa.FlagGIE
+	calls := 0
+	run := func(limit uint64, reason int) {
+		t.Helper()
+		calls++
+		before := c.BlockExits[reason]
+		if _, _, err := c.RunBlocks(limit, nil); err != nil {
+			t.Fatal(err)
+		}
+		if c.BlockExits[reason] != before+1 {
+			t.Errorf("call %d: exits %v, want one more at index %d", calls, c.BlockExits, reason)
+		}
+	}
+	run(c.Cycles+100, ExitIRQ)
+	if c.Insns != 0 {
+		t.Fatalf("%d instructions ran with an interrupt pending", c.Insns)
+	}
+	irq.pending[8] = false
+	run(c.Cycles, ExitLimit)
+	run(c.Cycles+100, ExitLimit)
+	if c.PC() != 0xE00C || c.R[10] != 0 || c.PureInsns != c.Insns || c.GuardedInsns != 0 {
+		t.Errorf("pc %04x r10 %d: pure %d, guarded %d of %d instructions",
+			c.PC(), c.R[10], c.PureInsns, c.GuardedInsns, c.Insns)
+	}
+	c.InvalidateCode(0xE00C, 2)
+	run(c.Cycles+100, ExitStale)
+	c.R[isa.SR] |= isa.FlagCPUOff
+	run(c.Cycles+100, ExitOther)
+	c.SetBlocks(nil)
+	run(c.Cycles+100, ExitOther)
+	var sum uint64
+	for _, n := range c.BlockExits {
+		sum += n
+	}
+	if sum != uint64(calls) {
+		t.Errorf("exits %v sum to %d over %d calls", c.BlockExits, sum, calls)
+	}
+}

@@ -65,21 +65,47 @@ type Watcher interface {
 // addresses, the watcher's configuration and the code image, never of
 // run-time state. RunBlocks evaluates it once per fused op pair and
 // then delivers only the fetches it does not call quiet, plus every
-// block's entry fetch. Step, and every watcher without the method, keep
-// every-fetch delivery.
+// block's entry fetch and each fetch where an IRQGate's mask flips.
+// Step, and every watcher without the method, keep every-fetch
+// delivery.
 type FetchFilter interface {
 	QuietFetch(prev, pc uint16) bool
+}
+
+// LoadFilter is an optional Bus refinement (implemented by mem.Space)
+// that lets block execution run through peripheral reads.
+// QuietLoad(addr, byteWide) reports that the load at addr, made before
+// the next peripheral event the caller's limit stands for, changes
+// nothing beyond lazy catch-up and raises no interrupt request. The
+// answer must not change once RunBlocks has first run: the block plan
+// reads it once per constant-address operand.
+type LoadFilter interface {
+	QuietLoad(addr uint16, byteWide bool) bool
 }
 
 // IRQSource supplies pending interrupt lines (implemented by
 // periph.IRQController). Lower line numbers are lower priority; the reset
 // line (15) is handled by the machine, not the CPU.
+//
+// The set of pending requests may change only when a peripheral syncs
+// (between RunBlocks calls, at the deadlines their limit stands for) or
+// when an access leaves plain RAM without being a quiet load, and both
+// already end a block. So RunBlocks polls at block entry only, plus
+// where an IRQGate's mask flips inside a block.
 type IRQSource interface {
 	// HighestPending returns the highest-priority pending maskable line,
 	// or -1 if none.
 	HighestPending() int
 	// Acknowledge clears the pending flag for the line.
 	Acknowledge(line int)
+}
+
+// IRQGate is an optional IRQSource refinement for sources whose
+// visibility depends on the PC. Masked(pc) reports that HighestPending
+// returns -1 while the PC is pc, whatever is pending; it must be static,
+// a function of pc alone. A source without the method is PC-independent.
+type IRQGate interface {
+	Masked(pc uint16) bool
 }
 
 // ExecError reports a fault the real hardware would stumble through but a
@@ -132,9 +158,10 @@ type CPU struct {
 	// re-checks its block's stale range when a write lands mid-block.
 	// busTouched is set by every bus access that leaves the plain-RAM
 	// fast path; the block executor clears it per block and ends the
-	// block after any op that set it, handing control back to the
-	// machine loop exactly where per-instruction dispatch would have
-	// observed the side effect (peripheral state, halt, IRQ catch-up).
+	// block after any op that set it, unless the plan calls the op's
+	// accesses quiet, handing control back to the machine loop exactly
+	// where per-instruction dispatch would have observed the side
+	// effect (peripheral state, halt, a new interrupt request).
 	blkStart   uint16
 	blkTable   []isa.Block
 	invGen     uint64
@@ -152,15 +179,37 @@ type CPU struct {
 	// retired on its pure path and in its guarded loop; Step retired
 	// the rest of Insns.
 	PureInsns, GuardedInsns uint64
+	// BlockExits counts RunBlocks returns by reason, indexed by the
+	// Exit constants; the counts sum to the number of RunBlocks calls.
+	BlockExits [NumBlockExits]uint64
 
-	// The fetch plan (see planFetches) holds, per block-table slot, the
-	// loud and admit bits derived from planFor's FetchFilter; both are
-	// nil when planFor has none. planFor is cleared whenever the block
-	// table changes.
-	planFor Watcher
-	loud    []uint64
-	admit   []uint64
+	// The block plan (see plan) holds, per block-table slot, the loud,
+	// admit and quiet bits derived from planWatch, planIRQ and the bus.
+	// planned is cleared whenever the block table changes.
+	planned            bool
+	planWatch          Watcher
+	planIRQ            IRQSource
+	loud, admit, quiet []uint64
 }
+
+// Block-exit reasons, the indices of CPU.BlockExits.
+const (
+	// ExitBus: an access left plain RAM and was not a quiet load.
+	ExitBus = iota
+	// ExitStale: a write staled the next block or the running one.
+	ExitStale
+	// ExitStop: the stop poll reported a monitor violation.
+	ExitStop
+	// ExitIRQ: an interrupt request was visible at a poll.
+	ExitIRQ
+	// ExitLimit: the next block would not finish before the limit.
+	ExitLimit
+	// ExitOther: CPUOFF, a PC with no fused block, a fault, or no
+	// block table at all.
+	ExitOther
+	// NumBlockExits is the number of reasons.
+	NumBlockExits
+)
 
 // dirtyWords is the size of the stale bitmap: one bit per word address.
 const dirtyWords = 1 << 15
@@ -216,7 +265,7 @@ func (c *CPU) Predecoded() *isa.Predecoded { return c.pre }
 // cache first, then its blocks.
 func (c *CPU) SetBlocks(b *isa.Blocks) {
 	c.blkStart, c.blkTable = b.Table()
-	c.planFor = nil
+	c.planned = false
 }
 
 // InvalidateCode records that the n bytes at addr were overwritten, so
@@ -264,13 +313,15 @@ func (c *CPU) ResetCodeState() {
 }
 
 // PowerOn returns the CPU to its freshly constructed state: registers
-// and the cycle/instruction/interrupt counters zeroed. Unlike Reset it
-// models a power cycle, not the architectural reset sequence — the
-// machine's Boot still performs that (and its 4-cycle latency) on top.
+// and every counter (cycles, instructions, interrupts, the executor
+// counters and BlockExits) zeroed. Unlike Reset it models a power
+// cycle, not the architectural reset sequence — the machine's Boot
+// still performs that (and its 4-cycle latency) on top.
 func (c *CPU) PowerOn() {
 	c.R = [isa.NumRegs]uint16{}
 	c.Cycles, c.Insns, c.Interrupts = 0, 0, 0
 	c.PureInsns, c.GuardedInsns = 0, 0
+	c.BlockExits = [NumBlockExits]uint64{}
 	c.prevPC = 0
 }
 
@@ -1017,64 +1068,72 @@ func (c *CPU) staleRange(w0, w1 uint16) bool {
 //   - an op whose bus access leaves plain RAM (peripheral register,
 //     unmapped space) ends its block after that op, so halts, handler
 //     catch-up and newly raised interrupts are observed exactly where
-//     per-instruction dispatch would observe them;
+//     per-instruction dispatch would observe them. The exception is an
+//     op whose every access is at a constant address and either stays
+//     in plain RAM or is a load the bus's LoadFilter calls quiet
+//     (bit #1,&USTAT; mov &ADCMEM,r12): it changes nothing a later op
+//     or the machine loop could observe, so its block runs on;
 //   - a write landing in the block's own fetch window (self-modifying
 //     code) ends the block before the next op re-fetches, via the same
 //     dirty map that guards individual predecoded entries;
-//   - with GIE set the pending-interrupt poll runs between ops exactly
-//     as Step's does (interrupt visibility can be PC-gated, so it is
-//     not loop-invariant even though pure ops cannot raise requests);
+//   - with GIE set the pending-interrupt poll runs at every block
+//     entry. Inside a block no request can become pending (see
+//     IRQSource), so the poll is repeated only before an op where an
+//     IRQGate's mask flips; a pure block with no flip runs on the pure
+//     path with GIE set, self-loops included;
 //   - stop, when non-nil, is the machine's monitor-violation check. It
 //     is polled after every op that delivered a watcher callback, and
 //     true ends execution there.
 //
 // A watcher hears every block's entry fetch and every data access. It
 // hears the other fetches too unless it is a FetchFilter: then only the
-// fetches its QuietFetch does not call quiet are delivered, and a pure
-// block that needs none but its entry fetch runs on the unguarded pure
-// path, as it does with no watcher. If that entry fetch trips, op 0
-// alone retires, as it would per instruction.
+// fetches its QuietFetch does not call quiet, and those where the IRQ
+// gate flips, are delivered, and a pure block that needs none but its
+// entry fetch runs on the unguarded pure path, as it does with no
+// watcher. If that entry fetch trips, op 0 alone retires, as it would
+// per instruction.
 //
 // Interrupt service, low-power idling and non-fused instructions are
-// never handled here; the caller falls back to Step. Returns whether
-// at least one instruction executed, the cycle count observed before
-// the last executed instruction (the machine's violation re-sync
-// anchor), and any execution fault.
+// never handled here; the caller falls back to Step. Every return
+// counts one BlockExits reason. Returns whether at least one
+// instruction executed, the cycle count observed before the last
+// executed instruction (the machine's violation re-sync anchor), and
+// any execution fault.
 func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre uint64, err error) {
 	if c.blkTable == nil || c.slowMode {
+		c.BlockExits[ExitOther]++
 		return false, 0, nil
 	}
-	if c.Watch != nil && c.Watch != c.planFor {
-		c.planFetches()
+	if !c.planned || c.Watch != c.planWatch || c.IRQ != c.planIRQ {
+		c.plan()
 	}
 	for {
 		sr := c.R[isa.SR]
 		if sr&isa.FlagCPUOff != 0 {
+			c.BlockExits[ExitOther]++
 			return
 		}
 		gie := c.IRQ != nil && sr&isa.FlagGIE != 0
 		if gie && c.IRQ.HighestPending() >= 0 {
+			c.BlockExits[ExitIRQ]++
 			return
 		}
 		pc := c.R[isa.PC]
-		if pc&1 != 0 || pc < c.blkStart {
-			return
-		}
 		i := int(pc-c.blkStart) >> 1
-		if i >= len(c.blkTable) {
+		if pc&1 != 0 || pc < c.blkStart || i >= len(c.blkTable) || c.blkTable[i].Ops == nil {
+			c.BlockExits[ExitOther]++
 			return
 		}
 		b := &c.blkTable[i]
 		ops := b.Ops
-		if ops == nil {
-			return
-		}
 		// Admission: entry + total <= limit implies every op starts
 		// strictly below limit, exactly the per-instruction rule.
 		if c.Cycles+uint64(b.Cycles) > limit {
+			c.BlockExits[ExitLimit]++
 			return
 		}
 		if c.staleRange(b.W0, b.W1) {
+			c.BlockExits[ExitStale]++
 			return
 		}
 
@@ -1085,8 +1144,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			lastPre = c.Cycles
 			c.Watch.OnFetch(c.prevPC, pc)
 		}
-		if b.Pure && !gie && (c.Watch == nil ||
-			c.admit != nil && c.admit[i>>6]&(1<<(i&63)) != 0 && (stop == nil || !stop())) {
+		if c.admit[i>>6]&(1<<(i&63)) != 0 && (c.Watch == nil || stop == nil || !stop()) {
 			// Pure blocks touch no memory: nothing observes PC, cycles,
 			// SR or prevPC mid-block, so account in bulk, elide dead
 			// flag results, and execute the hot op shapes inline. No
@@ -1094,9 +1152,10 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			// at predecode time), so the PC needs writing once, before
 			// the final op executes. A block whose terminating jump
 			// lands back on its own first op re-runs in place: pure ops
-			// cannot change SR system bits, interrupt visibility or
-			// code memory, and an admitted block's back edge is quiet,
-			// so only the deadline admission needs re-checking per trip.
+			// cannot change SR system bits, pending requests or code
+			// memory, and an admitted block's back edge is quiet and
+			// keeps the gate's mask, so only the deadline admission
+			// needs re-checking per trip.
 			n := len(ops)
 			for {
 				c.R[isa.PC] = ops[n-1].Next
@@ -1159,8 +1218,17 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 
 		g0 := c.invGen
 		c.busTouched = false
+		observe := gie || c.Watch != nil
 		for k := range ops {
 			op := &ops[k]
+			// At a loud arrival the gate's mask may flip, so the
+			// interrupt poll Step makes before every instruction is
+			// repeated, and the watcher may need the fetch.
+			loud := k > 0 && observe && c.bitAt(c.loud, op.PC)
+			if loud && gie && c.IRQ.HighestPending() >= 0 {
+				c.BlockExits[ExitIRQ]++
+				return
+			}
 			lastPre = c.Cycles
 			// heard: the op delivered a callback (the entry fetch, a
 			// loud fetch or a data access), so the violation poll
@@ -1168,7 +1236,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			heard := false
 			if c.Watch != nil {
 				heard = k == 0 || op.Mem
-				if k > 0 && (c.loud == nil || c.loudAt(op.PC)) {
+				if loud {
 					c.Watch.OnFetch(c.prevPC, op.PC)
 					heard = true
 				}
@@ -1176,6 +1244,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			c.R[isa.PC] = op.Next
 			c.prevPC = op.PC
 			if e := c.execUOp(op.PC, op.U); e != nil {
+				c.BlockExits[ExitOther]++
 				return executed, lastPre, &ExecError{PC: op.PC, Err: e}
 			}
 			c.Cycles += uint64(op.Cycles)
@@ -1183,71 +1252,98 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			c.GuardedInsns++
 			executed = true
 			if c.busTouched {
-				return
+				if !c.bitAt(c.quiet, op.PC) {
+					c.BlockExits[ExitBus]++
+					return
+				}
+				c.busTouched = false
 			}
 			if c.invGen != g0 {
 				if c.staleRange(b.W0, b.W1) {
+					c.BlockExits[ExitStale]++
 					return
 				}
 				g0 = c.invGen
 			}
 			if heard && stop != nil && stop() {
-				return
-			}
-			if gie && k+1 < len(ops) && c.IRQ.HighestPending() >= 0 {
+				c.BlockExits[ExitStop]++
 				return
 			}
 		}
 	}
 }
 
-// loudAt reports whether the plan must deliver the fetch of the fused
-// op at pc when control arrives from its predecessor in the block.
-func (c *CPU) loudAt(pc uint16) bool {
+// bitAt reports the plan bit of the block-table slot of pc.
+func (c *CPU) bitAt(set []uint64, pc uint16) bool {
 	i := int(pc-c.blkStart) >> 1
-	return c.loud[i>>6]&(1<<(i&63)) != 0
+	return set[i>>6]&(1<<(i&63)) != 0
 }
 
-// planFetches derives the fetch plan for the installed block table and
-// the current watcher. A watcher without FetchFilter gets every fetch.
-// Otherwise loud marks each table slot whose op's fetch, arriving from
-// its predecessor in the fused run, is not quiet, and admit marks each
-// pure block that needs no fetch but its entry: every later op's fetch
-// is quiet, and so is the back edge of a block that jumps to its own
-// entry. A fused op has one predecessor (every address belongs to one
-// run), so one predicate call per op pair covers every block. Pairs
-// whose code a write has staled count as loud, so the predicate only
-// ever judges the code image the table was fused from.
-func (c *CPU) planFetches() {
-	c.planFor, c.loud, c.admit = c.Watch, nil, nil
-	f, ok := c.Watch.(FetchFilter)
-	if !ok {
-		return
-	}
+// plan derives the block plan for the installed block table from the
+// current watcher, interrupt source and bus, as three bitsets over the
+// table's slots (~1.5 KB for a full window):
+//
+//   - loud marks each slot whose op, arriving from its predecessor in
+//     the fused run, needs observing: the watcher is not a FetchFilter
+//     or its QuietFetch does not call the step quiet (the fetch is
+//     delivered), or the IRQ source is an IRQGate whose mask differs
+//     at the two PCs (the interrupt poll is repeated);
+//   - admit marks each pure block with no loud arrival after its entry
+//     whose back edge, when it jumps to its own entry, is quiet too:
+//     those run on the pure path (none do under a watcher without
+//     FetchFilter);
+//   - quiet marks each slot whose op makes data accesses at constant
+//     addresses only, each to plain RAM or a load the bus's LoadFilter
+//     calls quiet, so touching the bus there does not end the block.
+//
+// A fused op has one predecessor (every address belongs to one run), so
+// one predicate call per op pair covers every block. Pairs whose code a
+// write has staled count as loud, so the predicates only ever judge the
+// code image the table was fused from.
+func (c *CPU) plan() {
+	c.planned, c.planWatch, c.planIRQ = true, c.Watch, c.IRQ
 	n := (len(c.blkTable) + 63) >> 6
-	c.loud, c.admit = make([]uint64, n), make([]uint64, n)
-	quiet := func(prev, pc uint16) bool {
-		return !c.staleAt(prev) && !c.staleAt(pc) && f.QuietFetch(prev, pc)
+	c.loud, c.admit, c.quiet = make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	f, filtered := c.Watch.(FetchFilter)
+	gate, gated := c.IRQ.(IRQGate)
+	loads, _ := c.bus.(LoadFilter)
+	quietStep := func(prev, pc uint16) bool {
+		switch {
+		case c.staleAt(prev) || c.staleAt(pc):
+			return false
+		case gated && gate.Masked(prev) != gate.Masked(pc):
+			return false
+		case c.Watch == nil:
+			return true
+		}
+		return filtered && f.QuietFetch(prev, pc)
 	}
+	// A watcher without FetchFilter hears every fetch, so it keeps every
+	// block off the pure path.
+	admits := c.Watch == nil || filtered
+	set := func(bits []uint64, i int) { bits[i>>6] |= 1 << (i & 63) }
 	// A block's tail is the block at its second op, which sits higher
 	// in the table, so a downward walk finds the tail's admit bit
-	// already holding "every fetch after the entry is quiet".
+	// already holding "every arrival after the entry is quiet".
 	for i := len(c.blkTable) - 1; i >= 0; i-- {
 		ops := c.blkTable[i].Ops
 		if ops == nil {
 			continue
 		}
+		if ops[0].Mem && c.quietAccesses(ops[0].U, loads) {
+			set(c.quiet, i)
+		}
 		if len(ops) > 1 {
 			j := int(ops[1].PC-c.blkStart) >> 1
-			if !quiet(ops[0].PC, ops[1].PC) {
-				c.loud[j>>6] |= 1 << (j & 63)
+			if !quietStep(ops[0].PC, ops[1].PC) {
+				set(c.loud, j)
 				continue
 			}
 			if c.admit[j>>6]&(1<<(j&63)) == 0 {
 				continue
 			}
 		}
-		c.admit[i>>6] |= 1 << (i & 63)
+		set(c.admit, i)
 	}
 	for i := range c.blkTable {
 		b := &c.blkTable[i]
@@ -1256,10 +1352,48 @@ func (c *CPU) planFetches() {
 		}
 		last := &b.Ops[len(b.Ops)-1]
 		selfLoop := last.U.Class == isa.UJump && last.U.Target == b.Ops[0].PC
-		if !b.Pure || selfLoop && !quiet(last.PC, b.Ops[0].PC) {
+		if !b.Pure || !admits || selfLoop && !quietStep(last.PC, b.Ops[0].PC) {
 			c.admit[i>>6] &^= 1 << (i & 63)
 		}
 	}
+}
+
+// quietAccesses reports whether every data access u makes is at a
+// constant address and stays in plain RAM or, for a load, is one loads
+// calls quiet. Ops with a register-addressed operand, stack accesses or
+// in-place read-modify-writes never qualify.
+func (c *CPU) quietAccesses(u *isa.UOp, loads LoadFilter) bool {
+	if loads == nil || c.plain == nil || u.Class != isa.UFmt1 && u.Class != isa.UFmt1Reg {
+		return false
+	}
+	plain := func(a uint16) bool {
+		if !u.Byte {
+			a &^= 1
+		}
+		return c.plain[a]
+	}
+	load := func(a uint16) bool { return plain(a) || loads.QuietLoad(a, u.Byte) }
+	switch u.SrcK {
+	case isa.SrcConst, isa.SrcReg:
+	case isa.SrcMemConst:
+		if !load(u.SrcVal) {
+			return false
+		}
+	default:
+		return false
+	}
+	switch u.DstK {
+	case isa.DstRegK:
+		return true
+	case isa.DstMemConst:
+		d := u.DstVal
+		if u.Op != isa.MOV && !load(d) {
+			return false
+		}
+		// CMP and BIT only read their destination.
+		return u.Op == isa.CMP || u.Op == isa.BIT || plain(d)
+	}
+	return false
 }
 
 // blockFault finalizes state when a fused op faults — unreachable for
@@ -1274,6 +1408,7 @@ func (c *CPU) blockFault(b *isa.Block, k int, executed bool, lastPre uint64, e e
 	}
 	c.Insns += uint64(k)
 	c.PureInsns += uint64(k)
+	c.BlockExits[ExitOther]++
 	op := &b.Ops[k]
 	c.R[isa.PC] = op.Next
 	c.prevPC = op.PC

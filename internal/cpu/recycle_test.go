@@ -81,6 +81,9 @@ func TestPowerOnZeroesArchitecturalState(t *testing.T) {
 		t.Fatal("setup: nothing executed")
 	}
 	c.PureInsns, c.GuardedInsns = 1, 1
+	for i := range c.BlockExits {
+		c.BlockExits[i] = uint64(i + 1)
+	}
 	c.PowerOn()
 	if c.R != [isa.NumRegs]uint16{} {
 		t.Errorf("registers after PowerOn: %v", c.R)
@@ -89,5 +92,8 @@ func TestPowerOnZeroesArchitecturalState(t *testing.T) {
 		c.PureInsns != 0 || c.GuardedInsns != 0 {
 		t.Errorf("counters after PowerOn: cycles=%d insns=%d irqs=%d prevPC=%04x pure=%d guarded=%d",
 			c.Cycles, c.Insns, c.Interrupts, c.prevPC, c.PureInsns, c.GuardedInsns)
+	}
+	if c.BlockExits != [NumBlockExits]uint64{} {
+		t.Errorf("block exits after PowerOn: %v", c.BlockExits)
 	}
 }

@@ -6,9 +6,12 @@ package isa
 // redirect control flow or change the SR system bits (jumps, CALL,
 // RETI, explicit PC/SR destinations): interior ops therefore never
 // read or write the program counter and never toggle GIE/CPUOFF, which
-// is what lets the executor hoist the interrupt poll, the low-power
-// check and the deadline comparison out of the instruction loop and to
-// the block boundary.
+// is what lets the executor hoist the low-power check and the deadline
+// comparison out of the instruction loop and to the block boundary.
+// The interrupt poll moves there too, because no request can become
+// pending inside a block (see cpu.IRQSource); the executor repeats it
+// only where a PC-gated source's mask flips between two fused ops
+// (cpu.IRQGate).
 //
 // Like Predecoded, a Blocks table is immutable after construction and
 // shared between every machine running byte-identical code; the fleet
@@ -63,9 +66,10 @@ type Block struct {
 	// cannot reach peripherals, cannot modify code, and cannot be
 	// observed mid-block except through fetches, so the executor runs
 	// them with no per-op guards wherever no watcher needs a fetch
-	// after the entry (see cpu.FetchFilter). Blocks with memory
-	// operands stay executable but keep the guarded loop (any access
-	// that leaves plain RAM ends the block).
+	// after the entry (see cpu.FetchFilter) and no interrupt gate
+	// flips. Blocks with memory operands stay executable but keep the
+	// guarded loop: an access that leaves plain RAM ends the block
+	// unless it is a quiet load at a constant address (cpu.LoadFilter).
 	Pure bool
 	// W0, W1 bound the dirty-map word indices of every op's fetch
 	// address, the range the CPU core scans before entering the block.

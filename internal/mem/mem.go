@@ -162,6 +162,17 @@ type ByteHandler interface {
 	StoreByte(addr uint16, v uint8)
 }
 
+// QuietLoader is an optional Handler refinement that lets block
+// execution run through register reads. QuietLoad(addr) reports that a
+// load the handler receives at addr (its LoadWord or LoadByte
+// argument), made before the peripheral's next event
+// (periph.Cycled.NextEvent), changes nothing beyond lazy catch-up and
+// raises no interrupt request. It must be static: a function of the
+// address alone. Handlers without the method are loud everywhere.
+type QuietLoader interface {
+	QuietLoad(addr uint16) bool
+}
+
 type mapping struct {
 	start, end uint16 // inclusive
 	h          Handler
@@ -300,6 +311,28 @@ func (s *Space) HandlerStores() uint64 { return s.handlerStores }
 // exactly (fast stores must invoke the hook).
 func (s *Space) Direct() (slab *[Size]byte, plain *[Size]bool, hook *func(addr uint16, n int)) {
 	return &s.ram, &s.plain, &s.WriteHook
+}
+
+// QuietLoad reports whether a load at addr (a byte load when byteWide,
+// else a word load of the aligned word) reaches a handler whose
+// QuietLoad calls it quiet, asking the handler about the address its
+// load method will receive. Plain and unmapped addresses report false.
+// The CPU's block planner reads it once per constant-address operand,
+// so the peripheral mapping must be complete before the first
+// cpu.RunBlocks.
+func (s *Space) QuietLoad(addr uint16, byteWide bool) bool {
+	if !byteWide {
+		addr = align(addr)
+	}
+	h, _ := s.lookup(addr)
+	q, ok := h.(QuietLoader)
+	if !ok {
+		return false
+	}
+	if _, bh := h.(ByteHandler); !bh {
+		addr = align(addr)
+	}
+	return q.QuietLoad(addr)
 }
 
 func (s *Space) handlerAt(addr uint16) (Handler, bool) {

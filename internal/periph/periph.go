@@ -11,7 +11,10 @@
 // internal/core rely on.
 package periph
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Register addresses (inside the peripheral window 0x0000-0x01FF of
 // mem.DefaultLayout).
@@ -92,7 +95,10 @@ type Cycled interface {
 }
 
 // IRQController collects interrupt requests from peripherals and feeds
-// the CPU core (it implements cpu.IRQSource).
+// the CPU core (it implements cpu.IRQSource). Requests are raised only
+// by peripheral ticks and by register accesses that are not quiet
+// loads (see QuietLoad on each peripheral), which is the cpu.IRQSource
+// contract block execution relies on.
 type IRQController struct {
 	pending uint16
 }
@@ -106,12 +112,7 @@ func (q *IRQController) Request(line int) {
 
 // HighestPending returns the highest pending line number or -1.
 func (q *IRQController) HighestPending() int {
-	for line := 15; line >= 0; line-- {
-		if q.pending&(1<<line) != 0 {
-			return line
-		}
-	}
-	return -1
+	return bits.Len16(q.pending) - 1
 }
 
 // Acknowledge clears a pending line.
@@ -219,6 +220,9 @@ func (g *GPIO) StoreWord(addr uint16, v uint16) {
 	g.StoreByte(addr, uint8(v))
 	g.StoreByte(addr+1, uint8(v>>8))
 }
+
+// QuietLoad implements mem.QuietLoader: port reads have no side effects.
+func (g *GPIO) QuietLoad(addr uint16) bool { return true }
 
 // Span returns the register range for bus mapping.
 func (g *GPIO) Span() (lo, hi uint16) { return g.Base, g.Base + 5 }
@@ -360,6 +364,10 @@ func (t *Timer) StoreWord(addr uint16, v uint16) {
 		t.CCR0 = v
 	}
 }
+
+// QuietLoad implements mem.QuietLoader: a read only catches the counter
+// up, and before NextEvent that wraps nothing and requests nothing.
+func (t *Timer) QuietLoad(addr uint16) bool { return true }
 
 // Span returns the register range for bus mapping.
 func (t *Timer) Span() (lo, hi uint16) { return t.Base, t.Base + 0x13 }
@@ -507,6 +515,10 @@ func (a *ADC) StoreWord(addr uint16, v uint16) {
 	}
 }
 
+// QuietLoad implements mem.QuietLoader: a read only catches an
+// in-flight conversion up, and before NextEvent it does not complete.
+func (a *ADC) QuietLoad(addr uint16) bool { return true }
+
 // Span returns the register range for bus mapping.
 func (a *ADC) Span() (lo, hi uint16) { return ADCCTLAddr, ADCSTAGES + 1 }
 
@@ -582,6 +594,11 @@ func (u *UART) StoreWord(addr uint16, v uint16) {
 		u.TX = append(u.TX, byte(v))
 	}
 }
+
+// QuietLoad implements mem.QuietLoader. Reading URX pops a byte and
+// re-raises the RX request while bytes remain, so it is the one loud
+// register; the status and transmit registers read without effect.
+func (u *UART) QuietLoad(addr uint16) bool { return addr != URXAddr }
 
 // Span returns the register range for bus mapping.
 func (u *UART) Span() (lo, hi uint16) { return UTXAddr, USTATAddr + 1 }
@@ -666,6 +683,9 @@ func (l *LCD) StoreWord(addr uint16, v uint16) {
 		l.addr++
 	}
 }
+
+// QuietLoad implements mem.QuietLoader: status reads have no effect.
+func (l *LCD) QuietLoad(addr uint16) bool { return true }
 
 // Span returns the register range for bus mapping.
 func (l *LCD) Span() (lo, hi uint16) { return LCDCMDAddr, LCDDATAAddr + 1 }
@@ -786,6 +806,10 @@ func (u *Ultrasonic) StoreWord(addr uint16, v uint16) {
 	}
 }
 
+// QuietLoad implements mem.QuietLoader: a read only catches an
+// in-flight measurement up, and before NextEvent it does not complete.
+func (u *Ultrasonic) QuietLoad(addr uint16) bool { return true }
+
 // Span returns the register range for bus mapping.
 func (u *Ultrasonic) Span() (lo, hi uint16) { return USTRIGAddr, USSTATAddr + 1 }
 
@@ -809,6 +833,9 @@ func (v *ViolationLatch) StoreWord(addr uint16, val uint16) {
 	v.Writes++
 	v.Last = val
 }
+
+// QuietLoad implements mem.QuietLoader: the latch reads as zero.
+func (v *ViolationLatch) QuietLoad(addr uint16) bool { return true }
 
 // Reset clears the latch.
 func (v *ViolationLatch) Reset() { v.Writes = 0; v.Last = 0 }
