@@ -13,16 +13,19 @@ vet:
 test:
 	$(GO) test ./...
 
-# The fast/slow, block-execution, tick-equivalence,
-# recycled-vs-fresh, crash/resume and service-mode differential suites
-# are the correctness contract of the hot-path optimizations, the
-# machine-recycling subsystem, the fleet's crash-safety (journaled
-# checkpointing, fault containment, resume convergence) and the fleetd
-# journal byte-identity; this target fails if any of them is skipped or
-# matches nothing.
+# The production-vs-reference differentials (bus dispatch against a
+# linear scan, direct RAM against the bus interface, decode-cached
+# machines — run, stepped, sliced, sharing a cache — against the
+# cache-less reference machine, block admission corners, tick
+# equivalence), the recycled-vs-fresh, crash/resume and
+# service-mode suites are the correctness contract of the hot-path
+# optimizations, the machine-recycling subsystem, the fleet's
+# crash-safety (journaled checkpointing, fault containment, resume
+# convergence) and the fleetd journal byte-identity; this target fails
+# if any of them is skipped or matches nothing.
 test-differential:
-	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestStreamPanic|TestStreamCancel|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke' \
-		./internal/mem ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/pool ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestDirectRAMMatchesBus|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestStreamPanic|TestStreamCancel|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke' \
+		./internal/mem ./internal/cpu ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/pool ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"
@@ -49,13 +52,14 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchSpec$$' -fuzztime=5s ./internal/fleet
 
 # One-iteration benchmark pass so throughput regressions surface in PRs
-# without burning CI minutes. NoBlocks rides along so the block layer's
-# contribution stays individually measurable; AppsByDefense runs the
-# Table IV apps under every defense column on recycled machines;
-# MachineChurn guards the recycled machine-lifecycle overhead, and
-# Fleetd_WarmResubmit the daemon's warm-resubmission latency.
+# without burning CI minutes. ThroughputReference rides along so the
+# production path's gain over the cache-less reference machine stays
+# measurable; AppsByDefense runs the Table IV apps under every defense
+# column on recycled machines; MachineChurn guards the recycled
+# machine-lifecycle overhead, and Fleetd_WarmResubmit the daemon's
+# warm-resubmission latency.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputNoBlocks$$|BenchmarkSimulator_AppsByDefense|BenchmarkFleet_MachineChurn' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputReference$$|BenchmarkSimulator_AppsByDefense|BenchmarkFleet_MachineChurn' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkFleetd_WarmResubmit' -benchtime=1x ./cmd/eilid-fleetd
 
 bench:

@@ -15,7 +15,7 @@
 //	            [-fault-seed S -fault-panics N -fault-transients N]
 //	            [-interrupt-after K]
 //	eilid-fleet -spec batch.json [execution flags] | -dump-spec [matrix flags]
-//	eilid-fleet -resume out.ndjson [-workers N] [-recycle=β] [-q]
+//	eilid-fleet -resume out.ndjson [-workers N] [-q]
 //
 // Every mode is a view over one canonical fleet.BatchSpec: the matrix
 // and fault flags parse into it, `-spec batch.json` loads it from JSON
@@ -134,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.String("json", "", "stream the results as a resumable NDJSON journal to this file (- for stdout)")
 	resume := fs.String("resume", "", "resume an interrupted journal: run the remaining jobs and compact the file")
 	verify := fs.Bool("verify", false, "replay sequentially and require byte-identical results")
-	recycle := fs.Bool("recycle", true, "recycle pooled machines between jobs (false = construct per job)")
 	jobTimeout := fs.Duration("job-timeout", 2*time.Minute, "per-job wall-clock watchdog; runaway jobs fail instead of hanging the batch (0 = off)")
 	retries := fs.Int("retries", fleet.DefaultMaxRetries, "extra attempts for jobs reporting transient failures (negative = never retry)")
 	faultPanic := fs.String("fault-panic", "", "inject a panic at these job indices (crash-safety testing)")
@@ -215,7 +214,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			gen:            *gen,
 			seed:           *seed,
 			workers:        *workers,
-			recycle:        *recycle,
 			jobTimeout:     *jobTimeout,
 			retries:        *retries,
 			faultPanic:     *faultPanic,
@@ -270,7 +268,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *resume != "" {
 		exec := fleet.ExecSpec{
-			NoRecycle:  !*recycle,
 			JobTimeout: fleet.Duration(*jobTimeout),
 			MaxRetries: *retries,
 		}

@@ -344,9 +344,9 @@ func TestFleetFlagErrors(t *testing.T) {
 
 // TestFleetCoordinatorFlagValidation: nonsense execution knobs are
 // exit-2 usage errors at parse time, and so are the flags of the
-// multi-process coordinator and worker modes, which no longer exist —
-// a script still passing them must fail loudly rather than fall back
-// to a single-process run.
+// multi-process coordinator and worker modes and the construct-per-job
+// switch, which no longer exist — a script still passing them must
+// fail loudly rather than fall back to a single-process, recycled run.
 func TestFleetCoordinatorFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-workers", "0"},
@@ -367,6 +367,9 @@ func TestFleetCoordinatorFlagValidation(t *testing.T) {
 		{"-gen", "4", "-no-apps", "-no-scenarios", "-stall-after", "2"},
 		{"-resume", "x.ndjson", "-coordinator", "2"},
 		{"-resume", "x.ndjson", "-shard", "0:4"},
+		// Removed construct-per-job switch.
+		{"-recycle=false"},
+		{"-resume", "x.ndjson", "-recycle=false"},
 	}
 	for _, args := range cases {
 		var out, errb strings.Builder

@@ -28,7 +28,6 @@ type specFlags struct {
 	gen         int
 	seed        uint64
 	workers     int
-	recycle     bool
 	jobTimeout  time.Duration
 	retries     int
 
@@ -71,9 +70,6 @@ func assembleSpec(fv specFlags, stderr io.Writer) (fleet.BatchSpec, int) {
 		if fv.set["workers"] {
 			spec.Exec.Workers = fv.workers
 		}
-		if fv.set["recycle"] {
-			spec.Exec.NoRecycle = !fv.recycle
-		}
 		if fv.set["job-timeout"] {
 			spec.Exec.JobTimeout = fleet.Duration(fv.jobTimeout)
 		}
@@ -103,7 +99,6 @@ func assembleSpec(fv specFlags, stderr io.Writer) (fleet.BatchSpec, int) {
 			Generated:   fleet.GeneratedSpec{Seed: fv.seed, Count: fv.gen},
 		},
 		Exec: fleet.ExecSpec{
-			NoRecycle:  !fv.recycle,
 			JobTimeout: fleet.Duration(fv.jobTimeout),
 			MaxRetries: fv.retries,
 		},

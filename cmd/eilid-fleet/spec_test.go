@@ -131,6 +131,12 @@ func TestSpecFlagErrors(t *testing.T) {
 	if err := os.WriteFile(unknown, []byte(`{"matrix":{},"exec":{},"fault":{},"bogus":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The construct-per-job switch left the spec format; a file that
+	// still carries it is refused like any unknown field.
+	noRecycle := filepath.Join(dir, "no-recycle.json")
+	if err := os.WriteFile(noRecycle, []byte(`{"matrix":{},"exec":{"no_recycle":true},"fault":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	garbage := filepath.Join(dir, "garbage.json")
 	if err := os.WriteFile(garbage, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
@@ -144,6 +150,7 @@ func TestSpecFlagErrors(t *testing.T) {
 		{[]string{"-spec", good, "-fault-panic", "1"}, "drop -fault-panic"},
 		{[]string{"-spec", good, "-gen", "5"}, "drop -gen"},
 		{[]string{"-spec", unknown}, "bogus"},
+		{[]string{"-spec", noRecycle}, "no_recycle"},
 		{[]string{"-spec", garbage}, "spec"},
 		{[]string{"-spec", filepath.Join(dir, "missing.json")}, "spec"},
 	}

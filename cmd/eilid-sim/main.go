@@ -4,8 +4,11 @@
 //
 // Usage:
 //
-//	eilid-sim -app LightSensor [-unprotected]
+//	eilid-sim -app LightSensor [-unprotected] [-uart "input"] [-max N]
 //	eilid-sim -file firmware.s [-uart "input"] [-max 10000000]
+//
+// A built-in application brings its own UART input and cycle budget;
+// an explicit -uart or -max overrides them.
 package main
 
 import (
@@ -28,7 +31,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	appName := fs.String("app", "", "run a built-in Table IV application")
 	file := fs.String("file", "", "run an assembly file")
 	uart := fs.String("uart", "", "bytes to feed the UART receiver")
-	maxCycles := fs.Uint64("max", 20_000_000, "cycle budget")
+	maxCycles := fs.Uint64("max", 20_000_000, "cycle budget (default for -app: the application's own)")
 	unprotected := fs.Bool("unprotected", false, "run without the EILID/CASU monitor")
 	list := fs.Bool("list", false, "list built-in applications")
 	if err := fs.Parse(args); err != nil {
@@ -69,6 +72,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *uart != "" {
 		input = *uart
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "max" {
+			budget = *maxCycles
+		}
+	})
 
 	pipeline, err := core.NewPipeline(core.DefaultConfig())
 	if err != nil {

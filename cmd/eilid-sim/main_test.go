@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -43,6 +44,26 @@ func TestRunBuiltinApp(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestRunAppMaxOverride: an explicit -max caps a built-in app's run
+// the way -uart replaces its input, instead of the app's own budget.
+func TestRunAppMaxOverride(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-app", "LightSensor", "-unprotected", "-max", "1000"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "halted:   false") {
+		t.Errorf("the app halted inside a 1000-cycle budget:\n%s", out.String())
+	}
+	// The run stops at the first instruction boundary at or past the
+	// budget; no MSP430 instruction takes more than 6 cycles.
+	var cycles uint64
+	if i := strings.Index(out.String(), "cycles:"); i < 0 {
+		t.Fatalf("no cycle count:\n%s", out.String())
+	} else if _, err := fmt.Sscanf(out.String()[i:], "cycles: %d", &cycles); err != nil || cycles < 1000 || cycles > 1006 {
+		t.Errorf("ran %d cycles (%v), want the 1000-cycle budget", cycles, err)
 	}
 }
 

@@ -50,6 +50,7 @@ func main() {
 		if err := m.LoadFirmware(img); err != nil {
 			log.Fatal(err)
 		}
+		m.EnablePredecode()
 		m.Boot()
 		res, err := m.Run(app.MaxCycles)
 		if err != nil {

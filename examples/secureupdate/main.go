@@ -44,6 +44,8 @@ func main() {
 	if err := updater.Apply(m.Space, pkg1); err != nil {
 		log.Fatal(err)
 	}
+	// Snapshot the installed code into a decode cache for the fast path.
+	m.EnablePredecode()
 	m.Boot()
 	if _, err := m.Run(temp.MaxCycles); err != nil {
 		log.Fatal(err)
@@ -76,6 +78,7 @@ func main() {
 		log.Fatal(err)
 	}
 	provisionVectors(m, v2)
+	m.EnablePredecode()
 	m.Boot()
 	if _, err := m.Run(light.MaxCycles); err != nil {
 		log.Fatal(err)
@@ -106,6 +109,7 @@ spin:
 	if err := m2.LoadFirmware(sm.Instrumented.Image); err != nil {
 		log.Fatal(err)
 	}
+	m2.EnablePredecode()
 	m2.Boot()
 	res, err := m2.RunUntilReset(100_000)
 	if err != nil {

@@ -32,6 +32,7 @@ func main() {
 		if err := m.LoadFirmware(build.Instrumented.Image); err != nil {
 			log.Fatal(err)
 		}
+		m.EnablePredecode()
 		return m
 	}
 

@@ -114,7 +114,8 @@ type Target struct {
 	Defense *core.DefenseSpec
 	// Predecoded optionally shares a decode cache built (via
 	// core.Machine.EnablePredecode) from a machine loaded with this
-	// exact Image (and ROM, for instrumented defenses).
+	// exact Image (and ROM, for instrumented defenses); nil makes each
+	// machine snapshot a private one.
 	Predecoded *isa.Predecoded
 }
 
@@ -173,10 +174,10 @@ func Run(p *core.Pipeline, sc Scenario) (Result, error) {
 }
 
 // NewMachine constructs a fresh device for this target: variant
-// options applied, image loaded, shared decode cache installed when the
-// target carries one. The fleet's machine pool builds every pooled
-// machine through this helper, seals it with core.Machine.Snapshot and
-// recycles it between jobs.
+// options applied, image loaded, the target's shared decode cache
+// installed, or a private one when it carries none. The fleet's machine
+// pool builds every pooled machine through this helper, seals it with
+// core.Machine.Snapshot and recycles it between jobs.
 func (t Target) NewMachine() (*core.Machine, error) {
 	opts := core.MachineOptions{Config: t.Config, ROM: t.ROM, Defense: t.Defense}
 	m, err := core.NewMachine(opts)
@@ -188,6 +189,8 @@ func (t Target) NewMachine() (*core.Machine, error) {
 	}
 	if t.Predecoded != nil {
 		m.UsePredecoded(t.Predecoded)
+	} else {
+		m.EnablePredecode()
 	}
 	return m, nil
 }

@@ -23,9 +23,9 @@ type quietRecorder struct {
 
 func (r *quietRecorder) QuietFetch(prev, pc uint16) bool { return r.filter.QuietFetch(prev, pc) }
 
-// compareAdmitted asserts that a block run whose monitor filters
-// fetches matches the per-instruction reference in every observable,
-// and that its watcher stream is the reference stream with only fetches
+// compareAdmitted asserts that a production run whose watcher filters
+// fetches matches the reference machine in every observable, and that
+// its watcher stream is the reference stream with only fetches
 // QuietFetch calls quiet removed. It returns how many were removed.
 func compareAdmitted(t *testing.T, what string, admitted, reference observed, quiet cpu.FetchFilter) int {
 	t.Helper()
@@ -38,59 +38,18 @@ func compareAdmitted(t *testing.T, what string, admitted, reference observed, qu
 			j++
 			continue
 		}
-		var prev, pc uint16
-		if _, err := fmt.Sscanf(ev, "F %04x->%04x", &prev, &pc); err != nil || !quiet.QuietFetch(prev, pc) {
-			t.Errorf("%s: reference event %q is missing from the block run (block event %d of %d)",
+		if ev.kind != 'F' || !quiet.QuietFetch(ev.a, ev.b) {
+			t.Errorf("%s: reference event %v is missing from the block run (block event %d of %d)",
 				what, ev, j, len(admitted.events))
 			return dropped
 		}
 		dropped++
 	}
 	if j != len(admitted.events) {
-		t.Errorf("%s: block run has %d events the reference lacks, from %q",
+		t.Errorf("%s: block run has %d events the reference lacks, from %v",
 			what, len(admitted.events)-j, admitted.events[j])
 	}
 	return dropped
-}
-
-// TestBlockAdmittedDifferential runs every Table IV application under
-// every monitored defense with the monitor's QuietFetch in force — pure
-// blocks admitted to the pure path, the guarded loop delivering only
-// loud fetches, violations polled only after callbacks — and requires
-// every observable of the per-instruction reference, with the watcher
-// stream differing only by dropped quiet fetches.
-func TestBlockAdmittedDifferential(t *testing.T) {
-	p, err := core.NewPipeline(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range apps.All() {
-		t.Run(app.Name, func(t *testing.T) {
-			build, err := p.Build(app.Name+".s", app.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, spec := range core.Defenses() {
-				if spec.New == nil {
-					continue // no monitor, nothing to filter
-				}
-				var filter cpu.FetchFilter
-				admitted := runObserved(t, p, app, build, spec, func(m *core.Machine) {
-					// Wrap the plain recorder runObserved installed.
-					m.CPU.Watch = &quietRecorder{eventRecorder: m.CPU.Watch.(*eventRecorder), filter: m.Monitor}
-					filter = m.Monitor
-				})
-				reference := runObserved(t, p, app, build, spec, func(m *core.Machine) { m.SetBlockExec(false) })
-				what := fmt.Sprintf("%s defense=%s", app.Name, spec.Name)
-				dropped := compareAdmitted(t, what, admitted, reference, filter)
-				if dropped == 0 {
-					t.Errorf("%s: no fetch was filtered; the admitted path never ran", what)
-				}
-				t.Logf("%s: %d of %d events dropped (%.1f%%)", what, dropped, len(reference.events),
-					100*float64(dropped)/float64(len(reference.events)))
-			}
-		})
-	}
 }
 
 // allQuiet is the fetch filter of an unmonitored machine: a machine
@@ -108,10 +67,11 @@ func filterOf(m *core.Machine) cpu.FetchFilter {
 }
 
 // cornerRun loads prog unmodified on a machine of the given defense
-// (with the secure ROM where the defense needs it), watches it through
-// a quietRecorder, optionally pokes once the PC reaches pokeAt, and
-// runs until the first reset, halt or budget.
-func cornerRun(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, prog *asm.Program, blocks bool, pokeAt uint16, poke func(*core.Machine)) (observed, *core.Machine) {
+// (with the secure ROM where the defense needs it), on the production
+// path or as the cache-less reference, watches it through a
+// quietRecorder, optionally pokes once the PC reaches pokeAt, and runs
+// until the first reset, halt or budget.
+func cornerRun(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, prog *asm.Program, production bool, pokeAt uint16, poke func(*core.Machine)) (observed, *core.Machine) {
 	t.Helper()
 	opts := core.MachineOptions{Config: p.Config(), Defense: spec}
 	if spec.Instrumented {
@@ -124,8 +84,9 @@ func cornerRun(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, prog *asm
 	if err := m.LoadFirmware(prog.Image); err != nil {
 		t.Fatal(err)
 	}
-	m.EnablePredecode()
-	m.SetBlockExec(blocks)
+	if production {
+		m.EnablePredecode()
+	}
 	rec := &eventRecorder{inner: m.Monitor, clock: func() uint64 { return m.CPU.Cycles }}
 	m.CPU.Watch = &quietRecorder{eventRecorder: rec, filter: filterOf(m)}
 	m.Boot()
@@ -141,23 +102,14 @@ func cornerRun(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, prog *asm
 		poke(m)
 	}
 	res, runErr := m.RunUntilReset(200_000)
-	o := observed{
-		insp:      apps.Inspect(m, res),
-		res:       res,
-		err:       runErr,
-		busErrors: m.Space.BusErrors,
-		events:    rec.events,
-		irqCycles: rec.irqCycles,
-	}
-	for _, v := range m.ResetReasons {
-		o.reasons = append(o.reasons, v.Error())
-	}
-	return o, m
+	return observation(m, rec, res, runErr), m
 }
 
-// cornerDifferential builds src, runs it with blocks on and off, and
-// compares the two as TestBlockAdmittedDifferential does. It returns
-// the block run, its machine, its first reset reason and the symbols.
+// cornerDifferential builds src, runs it on the production path and on
+// the reference machine, and compares the two as
+// TestPredecodeDifferential does through the defense's filter. It
+// returns the production run, its machine, its first reset reason and
+// the symbols.
 func cornerDifferential(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, src, pokeSym string, poke func(*core.Machine)) (observed, *core.Machine, *casu.Violation, map[string]uint16) {
 	t.Helper()
 	prog, err := p.BuildOriginal("corner.s", src)
@@ -213,7 +165,7 @@ top:
 		if b := m.CPU.Predecoded().Blocks().At(syms["top"]); b == nil || b.Ops[len(b.Ops)-1].PC < 0xF800 {
 			t.Fatal("no fused block runs from top into the ROM")
 		}
-		if !slices.Contains(run.events, "F f7fe->f800") {
+		if !slices.Contains(run.events, event{kind: 'F', a: 0xf7fe, b: 0xf800}) {
 			t.Error("the block run skipped the fetch that crosses into the ROM")
 		}
 		switch {

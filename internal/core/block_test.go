@@ -6,120 +6,13 @@ import (
 
 	"eilid/internal/apps"
 	"eilid/internal/core"
-	"eilid/internal/isa"
 )
-
-// TestBlockDifferential runs every Table IV application under every
-// registered defense with basic-block execution on (the default) and
-// with SetBlockExec(false) — per-instruction dispatch over the same
-// predecoded entries, the PR 2 reference path — and requires
-// cycle-exact equivalence in every observable: cycles, instruction
-// counts, bus errors, watcher event streams, interrupt arrival cycles,
-// reset reasons and the behavioural inspection.
-func TestBlockDifferential(t *testing.T) {
-	p, err := core.NewPipeline(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range apps.All() {
-		app := app
-		t.Run(app.Name, func(t *testing.T) {
-			build, err := p.Build(app.Name+".s", app.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, spec := range core.Defenses() {
-				blocks := runObserved(t, p, app, build, spec, nil)
-				noBlocks := runObserved(t, p, app, build, spec, func(m *core.Machine) { m.SetBlockExec(false) })
-				compareObserved(t, fmt.Sprintf("%s defense=%s", app.Name, spec.Name), blocks, noBlocks)
-			}
-		})
-	}
-}
-
-// TestBlockSelfModifying pins the block layer's two self-modification
-// hazards: a store that invalidates a block before it is re-entered,
-// and — the harder case — a store from inside a block that patches a
-// later instruction of the same block, which must end block execution
-// so the patched instruction is re-decoded live, exactly as
-// per-instruction dispatch would.
-func TestBlockSelfModifying(t *testing.T) {
-	p, err := core.NewPipeline(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// site2 initially holds `inc r11`; the straight-line run
-	// site..site2 writes `add #1, r10` over site2 before control
-	// reaches it, so r10 must advance and r11 must stay 0 on every
-	// pass. The whole patching sequence is one basic block when fused.
-	patch := isa.MustEncode(isa.Instruction{
-		Op: isa.ADD, Src: isa.Imm(1), Dst: isa.RegOp(10),
-	})
-	src := fmt.Sprintf(`
-.org 0xE000
-reset:
-    mov #0x0A00, sp
-main:
-    mov #3, r12
-loop:
-site:
-    inc r9
-    mov #0x%04X, &site2
-site2:
-    inc r11
-    dec r12
-    jnz loop
-    mov #0, &0x00FC
-spin:
-    jmp spin
-.org 0xFFFE
-.word reset
-`, patch[0])
-	prog, err := p.BuildOriginal("selfmod-block.s", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(blocks bool) (core.RunResult, [16]uint16, int) {
-		m, err := core.NewMachine(core.MachineOptions{Config: p.Config()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.LoadFirmware(prog.Image); err != nil {
-			t.Fatal(err)
-		}
-		m.EnablePredecode()
-		m.SetBlockExec(blocks)
-		m.Boot()
-		res, err := m.Run(100_000)
-		if err != nil {
-			t.Fatalf("blocks=%v: %v", blocks, err)
-		}
-		return res, m.CPU.R, m.Space.BusErrors
-	}
-
-	onRes, onR, onBE := run(true)
-	offRes, offR, offBE := run(false)
-	if onRes.Cycles != offRes.Cycles || onRes.Insns != offRes.Insns {
-		t.Errorf("self-modifying run diverged: %d/%d vs %d/%d cycles/insns",
-			onRes.Cycles, onRes.Insns, offRes.Cycles, offRes.Insns)
-	}
-	if onR != offR {
-		t.Errorf("register files diverged: %v vs %v", onR, offR)
-	}
-	if onBE != offBE {
-		t.Errorf("bus errors diverged: %d vs %d", onBE, offBE)
-	}
-	if onR[9] != 3 || onR[10] != 3 || onR[11] != 0 {
-		t.Errorf("patched loop executed wrong: r9=%d r10=%d r11=%d, want 3/3/0",
-			onR[9], onR[10], onR[11])
-	}
-}
 
 // TestBlockDeadlineStraddle pins the admission rule: a basic block
 // whose precomputed cycle total would straddle the fused
 // deadline/budget limit must fall back to per-instruction dispatch so
-// peripheral events and interrupt acceptance land on the exact cycle.
+// peripheral events and interrupt acceptance land on the exact cycle
+// the reference machine sees.
 // TimerA runs with a period much shorter than the straight-line run in
 // the loop body, so nearly every block straddles a deadline.
 func TestBlockDeadlineStraddle(t *testing.T) {
@@ -187,8 +80,8 @@ handler:
 	wrapped := &core.BuildResult{Original: build}
 
 	blocks := runObserved(t, p, app, wrapped, core.DefenseBaseline, nil)
-	noBlocks := runObserved(t, p, app, wrapped, core.DefenseBaseline, func(m *core.Machine) { m.SetBlockExec(false) })
-	compareObserved(t, "deadline-straddle", blocks, noBlocks)
+	ref := runObserved(t, p, app, wrapped, core.DefenseBaseline, reference)
+	compareObserved(t, "deadline-straddle", blocks, ref)
 	if len(blocks.irqCycles) == 0 {
 		t.Fatal("straddle workload accepted no interrupts; the test is vacuous")
 	}
@@ -198,17 +91,17 @@ handler:
 }
 
 // TestBlockDifferentialUnwatched re-runs the app matrix with NO watcher
-// installed: that is the configuration in which the pure-block fast
-// path (bulk accounting, dead-flag elision, in-place self-loops) is
-// eligible, so this differential is the one that exercises it. The
-// full register file — the SR in particular, where a wrong liveness
-// marking would surface — must match per-instruction dispatch exactly.
+// installed, the configuration the fleet runs: the pure-block fast
+// path (bulk accounting, dead-flag elision, in-place self-loops) runs
+// unguarded. The full register file — the SR in particular, where a
+// wrong liveness marking would surface — must match the reference
+// machine exactly.
 func TestBlockDifferentialUnwatched(t *testing.T) {
 	p, err := core.NewPipeline(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(app apps.App, build *core.BuildResult, spec *core.DefenseSpec, blocks bool) (core.RunResult, [16]uint16, int, *apps.Inspection) {
+	run := func(app apps.App, build *core.BuildResult, spec *core.DefenseSpec, production bool) (core.RunResult, [16]uint16, int, *apps.Inspection) {
 		opts := core.MachineOptions{Config: p.Config(), Defense: spec}
 		img := build.Original.Image
 		if spec.Instrumented {
@@ -222,15 +115,16 @@ func TestBlockDifferentialUnwatched(t *testing.T) {
 		if err := m.LoadFirmware(img); err != nil {
 			t.Fatal(err)
 		}
-		m.EnablePredecode()
-		m.SetBlockExec(blocks)
+		if production {
+			m.EnablePredecode()
+		}
 		if app.UARTInput != "" {
 			m.UART.Feed([]byte(app.UARTInput))
 		}
 		m.Boot()
 		res, runErr := m.Run(app.MaxCycles)
 		if runErr != nil {
-			t.Fatalf("%s blocks=%v: %v", app.Name, blocks, runErr)
+			t.Fatalf("%s production=%v: %v", app.Name, production, runErr)
 		}
 		return res, m.CPU.R, m.Space.BusErrors, apps.Inspect(m, res)
 	}
@@ -268,7 +162,7 @@ func TestBlockDifferentialUnwatched(t *testing.T) {
 // disabled: carry chains (addc/subc), BCD adds, compares and bit tests
 // with partially dead intermediate flags, SR read as data, and a
 // counted self-loop. The final register file (SR included) and the
-// flag words stored to memory must match per-instruction dispatch.
+// flag words stored to memory must match the reference machine.
 func TestBlockPureKernelDifferential(t *testing.T) {
 	p, err := core.NewPipeline(core.DefaultConfig())
 	if err != nil {
@@ -310,7 +204,7 @@ spin:
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(blocks bool) (core.RunResult, [16]uint16, []uint16) {
+	run := func(production bool) (core.RunResult, [16]uint16, []uint16) {
 		m, err := core.NewMachine(core.MachineOptions{Config: p.Config()})
 		if err != nil {
 			t.Fatal(err)
@@ -318,12 +212,13 @@ spin:
 		if err := m.LoadFirmware(prog.Image); err != nil {
 			t.Fatal(err)
 		}
-		m.EnablePredecode()
-		m.SetBlockExec(blocks)
+		if production {
+			m.EnablePredecode()
+		}
 		m.Boot()
 		res, err := m.Run(1_000_000)
 		if err != nil {
-			t.Fatalf("blocks=%v: %v", blocks, err)
+			t.Fatalf("production=%v: %v", production, err)
 		}
 		stored := []uint16{
 			m.Space.LoadWord(0x0300), m.Space.LoadWord(0x0302), m.Space.LoadWord(0x0304),

@@ -70,18 +70,7 @@ type Machine struct {
 	// Snapshot is called.
 	snap *mem.Snapshot
 
-	// EagerTicks forces per-instruction peripheral ticking (the
-	// reference semantics) instead of deadline-batched ticking in
-	// Run/RunUntilReset. The two are cycle-exactly equivalent; the
-	// differential tests in this package assert that.
-	EagerTicks bool
-
 	ctl *simCtl
-
-	// blockExec gates basic-block execution in the run loop; pre is the
-	// installed decode cache the block table is fused from.
-	blockExec bool
-	pre       *isa.Predecoded
 
 	// cycled are the clocked peripherals the run loop batches, in the
 	// order per-instruction ticking historically advanced them.
@@ -114,7 +103,7 @@ func NewMachine(opts MachineOptions) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{Space: space, IRQ: &periph.IRQController{}, ctl: &simCtl{}, blockExec: true}
+	m := &Machine{Space: space, IRQ: &periph.IRQController{}, ctl: &simCtl{}}
 	m.CPU = cpu.New(space)
 	// Every backing-store write (CPU stores, image loads, reset clears)
 	// stales the decode cache for the touched window; a no-op until a
@@ -291,47 +280,21 @@ func (m *Machine) EnablePredecode() *isa.Predecoded {
 }
 
 // UsePredecoded installs a cache previously built by EnablePredecode on
-// a machine loaded with byte-identical code. Installing asserts the
-// cache matches this machine's memory right now. The cache's fused
-// basic-block table (Predecoded.Blocks — built once, shared by every
-// machine holding the same cache) is installed alongside it unless
-// SetBlockExec(false) disabled block execution.
+// a machine loaded with byte-identical code, together with the cache's
+// fused basic-block table (Predecoded.Blocks — built once, shared by
+// every machine holding the same cache). Installing asserts the cache
+// matches this machine's memory right now.
+//
+// The cache is the one thing that separates the two execution paths.
+// With it, the machine runs the production path: threaded-code UOps,
+// basic blocks and deadline-batched peripheral ticking. Without it —
+// never installed, or removed with UsePredecoded(nil) — the machine is
+// the executable reference: live decode, the generic interpreter and a
+// peripheral sync after every instruction. The two are cycle-exactly
+// equivalent; the differential tests in this package compare them.
 func (m *Machine) UsePredecoded(p *isa.Predecoded) {
-	m.pre = p
 	m.CPU.SetPredecoded(p)
-	m.wireBlocks()
-}
-
-// wireBlocks pairs the CPU's block table with the installed decode
-// cache according to the blockExec switch.
-func (m *Machine) wireBlocks() {
-	if m.blockExec && m.pre != nil {
-		m.CPU.SetBlocks(m.pre.Blocks())
-	} else {
-		m.CPU.SetBlocks(nil)
-	}
-}
-
-// SetBlockExec enables (the default) or disables basic-block execution
-// in the run loop, reverting the hot loop to per-instruction dispatch
-// over the same predecoded entries — the reference configuration the
-// block differential tests compare against. Execution is bit-identical
-// either way.
-func (m *Machine) SetBlockExec(on bool) {
-	m.blockExec = on
-	m.wireBlocks()
-}
-
-// ForceSlowPaths reverts every hot-path optimization to its reference
-// implementation: linear bus dispatch, the generic (non-threaded)
-// interpreter with interface bus accesses, and per-instruction
-// peripheral ticking. Execution must be cycle-exactly identical either
-// way; the fast/slow differential tests run machines in this mode.
-func (m *Machine) ForceSlowPaths() {
-	m.Space.SetLinearDispatch(true)
-	m.CPU.SetFastPaths(false)
-	m.EagerTicks = true
-	m.SetBlockExec(false)
+	m.CPU.SetBlocks(p.Blocks())
 }
 
 // Snapshot seals the machine's current memory image as its recycle
@@ -474,9 +437,8 @@ func (m *Machine) RunUntilReset(maxCycles uint64) (RunResult, error) {
 // deadline and the next peripheral-register write the loop runs the CPU
 // back to back. Register accesses in between observe exact state via
 // the peripherals' lazy catch-up (periph.Cycled), so batching is
-// cycle-exactly equivalent to per-instruction ticking — set EagerTicks
-// to force the reference behaviour and the differential tests to prove
-// it.
+// cycle-exactly equivalent to per-instruction ticking, which the
+// reference machine (no decode cache) keeps.
 //
 // Within a batch the loop consumes whole basic blocks (cpu.RunBlocks)
 // while the fused deadline/budget limit exceeds the next block's
@@ -489,9 +451,8 @@ func (m *Machine) RunUntilReset(maxCycles uint64) (RunResult, error) {
 // RX declares its reads quiet (mem.QuietLoader), and the EILID gate
 // declares which PCs it masks (cpu.IRQGate). On protected machines the
 // monitor hears only the fetches its QuietFetch does not call quiet
-// inside a block (see cpu.RunBlocks). SetBlockExec(false) reverts to
-// Step dispatch throughout, with every fetch delivered; the block
-// differential tests assert equivalence.
+// inside a block (see cpu.RunBlocks). The reference machine, with no
+// cache, runs Step throughout and hears every fetch.
 func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) {
 	startCycles, startInsns, startResets := m.CPU.Cycles, m.CPU.Insns, m.ResetCount
 	// A zero budget can execute nothing: report it as an exhausted
@@ -513,9 +474,11 @@ func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) 
 	// into the single comparison the hot loop makes per instruction; a
 	// peripheral-register write (HandlerStores) also forces the slow
 	// branch, where budget exhaustion and tick batching are told apart.
-	// Under EagerTicks the limit stays 0 so every iteration syncs.
+	// On the reference machine the limit stays 0, so every iteration
+	// syncs, and the block executor is never entered.
+	reference := cpu.Predecoded() == nil
 	newLimit := func() uint64 {
-		if m.EagerTicks {
+		if reference {
 			return 0
 		}
 		if m.tickAt < stop {
@@ -531,7 +494,6 @@ func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) 
 	if mon != nil {
 		stopFn = func() bool { return mon.Violation() != nil }
 	}
-	useBlocks := m.blockExec && !m.EagerTicks
 	limit := newLimit()
 	for !ctl.halted {
 		if untilReset && m.ResetCount != startResets {
@@ -545,7 +507,7 @@ func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) 
 			m.syncPeriph()
 			limit = newLimit()
 		}
-		if useBlocks {
+		if !reference {
 			if ran, blkPre, err := cpu.RunBlocks(limit, stopFn); ran || err != nil {
 				if mon != nil {
 					if v := mon.Violation(); v != nil {

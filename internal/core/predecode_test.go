@@ -1,160 +1,12 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
 
 	"eilid/internal/apps"
 	"eilid/internal/core"
 	"eilid/internal/isa"
 )
-
-// runInspected runs one build variant of an app with or without the
-// predecode cache and returns the observable outcome.
-func runInspected(t *testing.T, p *core.Pipeline, app apps.App, build *core.BuildResult, spec *core.DefenseSpec, predecode bool) *apps.Inspection {
-	t.Helper()
-	opts := core.MachineOptions{Config: p.Config(), Defense: spec}
-	img := build.Original.Image
-	if spec.Instrumented {
-		opts.ROM = p.ROM()
-		img = build.Instrumented.Image
-	}
-	m, err := core.NewMachine(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadFirmware(img); err != nil {
-		t.Fatal(err)
-	}
-	if predecode {
-		if pre := m.EnablePredecode(); pre.Len() == 0 {
-			t.Fatal("predecode cached nothing")
-		}
-	}
-	if app.UARTInput != "" {
-		m.UART.Feed([]byte(app.UARTInput))
-	}
-	m.Boot()
-	res, err := m.Run(app.MaxCycles)
-	if err != nil {
-		t.Fatalf("predecode=%v defense=%s: %v", predecode, spec.Name, err)
-	}
-	return apps.Inspect(m, res)
-}
-
-// TestPredecodeDifferential runs every Table IV application, on both
-// device variants, with the decode cache on and off, and requires the
-// two executions to be observably identical: same cycle count, same
-// instruction count, same UART transcript, same reset count, same
-// GPIO/LCD activity. The cache must be semantically invisible.
-func TestPredecodeDifferential(t *testing.T) {
-	p, err := core.NewPipeline(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range apps.All() {
-		app := app
-		t.Run(app.Name, func(t *testing.T) {
-			build, err := p.Build(app.Name+".s", app.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, spec := range core.Defenses() {
-				off := runInspected(t, p, app, build, spec, false)
-				on := runInspected(t, p, app, build, spec, true)
-				if off.Cycles != on.Cycles {
-					t.Errorf("defense=%s: cycles %d (cache off) vs %d (cache on)", spec.Name, off.Cycles, on.Cycles)
-				}
-				if off.Insns != on.Insns {
-					t.Errorf("defense=%s: insns %d vs %d", spec.Name, off.Insns, on.Insns)
-				}
-				if off.Resets != on.Resets {
-					t.Errorf("defense=%s: resets %d vs %d", spec.Name, off.Resets, on.Resets)
-				}
-				if err := apps.Equivalent(off, on); err != nil {
-					t.Errorf("defense=%s: observable behaviour diverged: %v", spec.Name, err)
-				}
-			}
-		})
-	}
-}
-
-// TestPredecodeSelfModifyingCode covers cache invalidation: on the
-// unprotected baseline (where PMEM writes are legal — no monitor), the
-// firmware executes an instruction, overwrites it in place, and
-// executes the patched word on the next loop iteration. With the cache
-// enabled the write must stale the predecoded entry so the second pass
-// decodes the new instruction, matching the cache-off run exactly.
-func TestPredecodeSelfModifyingCode(t *testing.T) {
-	p, err := core.NewPipeline(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The patch turns "inc r9" into "inc r10" at run time.
-	patch := isa.MustEncode(isa.Instruction{
-		Op: isa.ADD, Src: isa.Imm(1), Dst: isa.RegOp(10),
-	})
-	if len(patch) != 1 {
-		t.Fatalf("patch encodes to %d words, want 1", len(patch))
-	}
-	src := fmt.Sprintf(`
-.org 0xE000
-reset:
-    mov #0x0A00, sp
-main:
-    mov #2, r12
-loop:
-site:
-    inc r9
-    mov #0x%04X, &site
-    dec r12
-    jnz loop
-    mov #0, &0x00FC
-spin:
-    jmp spin
-.org 0xFFFE
-.word reset
-`, patch[0])
-	prog, err := p.BuildOriginal("selfmod.s", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(predecode bool) (*core.Machine, core.RunResult) {
-		m, err := core.NewMachine(core.MachineOptions{Config: p.Config()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.LoadFirmware(prog.Image); err != nil {
-			t.Fatal(err)
-		}
-		if predecode {
-			m.EnablePredecode()
-		}
-		m.Boot()
-		res, err := m.Run(100_000)
-		if err != nil {
-			t.Fatalf("predecode=%v: %v", predecode, err)
-		}
-		return m, res
-	}
-
-	mOff, resOff := run(false)
-	mOn, resOn := run(true)
-
-	for _, m := range []*core.Machine{mOff, mOn} {
-		if got := m.CPU.R[9]; got != 1 {
-			t.Errorf("r9 = %d, want 1 (first pass executes the original instruction)", got)
-		}
-		if got := m.CPU.R[10]; got != 1 {
-			t.Errorf("r10 = %d, want 1 (second pass must execute the patched instruction)", got)
-		}
-	}
-	if resOff.Cycles != resOn.Cycles || resOff.Insns != resOn.Insns {
-		t.Errorf("self-modifying run diverged: %d/%d cycles/insns (off) vs %d/%d (on)",
-			resOff.Cycles, resOff.Insns, resOn.Cycles, resOn.Insns)
-	}
-}
 
 // TestPredecodeSkipsUnmappedWindows: the default layout has an
 // unmapped hole between the secure ROM and the IVT; a live fetch whose
@@ -197,8 +49,8 @@ func TestPredecodeSkipsUnmappedWindows(t *testing.T) {
 }
 
 // TestPredecodeSharedAcrossMachines checks the per-ROM sharing contract:
-// one cache built from a reference machine drives a second machine with
-// identical firmware to an identical outcome.
+// one cache built from another machine drives a second machine with
+// identical firmware to the reference machine's outcome.
 func TestPredecodeSharedAcrossMachines(t *testing.T) {
 	p, err := core.NewPipeline(core.DefaultConfig())
 	if err != nil {
@@ -210,35 +62,16 @@ func TestPredecodeSharedAcrossMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := core.NewMachine(core.MachineOptions{Config: p.Config(), ROM: p.ROM(), Defense: core.DefenseEILID})
+	owner, err := core.NewMachine(core.MachineOptions{Config: p.Config(), ROM: p.ROM(), Defense: core.DefenseEILID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.LoadFirmware(build.Instrumented.Image); err != nil {
+	if err := owner.LoadFirmware(build.Instrumented.Image); err != nil {
 		t.Fatal(err)
 	}
-	pre := ref.EnablePredecode()
+	pre := owner.EnablePredecode()
 
-	baseline := runInspected(t, p, app, build, core.DefenseEILID, false)
-	m, err := core.NewMachine(core.MachineOptions{Config: p.Config(), ROM: p.ROM(), Defense: core.DefenseEILID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadFirmware(build.Instrumented.Image); err != nil {
-		t.Fatal(err)
-	}
-	m.UsePredecoded(pre)
-	m.Boot()
-	res, err := m.Run(app.MaxCycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := apps.Inspect(m, res)
-	if baseline.Cycles != shared.Cycles || baseline.Insns != shared.Insns {
-		t.Errorf("shared cache diverged: %d/%d vs %d/%d cycles/insns",
-			baseline.Cycles, baseline.Insns, shared.Cycles, shared.Insns)
-	}
-	if err := apps.Equivalent(baseline, shared); err != nil {
-		t.Errorf("shared cache changed behaviour: %v", err)
-	}
+	shared := runObserved(t, p, app, build, core.DefenseEILID, func(m *core.Machine) { m.UsePredecoded(pre) })
+	ref := runObserved(t, p, app, build, core.DefenseEILID, reference)
+	compareObserved(t, "shared cache", shared, ref)
 }

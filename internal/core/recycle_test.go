@@ -35,8 +35,8 @@ func newLoadedMachine(t *testing.T, p *core.Pipeline, build *core.BuildResult, s
 
 // observeOn runs the app on a prepared machine (fresh or recycled) with
 // a fresh event recorder wired over the machine's base watcher, and
-// returns the full observation plus the final register file.
-func observeOn(t *testing.T, m *core.Machine, base cpu.Watcher, app apps.App) (observed, [16]uint16) {
+// returns the full observation.
+func observeOn(t *testing.T, m *core.Machine, base cpu.Watcher, app apps.App) observed {
 	t.Helper()
 	rec := &eventRecorder{inner: base, clock: func() uint64 { return m.CPU.Cycles }}
 	m.CPU.Watch = rec
@@ -45,18 +45,7 @@ func observeOn(t *testing.T, m *core.Machine, base cpu.Watcher, app apps.App) (o
 	}
 	m.Boot()
 	res, runErr := m.Run(app.MaxCycles)
-	o := observed{
-		insp:      apps.Inspect(m, res),
-		res:       res,
-		err:       runErr,
-		busErrors: m.Space.BusErrors,
-		events:    rec.events,
-		irqCycles: rec.irqCycles,
-	}
-	for _, v := range m.ResetReasons {
-		o.reasons = append(o.reasons, v.Error())
-	}
-	return o, m.CPU.R
+	return observation(m, rec, res, runErr)
 }
 
 // TestRecycleDifferential is the machine-level recycling contract: for
@@ -83,7 +72,7 @@ func TestRecycleDifferential(t *testing.T) {
 				m := newLoadedMachine(t, p, build, spec)
 				base := m.CPU.Watch
 				m.Snapshot()
-				fresh, freshR := observeOn(t, m, base, app)
+				fresh := observeOn(t, m, base, app)
 				// The sealed-and-run machine must itself match an
 				// untouched fresh machine (Snapshot perturbs nothing).
 				ref := runObserved(t, p, app, build, spec, nil)
@@ -92,12 +81,8 @@ func TestRecycleDifferential(t *testing.T) {
 					if err := m.Recycle(); err != nil {
 						t.Fatalf("%s: recycle %d: %v", what, round, err)
 					}
-					got, gotR := observeOn(t, m, base, app)
+					got := observeOn(t, m, base, app)
 					compareObserved(t, fmt.Sprintf("%s recycle=%d", what, round), fresh, got)
-					if freshR != gotR {
-						t.Errorf("%s recycle=%d: register files diverged:\n%v\n%v",
-							what, round, freshR, gotR)
-					}
 				}
 			}
 		})

@@ -167,13 +167,10 @@ type CPU struct {
 	invGen     uint64
 	busTouched bool
 
-	// slab/plain/hook are the DirectBus fast path (nil on plain buses);
-	// slowMode forces the generic interpreter and the interface bus path
-	// for differential testing.
-	slab     *[1 << 16]byte
-	plain    *[1 << 16]bool
-	hook     *func(addr uint16, n int)
-	slowMode bool
+	// slab/plain/hook are the DirectBus fast path (nil on plain buses).
+	slab  *[1 << 16]byte
+	plain *[1 << 16]bool
+	hook  *func(addr uint16, n int)
 
 	// PureInsns and GuardedInsns count the instructions RunBlocks
 	// retired on its pure path and in its guarded loop; Step retired
@@ -222,13 +219,6 @@ func New(bus Bus) *CPU {
 	}
 	return c
 }
-
-// SetFastPaths enables (the default) or disables the warm-path
-// threaded-code executors and the direct RAM access, reverting every
-// hot-path shortcut to the generic interpreter driving the Bus
-// interface. Execution is bit-identical either way; the differential
-// tests in internal/core assert that.
-func (c *CPU) SetFastPaths(on bool) { c.slowMode = !on }
 
 // PC returns the program counter.
 func (c *CPU) PC() uint16 { return c.R[isa.PC] }
@@ -359,7 +349,7 @@ func (c *CPU) loadWord(pc, addr uint16) uint16 {
 	if c.Watch != nil {
 		c.Watch.OnRead(pc, addr, false)
 	}
-	if a := addr &^ 1; c.slab != nil && !c.slowMode && c.plain[a] {
+	if a := addr &^ 1; c.slab != nil && c.plain[a] {
 		return uint16(c.slab[a]) | uint16(c.slab[a+1])<<8
 	}
 	c.busTouched = true
@@ -370,7 +360,7 @@ func (c *CPU) storeWord(pc, addr, v uint16) {
 	if c.Watch != nil {
 		c.Watch.OnWrite(pc, addr, false, v)
 	}
-	if a := addr &^ 1; c.slab != nil && !c.slowMode && c.plain[a] {
+	if a := addr &^ 1; c.slab != nil && c.plain[a] {
 		c.slab[a] = byte(v)
 		c.slab[a+1] = byte(v >> 8)
 		if h := *c.hook; h != nil {
@@ -386,7 +376,7 @@ func (c *CPU) loadByte(pc, addr uint16) uint8 {
 	if c.Watch != nil {
 		c.Watch.OnRead(pc, addr, true)
 	}
-	if c.slab != nil && !c.slowMode && c.plain[addr] {
+	if c.slab != nil && c.plain[addr] {
 		return c.slab[addr]
 	}
 	c.busTouched = true
@@ -397,7 +387,7 @@ func (c *CPU) storeByte(pc, addr uint16, v uint8) {
 	if c.Watch != nil {
 		c.Watch.OnWrite(pc, addr, true, uint16(v))
 	}
-	if c.slab != nil && !c.slowMode && c.plain[addr] {
+	if c.slab != nil && c.plain[addr] {
 		c.slab[addr] = v
 		if h := *c.hook; h != nil {
 			h(addr, 1)
@@ -471,7 +461,7 @@ func (c *CPU) Step() (int, error) {
 			c.R[isa.PC] = pc + e.Size
 			c.prevPC = pc
 			var err error
-			if e.Fast && !c.slowMode {
+			if e.Fast {
 				err = c.execUOp(pc, &e.U)
 			} else {
 				err = c.execute(pc, e.In)
@@ -1100,7 +1090,7 @@ func (c *CPU) staleRange(w0, w1 uint16) bool {
 // executed instruction (the machine's violation re-sync anchor), and
 // any execution fault.
 func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre uint64, err error) {
-	if c.blkTable == nil || c.slowMode {
+	if c.blkTable == nil {
 		c.BlockExits[ExitOther]++
 		return false, 0, nil
 	}

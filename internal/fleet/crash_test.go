@@ -75,11 +75,11 @@ func resumeJournal(t *testing.T, p *core.Pipeline, data []byte, workers int, noR
 	}
 	spec := j.Header.Spec.Batch()
 	spec.Exec.Workers = workers
-	spec.Exec.NoRecycle = noRecycle
 	r, err := NewRunner(p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.noRecycle = noRecycle
 	if err := j.Validate(r); err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ type Runner struct {
 	// is over. Nil for ordinary single-batch runners.
 	warm *Warm
 
-	// recycle keeps one fully constructed machine per worker per matrix
+	// The pool keeps one fully constructed machine per worker per matrix
 	// cell and recycles it between jobs instead of paying NewMachine +
 	// firmware load per job. worker[w] is owned by worker w, and every
 	// attempt borrows the worker's current machinePool handle; the mutex
@@ -128,9 +128,10 @@ type Runner struct {
 	// an abandoned runaway attempt as the sole owner of its machines.
 	// Machine state never leaks between jobs because Recycle restores
 	// the sealed snapshot — the recycle differential suites pin
-	// byte-identical JobResults.
-	recycle bool
-	worker  []workerState
+	// byte-identical JobResults against noRecycle, set only by this
+	// package's tests, which constructs a fresh machine per job.
+	noRecycle bool
+	worker    []workerState
 }
 
 // workerState is one worker's machine-pool handle plus its reusable
@@ -193,7 +194,6 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)
 	}
-	r.recycle = !spec.Exec.NoRecycle
 	r.worker = make([]workerState, r.workers)
 	r.maxRetries = spec.Exec.MaxRetries
 	if r.maxRetries == 0 {
@@ -580,7 +580,7 @@ func (r *Runner) machineFor(mp *machinePool, job Job) (*core.Machine, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("fleet: job %d names unselected defense %q", job.Index, job.Defense)
 	}
-	if !r.recycle {
+	if r.noRecycle {
 		return r.newMachine(a, spec)
 	}
 	key := artifactKey(job) + "/" + job.Defense
@@ -622,7 +622,7 @@ func (r *Runner) machineFor(mp *machinePool, job Job) (*core.Machine, error) {
 // keeps sole ownership. No-op without a warm cache or with recycling
 // off.
 func (r *Runner) ReleaseMachines() {
-	if r.warm == nil || !r.recycle {
+	if r.warm == nil || r.noRecycle {
 		return
 	}
 	for i := range r.worker {

@@ -5,15 +5,17 @@ import (
 	"testing"
 )
 
-// genNDJSON runs a generated-only matrix through the streaming path and
+// genNDJSON runs a generated-only matrix through the streaming path,
+// constructing a fresh machine per job when noRecycle is set, and
 // returns the per-job NDJSON bytes — the artifact the determinism
 // contract is stated over.
-func genNDJSON(t *testing.T, spec BatchSpec) []byte {
+func genNDJSON(t *testing.T, spec BatchSpec, noRecycle bool) []byte {
 	t.Helper()
 	r, err := NewRunner(newPipeline(t), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.noRecycle = noRecycle
 	var buf bytes.Buffer
 	rep, err := r.RunStream(func(jr JobResult) {
 		if err := WriteNDJSONLine(&buf, jr); err != nil {
@@ -29,14 +31,14 @@ func genNDJSON(t *testing.T, spec BatchSpec) []byte {
 	return buf.Bytes()
 }
 
-func genSpec(workers int, noRecycle bool) BatchSpec {
+func genSpec(workers int) BatchSpec {
 	return BatchSpec{
 		Matrix: MatrixSpec{
 			NoApps:      true,
 			NoScenarios: true,
 			Generated:   GeneratedSpec{Seed: 7, Count: 48},
 		},
-		Exec: ExecSpec{Workers: workers, NoRecycle: noRecycle},
+		Exec: ExecSpec{Workers: workers},
 	}
 }
 
@@ -44,8 +46,8 @@ func genSpec(workers int, noRecycle bool) BatchSpec {
 // contract to the generated dimension: a fixed-seed batch streams the
 // same NDJSON on one worker and on eight.
 func TestGeneratedDeterminismWorkers(t *testing.T) {
-	seq := genNDJSON(t, genSpec(1, false))
-	par := genNDJSON(t, genSpec(8, false))
+	seq := genNDJSON(t, genSpec(1), false)
+	par := genNDJSON(t, genSpec(8), false)
 	if !bytes.Equal(seq, par) {
 		t.Fatal("generated NDJSON differs between 1 and 8 workers")
 	}
@@ -55,8 +57,8 @@ func TestGeneratedDeterminismWorkers(t *testing.T) {
 // differential to generated scenarios: machine recycling must not be
 // observable in any generated job's record.
 func TestGeneratedDeterminismRecycle(t *testing.T) {
-	recycled := genNDJSON(t, genSpec(4, false))
-	fresh := genNDJSON(t, genSpec(4, true))
+	recycled := genNDJSON(t, genSpec(4), false)
+	fresh := genNDJSON(t, genSpec(4), true)
 	if !bytes.Equal(recycled, fresh) {
 		t.Fatal("generated NDJSON differs between recycled and construct-per-job machines")
 	}

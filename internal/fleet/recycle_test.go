@@ -13,10 +13,11 @@ import (
 // second pass where every machine is recycled.
 func TestRecycleFleetByteIdentical(t *testing.T) {
 	p := newPipeline(t)
-	fresh, err := NewRunner(p, BatchSpec{Matrix: MatrixSpec{Repeat: 2}, Exec: ExecSpec{Workers: 4, NoRecycle: true}})
+	fresh, err := NewRunner(p, BatchSpec{Matrix: MatrixSpec{Repeat: 2}, Exec: ExecSpec{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh.noRecycle = true
 	recycled, err := NewRunner(p, BatchSpec{Matrix: MatrixSpec{Repeat: 2}, Exec: ExecSpec{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +59,6 @@ func TestRecycleFleetByteIdentical(t *testing.T) {
 		t.Fatal("recycling runner pooled no machines; the differential is vacuous")
 	}
 	if mp := fresh.worker[0].pool; mp != nil && len(mp.machines) != 0 {
-		t.Fatalf("NoRecycle runner pooled %d machines", len(mp.machines))
+		t.Fatalf("construct-per-job runner pooled %d machines", len(mp.machines))
 	}
 }

@@ -310,6 +310,7 @@ func TestServeRejectsUnknownFields(t *testing.T) {
 		`{"matrix": {"apps": ["NoSuchApp"], "no_scenarios": true}}`,
 		`{"matrix": `, // truncated JSON
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"workers": 1152921504606846976}}`,
+		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"no_recycle": true}}`,
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"job_timeout": "1h"}, "fault": {"hang_at": [0], "hang_for": "1h"}}`,
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "fault": {"panic_at": [0]}}`,
 		`{"matrix": {"no_apps": true, "no_scenarios": true, "generated": {"seed": 1, "count": 4611686018427387904}}}`,

@@ -88,10 +88,6 @@ type ExecSpec struct {
 	// Workers sizes the pool (0 = GOMAXPROCS at run time; 1 =
 	// sequential; at most MaxWorkers).
 	Workers int `json:"workers,omitempty"`
-	// NoRecycle makes every job construct a fresh machine instead of
-	// recycling a pooled one — the reference lifecycle the recycling
-	// differential tests compare against.
-	NoRecycle bool `json:"no_recycle,omitempty"`
 	// JobTimeout arms the per-job wall-clock watchdog: a job still
 	// running after this long is abandoned and recorded as a
 	// deterministic watchdog failure instead of hanging the batch.

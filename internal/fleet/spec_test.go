@@ -145,7 +145,7 @@ func TestResolveSpecIdempotent(t *testing.T) {
 func TestBatchSpecJSONRoundTrip(t *testing.T) {
 	spec, err := ResolveSpec(BatchSpec{
 		Matrix: MatrixSpec{Repeat: 2, Generated: GeneratedSpec{Seed: 5, Count: 3}},
-		Exec:   ExecSpec{Workers: 4, NoRecycle: true, JobTimeout: Duration(90 * time.Second), MaxRetries: -1},
+		Exec:   ExecSpec{Workers: 4, JobTimeout: Duration(90 * time.Second), MaxRetries: -1},
 		Fault:  FaultSpec{PanicAt: []int{1}, HangAt: []int{2}, HangFor: Duration(time.Second)},
 	})
 	if err != nil {

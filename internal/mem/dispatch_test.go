@@ -8,7 +8,7 @@ import (
 
 // wordDev is a word-only handler (no ByteHandler) that records every
 // call, so byte accesses exercise the Space's read-modify-write
-// synthesis on both dispatch paths.
+// synthesis in both dispatchers.
 type wordDev struct {
 	regs map[uint16]uint16
 	log  []string
@@ -41,10 +41,116 @@ func (d *byteDev) StoreByte(addr uint16, v uint8) {
 	d.regs[addr&^1] = uint16(v)
 }
 
-// diffPair is a table-dispatch Space and a linear-dispatch Space with
-// identical mappings, plus the per-space observation logs.
+// bus is the access surface both dispatchers share.
+type bus interface {
+	LoadWord(addr uint16) uint16
+	StoreWord(addr uint16, v uint16)
+	LoadByte(addr uint16) uint8
+	StoreByte(addr uint16, v uint8)
+}
+
+// linearSpace is the reference bus semantics the dispatch tables are
+// checked against: every access scans the mappings in order, and an
+// address no mapping claims is plain memory unless the layout leaves it
+// unmapped.
+type linearSpace struct {
+	layout        Layout
+	ram           [Size]byte
+	maps          []mapping
+	busErrors     int
+	handlerStores uint64
+	writeHook     func(addr uint16, n int)
+}
+
+func (s *linearSpace) lookup(addr uint16) (h Handler, plain bool) {
+	for _, m := range s.maps {
+		if addr >= m.start && addr <= m.end {
+			return m.h, false
+		}
+	}
+	return nil, s.layout.RegionOf(addr) != RegionUnmapped
+}
+
+func (s *linearSpace) LoadWord(addr uint16) uint16 {
+	addr = align(addr)
+	h, plain := s.lookup(addr)
+	if h != nil {
+		return h.LoadWord(addr)
+	}
+	if !plain {
+		s.busErrors++
+		return 0xFFFF
+	}
+	return uint16(s.ram[addr]) | uint16(s.ram[addr+1])<<8
+}
+
+func (s *linearSpace) StoreWord(addr uint16, v uint16) {
+	addr = align(addr)
+	h, plain := s.lookup(addr)
+	if h != nil {
+		s.handlerStores++
+		h.StoreWord(addr, v)
+		return
+	}
+	if !plain {
+		s.busErrors++
+		return
+	}
+	s.ram[addr] = byte(v)
+	s.ram[addr+1] = byte(v >> 8)
+	s.writeHook(addr, 2)
+}
+
+func (s *linearSpace) LoadByte(addr uint16) uint8 {
+	h, plain := s.lookup(addr)
+	if h != nil {
+		if bh, ok := h.(ByteHandler); ok {
+			return bh.LoadByte(addr)
+		}
+		w := h.LoadWord(align(addr))
+		if addr&1 != 0 {
+			return uint8(w >> 8)
+		}
+		return uint8(w)
+	}
+	if !plain {
+		s.busErrors++
+		return 0xFF
+	}
+	return s.ram[addr]
+}
+
+func (s *linearSpace) StoreByte(addr uint16, v uint8) {
+	h, plain := s.lookup(addr)
+	if h != nil {
+		s.handlerStores++
+		if bh, ok := h.(ByteHandler); ok {
+			bh.StoreByte(addr, v)
+			return
+		}
+		w := h.LoadWord(align(addr))
+		if addr&1 != 0 {
+			w = w&0x00FF | uint16(v)<<8
+		} else {
+			w = w&0xFF00 | uint16(v)
+		}
+		h.StoreWord(align(addr), w)
+		return
+	}
+	if !plain {
+		s.busErrors++
+		return
+	}
+	s.ram[addr] = v
+	s.writeHook(addr, 1)
+}
+
+// diffPair is a table-dispatch Space and the linear-scan reference with
+// identical mappings, plus their observation logs (index 0 is the
+// Space, 1 the reference).
 type diffPair struct {
-	spaces   [2]*Space
+	space    *Space
+	ref      *linearSpace
 	words    [2]*wordDev
 	bytes    [2]*byteDev
 	hookLogs [2][]string
@@ -61,35 +167,40 @@ const (
 func newDiffPair(t *testing.T) *diffPair {
 	t.Helper()
 	p := &diffPair{}
-	for i := range p.spaces {
-		i := i
-		s := MustNewSpace(DefaultLayout())
-		p.words[i] = newWordDev()
-		p.bytes[i] = &byteDev{wordDev: *newWordDev()}
-		if err := s.Map(wordLo, wordHi, p.words[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Map(byteLo, byteHi, p.bytes[i]); err != nil {
-			t.Fatal(err)
-		}
-		s.WriteHook = func(addr uint16, n int) {
+	hook := func(i int) func(addr uint16, n int) {
+		return func(addr uint16, n int) {
 			p.hookLogs[i] = append(p.hookLogs[i], fmt.Sprintf("%04x+%d", addr, n))
 		}
-		p.spaces[i] = s
 	}
-	p.spaces[1].SetLinearDispatch(true)
+	for i := range p.words {
+		p.words[i] = newWordDev()
+		p.bytes[i] = &byteDev{wordDev: *newWordDev()}
+	}
+	p.space = MustNewSpace(DefaultLayout())
+	if err := p.space.Map(wordLo, wordHi, p.words[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.space.Map(byteLo, byteHi, p.bytes[0]); err != nil {
+		t.Fatal(err)
+	}
+	p.space.WriteHook = hook(0)
+	p.ref = &linearSpace{
+		layout:    DefaultLayout(),
+		maps:      []mapping{{wordLo, wordHi, p.words[1]}, {byteLo, byteHi, p.bytes[1]}},
+		writeHook: hook(1),
+	}
 	return p
 }
 
-// compare asserts every observable of the two spaces is identical.
+// compare asserts every observable of the two dispatchers is identical.
 func (p *diffPair) compare(t *testing.T, what string) {
 	t.Helper()
-	a, b := p.spaces[0], p.spaces[1]
-	if a.BusErrors != b.BusErrors {
-		t.Errorf("%s: BusErrors %d (table) vs %d (linear)", what, a.BusErrors, b.BusErrors)
+	a, b := p.space, p.ref
+	if a.BusErrors != b.busErrors {
+		t.Errorf("%s: BusErrors %d (table) vs %d (linear)", what, a.BusErrors, b.busErrors)
 	}
-	if a.HandlerStores() != b.HandlerStores() {
-		t.Errorf("%s: HandlerStores %d vs %d", what, a.HandlerStores(), b.HandlerStores())
+	if a.HandlerStores() != b.handlerStores {
+		t.Errorf("%s: HandlerStores %d vs %d", what, a.HandlerStores(), b.handlerStores)
 	}
 	if got, want := fmt.Sprint(p.hookLogs[0]), fmt.Sprint(p.hookLogs[1]); got != want {
 		t.Errorf("%s: WriteHook log diverged:\n table: %s\nlinear: %s", what, got, want)
@@ -108,11 +219,12 @@ func (p *diffPair) compare(t *testing.T, what string) {
 	}
 }
 
-// both runs the same access on both spaces and asserts equal results.
-func (p *diffPair) both(t *testing.T, what string, f func(s *Space) uint16) {
+// both runs the same access on both dispatchers and asserts equal
+// results.
+func (p *diffPair) both(t *testing.T, what string, f func(s bus) uint16) {
 	t.Helper()
-	va := f(p.spaces[0])
-	vb := f(p.spaces[1])
+	va := f(p.space)
+	vb := f(p.ref)
 	if va != vb {
 		t.Errorf("%s: value %04x (table) vs %04x (linear)", what, va, vb)
 	}
@@ -122,7 +234,8 @@ func (p *diffPair) both(t *testing.T, what string, f func(s *Space) uint16) {
 // table must get exactly right — handler-boundary straddles, byte
 // access synthesized onto word-only handlers, unmapped holes with their
 // bus-error accounting, and WriteHook-visible plain stores — through
-// both dispatch paths and requires identical observables.
+// the Space and the linear-scan reference and requires identical
+// observables.
 func TestDispatchDifferentialTargeted(t *testing.T) {
 	p := newDiffPair(t)
 	layout := DefaultLayout()
@@ -130,62 +243,63 @@ func TestDispatchDifferentialTargeted(t *testing.T) {
 
 	cases := []struct {
 		name string
-		f    func(s *Space) uint16
+		f    func(s bus) uint16
 	}{
 		// Word access at each edge of the word-only handler, including
 		// odd addresses that align down into/out of the range.
-		{"LW at handler start", func(s *Space) uint16 { return s.LoadWord(wordLo) }},
-		{"LW at handler end-1", func(s *Space) uint16 { return s.LoadWord(wordHi - 1) }},
-		{"LW odd inside", func(s *Space) uint16 { return s.LoadWord(wordLo + 3) }},
-		{"LW odd at end straddles out", func(s *Space) uint16 { return s.LoadWord(wordHi) }},
-		{"LW just below", func(s *Space) uint16 { return s.LoadWord(wordLo - 2) }},
-		{"LW just above", func(s *Space) uint16 { return s.LoadWord(wordHi + 1) }},
-		{"SW at start", func(s *Space) uint16 { s.StoreWord(wordLo, 0x1234); return 0 }},
-		{"SW odd aligns down", func(s *Space) uint16 { s.StoreWord(wordLo+5, 0x5678); return 0 }},
-		{"SW just below handler", func(s *Space) uint16 { s.StoreWord(wordLo-2, 0x9ABC); return 0 }},
+		{"LW at handler start", func(s bus) uint16 { return s.LoadWord(wordLo) }},
+		{"LW at handler end-1", func(s bus) uint16 { return s.LoadWord(wordHi - 1) }},
+		{"LW odd inside", func(s bus) uint16 { return s.LoadWord(wordLo + 3) }},
+		{"LW odd at end straddles out", func(s bus) uint16 { return s.LoadWord(wordHi) }},
+		{"LW just below", func(s bus) uint16 { return s.LoadWord(wordLo - 2) }},
+		{"LW just above", func(s bus) uint16 { return s.LoadWord(wordHi + 1) }},
+		{"SW at start", func(s bus) uint16 { s.StoreWord(wordLo, 0x1234); return 0 }},
+		{"SW odd aligns down", func(s bus) uint16 { s.StoreWord(wordLo+5, 0x5678); return 0 }},
+		{"SW just below handler", func(s bus) uint16 { s.StoreWord(wordLo-2, 0x9ABC); return 0 }},
 		// Byte access synthesized onto the word-only handler (RMW on
 		// stores, half-word extract on loads).
-		{"LB low byte of word dev", func(s *Space) uint16 { return uint16(s.LoadByte(wordLo + 2)) }},
-		{"LB high byte of word dev", func(s *Space) uint16 { return uint16(s.LoadByte(wordLo + 3)) }},
-		{"SB low byte of word dev", func(s *Space) uint16 { s.StoreByte(wordLo+4, 0x42); return 0 }},
-		{"SB high byte of word dev", func(s *Space) uint16 { s.StoreByte(wordLo+5, 0x99); return 0 }},
+		{"LB low byte of word dev", func(s bus) uint16 { return uint16(s.LoadByte(wordLo + 2)) }},
+		{"LB high byte of word dev", func(s bus) uint16 { return uint16(s.LoadByte(wordLo + 3)) }},
+		{"SB low byte of word dev", func(s bus) uint16 { s.StoreByte(wordLo+4, 0x42); return 0 }},
+		{"SB high byte of word dev", func(s bus) uint16 { s.StoreByte(wordLo+5, 0x99); return 0 }},
 		// Byte-capable handler takes byte accesses directly.
-		{"LB byte dev", func(s *Space) uint16 { return uint16(s.LoadByte(byteLo + 1)) }},
-		{"SB byte dev", func(s *Space) uint16 { s.StoreByte(byteLo, 0x7F); return 0 }},
+		{"LB byte dev", func(s bus) uint16 { return uint16(s.LoadByte(byteLo + 1)) }},
+		{"SB byte dev", func(s bus) uint16 { s.StoreByte(byteLo, 0x7F); return 0 }},
 		// The last byte of a handler range: a word access there aligns
 		// down and stays inside; one byte past it leaves the handler.
-		{"LB last handler byte", func(s *Space) uint16 { return uint16(s.LoadByte(byteHi)) }},
-		{"LB one past handler", func(s *Space) uint16 { return uint16(s.LoadByte(byteHi + 1)) }},
+		{"LB last handler byte", func(s bus) uint16 { return uint16(s.LoadByte(byteHi)) }},
+		{"LB one past handler", func(s bus) uint16 { return uint16(s.LoadByte(byteHi + 1)) }},
 		// Unmapped space: reads return all-ones and count bus errors,
 		// writes are dropped and count bus errors.
-		{"LW unmapped", func(s *Space) uint16 { return s.LoadWord(hole) }},
-		{"LB unmapped", func(s *Space) uint16 { return uint16(s.LoadByte(hole + 1)) }},
-		{"SW unmapped", func(s *Space) uint16 { s.StoreWord(hole+2, 0xDEAD); return 0 }},
-		{"SB unmapped", func(s *Space) uint16 { s.StoreByte(hole+3, 0xEE); return 0 }},
+		{"LW unmapped", func(s bus) uint16 { return s.LoadWord(hole) }},
+		{"LB unmapped", func(s bus) uint16 { return uint16(s.LoadByte(hole + 1)) }},
+		{"SW unmapped", func(s bus) uint16 { s.StoreWord(hole+2, 0xDEAD); return 0 }},
+		{"SB unmapped", func(s bus) uint16 { s.StoreByte(hole+3, 0xEE); return 0 }},
 		// Plain RAM with WriteHook accounting.
-		{"SW dmem", func(s *Space) uint16 { s.StoreWord(layout.DMEMStart+0x10, 0xBEEF); return 0 }},
-		{"SB dmem", func(s *Space) uint16 { s.StoreByte(layout.DMEMStart+0x13, 0x5A); return 0 }},
-		{"LW dmem", func(s *Space) uint16 { return s.LoadWord(layout.DMEMStart + 0x10) }},
-		{"SW top of memory", func(s *Space) uint16 { s.StoreWord(0xFFFE, 0xF00D); return 0 }},
-		{"LW top of memory", func(s *Space) uint16 { return s.LoadWord(0xFFFF) }},
+		{"SW dmem", func(s bus) uint16 { s.StoreWord(layout.DMEMStart+0x10, 0xBEEF); return 0 }},
+		{"SB dmem", func(s bus) uint16 { s.StoreByte(layout.DMEMStart+0x13, 0x5A); return 0 }},
+		{"LW dmem", func(s bus) uint16 { return s.LoadWord(layout.DMEMStart + 0x10) }},
+		{"SW top of memory", func(s bus) uint16 { s.StoreWord(0xFFFE, 0xF00D); return 0 }},
+		{"LW top of memory", func(s bus) uint16 { return s.LoadWord(0xFFFF) }},
 		// Unmapped periph-window addresses fall through to backing RAM.
-		{"SW unclaimed periph addr", func(s *Space) uint16 { s.StoreWord(0x01F0, 0xCAFE); return 0 }},
-		{"LW unclaimed periph addr", func(s *Space) uint16 { return s.LoadWord(0x01F0) }},
+		{"SW unclaimed periph addr", func(s bus) uint16 { s.StoreWord(0x01F0, 0xCAFE); return 0 }},
+		{"LW unclaimed periph addr", func(s bus) uint16 { return s.LoadWord(0x01F0) }},
 	}
 	for _, tc := range cases {
 		p.both(t, tc.name, tc.f)
 		p.compare(t, tc.name)
 	}
-	if p.spaces[0].BusErrors == 0 {
+	if p.space.BusErrors == 0 {
 		t.Error("targeted cases never hit unmapped space; bus-error accounting untested")
 	}
-	if p.spaces[0].HandlerStores() == 0 {
+	if p.space.HandlerStores() == 0 {
 		t.Error("targeted cases never stored to a handler")
 	}
 }
 
-// TestDispatchDifferentialRandom hammers both dispatch paths with the
-// same pseudorandom access stream across the whole address space.
+// TestDispatchDifferentialRandom hammers the Space and the linear-scan
+// reference with the same pseudorandom access stream across the whole
+// address space.
 func TestDispatchDifferentialRandom(t *testing.T) {
 	p := newDiffPair(t)
 	rng := rand.New(rand.NewSource(0xE111D))
@@ -194,20 +308,20 @@ func TestDispatchDifferentialRandom(t *testing.T) {
 		v := uint16(rng.Uint32())
 		switch rng.Intn(4) {
 		case 0:
-			p.both(t, fmt.Sprintf("op%d LW %04x", i, addr), func(s *Space) uint16 { return s.LoadWord(addr) })
+			p.both(t, fmt.Sprintf("op%d LW %04x", i, addr), func(s bus) uint16 { return s.LoadWord(addr) })
 		case 1:
-			p.both(t, fmt.Sprintf("op%d LB %04x", i, addr), func(s *Space) uint16 { return uint16(s.LoadByte(addr)) })
+			p.both(t, fmt.Sprintf("op%d LB %04x", i, addr), func(s bus) uint16 { return uint16(s.LoadByte(addr)) })
 		case 2:
-			p.both(t, fmt.Sprintf("op%d SW %04x", i, addr), func(s *Space) uint16 { s.StoreWord(addr, v); return 0 })
+			p.both(t, fmt.Sprintf("op%d SW %04x", i, addr), func(s bus) uint16 { s.StoreWord(addr, v); return 0 })
 		case 3:
-			p.both(t, fmt.Sprintf("op%d SB %04x", i, addr), func(s *Space) uint16 { s.StoreByte(addr, uint8(v)); return 0 })
+			p.both(t, fmt.Sprintf("op%d SB %04x", i, addr), func(s bus) uint16 { s.StoreByte(addr, uint8(v)); return 0 })
 		}
 		if t.Failed() {
 			t.Fatalf("diverged at op %d", i)
 		}
 	}
 	p.compare(t, "after random stream")
-	if p.spaces[0].BusErrors == 0 {
+	if p.space.BusErrors == 0 {
 		t.Error("random stream never hit unmapped space")
 	}
 }

@@ -185,9 +185,8 @@ type mapping struct {
 //
 // Dispatch is O(1): two per-address tables, built at NewSpace/Map time,
 // classify every address as plain backing memory, a peripheral handler,
-// or unmapped space. The original linear handler scan is kept behind
-// SetLinearDispatch as the reference semantics the tables are
-// differentially tested against.
+// or unmapped space. dispatch_test.go checks them against a linear scan
+// of the mappings, the reference semantics.
 type Space struct {
 	Layout Layout
 	ram    [Size]byte
@@ -198,9 +197,6 @@ type Space struct {
 	plain [Size]bool
 	// hidx maps an address to 1+index of its handler in maps (0 = none).
 	hidx [Size]uint8
-
-	// linear forces the reference linear-scan dispatch path.
-	linear bool
 
 	// handlerStores counts stores that reached a peripheral handler; the
 	// machine's run loop uses it to notice that a register write may have
@@ -292,11 +288,6 @@ func (s *Space) Map(start, end uint16, h Handler) error {
 	return nil
 }
 
-// SetLinearDispatch selects the reference linear handler scan (true)
-// instead of the per-address dispatch tables. Semantics are identical;
-// the differential tests in this package assert that.
-func (s *Space) SetLinearDispatch(on bool) { s.linear = on }
-
 // HandlerStores returns a generation counter incremented by every store
 // that reached a peripheral handler. The machine's batched run loop
 // compares it between instructions to catch register writes that move a
@@ -335,15 +326,6 @@ func (s *Space) QuietLoad(addr uint16, byteWide bool) bool {
 	return q.QuietLoad(addr)
 }
 
-func (s *Space) handlerAt(addr uint16) (Handler, bool) {
-	for _, m := range s.maps {
-		if addr >= m.start && addr <= m.end {
-			return m.h, true
-		}
-	}
-	return nil, false
-}
-
 // align forces word alignment the way the MSP430 bus does (A0 ignored).
 func align(addr uint16) uint16 { return addr &^ 1 }
 
@@ -351,12 +333,6 @@ func align(addr uint16) uint16 { return addr &^ 1 }
 // and whether the address is plain backing memory. Exactly one of
 // (h != nil), plain, or unmapped holds.
 func (s *Space) lookup(addr uint16) (h Handler, plain bool) {
-	if s.linear {
-		if lh, ok := s.handlerAt(addr); ok {
-			return lh, false
-		}
-		return nil, s.Layout.RegionOf(addr) != RegionUnmapped
-	}
 	if i := s.hidx[addr]; i != 0 {
 		return s.maps[i-1].h, false
 	}
@@ -366,7 +342,7 @@ func (s *Space) lookup(addr uint16) (h Handler, plain bool) {
 // LoadWord reads a little-endian word. Odd addresses are aligned down.
 func (s *Space) LoadWord(addr uint16) uint16 {
 	addr = align(addr)
-	if !s.linear && s.plain[addr] {
+	if s.plain[addr] {
 		return uint16(s.ram[addr]) | uint16(s.ram[addr+1])<<8
 	}
 	h, plain := s.lookup(addr)
