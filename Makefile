@@ -40,16 +40,21 @@ test-benchmark:
 # assembler must never panic on arbitrary source, no UART input may
 # compromise the protected overflow victim, the journal parser -resume
 # runs on crash-torn files must never panic and must accept every torn
-# prefix of a valid journal, and the BatchSpec decoder behind -spec and
+# prefix of a valid journal (and what it accepts must Validate, list
+# its Remaining jobs and Merge consistently against a runner rebuilt
+# from the header), and the BatchSpec decoder behind -spec and
 # POST /batches must never panic and must resolve every spec it accepts
 # idempotently with an overflow-free job count. The committed seed
 # corpora under */testdata/fuzz/ anchor the search; real finds land
-# there as regression inputs.
+# there as regression inputs. The two fleet targets cap minimization at
+# 100 runs per input: with the default 60 s budget their workers spend
+# all 5 s shrinking the first mutants of the kilobyte-sized seeds and
+# run only a handful of inputs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAssemble$$' -fuzztime=5s ./internal/asm
 	$(GO) test -run='^$$' -fuzz='^FuzzUARTPayload$$' -fuzztime=5s ./internal/attacks
-	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=5s ./internal/fleet
-	$(GO) test -run='^$$' -fuzz='^FuzzBatchSpec$$' -fuzztime=5s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/fleet
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchSpec$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/fleet
 
 # One-iteration benchmark pass so throughput regressions surface in PRs
 # without burning CI minutes. ThroughputReference rides along so the

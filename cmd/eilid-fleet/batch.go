@@ -49,15 +49,16 @@ func (jw *journalWriter) close() error {
 
 // batchOpts carries the batch-mode flag values.
 type batchOpts struct {
-	jsonOut        string // -json: journal destination ("-" = stdout)
-	verify         bool
-	quiet          bool
-	interruptAfter int
+	jsonOut string // -json: journal destination ("-" = stdout)
+	verify  bool
+	quiet   bool
 }
 
 // runBatch executes the runner's matrix in-process: streaming (the
-// default), or aggregate with a sequential replay under -verify.
-func runBatch(runner *fleet.Runner, o batchOpts, cancel <-chan struct{}, interrupt func(), stdout, stderr io.Writer) int {
+// default), or aggregate with a sequential replay under -verify. Closing
+// cancel (the signal handler does) stops dispatch and journals the
+// batch as interrupted.
+func runBatch(runner *fleet.Runner, o batchOpts, cancel <-chan struct{}, stdout, stderr io.Writer) int {
 	// The NDJSON journal sink: a flushed writer when -json is set.
 	var jw *journalWriter
 	if o.jsonOut != "" {
@@ -88,9 +89,6 @@ func runBatch(runner *fleet.Runner, o batchOpts, cancel <-chan struct{}, interru
 	}
 
 	emitted := 0
-	if o.interruptAfter == 0 {
-		interrupt()
-	}
 	emit := func(jr fleet.JobResult) error {
 		if !o.quiet {
 			jr.RenderRow(stdout)
@@ -101,9 +99,6 @@ func runBatch(runner *fleet.Runner, o batchOpts, cancel <-chan struct{}, interru
 			}
 		}
 		emitted++
-		if o.interruptAfter > 0 && emitted == o.interruptAfter {
-			interrupt()
-		}
 		return nil
 	}
 
@@ -210,7 +205,7 @@ func runBatch(runner *fleet.Runner, o batchOpts, cancel <-chan struct{}, interru
 	return 0
 }
 
-// runResume completes an interrupted (or fault-failed) journal: rebuild
+// runResume completes an interrupted (or partly failed) journal: rebuild
 // the matrix from the header, validate it, run the remaining jobs while
 // appending their results crash-safely, then compact the file into
 // canonical job order — byte-identical to an uninterrupted run. exec

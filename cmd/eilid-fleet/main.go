@@ -10,16 +10,13 @@
 //	eilid-fleet [-workers N] [-repeat N] [-apps a,b] [-scenarios x,y]
 //	            [-defenses baseline,eilid,shadow,critvar]
 //	            [-gen N] [-seed S] [-json out.ndjson] [-verify] [-q]
-//	            [-job-timeout 2m] [-retries N]
-//	            [-fault-panic i,j] [-fault-transient i,j] [-fault-hang i]
-//	            [-fault-seed S -fault-panics N -fault-transients N]
-//	            [-interrupt-after K]
+//	            [-job-timeout 2m]
 //	eilid-fleet -spec batch.json [execution flags] | -dump-spec [matrix flags]
 //	eilid-fleet -resume out.ndjson [-workers N] [-q]
 //
 // Every mode is a view over one canonical fleet.BatchSpec: the matrix
-// and fault flags parse into it, `-spec batch.json` loads it from JSON
-// instead (`-` reads stdin; explicitly-set execution flags still
+// and execution flags parse into it, `-spec batch.json` loads it from
+// JSON instead (`-` reads stdin; explicitly-set execution flags still
 // override), and `-dump-spec` prints the resolved canonical spec and
 // exits — so a batch can be captured, versioned and replayed exactly.
 // The journal header fingerprint is derived from the same spec, and a
@@ -47,19 +44,17 @@
 // jobs, journals an interrupted marker and exits with code 3; a second
 // signal force-quits. `-resume out.ndjson` rebuilds the matrix from the
 // journal header (validating its fingerprint), runs only the jobs not
-// yet completed — including any recorded as failed, so fault-injected
-// panics re-run clean — appends their results crash-safely, and then
-// compacts the file into canonical job order. The compacted file is
-// byte-identical to one from an uninterrupted run.
+// yet completed — including any recorded as failed, so a job that
+// panicked or hit the watchdog re-runs — appends their results
+// crash-safely, and then compacts the file into canonical job order.
+// The compacted file is byte-identical to one from an uninterrupted
+// run.
 //
 // Every job runs inside the runner's fault boundary: a panicking job
 // becomes a deterministic failure record instead of killing the batch,
-// transient failures retry up to -retries times, and -job-timeout arms
-// a per-job wall-clock watchdog that fails (rather than hangs on)
-// runaway jobs. The -fault-* flags inject deterministic faults by job
-// index (or derived from -fault-seed) for crash-safety testing, and
-// -interrupt-after K simulates a kill after the K-th result for
-// deterministic resume tests.
+// and -job-timeout arms a per-job wall-clock watchdog that fails
+// (rather than hangs on) runaway jobs. Neither is retried in-run; a
+// resume re-runs them.
 //
 // -verify additionally replays the matrix sequentially and fails unless
 // the concurrent results are byte-identical — the fleet's determinism
@@ -78,9 +73,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -105,18 +98,6 @@ func splitList(s string) []string {
 	return out
 }
 
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitList(s) {
-		n, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad job index %q: %v", f, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("eilid-fleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -129,20 +110,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defensesFlag := fs.String("defenses", "", "comma-separated defense columns (default: all registered)")
 	gen := fs.Int("gen", 0, "number of generated attack variants to add (0 = none)")
 	seed := fs.Uint64("seed", 1, "seed for the generated dimension")
-	specFile := fs.String("spec", "", "load the batch spec from this JSON file (- for stdin) instead of the matrix/fault flags")
+	specFile := fs.String("spec", "", "load the batch spec from this JSON file (- for stdin) instead of the matrix flags")
 	dumpSpec := fs.Bool("dump-spec", false, "print the resolved canonical batch spec as JSON and exit")
 	jsonOut := fs.String("json", "", "stream the results as a resumable NDJSON journal to this file (- for stdout)")
 	resume := fs.String("resume", "", "resume an interrupted journal: run the remaining jobs and compact the file")
 	verify := fs.Bool("verify", false, "replay sequentially and require byte-identical results")
 	jobTimeout := fs.Duration("job-timeout", 2*time.Minute, "per-job wall-clock watchdog; runaway jobs fail instead of hanging the batch (0 = off)")
-	retries := fs.Int("retries", fleet.DefaultMaxRetries, "extra attempts for jobs reporting transient failures (negative = never retry)")
-	faultPanic := fs.String("fault-panic", "", "inject a panic at these job indices (crash-safety testing)")
-	faultTransient := fs.String("fault-transient", "", "inject a once-transient failure at these job indices")
-	faultHang := fs.String("fault-hang", "", "inject a hang at these job indices (requires -job-timeout)")
-	faultSeed := fs.Uint64("fault-seed", 0, "derive fault indices from this seed (0 = off)")
-	faultPanics := fs.Int("fault-panics", 1, "panics to derive from -fault-seed")
-	faultTransients := fs.Int("fault-transients", 1, "transient failures to derive from -fault-seed")
-	interruptAfter := fs.Int("interrupt-after", -1, "act as if interrupted after K results (deterministic resume testing; -1 = off)")
 	quiet := fs.Bool("q", false, "suppress the per-job table")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -177,15 +150,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var resumeConflicts []string
 	if *resume != "" {
 		// -resume rebuilds the matrix from the journal header; flags
-		// that would select a different matrix (or re-inject faults)
-		// contradict that and are rejected rather than ignored.
+		// that would select a different matrix contradict that and are
+		// rejected rather than ignored.
 		incompatible := map[string]bool{
 			"apps": true, "scenarios": true, "no-apps": true, "no-scenarios": true,
 			"defenses": true, "repeat": true, "gen": true, "seed": true,
-			"json": true, "verify": true, "fault-panic": true, "fault-transient": true,
-			"fault-hang": true, "fault-seed": true, "fault-panics": true,
-			"fault-transients": true, "interrupt-after": true,
-			"spec": true, "dump-spec": true,
+			"json": true, "verify": true, "spec": true, "dump-spec": true,
 		}
 		fs.Visit(func(f *flag.Flag) {
 			if incompatible[f.Name] {
@@ -204,22 +174,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *resume == "" {
 		var code int
 		spec, code = assembleSpec(specFlags{
-			specFile:       *specFile,
-			apps:           *appsFlag,
-			scenarios:      *scenariosFlag,
-			noApps:         *noApps,
-			noScenarios:    *noScenarios,
-			defenses:       *defensesFlag,
-			repeat:         *repeat,
-			gen:            *gen,
-			seed:           *seed,
-			workers:        *workers,
-			jobTimeout:     *jobTimeout,
-			retries:        *retries,
-			faultPanic:     *faultPanic,
-			faultTransient: *faultTransient,
-			faultHang:      *faultHang,
-			set:            set,
+			specFile:    *specFile,
+			apps:        *appsFlag,
+			scenarios:   *scenariosFlag,
+			noApps:      *noApps,
+			noScenarios: *noScenarios,
+			defenses:    *defensesFlag,
+			repeat:      *repeat,
+			gen:         *gen,
+			seed:        *seed,
+			workers:     *workers,
+			jobTimeout:  *jobTimeout,
+			set:         set,
 		}, stderr)
 		if code != 0 {
 			return code
@@ -232,10 +198,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Graceful shutdown: the first SIGINT/SIGTERM stops dispatch and
 	// drains the in-flight jobs so the journal ends on a clean record
-	// boundary; a second one force-quits.
+	// boundary; a second one force-quits. Only this goroutine closes
+	// cancel, and only on the first signal.
 	cancel := make(chan struct{})
-	var cancelOnce sync.Once
-	interrupt := func() { cancelOnce.Do(func() { close(cancel) }) }
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer func() {
@@ -248,7 +213,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return
 		}
 		fmt.Fprintf(stderr, "eilid-fleet: %v: stopping dispatch, draining in-flight jobs (signal again to force quit)\n", s)
-		interrupt()
+		close(cancel)
 		if _, ok := <-sigc; ok {
 			// Hard quit skips deferred cleanup, so a WriteFileAtomic in
 			// flight (resume compaction) can orphan its temp file
@@ -267,10 +232,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *resume != "" {
-		exec := fleet.ExecSpec{
-			JobTimeout: fleet.Duration(*jobTimeout),
-			MaxRetries: *retries,
-		}
+		exec := fleet.ExecSpec{JobTimeout: fleet.Duration(*jobTimeout)}
 		if set["workers"] {
 			// As in assembleSpec: the default stays "0 = GOMAXPROCS at
 			// run time", which ResolveSpec accepts on any host.
@@ -284,23 +246,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *faultSeed != 0 {
-		// Seed-derived faults need the enumerated job count, so build
-		// once to learn it, then rebuild with the derived faults merged
-		// in (artifacts rebuild too — acceptable for a testing flag).
-		derived := fleet.FaultFromSeed(*faultSeed, len(runner.Jobs()), *faultPanics, *faultTransients)
-		spec.Fault.PanicAt = append(spec.Fault.PanicAt, derived.PanicAt...)
-		spec.Fault.TransientAt = append(spec.Fault.TransientAt, derived.TransientAt...)
-		if runner, err = fleet.NewRunner(pipeline, spec); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-
-	return runBatch(runner, batchOpts{
-		jsonOut:        *jsonOut,
-		verify:         *verify,
-		quiet:          *quiet,
-		interruptAfter: *interruptAfter,
-	}, cancel, interrupt, stdout, stderr)
+	return runBatch(runner, batchOpts{jsonOut: *jsonOut, verify: *verify, quiet: *quiet}, cancel, stdout, stderr)
 }

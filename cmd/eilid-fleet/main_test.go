@@ -5,6 +5,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"eilid/internal/core"
+	"eilid/internal/fleet"
 )
 
 func TestFleetSmallMatrix(t *testing.T) {
@@ -208,10 +211,45 @@ func TestFleetGeneratedDimension(t *testing.T) {
 	}
 }
 
+// cutJournal writes the file a hard kill leaves behind after the first
+// job of a batch: the clean journal's header and first job line, with
+// no interrupted marker or summary.
+func cutJournal(t *testing.T, clean, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	if err := os.WriteFile(path, []byte(lines[0]+lines[1]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireSameJournal fails unless the journal at path is byte-identical
+// to the clean run's.
+func requireSameJournal(t *testing.T, clean, path string) {
+	t.Helper()
+	want, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(want) != string(got) {
+		t.Fatalf("resumed journal differs from uninterrupted run:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
 // TestFleetCrashResumeCLI drives the full crash-safety loop through
-// the CLI: a batch interrupted after one result exits 3 and journals an
-// interrupted marker; -resume completes it and compacts the file to
-// byte-identical with an uninterrupted run; a second resume is a no-op.
+// the CLI. A batch whose cancel channel is closed — what the first
+// SIGINT does — exits 3, journals an interrupted marker and points at
+// -resume; a journal cut to its header and first job line — what a hard
+// kill leaves — resumes too. Both -resume runs compact the file to
+// byte-identical with an uninterrupted run, and a second resume is a
+// no-op.
 func TestFleetCrashResumeCLI(t *testing.T) {
 	dir := t.TempDir()
 	matrix := []string{"-apps", "LightSensor", "-scenarios", "stack-smash"}
@@ -222,17 +260,27 @@ func TestFleetCrashResumeCLI(t *testing.T) {
 		t.Fatalf("clean run: exit %d, stderr: %s", code, errb.String())
 	}
 
-	killed := dir + "/killed.ndjson"
-	out.Reset()
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := fleet.NewRunner(p, fleet.BatchSpec{Matrix: fleet.MatrixSpec{
+		Apps: []string{"LightSensor"}, Scenarios: []string{"stack-smash"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupted := dir + "/interrupted.ndjson"
+	cancel := make(chan struct{})
+	close(cancel)
 	errb.Reset()
-	code := run(append(matrix, "-workers", "1", "-interrupt-after", "1", "-q", "-json", killed), &out, &errb)
-	if code != 3 {
+	if code := runBatch(runner, batchOpts{jsonOut: interrupted, quiet: true}, cancel, &out, &errb); code != 3 {
 		t.Fatalf("interrupted run: exit %d, want 3; stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(errb.String(), "-resume") {
+	if !strings.Contains(errb.String(), "-resume "+interrupted) {
 		t.Errorf("interrupted run did not point at -resume:\n%s", errb.String())
 	}
-	raw, err := os.ReadFile(killed)
+	raw, err := os.ReadFile(interrupted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,21 +288,15 @@ func TestFleetCrashResumeCLI(t *testing.T) {
 		t.Fatalf("interrupted journal missing marker:\n%s", raw)
 	}
 
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-resume", killed, "-workers", "8", "-q"}, &out, &errb); code != 0 {
-		t.Fatalf("resume: exit %d, stderr: %s\n%s", code, errb.String(), out.String())
-	}
-	want, err := os.ReadFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(killed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(want) != string(got) {
-		t.Fatalf("resumed journal differs from uninterrupted run:\nwant:\n%s\ngot:\n%s", want, got)
+	killed := dir + "/killed.ndjson"
+	cutJournal(t, clean, killed)
+	for _, path := range []string{interrupted, killed} {
+		out.Reset()
+		errb.Reset()
+		if code := run([]string{"-resume", path, "-workers", "8", "-q"}, &out, &errb); code != 0 {
+			t.Fatalf("resume %s: exit %d, stderr: %s\n%s", path, code, errb.String(), out.String())
+		}
+		requireSameJournal(t, clean, path)
 	}
 
 	out.Reset()
@@ -266,9 +308,11 @@ func TestFleetCrashResumeCLI(t *testing.T) {
 	}
 }
 
-// TestFleetFaultInjectionCLI: injected panics fail the batch (exit 1)
-// but every job still gets a journal record, and -resume re-runs the
-// failed jobs clean — converging to the unfaulted journal.
+// TestFleetFaultInjectionCLI: a watchdog too short for any job fails
+// the batch (exit 1), every job still gets a journal record — a
+// watchdog failure for each one that lost the race — and -resume
+// re-runs the failed jobs under the default watchdog, converging to
+// the clean journal.
 func TestFleetFaultInjectionCLI(t *testing.T) {
 	dir := t.TempDir()
 	matrix := []string{"-apps", "LightSensor", "-scenarios", "stack-smash"}
@@ -281,7 +325,7 @@ func TestFleetFaultInjectionCLI(t *testing.T) {
 
 	faulted := dir + "/faulted.ndjson"
 	errb.Reset()
-	code := run(append(matrix, "-workers", "4", "-q", "-json", faulted, "-fault-panic", "0,2"), &out, &errb)
+	code := run(append(matrix, "-workers", "4", "-q", "-json", faulted, "-job-timeout", "1ns"), &out, &errb)
 	if code != 1 {
 		t.Fatalf("faulted run: exit %d, want 1; stderr: %s", code, errb.String())
 	}
@@ -289,19 +333,25 @@ func TestFleetFaultInjectionCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), "injected panic at job 0") {
-		t.Fatalf("faulted journal missing panic record:\n%s", raw)
+	jobs, _ := parseNDJSON(t, raw)
+	failed := 0
+	for _, j := range jobs {
+		if e, ok := j["error"].(string); ok {
+			if !strings.HasPrefix(e, "watchdog: ") {
+				t.Fatalf("job %v failed with %q, want a watchdog record", j["index"], e)
+			}
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatalf("no watchdog record under -job-timeout 1ns:\n%s", raw)
 	}
 
 	errb.Reset()
 	if code := run([]string{"-resume", faulted, "-q"}, &out, &errb); code != 0 {
 		t.Fatalf("resume: exit %d, stderr: %s", code, errb.String())
 	}
-	want, _ := os.ReadFile(clean)
-	got, _ := os.ReadFile(faulted)
-	if string(want) != string(got) {
-		t.Fatalf("resumed faulted journal differs from clean run:\nwant:\n%s\ngot:\n%s", want, got)
-	}
+	requireSameJournal(t, clean, faulted)
 }
 
 func TestFleetResumeFlagErrors(t *testing.T) {
@@ -315,14 +365,6 @@ func TestFleetResumeFlagErrors(t *testing.T) {
 	errb.Reset()
 	if code := run([]string{"-resume", "/nonexistent/x.ndjson"}, &out, &errb); code != 1 {
 		t.Errorf("-resume of missing file: exit %d, want 1", code)
-	}
-	errb.Reset()
-	if code := run([]string{"-apps", "LightSensor", "-no-scenarios", "-fault-hang", "0", "-job-timeout", "0"}, &out, &errb); code != 2 {
-		t.Errorf("-fault-hang without watchdog: exit %d, want 2", code)
-	}
-	errb.Reset()
-	if code := run([]string{"-apps", "LightSensor", "-no-scenarios", "-fault-panic", "nope"}, &out, &errb); code != 2 {
-		t.Errorf("unparseable fault index: exit %d, want 2", code)
 	}
 }
 
@@ -344,9 +386,10 @@ func TestFleetFlagErrors(t *testing.T) {
 
 // TestFleetCoordinatorFlagValidation: nonsense execution knobs are
 // exit-2 usage errors at parse time, and so are the flags of the
-// multi-process coordinator and worker modes and the construct-per-job
-// switch, which no longer exist — a script still passing them must
-// fail loudly rather than fall back to a single-process, recycled run.
+// multi-process coordinator and worker modes, the construct-per-job
+// switch, fault injection, the retry budget and the simulated
+// interrupt, which no longer exist — a script still passing them must
+// fail loudly rather than run a batch it did not ask for.
 func TestFleetCoordinatorFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-workers", "0"},
@@ -370,6 +413,17 @@ func TestFleetCoordinatorFlagValidation(t *testing.T) {
 		// Removed construct-per-job switch.
 		{"-recycle=false"},
 		{"-resume", "x.ndjson", "-recycle=false"},
+		// Removed fault injection, retry budget and simulated interrupt.
+		{"-retries", "2"},
+		{"-fault-panic", "0,2"},
+		{"-fault-transient", "1"},
+		{"-fault-hang", "0", "-job-timeout", "1s"},
+		{"-fault-seed", "7"},
+		{"-fault-panics", "3"},
+		{"-fault-transients", "3"},
+		{"-interrupt-after", "1", "-json", "x.ndjson"},
+		{"-apps", "LightSensor", "-no-scenarios", "-fault-hang", "0", "-job-timeout", "0"},
+		{"-apps", "LightSensor", "-no-scenarios", "-fault-panic", "nope"},
 	}
 	for _, args := range cases {
 		var out, errb strings.Builder
@@ -395,10 +449,7 @@ func TestFleetResumeReapsOrphanTemp(t *testing.T) {
 	}
 
 	killed := dir + "/killed.ndjson"
-	errb.Reset()
-	if code := run(append(matrix, "-workers", "1", "-interrupt-after", "1", "-q", "-json", killed), &out, &errb); code != 3 {
-		t.Fatalf("interrupted run: exit %d, want 3; stderr: %s", code, errb.String())
-	}
+	cutJournal(t, clean, killed)
 	orphans := []string{killed + ".tmp", killed + ".tmp-867530"}
 	for _, p := range orphans {
 		if err := os.WriteFile(p, []byte("torn rename leftovers"), 0o644); err != nil {
@@ -415,15 +466,5 @@ func TestFleetResumeReapsOrphanTemp(t *testing.T) {
 			t.Errorf("resume left orphan temp %s in place", p)
 		}
 	}
-	want, err := os.ReadFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(killed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(want) != string(got) {
-		t.Fatal("resumed journal differs from the uninterrupted run")
-	}
+	requireSameJournal(t, clean, killed)
 }

@@ -1,7 +1,7 @@
 package main
 
 // Spec assembly: every non-resume mode runs over one canonical
-// fleet.BatchSpec, built here — from the matrix/execution/fault flags,
+// fleet.BatchSpec, built here — from the matrix and execution flags,
 // or loaded from JSON via -spec (the same serialized form -dump-spec
 // prints and eilid-fleetd accepts).
 
@@ -29,24 +29,16 @@ type specFlags struct {
 	seed        uint64
 	workers     int
 	jobTimeout  time.Duration
-	retries     int
-
-	faultPanic     string
-	faultTransient string
-	faultHang      string
 
 	set map[string]bool // flag name → explicitly given
 }
 
 // specCarriedFlags are the flags a -spec file makes redundant: they
-// select the matrix or inject job-level faults, which is exactly what
-// the file carries. Combining them is a contradiction, rejected rather
-// than silently merged.
+// select the matrix, which is exactly what the file carries. Combining
+// them is a contradiction, rejected rather than silently merged.
 var specCarriedFlags = []string{
 	"apps", "scenarios", "no-apps", "no-scenarios", "defenses",
 	"repeat", "gen", "seed",
-	"fault-panic", "fault-transient", "fault-hang",
-	"fault-seed", "fault-panics", "fault-transients",
 }
 
 // assembleSpec builds the run's BatchSpec. With -spec it loads the
@@ -58,7 +50,7 @@ func assembleSpec(fv specFlags, stderr io.Writer) (fleet.BatchSpec, int) {
 	if fv.specFile != "" {
 		for _, name := range specCarriedFlags {
 			if fv.set[name] {
-				fmt.Fprintf(stderr, "eilid-fleet: -spec carries the matrix and fault selection; drop -%s\n", name)
+				fmt.Fprintf(stderr, "eilid-fleet: -spec carries the matrix selection; drop -%s\n", name)
 				return fleet.BatchSpec{}, 2
 			}
 		}
@@ -73,21 +65,9 @@ func assembleSpec(fv specFlags, stderr io.Writer) (fleet.BatchSpec, int) {
 		if fv.set["job-timeout"] {
 			spec.Exec.JobTimeout = fleet.Duration(fv.jobTimeout)
 		}
-		if fv.set["retries"] {
-			spec.Exec.MaxRetries = fv.retries
-		}
 		return spec, 0
 	}
 
-	panicAt, err1 := splitInts(fv.faultPanic)
-	transientAt, err2 := splitInts(fv.faultTransient)
-	hangAt, err3 := splitInts(fv.faultHang)
-	for _, e := range []error{err1, err2, err3} {
-		if e != nil {
-			fmt.Fprintln(stderr, "eilid-fleet:", e)
-			return fleet.BatchSpec{}, 2
-		}
-	}
 	spec := fleet.BatchSpec{
 		Matrix: fleet.MatrixSpec{
 			Apps:        splitList(fv.apps),
@@ -98,11 +78,7 @@ func assembleSpec(fv specFlags, stderr io.Writer) (fleet.BatchSpec, int) {
 			Repeat:      fv.repeat,
 			Generated:   fleet.GeneratedSpec{Seed: fv.seed, Count: fv.gen},
 		},
-		Exec: fleet.ExecSpec{
-			JobTimeout: fleet.Duration(fv.jobTimeout),
-			MaxRetries: fv.retries,
-		},
-		Fault: fleet.FaultSpec{PanicAt: panicAt, TransientAt: transientAt, HangAt: hangAt},
+		Exec: fleet.ExecSpec{JobTimeout: fleet.Duration(fv.jobTimeout)},
 	}
 	if fv.set["workers"] {
 		// Only an explicit -workers is baked into the spec; the default
@@ -114,8 +90,9 @@ func assembleSpec(fv specFlags, stderr io.Writer) (fleet.BatchSpec, int) {
 }
 
 // loadSpec reads a serialized BatchSpec from a JSON file, or from
-// stdin when path is "-". Unknown fields are errors: a typo'd knob in
-// a spec file must not silently select a different batch.
+// stdin when path is "-", through the strict fleet.DecodeSpec: a
+// typo'd knob or a second document in a spec file must not silently
+// select a different batch.
 func loadSpec(path string) (fleet.BatchSpec, error) {
 	var r io.Reader
 	if path == "-" {
@@ -128,10 +105,8 @@ func loadSpec(path string) (fleet.BatchSpec, error) {
 		defer f.Close()
 		r = f
 	}
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var spec fleet.BatchSpec
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := fleet.DecodeSpec(r)
+	if err != nil {
 		return fleet.BatchSpec{}, fmt.Errorf("spec %s: %w", path, err)
 	}
 	return spec, nil

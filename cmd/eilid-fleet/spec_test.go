@@ -25,7 +25,7 @@ var suiteCombos = [][]string{
 	{"-apps", "TempSensor", "-no-scenarios", "-workers", "8", "-repeat", "2", "-defenses", "baseline,eilid"},
 	{"-apps", "LightSensor", "-scenarios", "rop-chain", "-workers", "6"},
 	{"-no-apps", "-no-scenarios", "-gen", "24", "-seed", "9"},
-	{"-fault-panic", "0,2", "-apps", "LightSensor", "-no-scenarios", "-retries", "-1"},
+	{"-apps", "LightSensor", "-no-scenarios", "-job-timeout", "30s"},
 }
 
 // dumpSpec runs `-dump-spec` for a flag combo and returns the decoded
@@ -117,9 +117,10 @@ func TestSpecFileByteIdenticalJournal(t *testing.T) {
 	}
 }
 
-// TestSpecFlagErrors: a -spec file owns the matrix and fault selection
-// — combining it with the flags it replaces, feeding it garbage, or
-// pointing it nowhere are all loud exit-2 errors.
+// TestSpecFlagErrors: a -spec file owns the matrix selection —
+// combining it with the flags it replaces, feeding it garbage, a
+// retired field or a second document, or pointing it nowhere are all
+// loud exit-2 errors.
 func TestSpecFlagErrors(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.json")
@@ -127,30 +128,36 @@ func TestSpecFlagErrors(t *testing.T) {
 	if err := os.WriteFile(good, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	unknown := filepath.Join(dir, "unknown.json")
-	if err := os.WriteFile(unknown, []byte(`{"matrix":{},"exec":{},"fault":{},"bogus":1}`), 0o644); err != nil {
-		t.Fatal(err)
+	write := func(name, body string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	// The construct-per-job switch left the spec format; a file that
-	// still carries it is refused like any unknown field.
-	noRecycle := filepath.Join(dir, "no-recycle.json")
-	if err := os.WriteFile(noRecycle, []byte(`{"matrix":{},"exec":{"no_recycle":true},"fault":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	garbage := filepath.Join(dir, "garbage.json")
-	if err := os.WriteFile(garbage, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	unknown := write("unknown.json", `{"matrix":{},"exec":{},"bogus":1}`)
+	// The construct-per-job switch, fault injection and the retry
+	// budget left the spec format; a file that still carries one is
+	// refused like any unknown field.
+	noRecycle := write("no-recycle.json", `{"matrix":{},"exec":{"no_recycle":true}}`)
+	fault := write("fault.json", `{"matrix":{"apps":["LightSensor"],"no_scenarios":true},"exec":{},"fault":{}}`)
+	retries := write("retries.json", `{"matrix":{"apps":["LightSensor"],"no_scenarios":true},"exec":{"max_retries":2}}`)
+	// A second document after a valid spec is refused, not ignored.
+	trailing := write("trailing.json", string(raw)+`{"matrix":{"apps":["TempSensor"]},"typo_knob":1}`)
+	garbage := write("garbage.json", "{not json")
 
 	cases := []struct {
 		args []string
 		want string // substring required in stderr
 	}{
 		{[]string{"-spec", good, "-apps", "LightSensor"}, "drop -apps"},
-		{[]string{"-spec", good, "-fault-panic", "1"}, "drop -fault-panic"},
 		{[]string{"-spec", good, "-gen", "5"}, "drop -gen"},
 		{[]string{"-spec", unknown}, "bogus"},
 		{[]string{"-spec", noRecycle}, "no_recycle"},
+		{[]string{"-spec", fault}, `"fault"`},
+		{[]string{"-spec", retries}, "max_retries"},
+		{[]string{"-spec", trailing}, "trailing data"},
 		{[]string{"-spec", garbage}, "spec"},
 		{[]string{"-spec", filepath.Join(dir, "missing.json")}, "spec"},
 	}

@@ -1,13 +1,16 @@
 package fleet
 
 // Crash-safety differential suite: every test here pins the same
-// acceptance bar — a batch that was panicked, transiently faulted, hung
-// or killed at an arbitrary job index converges, after in-run retry or
-// a journal resume, to a journal byte-identical to an uninterrupted
-// clean run.
+// acceptance bar — a batch that was panicked, hung or killed at an
+// arbitrary job index converges, after a journal resume, to a journal
+// byte-identical to an uninterrupted clean run. Panics and hangs come
+// from the runner's beforeJob hook, which only these tests set.
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -65,7 +68,7 @@ func journalRun(t *testing.T, r *Runner, cancelAfter int) (data []byte, interrup
 }
 
 // resumeJournal parses a journal, re-runs its remaining jobs on a
-// runner rebuilt from the header (no faults carried over — the resume
+// runner rebuilt from the header (no hook carried over — the resume
 // contract), and returns the compacted canonical journal.
 func resumeJournal(t *testing.T, p *core.Pipeline, data []byte, workers int, noRecycle bool) []byte {
 	t.Helper()
@@ -285,99 +288,159 @@ func TestCrashResumeInterruptedTwice(t *testing.T) {
 	diffJournals(t, "twice-interrupted", clean, final)
 }
 
-// TestFaultPanicConvergesAfterResume: injected panics become
-// deterministic failure records (the batch completes), and a resume —
-// which never re-applies faults — re-runs exactly those jobs and
-// converges to the clean journal.
-func TestFaultPanicConvergesAfterResume(t *testing.T) {
-	p := newPipeline(t)
-	spec := smallSpec()
-	spec.Exec.Workers = 4
-	clean, err := NewRunner(p, spec)
-	if err != nil {
-		t.Fatal(err)
+// panicAt returns a beforeJob hook that panics at the given job
+// indices, the way a real panic in the job body would surface.
+func panicAt(jobs ...int) func(int) {
+	set := map[int]bool{}
+	for _, i := range jobs {
+		set[i] = true
 	}
-	cleanJournal, _ := journalRun(t, clean, -1)
-
-	spec.Fault = FaultSpec{PanicAt: []int{0, 5}}
-	faulted, err := NewRunner(p, spec)
-	if err != nil {
-		t.Fatal(err)
+	return func(job int) {
+		if set[job] {
+			panic(fmt.Sprintf("fault: injected panic at job %d", job))
+		}
 	}
-	data, interrupted := journalRun(t, faulted, -1)
-	if interrupted {
-		t.Fatal("faulted run should complete, not interrupt")
-	}
-	j, err := ParseJournal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j.Complete {
-		t.Fatal("faulted journal missing summary line")
-	}
-	if jr := j.Results[0]; jr.Err != "panic: fault: injected panic at job 0" {
-		t.Fatalf("job 0 error = %q", jr.Err)
-	}
-	if rem := j.Remaining(); len(rem) != 2 || rem[0] != 0 || rem[1] != 5 {
-		t.Fatalf("Remaining() = %v, want [0 5]", rem)
-	}
-	final := resumeJournal(t, p, data, 8, false)
-	diffJournals(t, "panic-faulted", cleanJournal, final)
 }
 
-// TestFaultTransientRetryInvisible: a transiently failing job is
-// retried in-run and the journal is byte-identical to a clean run — no
-// retry counts, no failure records, nothing leaks. With retry disabled
-// the same fault is recorded; with FailCount exceeding the budget the
-// job exhausts its attempts.
+// faultFromSeed draws panics distinct job indices from [0, jobs) via
+// the same splitmix64 scramble the scenario generator uses, so a
+// (seed, jobs) pair names the same indices on every platform.
+func faultFromSeed(seed uint64, jobs, panics int) []int {
+	var out []int
+	taken := map[int]bool{}
+	s := mix64(seed ^ mix64(1))
+	for len(out) < panics && len(taken) < jobs {
+		s += 0x9E3779B97F4A7C15
+		i := int(mix64(s) % uint64(jobs))
+		if !taken[i] {
+			taken[i] = true
+			out = append(out, i)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// mix64 is the splitmix64 finalizer (the scramble internal/scenario's
+// generator stream uses).
+func mix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}
+
+// TestFaultPanicConvergesAfterResume: panicking jobs become
+// deterministic failure records (the batch completes), and a resume —
+// a new runner, so the hook is gone — re-runs exactly those jobs and
+// converges to the clean journal. The seeded case draws its panics
+// over a 400-job generated batch.
+func TestFaultPanicConvergesAfterResume(t *testing.T) {
+	p := newPipeline(t)
+	gen := BatchSpec{Matrix: MatrixSpec{NoApps: true, NoScenarios: true, Generated: GeneratedSpec{Seed: 1, Count: 100}}}
+	cases := []struct {
+		name   string
+		spec   BatchSpec
+		panics func(jobs int) []int
+	}{
+		{"jobs-0-5", smallSpec(), func(int) []int { return []int{0, 5} }},
+		{"seed-7-gen-100", gen, func(jobs int) []int { return faultFromSeed(7, jobs, 3) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.Exec.Workers = 4
+			clean, err := NewRunner(p, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cleanJournal, _ := journalRun(t, clean, -1)
+
+			faulted, err := NewRunner(p, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.panics(len(faulted.jobs))
+			faulted.beforeJob = panicAt(want...)
+			data, interrupted := journalRun(t, faulted, -1)
+			if interrupted {
+				t.Fatal("faulted run should complete, not interrupt")
+			}
+			j, err := ParseJournal(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !j.Complete {
+				t.Fatal("faulted journal missing summary line")
+			}
+			for _, i := range want {
+				if jr := j.Results[i]; jr.Err != fmt.Sprintf("panic: fault: injected panic at job %d", i) {
+					t.Fatalf("job %d error = %q", i, jr.Err)
+				}
+			}
+			if rem := j.Remaining(); !slices.Equal(rem, want) {
+				t.Fatalf("Remaining() = %v, want %v", rem, want)
+			}
+			final := resumeJournal(t, p, data, 8, false)
+			diffJournals(t, tc.name, cleanJournal, final)
+		})
+	}
+}
+
+// TestFaultTransientRetryInvisible pins that nothing retries: on one
+// worker, so every job shares one machine pool, the hook runs exactly
+// once per job, the panicking jobs are recorded as failures, and every
+// other job line is byte-identical to the clean run's — a contained
+// panic leaves nothing behind in the pool.
 func TestFaultTransientRetryInvisible(t *testing.T) {
 	p := newPipeline(t)
 	spec := smallSpec()
-	spec.Exec.Workers = 4
+	spec.Exec.Workers = 1
 	clean, err := NewRunner(p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cleanJournal, _ := journalRun(t, clean, -1)
+	cleanLines := bytes.SplitAfter(cleanJournal, []byte("\n"))
 
-	spec.Fault = FaultSpec{TransientAt: []int{2, 6}}
-	retried, err := NewRunner(p, spec)
+	r, err := NewRunner(p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := journalRun(t, retried, -1)
-	diffJournals(t, "transient-retried", cleanJournal, data)
-
-	spec.Exec.MaxRetries = -1
-	noRetry, err := NewRunner(p, spec)
+	var mu sync.Mutex
+	calls := make([]int, len(r.jobs))
+	fault := panicAt(2, 6)
+	r.beforeJob = func(job int) {
+		mu.Lock()
+		calls[job]++
+		mu.Unlock()
+		fault(job)
+	}
+	rep, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := noRetry.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsTransientErr(rep.Results[2].Err) || !IsTransientErr(rep.Results[6].Err) {
-		t.Fatalf("retry disabled but transient faults not recorded: %q / %q",
-			rep.Results[2].Err, rep.Results[6].Err)
-	}
-
-	spec.Exec.MaxRetries = 0 // back to DefaultMaxRetries (2)
-	spec.Fault.FailCount = DefaultMaxRetries + 1
-	exhausted, err := NewRunner(p, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err = exhausted.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsTransientErr(rep.Results[2].Err) {
-		t.Fatalf("FailCount %d should exhaust %d retries, got %q",
-			DefaultMaxRetries+1, DefaultMaxRetries, rep.Results[2].Err)
+	for i, n := range calls {
+		if n != 1 {
+			t.Errorf("hook ran %d times for job %d, want once", n, i)
+		}
 	}
 	if rep.Failures != 2 {
-		t.Fatalf("exhausted run has %d failures, want 2", rep.Failures)
+		t.Fatalf("run has %d failures, want 2", rep.Failures)
+	}
+	for i, jr := range rep.Results {
+		if i == 2 || i == 6 {
+			if !strings.HasPrefix(jr.Err, "panic: ") {
+				t.Errorf("job %d error = %q, want a panic record", i, jr.Err)
+			}
+			continue
+		}
+		var line bytes.Buffer
+		if err := WriteNDJSONLine(&line, jr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line.Bytes(), cleanLines[1+i]) {
+			t.Errorf("job %d diverges from the clean run:\nwant: %sgot:  %s", i, cleanLines[1+i], line.Bytes())
+		}
 	}
 }
 
@@ -395,10 +458,14 @@ func TestFaultWatchdogConvergesAfterResume(t *testing.T) {
 	cleanJournal, _ := journalRun(t, clean, -1)
 
 	spec.Exec.JobTimeout = Duration(250 * time.Millisecond)
-	spec.Fault = FaultSpec{HangAt: []int{3}, HangFor: Duration(2 * time.Second)}
 	hung, err := NewRunner(p, spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	hung.beforeJob = func(job int) {
+		if job == 3 {
+			time.Sleep(2 * time.Second)
+		}
 	}
 	data, _ := journalRun(t, hung, -1)
 	j, err := ParseJournal(data)
@@ -421,56 +488,49 @@ func TestFaultWatchdogConvergesAfterResume(t *testing.T) {
 	diffJournals(t, "watchdog", cleanJournal, final)
 }
 
-// TestFaultSpecValidation: hang injection without a watchdog and
-// out-of-range indices are NewRunner errors, not silent no-ops.
+// TestFaultSpecValidation: fault injection and the retry budget left
+// the spec format, so the spec decoder refuses a spec that still
+// carries either, naming the field.
 func TestFaultSpecValidation(t *testing.T) {
-	p := newPipeline(t)
-	spec := smallSpec()
-	spec.Fault = FaultSpec{HangAt: []int{0}}
-	if _, err := NewRunner(p, spec); err == nil {
-		t.Error("HangAt without JobTimeout accepted")
-	}
-	spec.Fault = FaultSpec{PanicAt: []int{999}}
-	if _, err := NewRunner(p, spec); err == nil {
-		t.Error("out-of-range fault index accepted")
+	for body, field := range map[string]string{
+		`{"matrix":{},"exec":{},"fault":{}}`:                           "fault",
+		`{"matrix":{"apps":["LightSensor"]},"fault":{"panic_at":[0]}}`: "fault",
+		`{"exec":{"job_timeout":"1m","max_retries":2}}`:                "max_retries",
+		`{"exec":{"max_retries":-1}}`:                                  "max_retries",
+	} {
+		_, err := DecodeSpec(strings.NewReader(body))
+		if err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Errorf("DecodeSpec(%s): err = %v, want an unknown-field error naming %q", body, err, field)
+		}
 	}
 }
 
-// TestFaultFromSeedDeterministic: the derived fault plan is a pure
-// function of (seed, jobs, counts), with distinct in-range indices.
+// TestFaultFromSeedDeterministic: the seeded draw behind the panic
+// cases is a pure function of (seed, jobs, count), with distinct
+// in-range indices.
 func TestFaultFromSeedDeterministic(t *testing.T) {
-	a := FaultFromSeed(42, 100, 3, 4)
-	b := FaultFromSeed(42, 100, 3, 4)
-	if len(a.PanicAt) != 3 || len(a.TransientAt) != 4 {
-		t.Fatalf("derived %d panics, %d transients; want 3, 4", len(a.PanicAt), len(a.TransientAt))
+	a := faultFromSeed(42, 100, 3)
+	b := faultFromSeed(42, 100, 3)
+	if len(a) != 3 {
+		t.Fatalf("drew %d indices, want 3", len(a))
 	}
-	seen := map[int]bool{}
-	for _, idx := range append(append([]int{}, a.PanicAt...), a.TransientAt...) {
+	if !slices.Equal(a, b) {
+		t.Fatalf("faultFromSeed not deterministic: %v vs %v", a, b)
+	}
+	for k, idx := range a {
 		if idx < 0 || idx >= 100 {
 			t.Fatalf("index %d out of range", idx)
 		}
-		if seen[idx] {
-			t.Fatalf("index %d drawn twice", idx)
-		}
-		seen[idx] = true
-	}
-	for i := range a.PanicAt {
-		if a.PanicAt[i] != b.PanicAt[i] {
-			t.Fatal("FaultFromSeed not deterministic")
+		if k > 0 && idx <= a[k-1] {
+			t.Fatalf("indices %v not distinct and ascending", a)
 		}
 	}
-	for i := range a.TransientAt {
-		if a.TransientAt[i] != b.TransientAt[i] {
-			t.Fatal("FaultFromSeed not deterministic")
-		}
+	if c := faultFromSeed(43, 100, 3); slices.Equal(c, a) {
+		t.Fatal("different seeds drew identical indices")
 	}
-	if c := FaultFromSeed(43, 100, 3, 4); len(c.PanicAt) == 3 &&
-		c.PanicAt[0] == a.PanicAt[0] && c.PanicAt[1] == a.PanicAt[1] && c.PanicAt[2] == a.PanicAt[2] {
-		t.Fatal("different seeds drew identical panic indices")
-	}
-	// More faults than jobs: every job drawn once, no infinite loop.
-	if f := FaultFromSeed(7, 3, 5, 5); len(f.PanicAt)+len(f.TransientAt) != 3 {
-		t.Fatalf("overdrawn spec has %d+%d indices, want 3 total", len(f.PanicAt), len(f.TransientAt))
+	// More panics than jobs: every job drawn once, no infinite loop.
+	if f := faultFromSeed(7, 3, 5); !slices.Equal(f, []int{0, 1, 2}) {
+		t.Fatalf("overdrawn draw = %v, want [0 1 2]", f)
 	}
 }
 

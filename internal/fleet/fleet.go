@@ -29,10 +29,6 @@ import (
 	"eilid/internal/scenario"
 )
 
-// DefaultMaxRetries is how many extra attempts a transiently failing
-// job gets when ExecSpec.MaxRetries is zero.
-const DefaultMaxRetries = 2
-
 // Job is one cell of the matrix.
 type Job struct {
 	Index int    `json:"index"`
@@ -109,10 +105,13 @@ type Runner struct {
 	workers   int
 	repeat    int
 
-	// Fault boundary configuration (see runJobSafe).
-	maxRetries int
+	// jobTimeout arms the per-job watchdog (see runJobSafe).
 	jobTimeout time.Duration
-	fault      *faultState
+	// beforeJob, when set, runs inside runJobOnce's recover before the
+	// job touches a machine. Only this package's tests set it, to panic
+	// or hang chosen jobs; a resume builds a new runner, so whatever it
+	// injects is never carried across one.
+	beforeJob func(job int)
 
 	// warm is the optional cross-batch cache (NewRunnerWarm): prepare
 	// consults it before building, machineFor before constructing, and
@@ -195,12 +194,6 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 		r.workers = runtime.GOMAXPROCS(0)
 	}
 	r.worker = make([]workerState, r.workers)
-	r.maxRetries = spec.Exec.MaxRetries
-	if r.maxRetries == 0 {
-		r.maxRetries = DefaultMaxRetries
-	} else if r.maxRetries < 0 {
-		r.maxRetries = 0
-	}
 	r.jobTimeout = spec.Exec.JobTimeout.Std()
 	// The resolved matrix carries explicit, registry-validated name
 	// lists; map them back to their registry objects.
@@ -286,11 +279,6 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 			}
 		}
 	}
-	fault, err := compileFaults(spec.Fault, len(r.jobs), r.jobTimeout)
-	if err != nil {
-		return nil, err
-	}
-	r.fault = fault
 	return r, nil
 }
 
@@ -446,31 +434,20 @@ func (r *Runner) RunIndices(indices []int, cancel <-chan struct{}, emit func(Job
 	return interrupted, nil
 }
 
-// runJobSafe is the fault boundary around one job: per-job watchdog,
-// bounded transient retry, and panic containment. Everything the
-// runner executes goes through it, so a panicking, transiently failing
-// or runaway job becomes a deterministic JobResult instead of a lost
-// batch.
+// runJobSafe is the fault boundary around one job: per-job watchdog
+// and panic containment. Everything the runner executes goes through
+// it, so a panicking or runaway job becomes a deterministic JobResult
+// instead of a lost batch.
 func (r *Runner) runJobSafe(worker, i int) JobResult {
 	mp := r.attemptPool(worker)
 	if r.jobTimeout <= 0 {
-		return r.runJobAttempts(mp, i)
+		return r.runJobOnce(mp, i)
 	}
 	// The attempt runs on its own goroutine so the watchdog can abandon
 	// it; the buffered channel lets a late attempt finish and exit
-	// without a receiver.
+	// without a receiver. runJobOnce contains panics itself.
 	done := make(chan JobResult, 1)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				// Backstop only — runJobAttempts contains panics itself.
-				jr := JobResult{Job: r.jobs[i]}
-				jr.Err = fmt.Sprintf("panic: %v", v)
-				done <- jr
-			}
-		}()
-		done <- r.runJobAttempts(mp, i)
-	}()
+	go func() { done <- r.runJobOnce(mp, i) }()
 	st := &r.worker[worker]
 	t := st.watchdog
 	if t == nil {
@@ -499,36 +476,19 @@ func (r *Runner) runJobSafe(worker, i int) JobResult {
 	}
 }
 
-// runJobAttempts runs one job with bounded retry: attempts reporting a
-// transient failure (TransientErrPrefix) are retried immediately on the
-// same worker until one returns a final result or the retry budget is
-// spent. Each attempt recycles its machine back to the sealed snapshot
-// (machineFor does on every pool hit), so a retried success is
-// byte-identical to a first-attempt one.
-func (r *Runner) runJobAttempts(mp *machinePool, i int) JobResult {
-	for attempt := 0; ; attempt++ {
-		res := r.runJobOnce(mp, i, attempt)
-		if attempt >= r.maxRetries || !IsTransientErr(res.Err) {
-			return res
-		}
-	}
-}
-
-// runJobOnce runs a single attempt under recover: a panic — injected or
-// real — becomes a deterministic failure record (stable message, no
-// stack addresses) and the batch continues. Fault injection fires
-// before the job touches any machine.
-func (r *Runner) runJobOnce(mp *machinePool, i, attempt int) (res JobResult) {
+// runJobOnce runs one job under recover: a panic becomes a
+// deterministic failure record (stable message, no stack addresses)
+// and the batch continues. The test hook fires before the job touches
+// any machine.
+func (r *Runner) runJobOnce(mp *machinePool, i int) (res JobResult) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = JobResult{Job: r.jobs[i]}
 			res.Err = fmt.Sprintf("panic: %v", v)
 		}
 	}()
-	if msg := r.fault.fire(i, attempt); msg != "" {
-		res = JobResult{Job: r.jobs[i]}
-		res.Err = msg
-		return res
+	if r.beforeJob != nil {
+		r.beforeJob(i)
 	}
 	return r.runJob(mp, i)
 }

@@ -8,7 +8,7 @@ import (
 	"eilid/internal/core"
 )
 
-func newPipeline(t *testing.T) *core.Pipeline {
+func newPipeline(t testing.TB) *core.Pipeline {
 	t.Helper()
 	p, err := core.NewPipeline(core.DefaultConfig())
 	if err != nil {

@@ -10,8 +10,8 @@ package fleet
 //
 // The header fingerprints the resolved matrix spec (apps, scenarios,
 // defenses, repeat, generated seed/count — everything that determines
-// job identity; worker count, recycling and fault injection are
-// deliberately excluded because they must not change results), so a
+// job identity; worker count and the watchdog are deliberately
+// excluded because they must not change results), so a
 // resume can rebuild the exact matrix from the file alone and refuse
 // files built by a different matrix or registry. Every line that is not
 // a job result carries a "journal" marker field; job lines are plain
@@ -19,7 +19,7 @@ package fleet
 //
 // The summary line contains only deterministic aggregates — no worker
 // count, no wall-clock — so a completed journal is byte-identical
-// across worker counts, recycling modes, transient-fault retries, and
+// across worker counts, recycled and freshly built machines, and
 // interrupt/resume cycles. That byte-identity is the crash-safety
 // acceptance bar the differential suites pin.
 //
@@ -51,8 +51,8 @@ const journalMagic = "eilid-fleet"
 // JournalSpec is the resolved, canonical matrix description stored in
 // the header: explicit name lists (never "nil = all", which would drift
 // with the registry) plus the generated dimension. It deliberately
-// omits workers, recycling, retries, watchdog and fault injection —
-// execution knobs that must not change results.
+// omits workers and the watchdog — execution knobs that must not
+// change results.
 type JournalSpec struct {
 	Apps      []string `json:"apps,omitempty"`
 	Scenarios []string `json:"scenarios,omitempty"`
@@ -97,9 +97,8 @@ func (m MatrixSpec) journalSpec() JournalSpec {
 }
 
 // Batch reconstructs a BatchSpec selecting exactly the journalled
-// matrix. Execution knobs (workers, recycling, watchdog, retries) are
-// the caller's to fill in; faults are never carried across a resume —
-// that is what lets a faulted batch converge to a clean one.
+// matrix. Execution knobs (workers, watchdog) are the caller's to fill
+// in.
 func (s JournalSpec) Batch() BatchSpec {
 	return BatchSpec{Matrix: MatrixSpec{
 		Apps:        s.Apps,
@@ -329,9 +328,9 @@ func (j *Journal) Validate(r *Runner) error {
 }
 
 // Remaining lists the job indices a resume must run: never recorded, or
-// recorded as failed — a failure re-runs clean after a fault injection
-// or crash, and re-runs to the identical record when it was
-// deterministic.
+// recorded as failed — a failure re-runs clean after a panic, watchdog
+// abandonment or crash, and re-runs to the identical record when it
+// was deterministic.
 func (j *Journal) Remaining() []int {
 	var out []int
 	for i := 0; i < j.Header.Jobs; i++ {

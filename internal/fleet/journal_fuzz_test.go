@@ -3,7 +3,14 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+
+	"eilid/internal/core"
 )
 
 // FuzzParseJournal feeds arbitrary bytes to the journal parser that
@@ -11,14 +18,26 @@ import (
 // under testdata/fuzz/FuzzParseJournal holds a small real journal
 // (eilid-fleet -gen 3 -seed 1 -no-apps -no-scenarios) and a torn copy.
 // The parser must never panic, and every journal it accepts must keep
-// its result indices in [0, Header.Jobs). A journal that parses whole
-// (not torn) must also survive the crashes that could have torn it:
-// cut after its header line, at each line's start, one byte in, its
-// middle and one byte before its end, it parses without error into a
-// subset of its results. (TestParseJournalEveryCut tries every byte of
-// a real journal; trying every byte here would make each input cost
-// thousands of parses.)
+// its result indices in [0, Header.Jobs). Every accepted journal whose
+// header matrix holds at most 64 jobs then goes through what -resume
+// does next, against a runner rebuilt from its header (checkResume).
+// A journal that parses whole (not torn) must also survive the crashes
+// that could have torn it: cut after its header line, at each line's
+// start, one byte in, its middle and one byte before its end, it
+// parses without error into a subset of its results.
+// (TestParseJournalEveryCut tries every byte of a real journal; trying
+// every byte here would make each input cost thousands of parses.)
 func FuzzParseJournal(f *testing.F) {
+	rebuilt := &rebuiltRunners{p: newPipeline(f), byFingerprint: map[string]*Runner{}}
+	seed, err := ParseJournal(corpusEntry(f, "FuzzParseJournal", "seed-gen3"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if r := rebuilt.runner(seed); r == nil {
+		f.Fatal("no runner rebuilt from the seed-gen3 header")
+	} else if err := seed.Validate(r); err != nil {
+		f.Fatalf("committed seed-gen3 journal does not validate: %v", err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		j, err := ParseJournal(data)
 		if err != nil {
@@ -28,6 +47,9 @@ func FuzzParseJournal(f *testing.F) {
 			if idx < 0 || idx >= j.Header.Jobs || r.Index != idx {
 				t.Fatalf("result %d (index %d) outside [0, %d)", idx, r.Index, j.Header.Jobs)
 			}
+		}
+		if r := rebuilt.runner(j); r != nil {
+			checkResume(t, j, r)
 		}
 		if j.Truncated {
 			return
@@ -44,6 +66,109 @@ func FuzzParseJournal(f *testing.F) {
 		}
 		checkCut(t, data, j, unique, len(data))
 	})
+}
+
+// rebuiltRunners builds the runner -resume would rebuild from a
+// journal header, once per fingerprint: the fuzzer mutates job lines
+// far more often than it forges a header whose fingerprint matches.
+// A fuzz process calls its target sequentially, so no lock is needed.
+type rebuiltRunners struct {
+	p             *core.Pipeline
+	byFingerprint map[string]*Runner // nil: the header names no buildable matrix of at most 64 jobs
+}
+
+func (rr *rebuiltRunners) runner(j *Journal) *Runner {
+	fp := j.Header.Fingerprint
+	if r, ok := rr.byFingerprint[fp]; ok {
+		return r
+	}
+	var r *Runner
+	spec := j.Header.Spec.Batch()
+	if rs, err := ResolveSpec(spec); err == nil {
+		if _, ok := rs.Matrix.JobCount(64); ok {
+			spec.Exec.Workers = 1
+			r, _ = NewRunner(rr.p, spec)
+		}
+	}
+	rr.byFingerprint[fp] = r
+	return r
+}
+
+// checkResume holds a parsed journal to what -resume relies on. The
+// header's jobs field is not fingerprinted, so Validate must refuse a
+// count that disagrees with the rebuilt matrix — the journal's own, or
+// one off by one either way — before Remaining loops over it. Once
+// Validate accepts, Remaining must list, ascending and in range,
+// exactly the indices with no record or an error record, and Merged
+// must succeed exactly when every index has a record — which includes
+// every journal with nothing remaining. (A resume re-runs an error
+// record and journals it again when the failure is deterministic, so
+// Merged accepts error records.)
+func checkResume(t *testing.T, j *Journal, r *Runner) {
+	t.Helper()
+	for _, d := range []int{-1, 1} {
+		forged := *j
+		forged.Header.Jobs += d
+		if forged.Validate(r) == nil {
+			t.Fatalf("Validate accepted a header claiming %d jobs for a %d-job matrix", forged.Header.Jobs, len(r.jobs))
+		}
+	}
+	if err := j.Validate(r); err != nil {
+		return
+	}
+	if j.Header.Jobs != len(r.jobs) {
+		t.Fatalf("Validate accepted %d jobs against a %d-job matrix", j.Header.Jobs, len(r.jobs))
+	}
+	need := make([]bool, j.Header.Jobs)
+	for i := range need {
+		need[i] = true
+	}
+	missing := len(need) - len(j.Results)
+	for idx, jr := range j.Results {
+		if jr.Err == "" {
+			need[idx] = false
+		}
+	}
+	rem := j.Remaining()
+	for k, i := range rem {
+		if i < 0 || i >= len(need) || k > 0 && i <= rem[k-1] {
+			t.Fatalf("Remaining() = %v: not ascending in [0, %d)", rem, len(need))
+		}
+		if !need[i] {
+			t.Fatalf("Remaining() lists job %d, which has a clean record", i)
+		}
+		need[i] = false
+	}
+	if i := slices.Index(need, true); i >= 0 {
+		t.Fatalf("Remaining() = %v omits job %d, which has no clean record", rem, i)
+	}
+	merged, err := j.Merged()
+	if (err == nil) != (missing == 0) {
+		t.Fatalf("Merged() err = %v with %d jobs unrecorded", err, missing)
+	}
+	if len(rem) == 0 && err != nil {
+		t.Fatalf("Merged() failed with nothing remaining: %v", err)
+	}
+	if err == nil && len(merged) != len(r.jobs) {
+		t.Fatalf("Merged() returned %d results for %d jobs", len(merged), len(r.jobs))
+	}
+}
+
+// corpusEntry decodes one committed []byte input of a fuzz target's
+// seed corpus.
+func corpusEntry(tb testing.TB, target, name string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit = strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")")
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		tb.Fatalf("%s/%s: %v", target, name, err)
+	}
+	return []byte(s)
 }
 
 // TestParseJournalEveryCut runs the fuzz corpus's batch and checks the

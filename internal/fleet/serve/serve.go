@@ -9,9 +9,10 @@
 //
 // Endpoints:
 //
-//	POST /batches              submit a BatchSpec (JSON, unknown fields
-//	                           rejected — the same validation surface as
-//	                           `eilid-fleet -spec`); returns 202 + status
+//	POST /batches              submit a BatchSpec (fleet.DecodeSpec: unknown
+//	                           fields and trailing data rejected — the
+//	                           same validation surface as `eilid-fleet
+//	                           -spec`); returns 202 + status
 //	GET  /batches              list batch statuses in submission order
 //	GET  /batches/{id}         one batch's status
 //	GET  /batches/{id}/journal the batch journal as chunked NDJSON —
@@ -181,16 +182,12 @@ func (s *Server) Handler() http.Handler {
 // programmatic core of POST /batches. The spec goes through the
 // validation surface `eilid-fleet -spec` applies — ResolveSpec for
 // registry names and ranges, and the journal header derived from the
-// resolved matrix — and two limits of its own: no fault injection (a
-// test harness, not something a network client may switch on) and at
-// most MaxBatchJobs jobs.
+// resolved matrix — and one limit of its own: at most MaxBatchJobs
+// jobs.
 func (s *Server) Submit(spec fleet.BatchSpec) (*Batch, error) {
 	resolved, err := fleet.ResolveSpec(spec)
 	if err != nil {
 		return nil, err
-	}
-	if resolved.Fault.Enabled() {
-		return nil, fmt.Errorf("serve: fault injection is not accepted over HTTP")
 	}
 	if _, ok := resolved.Matrix.JobCount(MaxBatchJobs); !ok {
 		return nil, fmt.Errorf("serve: batch exceeds %d jobs", MaxBatchJobs)
@@ -519,10 +516,8 @@ func (b *Batch) waitJournal(ctx context.Context, off int) ([]byte, bool) {
 const maxSpecBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	var spec fleet.BatchSpec
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := fleet.DecodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding spec: %v", err))
 		return
 	}

@@ -295,10 +295,11 @@ func TestServeStopCancelsInFlight(t *testing.T) {
 }
 
 // TestServeRejectsUnknownFields pins the validation surface: POST
-// /batches applies DisallowUnknownFields and ResolveSpec, exactly like
-// `eilid-fleet -spec` on a file, and additionally refuses fault
-// injection and matrices past MaxBatchJobs — each a 400 before
-// anything is queued.
+// /batches applies fleet.DecodeSpec (unknown fields — including the
+// retired `fault` section and `exec.max_retries` — and trailing data
+// are errors) and ResolveSpec, exactly like `eilid-fleet -spec` on a
+// file, and additionally refuses matrices past MaxBatchJobs — each a
+// 400 before anything is queued.
 func TestServeRejectsUnknownFields(t *testing.T) {
 	s := New(newPipeline(t), Options{})
 	defer s.Stop()
@@ -313,6 +314,9 @@ func TestServeRejectsUnknownFields(t *testing.T) {
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"no_recycle": true}}`,
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"job_timeout": "1h"}, "fault": {"hang_at": [0], "hang_for": "1h"}}`,
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "fault": {"panic_at": [0]}}`,
+		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"max_retries": 2}}`,
+		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}}` + "\n" + `{"matrix": {"apps": ["TempSensor"]}, "typo_knob": 1}`,
+		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}} trailing`,
 		`{"matrix": {"no_apps": true, "no_scenarios": true, "generated": {"seed": 1, "count": 4611686018427387904}}}`,
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true, "repeat": 4611686018427387904}}`,
 		`{"matrix": {"no_apps": true, "no_scenarios": true, "generated": {"seed": 1, "count": 16385}}}`, // 65540 jobs

@@ -7,16 +7,15 @@ package fleet
 // the journal header fingerprint is computed from its resolved matrix,
 // so a knob added here is automatically a knob everywhere.
 //
-// The three sections split along the determinism contract:
+// The two sections split along the determinism contract:
 //
 //   - Matrix selects the jobs and is the only part the journal
 //     fingerprint covers — it alone determines job identity.
-//   - Exec holds execution knobs (pool size, recycling, watchdog,
-//     retry budget) that must never change results, only how fast or
-//     how safely they are computed.
-//   - Fault injects deterministic faults for the crash-safety suites;
-//     it is never carried across a resume, and eilid-fleetd refuses
-//     it.
+//   - Exec holds execution knobs (pool size, watchdog) that must never
+//     change results, only how fast or how safely they are computed.
+//
+// DecodeSpec is the one strict decoder for the serialized form, shared
+// by `-spec`, POST /batches and the spec fuzzer.
 //
 // ResolveSpec canonicalizes the matrix against the registries; a
 // resolved spec is idempotent under re-resolution, which is what lets
@@ -25,7 +24,9 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"eilid/internal/apps"
@@ -33,12 +34,32 @@ import (
 	"eilid/internal/core"
 )
 
-// BatchSpec selects the job matrix, the execution knobs and any
-// injected faults for one fleet batch.
+// BatchSpec selects the job matrix and the execution knobs for one
+// fleet batch.
 type BatchSpec struct {
 	Matrix MatrixSpec `json:"matrix"`
 	Exec   ExecSpec   `json:"exec"`
-	Fault  FaultSpec  `json:"fault"`
+}
+
+// DecodeSpec reads one serialized BatchSpec from r. It is strict: an
+// unknown field (a typo'd knob, or a retired one such as `fault` or
+// `exec.max_retries`) is an error, and so is anything but whitespace
+// after the spec, so a file or body holding two documents cannot run
+// the first and drop the rest.
+func DecodeSpec(r io.Reader) (BatchSpec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec BatchSpec
+	if err := dec.Decode(&spec); err != nil {
+		return BatchSpec{}, err
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return BatchSpec{}, fmt.Errorf("fleet: trailing data after the spec: %w", err)
+	}
+	return spec, nil
 }
 
 // MatrixSpec selects the job matrix — everything that determines job
@@ -93,10 +114,6 @@ type ExecSpec struct {
 	// deterministic watchdog failure instead of hanging the batch.
 	// Zero disables the watchdog.
 	JobTimeout Duration `json:"job_timeout,omitempty"`
-	// MaxRetries bounds the extra attempts a job reporting a transient
-	// failure (see TransientErrPrefix) gets before the failure is
-	// recorded. Zero means DefaultMaxRetries; negative disables retry.
-	MaxRetries int `json:"max_retries,omitempty"`
 }
 
 // Duration is a time.Duration that serializes as its human-readable
@@ -139,8 +156,8 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // registry drift between two processes shows up as a fingerprint
 // mismatch instead of silently different matrices), names are
 // validated, Repeat defaults to 1, and an unused generated seed is
-// zeroed. Exec and Fault pass through untouched (Exec.Workers is only
-// range-checked) — their sentinel semantics (0 = default) are resolved
+// zeroed. Exec passes through untouched (Exec.Workers is only
+// range-checked) — its sentinel semantics (0 = default) are resolved
 // at run time, never baked into a serialized spec.
 //
 // Resolution is idempotent and needs no build artifacts, so `-dump-

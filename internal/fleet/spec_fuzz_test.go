@@ -2,28 +2,25 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"math/big"
 	"reflect"
 	"testing"
 )
 
-// FuzzBatchSpec feeds arbitrary bytes to the spec decoder exactly as
-// `eilid-fleet -spec` and fleetd's POST /batches decode them (strict:
-// unknown fields are errors) and resolves the result. The committed
-// corpus under testdata/fuzz/FuzzBatchSpec holds `-dump-spec` output
-// and specs the decoder or ResolveSpec must reject. Nothing may panic.
+// FuzzBatchSpec feeds arbitrary bytes to DecodeSpec, the decoder
+// `eilid-fleet -spec` and fleetd's POST /batches share (strict: unknown
+// fields and trailing data are errors), and resolves the result. The
+// committed corpus under testdata/fuzz/FuzzBatchSpec holds `-dump-spec`
+// output and specs the decoder or ResolveSpec must reject. Nothing may panic.
 // A spec ResolveSpec accepts must re-resolve to itself, fingerprint the
 // same before and after resolution, and count its jobs against any
 // limit without overflow: JobCount reports ok exactly when the true
 // product is within the limit, and then returns it.
 func FuzzBatchSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		var spec BatchSpec
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := DecodeSpec(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
 		rs, err := ResolveSpec(spec)

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -145,8 +146,7 @@ func TestResolveSpecIdempotent(t *testing.T) {
 func TestBatchSpecJSONRoundTrip(t *testing.T) {
 	spec, err := ResolveSpec(BatchSpec{
 		Matrix: MatrixSpec{Repeat: 2, Generated: GeneratedSpec{Seed: 5, Count: 3}},
-		Exec:   ExecSpec{Workers: 4, JobTimeout: Duration(90 * time.Second), MaxRetries: -1},
-		Fault:  FaultSpec{PanicAt: []int{1}, HangAt: []int{2}, HangFor: Duration(time.Second)},
+		Exec:   ExecSpec{Workers: 4, JobTimeout: Duration(90 * time.Second)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +166,28 @@ func TestBatchSpecJSONRoundTrip(t *testing.T) {
 	fpB, errB := back.Fingerprint()
 	if errA != nil || errB != nil || fpA != fpB {
 		t.Fatalf("round-trip changed the fingerprint: %s / %s (%v, %v)", fpA, fpB, errA, errB)
+	}
+}
+
+// TestDecodeSpecTrailingData: the strict decoder accepts one spec plus
+// trailing whitespace (the newline -dump-spec prints) and refuses
+// anything after it, so a second document cannot ride along unread.
+func TestDecodeSpecTrailingData(t *testing.T) {
+	const one = `{"matrix":{"apps":["LightSensor"],"no_scenarios":true}}`
+	spec, err := DecodeSpec(strings.NewReader(one + "\n \t\n"))
+	if err != nil || !reflect.DeepEqual(spec.Matrix.Apps, []string{"LightSensor"}) {
+		t.Fatalf("spec with trailing whitespace: %+v, %v", spec, err)
+	}
+	for _, tail := range []string{
+		`{"matrix":{"apps":["TempSensor"]},"typo_knob":1}`,
+		"\n" + one,
+		"}",
+		"x",
+		"0",
+	} {
+		if _, err := DecodeSpec(strings.NewReader(one + tail)); err == nil {
+			t.Errorf("spec followed by %q accepted", tail)
+		}
 	}
 }
 
