@@ -44,17 +44,22 @@ test-benchmark:
 # its Remaining jobs and Merge consistently against a runner rebuilt
 # from the header), and the BatchSpec decoder behind -spec and
 # POST /batches must never panic and must resolve every spec it accepts
-# idempotently with an overflow-free job count. The committed seed
-# corpora under */testdata/fuzz/ anchor the search; real finds land
-# there as regression inputs. The two fleet targets cap minimization at
-# 100 runs per input: with the default 60 s budget their workers spend
-# all 5 s shrinking the first mutants of the kilobyte-sized seeds and
-# run only a handful of inputs.
+# idempotently with an overflow-free job count, and arbitrary
+# instruction streams ending in a spin loop must run on the production
+# path exactly as on the cache-less reference under every defense
+# column. The committed seed corpora under */testdata/fuzz/ anchor the
+# search; real finds land there as regression inputs. The two fleet
+# targets cap minimization at 100 runs per input: with the default 60 s
+# budget their workers spend all 5 s shrinking the first mutants of the
+# kilobyte-sized seeds and run only a handful of inputs. The execution
+# differential caps it too: each of its runs builds and runs eight
+# machines, so it manages only a few hundred runs per second.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAssemble$$' -fuzztime=5s ./internal/asm
 	$(GO) test -run='^$$' -fuzz='^FuzzUARTPayload$$' -fuzztime=5s ./internal/attacks
 	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/fleet
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchSpec$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/fleet
+	$(GO) test -run='^$$' -fuzz='^FuzzExecDifferential$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/core
 
 # One-iteration benchmark pass so throughput regressions surface in PRs
 # without burning CI minutes. ThroughputReference rides along so the

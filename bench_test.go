@@ -291,7 +291,9 @@ func BenchmarkSimulator_FleetMatrix(b *testing.B) {
 // each defense column on recycled machines, the rate fleet jobs get.
 // Builds, decode caches and machines are made before the timer starts;
 // each iteration recycles and runs every app once. pure-share is the
-// fraction of instructions retired on the pure block path, and
+// fraction of instructions retired on the pure block path,
+// skipped-share the fraction of simulated cycles spin loops retired
+// without running them (they count in simMcycles/s too), and
 // exits/kcycle counts the block executor's returns to the run loop
 // (every reason in CPU.BlockExits) per thousand simulated cycles.
 func BenchmarkSimulator_AppsByDefense(b *testing.B) {
@@ -323,7 +325,7 @@ func BenchmarkSimulator_AppsByDefense(b *testing.B) {
 				ms = append(ms, m)
 				run = append(run, app)
 			}
-			var cycles, insns, pure, exits uint64
+			var cycles, insns, pure, skipped, exits uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for k, m := range ms {
@@ -337,6 +339,7 @@ func BenchmarkSimulator_AppsByDefense(b *testing.B) {
 					cycles += insp.Cycles
 					insns += m.CPU.Insns
 					pure += m.CPU.PureInsns
+					skipped += m.CPU.SkippedCycles
 					for _, n := range m.CPU.BlockExits {
 						exits += n
 					}
@@ -344,6 +347,7 @@ func BenchmarkSimulator_AppsByDefense(b *testing.B) {
 			}
 			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "simMcycles/s")
 			b.ReportMetric(float64(pure)/float64(insns), "pure-share")
+			b.ReportMetric(float64(skipped)/float64(cycles), "skipped-share")
 			b.ReportMetric(float64(exits)/float64(cycles)*1e3, "exits/kcycle")
 		})
 	}

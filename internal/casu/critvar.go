@@ -109,6 +109,9 @@ func (c *CritVar) QuietFetch(prev, pc uint16) bool { return true }
 // OnRead implements Defense (reads carry no new information here).
 func (c *CritVar) OnRead(pc, addr uint16, byteWide bool) {}
 
+// QuietRead implements Defense: every read is quiet.
+func (c *CritVar) QuietRead(pc, addr uint16) bool { return true }
+
 // OnWrite implements Defense: an on-bus CPU store to a watched word is
 // an attested update — the hardware saw it issued — so the copy tracks
 // it. (Provenance checking of the issuing PC is where full OAT goes

@@ -26,6 +26,13 @@ package casu
 //     through CPU stores that OnWrite reports. Off-bus writes (the
 //     harness's arbitrary-write primitive) land only between CPU runs,
 //     so the first fetch after one is always delivered.
+//   - QuietRead is the read-side twin, with the same static contract:
+//     it may return true only when OnRead(pc, addr, ·) can neither trip
+//     nor change state that a later callback or Violation reads. Block
+//     execution still delivers every read of an instruction it runs; it
+//     uses QuietRead to retire the repeats of a status poll without
+//     running them (see cpu.RunBlocks), whose reads and entry fetches
+//     are then never delivered.
 //   - The machine polls Violation after every instruction that
 //     delivered a callback, so a violation raised in
 //     OnFetch/OnRead/OnWrite/OnInterrupt is observed cycle-exactly:
@@ -52,6 +59,10 @@ type Defense interface {
 	// QuietFetch reports that OnFetch(prev, pc) for a straight-line step
 	// inside a fused block may be skipped (cpu.FetchFilter).
 	QuietFetch(prev, pc uint16) bool
+	// QuietRead reports that OnRead(pc, addr, ·) may be skipped where
+	// block execution retires a spin loop without running it
+	// (cpu.ReadFilter).
+	QuietRead(pc, addr uint16) bool
 
 	// Violation returns the first breach observed since the last Clear,
 	// or nil.

@@ -351,3 +351,35 @@ func TestQuietFetch(t *testing.T) {
 		t.Error("critvar: in-block fetches must be quiet")
 	}
 }
+
+// TestQuietRead: each defense calls a read quiet exactly when
+// delivering it trips nothing (none of them keeps state on reads).
+// eilid hears one kind of read, secure data read from outside the
+// secure ROM; shadow and critvar hear none.
+func TestQuietRead(t *testing.T) {
+	cfg := testConfig()
+	l := cfg.Layout
+	m := wordMem{0x0400: 1}
+	defenses := map[string]func() Defense{
+		"eilid":   func() Defense { return NewMonitor(cfg) },
+		"shadow":  func() Defense { return newShadow(m) },
+		"critvar": func() Defense { return NewCritVar(CritVarConfig{Watch: []uint16{0x0400}, Peek: m.peek}) },
+	}
+	pcs := []uint16{0xE000, 0xF7FE, l.SecureROMStart, l.SecureROMStart + 2, cfg.ExitPoint}
+	addrs := []uint16{0x0074, 0x0200, 0x0400, l.SecureDataStart, l.SecureDataStart + 1, l.SecureDataEnd, 0xE000, l.SecureROMStart}
+	for name, mk := range defenses {
+		for _, pc := range pcs {
+			for _, addr := range addrs {
+				d := mk()
+				d.OnRead(pc, addr, false)
+				tripped := d.Violation() != nil
+				if d.QuietRead(pc, addr) == tripped {
+					t.Errorf("%s: QuietRead(%04x, %04x) = %v, and the read tripped %v", name, pc, addr, !tripped, d.Violation())
+				}
+			}
+		}
+	}
+	if d := NewMonitor(cfg); d.QuietRead(0xE000, l.SecureDataStart) || !d.QuietRead(l.SecureROMStart, l.SecureDataStart) {
+		t.Error("eilid: a secure-data read from PMEM must be loud, from the ROM quiet")
+	}
+}

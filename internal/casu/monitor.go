@@ -244,6 +244,13 @@ func (m *Monitor) OnRead(pc, addr uint16, byteWide bool) {
 	}
 }
 
+// QuietRead implements Defense: the only read the monitor hears is a
+// secure-data read from outside the secure ROM, which trips.
+func (m *Monitor) QuietRead(pc, addr uint16) bool {
+	l := m.cfg.Layout
+	return !m.cfg.EnforceSecureRegion || l.RegionOf(addr) != mem.RegionSecureData || l.InSecureROM(pc)
+}
+
 // OnWrite implements cpu.Watcher: immutability, shadow-stack exclusivity
 // and violation-latch semantics.
 func (m *Monitor) OnWrite(pc, addr uint16, byteWide bool, value uint16) {

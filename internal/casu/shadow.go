@@ -235,6 +235,9 @@ func (s *ShadowStack) QuietFetch(prev, pc uint16) bool {
 // OnRead implements Defense (the shadow stack does not watch reads).
 func (s *ShadowStack) OnRead(pc, addr uint16, byteWide bool) {}
 
+// QuietRead implements Defense: every read is quiet.
+func (s *ShadowStack) QuietRead(pc, addr uint16) bool { return true }
+
 // OnWrite implements Defense: drop decode-cache entries whose fetch
 // window the write may cover (an instruction starts at most four bytes
 // before a word it consumes).

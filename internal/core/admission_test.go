@@ -12,22 +12,34 @@ import (
 	"eilid/internal/cpu"
 )
 
+// admitFilter is what block execution asks of a watcher: which
+// fetches it may skip inside a block, and which reads it may skip in
+// the repeats of a spin loop.
+type admitFilter interface {
+	cpu.FetchFilter
+	cpu.ReadFilter
+}
+
 // quietRecorder is an eventRecorder that also forwards the monitor's
-// QuietFetch, so block execution filters fetches through it exactly as
-// it does for the bare monitor. (A plain eventRecorder has no
-// QuietFetch, which pins every-fetch delivery.)
+// QuietFetch and QuietRead, so block execution filters fetches and
+// skips spin loops through it exactly as it does for the bare monitor.
+// (A plain eventRecorder has neither, which pins every-fetch delivery
+// and keeps every spin running.)
 type quietRecorder struct {
 	*eventRecorder
-	filter cpu.FetchFilter
+	filter admitFilter
 }
 
 func (r *quietRecorder) QuietFetch(prev, pc uint16) bool { return r.filter.QuietFetch(prev, pc) }
 
+func (r *quietRecorder) QuietRead(pc, addr uint16) bool { return r.filter.QuietRead(pc, addr) }
+
 // compareAdmitted asserts that a production run whose watcher filters
-// fetches matches the reference machine in every observable, and that
-// its watcher stream is the reference stream with only fetches
-// QuietFetch calls quiet removed. It returns how many were removed.
-func compareAdmitted(t *testing.T, what string, admitted, reference observed, quiet cpu.FetchFilter) int {
+// fetches and reads matches the reference machine in every observable,
+// and that its watcher stream is the reference stream with only
+// fetches QuietFetch and reads QuietRead call quiet removed. It returns
+// how many were removed.
+func compareAdmitted(t *testing.T, what string, admitted, reference observed, quiet admitFilter) int {
 	t.Helper()
 	a, r := admitted, reference
 	a.events, r.events = nil, nil
@@ -38,7 +50,7 @@ func compareAdmitted(t *testing.T, what string, admitted, reference observed, qu
 			j++
 			continue
 		}
-		if ev.kind != 'F' || !quiet.QuietFetch(ev.a, ev.b) {
+		if !(ev.kind == 'F' && quiet.QuietFetch(ev.a, ev.b) || ev.kind == 'R' && quiet.QuietRead(ev.a, ev.b)) {
 			t.Errorf("%s: reference event %v is missing from the block run (block event %d of %d)",
 				what, ev, j, len(admitted.events))
 			return dropped
@@ -52,26 +64,31 @@ func compareAdmitted(t *testing.T, what string, admitted, reference observed, qu
 	return dropped
 }
 
-// allQuiet is the fetch filter of an unmonitored machine: a machine
-// without a watcher needs no fetch inside a block.
+// allQuiet is the filter of an unmonitored machine: a machine without
+// a watcher needs no fetch inside a block and no read of a spin.
 type allQuiet struct{}
 
 func (allQuiet) QuietFetch(prev, pc uint16) bool { return true }
 
-// filterOf returns the fetch filter block execution applies on m.
-func filterOf(m *core.Machine) cpu.FetchFilter {
+func (allQuiet) QuietRead(pc, addr uint16) bool { return true }
+
+// filterOf returns the filter block execution applies on m.
+func filterOf(m *core.Machine) admitFilter {
 	if m.Monitor == nil {
 		return allQuiet{}
 	}
 	return m.Monitor
 }
 
+// cornerBudget is the cycle budget of a corner run.
+const cornerBudget = 200_000
+
 // cornerRun loads prog unmodified on a machine of the given defense
 // (with the secure ROM where the defense needs it), on the production
 // path or as the cache-less reference, watches it through a
 // quietRecorder, optionally pokes once the PC reaches pokeAt, and runs
-// until the first reset, halt or budget.
-func cornerRun(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, prog *asm.Program, production bool, pokeAt uint16, poke func(*core.Machine)) (observed, *core.Machine) {
+// until the first reset, halt or the budget.
+func cornerRun(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, prog *asm.Program, production bool, pokeAt uint16, poke func(*core.Machine), budget uint64) (observed, *core.Machine) {
 	t.Helper()
 	opts := core.MachineOptions{Config: p.Config(), Defense: spec}
 	if spec.Instrumented {
@@ -101,7 +118,7 @@ func cornerRun(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, prog *asm
 		}
 		poke(m)
 	}
-	res, runErr := m.RunUntilReset(200_000)
+	res, runErr := m.RunUntilReset(budget)
 	return observation(m, rec, res, runErr), m
 }
 
@@ -117,8 +134,8 @@ func cornerDifferential(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, 
 		t.Fatal(err)
 	}
 	pokeAt := prog.Symbols[pokeSym]
-	admitted, m := cornerRun(t, p, spec, prog, true, pokeAt, poke)
-	reference, _ := cornerRun(t, p, spec, prog, false, pokeAt, poke)
+	admitted, m := cornerRun(t, p, spec, prog, true, pokeAt, poke, cornerBudget)
+	reference, _ := cornerRun(t, p, spec, prog, false, pokeAt, poke, cornerBudget)
 	compareAdmitted(t, spec.Name, admitted, reference, m.Monitor)
 	var v *casu.Violation
 	if len(m.ResetReasons) > 0 {

@@ -1,0 +1,204 @@
+package core_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"eilid/internal/core"
+	"eilid/internal/isa"
+	"eilid/internal/periph"
+)
+
+// fuzzBudget is the cycle budget of one FuzzExecDifferential run: a
+// few timer periods, an ADC conversion and a ranger measurement.
+const fuzzBudget = 20_000
+
+// fuzzFlag is the DMEM word the template's interrupt handler counts up.
+const fuzzFlag = 0x0200
+
+// spinPolls are the addresses the spin template may poll: UART status
+// and RX, the ADC and ranger done flags, the timer counter, the DMEM
+// flag and a secure-data word.
+var spinPolls = []uint16{periph.USTATAddr, periph.URXAddr, periph.ADCSTAGES, periph.USSTATAddr, 0x0170, fuzzFlag, 0x0A80}
+
+// fuzzAddrs are the absolute addresses the instruction stream's memory
+// operands pick from: every peripheral the template starts, the timer,
+// the flag and its neighbour, secure data, the violation latch, the
+// halt register, code and the timer's vector.
+var fuzzAddrs = []uint16{
+	periph.USTATAddr, periph.URXAddr, periph.UTXAddr, periph.ADCCTLAddr, periph.ADCMEMAddr, periph.ADCSTAGES,
+	periph.USTRIGAddr, periph.USWIDTHAddr, periph.USSTATAddr, 0x0160, 0x0170, 0x0172,
+	periph.P1INAddr, periph.P1OUTAddr, fuzzFlag, fuzzFlag + 2, 0x0A80, periph.ViolationAddr, core.SimCtlAddr,
+	0xE000, 0xFFF0,
+}
+
+// fuzzBytes reads a fuzz input front to back, as zeros once it runs out.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return v
+}
+
+func (b *fuzzBytes) word() uint16 { return uint16(b.next()) | uint16(b.next())<<8 }
+
+// fuzzOperand decodes one operand on the general-purpose registers:
+// register, absolute, indexed, and for a source also immediate,
+// indirect and indirect auto-increment.
+func fuzzOperand(b *fuzzBytes, src bool) isa.Operand {
+	m := b.next()
+	r := isa.Reg(4 + m>>4%12)
+	modes := byte(3)
+	if src {
+		modes = 6
+	}
+	switch m % modes {
+	case 0:
+		return isa.RegOp(r)
+	case 1:
+		return isa.Abs(fuzzAddrs[int(b.next())%len(fuzzAddrs)])
+	case 2:
+		return isa.Indexed(uint16(int8(b.next())), r)
+	case 3:
+		return isa.Imm(b.word())
+	case 4:
+		return isa.Indirect(r)
+	}
+	return isa.IndirectInc(r)
+}
+
+// fuzzInstruction decodes one format I or format II instruction (CALL
+// and RETI excluded, so control stays on the template's path).
+func fuzzInstruction(b *fuzzBytes) isa.Instruction {
+	op := b.next()
+	in := isa.Instruction{Byte: op&0x80 != 0, Src: fuzzOperand(b, true)}
+	if k := op & 0x7F % 17; k < 12 {
+		in.Op = isa.Opcode(k)
+		in.Dst = fuzzOperand(b, false)
+	} else {
+		in.Op = isa.RRC + isa.Opcode(k-12)
+	}
+	return in
+}
+
+// spinProgram turns a fuzz input into a program: setup that starts the
+// timer, the ADC and the ranger as the input asks, an instruction
+// stream encoded through isa.Encode, then a spin loop on the polled
+// address, with an interrupt handler on every vector that counts the
+// DMEM flag up. It also returns the bytes to feed the UART.
+//
+// Input layout: poll selector; flags (bit 0 GIE, 1 timer IE, 2 ADC
+// start, 3 ADC IE, 4 ranger trigger, 5-6 the loop's extra op: none, a
+// store or a register change, 7 cmp instead of bit); flags (bits 0-1
+// the jump condition, 2 a byte-wide poll, 3-4 UART bytes, 5 the mask in
+// the high byte); timer period (little-endian, 0 leaves the timer off);
+// poll mask; the UART bytes; the stream's length; the stream.
+func spinProgram(data []byte) (src string, uart []byte) {
+	b := fuzzBytes(data)
+	poll := spinPolls[int(b.next())%len(spinPolls)]
+	f1, f2 := b.next(), b.next()
+	period, mask := b.word(), uint16(b.next())
+	if f2&32 != 0 {
+		mask <<= 8
+	}
+	for n := f2 >> 3 & 3; n > 0; n-- {
+		uart = append(uart, b.next())
+	}
+	var setup []string
+	if period != 0 {
+		ctl := periph.TimerModeUp
+		if f1&2 != 0 {
+			ctl |= periph.TimerIE
+		}
+		setup = append(setup, fmt.Sprintf("mov #%d, &0x0172", period), fmt.Sprintf("mov #%d, &0x0160", ctl))
+	}
+	if f1&4 != 0 {
+		ctl := periph.ADCStart
+		if f1&8 != 0 {
+			ctl |= periph.ADCIE
+		}
+		setup = append(setup, fmt.Sprintf("mov #%d, &0x%04X", ctl, periph.ADCCTLAddr))
+	}
+	if f1&16 != 0 {
+		setup = append(setup, fmt.Sprintf("mov #1, &0x%04X", periph.USTRIGAddr))
+	}
+	if f1&1 != 0 {
+		setup = append(setup, "eint")
+	}
+	for n := b.next() % 9; n > 0; n-- {
+		if words, err := isa.Encode(fuzzInstruction(&b)); err == nil {
+			hex := make([]string, len(words))
+			for i, w := range words {
+				hex[i] = fmt.Sprintf("0x%04X", w)
+			}
+			setup = append(setup, ".word "+strings.Join(hex, ", "))
+		}
+	}
+	extra := [4]string{"", fmt.Sprintf("mov r4, &0x%04X", fuzzFlag+2), "inc r5", ""}[f1>>5&3]
+	test := "bit"
+	if f1&128 != 0 {
+		test = "cmp"
+	}
+	if f2&4 != 0 {
+		test += ".b"
+	}
+	jump := [4]string{"jz", "jnz", "jc", "jnc"}[f2&3]
+	vectors := strings.TrimSuffix(strings.Repeat("isr, ", 15), ", ")
+	return fmt.Sprintf(`
+.org 0xE000
+reset:
+    mov #0x0A00, sp
+    %s
+wait:
+    %s
+    %s #%d, &0x%04X
+    %s wait
+    mov #0, &0x00FC
+spin:
+    jmp spin
+isr:
+    add #1, &0x%04X
+    reti
+.org 0xFFE0
+.word %s
+.word reset
+`, strings.Join(setup, "\n    "), extra, test, mask, poll, jump, fuzzFlag, vectors), uart
+}
+
+// FuzzExecDifferential runs arbitrary instruction streams, ending in a
+// spin loop whose shape the fuzzer picks, on the cache-less reference
+// and on the production path under every defense column, with a small
+// cycle budget. Production is watched through the defense's own filter,
+// so blocks skip quiet fetches and spin loops retire their repeats
+// without running them. Every observable must match the reference, and
+// the watcher stream may lack only the fetches and reads the filter
+// calls quiet. The committed corpus (testdata/fuzz/FuzzExecDifferential)
+// starts from one spin per polled address.
+func FuzzExecDifferential(f *testing.F) {
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src, uart := spinProgram(data)
+		prog, err := p.BuildOriginal("fuzz.s", src)
+		if err != nil {
+			t.Fatalf("template does not assemble: %v\n%s", err, src)
+		}
+		feed := func(m *core.Machine) { m.UART.Feed(uart) }
+		entry := prog.Symbols["reset"]
+		for _, spec := range core.Defenses() {
+			prod, m := cornerRun(t, p, spec, prog, true, entry, feed, fuzzBudget)
+			ref, _ := cornerRun(t, p, spec, prog, false, entry, feed, fuzzBudget)
+			compareAdmitted(t, spec.Name, prod, ref, filterOf(m))
+		}
+		if t.Failed() {
+			t.Log(src)
+		}
+	})
+}

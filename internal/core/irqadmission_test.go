@@ -37,8 +37,8 @@ func (g *stubGate) Masked(pc uint16) bool { return pc >= g.lo && pc < g.hi }
 func cornerPair(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, prog *asm.Program, setup func(*core.Machine)) (blk, ref observed, bm *core.Machine) {
 	t.Helper()
 	entry := prog.Symbols["reset"]
-	blk, bm = cornerRun(t, p, spec, prog, true, entry, setup)
-	ref, _ = cornerRun(t, p, spec, prog, false, entry, setup)
+	blk, bm = cornerRun(t, p, spec, prog, true, entry, setup, cornerBudget)
+	ref, _ = cornerRun(t, p, spec, prog, false, entry, setup, cornerBudget)
 	compareAdmitted(t, spec.Name, blk, ref, filterOf(bm))
 	return blk, ref, bm
 }
@@ -343,11 +343,15 @@ handler:
 	}
 }
 
-// TestQuietLoadDeclarations checks the mem.QuietLoader declarations of
-// every peripheral register, with every clocked peripheral mid-flight
-// and RX bytes queued: every register but UART RX is declared quiet,
-// and each quiet load reads the same value twice and leaves the pending
-// requests alone. Reading RX pops a byte, so it must stay loud.
+// TestQuietLoadDeclarations checks the mem.QuietLoader and
+// mem.StillHolder declarations of every peripheral register, with every
+// clocked peripheral mid-flight and RX bytes queued: every register but
+// UART RX is declared quiet, and each quiet load reads the same value
+// twice and leaves the pending requests alone. Reading RX pops a byte,
+// so it must stay loud. Every register declared still reads the same
+// value again 100 cycles later, still before any peripheral's next
+// event; the timer counter moves in that time, so it must not be
+// declared still, and neither may RX.
 func TestQuietLoadDeclarations(t *testing.T) {
 	p, err := core.NewPipeline(core.DefaultConfig())
 	if err != nil {
@@ -366,6 +370,17 @@ func TestQuietLoadDeclarations(t *testing.T) {
 	s.StoreByte(0x0024, 0xFF) // P1IE
 	m.UART.Feed([]byte("xyz"))
 	m.CPU.Cycles += 100 // before every peripheral's next event
+	type load struct {
+		addr     uint16
+		byteWide bool
+	}
+	read := func(l load) uint16 {
+		if l.byteWide {
+			return uint16(s.LoadByte(l.addr))
+		}
+		return s.LoadWord(l.addr)
+	}
+	still := map[load]uint16{}
 	type span interface{ Span() (uint16, uint16) }
 	for _, d := range []span{m.Port1, m.Port2, m.TimerA, m.ADC, m.UART, m.LCD, m.Ranger, m.Latch} {
 		lo, hi := d.Span()
@@ -379,25 +394,35 @@ func TestQuietLoadDeclarations(t *testing.T) {
 					t.Errorf("%04x (byte %v): quiet %v", a, byteWide, !rx)
 					continue
 				}
+				l := load{a, byteWide}
+				if moves := rx || a&^1 == 0x0170; s.HoldsStill(a, byteWide) == moves {
+					t.Errorf("%04x (byte %v): still %v", a, byteWide, !moves)
+				}
 				if rx {
 					continue
 				}
-				load := func() uint16 {
-					if byteWide {
-						return uint16(s.LoadByte(a))
-					}
-					return s.LoadWord(a)
-				}
 				before := m.IRQ.HighestPending()
-				if v1, v2 := load(), load(); v1 != v2 || m.IRQ.HighestPending() != before {
+				if v1, v2 := read(l), read(l); v1 != v2 || m.IRQ.HighestPending() != before {
 					t.Errorf("quiet load at %04x (byte %v) read %04x then %04x, pending line %d then %d",
 						a, byteWide, v1, v2, before, m.IRQ.HighestPending())
+				} else if s.HoldsStill(a, byteWide) {
+					still[l] = v1
 				}
 			}
 		}
 	}
-	if !s.QuietLoad(core.SimCtlAddr, false) {
-		t.Error("reading the simulation-control register is not quiet")
+	tar := s.LoadWord(0x0170)
+	m.CPU.Cycles += 100 // still before every peripheral's next event
+	for l, v := range still {
+		if got := read(l); got != v {
+			t.Errorf("still load at %04x (byte %v) read %04x, then %04x 100 cycles later", l.addr, l.byteWide, v, got)
+		}
+	}
+	if s.LoadWord(0x0170) == tar {
+		t.Error("TAR read the same value 100 cycles apart; the test no longer shows why it is not still")
+	}
+	if !s.QuietLoad(core.SimCtlAddr, false) || !s.HoldsStill(core.SimCtlAddr, false) {
+		t.Error("reading the simulation-control register is not quiet or not still")
 	}
 	if a, b := s.LoadWord(periph.URXAddr), s.LoadWord(periph.URXAddr); a != 'x' || b != 'y' {
 		t.Errorf("RX reads %q %q, want the queued bytes in order", a, b)

@@ -33,6 +33,10 @@ func (s *simCtl) StoreWord(addr uint16, v uint16) {
 // QuietLoad implements mem.QuietLoader: only a store halts.
 func (s *simCtl) QuietLoad(addr uint16) bool { return true }
 
+// HoldsStill implements mem.StillHolder: the exit code changes only on
+// a store.
+func (s *simCtl) HoldsStill(addr uint16) bool { return true }
+
 // Machine is a complete simulated device: CPU, memory, peripherals, and
 // whichever defense monitor the configured DefenseSpec wires to the
 // buses (the CASU/EILID monitor with its secure ROM, a hardware shadow

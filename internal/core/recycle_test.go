@@ -312,3 +312,37 @@ func TestRecycleRequiresSnapshot(t *testing.T) {
 		t.Fatalf("Recycle on an unsealed machine: %v, want ErrNoSnapshot", err)
 	}
 }
+
+// TestRecycleAllocFree: Recycle runs once per fleet job, so on a sealed
+// machine of every defense column it allocates nothing, after a run has
+// dirtied memory, the peripherals and the monitor.
+func TestRecycleAllocFree(t *testing.T) {
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, ok := apps.ByName("FireSensor")
+	if !ok {
+		t.Fatal("FireSensor application missing")
+	}
+	build, err := p.Build(app.Name+".s", app.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range core.Defenses() {
+		m := newLoadedMachine(t, p, build, spec)
+		m.Snapshot()
+		m.Boot()
+		if _, err := m.Run(app.MaxCycles); err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		var recycleErr error
+		allocs := testing.AllocsPerRun(100, func() { recycleErr = m.Recycle() })
+		if recycleErr != nil {
+			t.Fatalf("%s: %v", spec.Name, recycleErr)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: Recycle allocates %.1f objects/run", spec.Name, allocs)
+		}
+	}
+}

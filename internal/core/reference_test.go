@@ -83,7 +83,9 @@ func reference(m *core.Machine) { m.UsePredecoded(nil) }
 
 // observed is every observable of one run: inspection, run result,
 // reset reasons, bus errors, the final register file, the peripheral
-// state, and the recorded watcher/interrupt streams.
+// state, and the recorded watcher/interrupt streams. skipped, the
+// cycles the run retired in spin loops without running them, is not an
+// observable: the reference runs every one.
 type observed struct {
 	insp      *apps.Inspection
 	res       core.RunResult
@@ -94,6 +96,7 @@ type observed struct {
 	periph    string
 	events    []event
 	irqCycles []uint64
+	skipped   uint64
 }
 
 // periphState renders what the clocked peripherals leave behind — the
@@ -125,6 +128,7 @@ func observation(m *core.Machine, rec *eventRecorder, res core.RunResult, runErr
 		periph:    periphState(m),
 		events:    rec.events,
 		irqCycles: rec.irqCycles,
+		skipped:   m.CPU.SkippedCycles,
 	}
 	for _, v := range m.ResetReasons {
 		o.reasons = append(o.reasons, v.Error())
@@ -224,10 +228,11 @@ func runDriven(t *testing.T, p *core.Pipeline, app apps.App, build *core.BuildRe
 }
 
 // watchAdmitted wraps the plain recorder runObserved installed in a
-// quietRecorder that forwards the defense's own fetch filter (every
-// fetch quiet on the unmonitored baseline), so blocks deliver only the
-// fetches the defense needs. It stores that filter in *filter.
-func watchAdmitted(filter *cpu.FetchFilter) func(*core.Machine) {
+// quietRecorder that forwards the defense's own filter (every fetch and
+// read quiet on the unmonitored baseline), so blocks deliver only the
+// fetches the defense needs and spin loops skip the repeats it does not
+// need. It stores that filter in *filter.
+func watchAdmitted(filter *admitFilter) func(*core.Machine) {
 	return func(m *core.Machine) {
 		*filter = filterOf(m)
 		m.CPU.Watch = &quietRecorder{eventRecorder: m.CPU.Watch.(*eventRecorder), filter: *filter}
@@ -323,22 +328,27 @@ func TestBlockDifferential(t *testing.T) {
 }
 
 // TestBlockAdmittedDifferential: the same production path watched
-// through the defense's own fetch filter — pure blocks admitted to the
-// pure path, the guarded loop delivering only loud fetches, violations
-// polled only after callbacks. Every observable must match the
-// reference, and the watcher stream may differ from it only by fetches
-// the filter calls quiet.
+// through the defense's own filter — pure blocks admitted to the pure
+// path, the guarded loop delivering only loud fetches, violations
+// polled only after callbacks, spin loops retiring their repeats
+// without running them. Every observable must match the reference,
+// and the watcher stream may differ from it only by fetches and reads
+// the filter calls quiet. UltrasonicRanger, which waits for its echo in
+// a status poll, must skip cycles in every column.
 func TestBlockAdmittedDifferential(t *testing.T) {
 	appMatrix(t, func(t *testing.T, what string, p *core.Pipeline, app apps.App, build *core.BuildResult, spec *core.DefenseSpec) {
-		var filter cpu.FetchFilter
+		var filter admitFilter
 		admitted := runObserved(t, p, app, build, spec, watchAdmitted(&filter))
 		ref := runObserved(t, p, app, build, spec, reference)
 		dropped := compareAdmitted(t, what, admitted, ref, filter)
 		if dropped == 0 {
 			t.Errorf("%s: no fetch was filtered; the admitted path never ran", what)
 		}
-		t.Logf("%s: %d of %d events dropped (%.1f%%)", what, dropped, len(ref.events),
-			100*float64(dropped)/float64(len(ref.events)))
+		if app.Name == "UltrasonicRanger" && admitted.skipped == 0 {
+			t.Errorf("%s: no cycle was skipped in the echo poll", what)
+		}
+		t.Logf("%s: %d of %d events dropped (%.1f%%), %d of %d cycles skipped", what, dropped, len(ref.events),
+			100*float64(dropped)/float64(len(ref.events)), admitted.skipped, admitted.res.Cycles)
 	})
 }
 
@@ -391,7 +401,7 @@ func TestPredecodeDifferential(t *testing.T) {
 			pre = newLoadedMachine(t, p, build, spec).CPU.Predecoded()
 			caches[key] = pre
 		}
-		var filter cpu.FetchFilter
+		var filter admitFilter
 		admit := watchAdmitted(&filter)
 		shared := runObserved(t, p, app, build, spec, func(m *core.Machine) {
 			m.UsePredecoded(pre)

@@ -72,15 +72,29 @@ type FetchFilter interface {
 	QuietFetch(prev, pc uint16) bool
 }
 
+// ReadFilter is an optional Watcher refinement, the read-side twin of
+// FetchFilter. QuietRead(pc, addr) reports that OnRead(pc, addr, ·)
+// can neither raise a violation nor change state that a later callback
+// or violation poll reads. It must be static, like QuietFetch. Every
+// instruction RunBlocks runs still delivers every read; the filter only
+// lets it retire the repeats of a spin loop without running them.
+type ReadFilter interface {
+	QuietRead(pc, addr uint16) bool
+}
+
 // LoadFilter is an optional Bus refinement (implemented by mem.Space)
 // that lets block execution run through peripheral reads.
 // QuietLoad(addr, byteWide) reports that the load at addr, made before
 // the next peripheral event the caller's limit stands for, changes
-// nothing beyond lazy catch-up and raises no interrupt request. The
-// answer must not change once RunBlocks has first run: the block plan
-// reads it once per constant-address operand.
+// nothing beyond lazy catch-up and raises no interrupt request.
+// HoldsStill(addr, byteWide) reports that the value that load returns
+// changes only at that event or through an access that is not a quiet
+// load, so a loop that repeats it reads the same value each time. The
+// answers must not change once RunBlocks has first run: the block plan
+// reads them once per constant-address operand.
 type LoadFilter interface {
 	QuietLoad(addr uint16, byteWide bool) bool
+	HoldsStill(addr uint16, byteWide bool) bool
 }
 
 // IRQSource supplies pending interrupt lines (implemented by
@@ -173,20 +187,23 @@ type CPU struct {
 	hook  *func(addr uint16, n int)
 
 	// PureInsns and GuardedInsns count the instructions RunBlocks
-	// retired on its pure path and in its guarded loop; Step retired
-	// the rest of Insns.
-	PureInsns, GuardedInsns uint64
+	// retired on its pure path and in its guarded loop, and
+	// SkippedInsns those it retired without running them, as the
+	// repeats of a spin loop; Step retired the rest of Insns.
+	// SkippedCycles are the cycles of the skipped instructions.
+	PureInsns, GuardedInsns, SkippedInsns uint64
+	SkippedCycles                         uint64
 	// BlockExits counts RunBlocks returns by reason, indexed by the
 	// Exit constants; the counts sum to the number of RunBlocks calls.
 	BlockExits [NumBlockExits]uint64
 
 	// The block plan (see plan) holds, per block-table slot, the loud,
-	// admit and quiet bits derived from planWatch, planIRQ and the bus.
-	// planned is cleared whenever the block table changes.
-	planned            bool
-	planWatch          Watcher
-	planIRQ            IRQSource
-	loud, admit, quiet []uint64
+	// admit, quiet and spin bits derived from planWatch, planIRQ and the
+	// bus. planned is cleared whenever the block table changes.
+	planned                  bool
+	planWatch                Watcher
+	planIRQ                  IRQSource
+	loud, admit, quiet, spin []uint64
 }
 
 // Block-exit reasons, the indices of CPU.BlockExits.
@@ -303,14 +320,14 @@ func (c *CPU) ResetCodeState() {
 }
 
 // PowerOn returns the CPU to its freshly constructed state: registers
-// and every counter (cycles, instructions, interrupts, the executor
-// counters and BlockExits) zeroed. Unlike Reset it models a power
+// and every counter (cycles, instructions, interrupts, the executor and
+// skip counters and BlockExits) zeroed. Unlike Reset it models a power
 // cycle, not the architectural reset sequence — the machine's Boot
 // still performs that (and its 4-cycle latency) on top.
 func (c *CPU) PowerOn() {
 	c.R = [isa.NumRegs]uint16{}
 	c.Cycles, c.Insns, c.Interrupts = 0, 0, 0
-	c.PureInsns, c.GuardedInsns = 0, 0
+	c.PureInsns, c.GuardedInsns, c.SkippedInsns, c.SkippedCycles = 0, 0, 0, 0
 	c.BlockExits = [NumBlockExits]uint64{}
 	c.prevPC = 0
 }
@@ -1073,7 +1090,17 @@ func (c *CPU) staleRange(w0, w1 uint16) bool {
 //     path with GIE set, self-loops included;
 //   - stop, when non-nil, is the machine's monitor-violation check. It
 //     is polled after every op that delivered a watcher callback, and
-//     true ends execution there.
+//     true ends execution there;
+//   - a spin block (see plan) whose guarded run left all sixteen
+//     registers as it found them will repeat that run exactly until
+//     something outside it acts: it stores nothing, and each value it
+//     loads holds still until the next peripheral event, which limit
+//     stands for. So the whole iterations that still fit under limit
+//     are retired in one step, counted in SkippedInsns and
+//     SkippedCycles, and the next admission ends with ExitLimit as it
+//     would have after running them. Their entry fetches and reads are
+//     not delivered; the plan marks a spin block only where the watcher
+//     calls every one of them quiet.
 //
 // A watcher hears every block's entry fetch and every data access. It
 // hears the other fetches too unless it is a FetchFilter: then only the
@@ -1209,6 +1236,11 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 		g0 := c.invGen
 		c.busTouched = false
 		observe := gie || c.Watch != nil
+		spin := c.spin[i>>6]&(1<<(i&63)) != 0
+		var r0 [isa.NumRegs]uint16
+		if spin {
+			r0 = c.R
+		}
 		for k := range ops {
 			op := &ops[k]
 			// At a loud arrival the gate's mask may flip, so the
@@ -1260,6 +1292,13 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 				return
 			}
 		}
+		if spin && c.R == r0 {
+			n := (limit - c.Cycles) / uint64(b.Cycles)
+			c.Cycles += n * uint64(b.Cycles)
+			c.SkippedCycles += n * uint64(b.Cycles)
+			c.Insns += n * uint64(len(ops))
+			c.SkippedInsns += n * uint64(len(ops))
+		}
 	}
 }
 
@@ -1270,8 +1309,8 @@ func (c *CPU) bitAt(set []uint64, pc uint16) bool {
 }
 
 // plan derives the block plan for the installed block table from the
-// current watcher, interrupt source and bus, as three bitsets over the
-// table's slots (~1.5 KB for a full window):
+// current watcher, interrupt source and bus, as four bitsets over the
+// table's slots (~2 KB for a full window):
 //
 //   - loud marks each slot whose op, arriving from its predecessor in
 //     the fused run, needs observing: the watcher is not a FetchFilter
@@ -1284,7 +1323,12 @@ func (c *CPU) bitAt(set []uint64, pc uint16) bool {
 //     FetchFilter);
 //   - quiet marks each slot whose op makes data accesses at constant
 //     addresses only, each to plain RAM or a load the bus's LoadFilter
-//     calls quiet, so touching the bus there does not end the block.
+//     calls quiet, so touching the bus there does not end the block;
+//   - spin marks each non-pure block whose jump lands back on its own
+//     entry, whose arrivals and back edge are all quiet, and whose every
+//     data access is a quiet load at a constant address that repeats
+//     its value (see stillAccesses): RunBlocks may retire its repeats
+//     without running them.
 //
 // A fused op has one predecessor (every address belongs to one run), so
 // one predicate call per op pair covers every block. Pairs whose code a
@@ -1293,8 +1337,9 @@ func (c *CPU) bitAt(set []uint64, pc uint16) bool {
 func (c *CPU) plan() {
 	c.planned, c.planWatch, c.planIRQ = true, c.Watch, c.IRQ
 	n := (len(c.blkTable) + 63) >> 6
-	c.loud, c.admit, c.quiet = make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	c.loud, c.admit, c.quiet, c.spin = make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
 	f, filtered := c.Watch.(FetchFilter)
+	reads, _ := c.Watch.(ReadFilter)
 	gate, gated := c.IRQ.(IRQGate)
 	loads, _ := c.bus.(LoadFilter)
 	quietStep := func(prev, pc uint16) bool {
@@ -1335,6 +1380,8 @@ func (c *CPU) plan() {
 		}
 		set(c.admit, i)
 	}
+	// Here admit still holds "every arrival after the entry is quiet",
+	// the first condition of both the pure path and a spin.
 	for i := range c.blkTable {
 		b := &c.blkTable[i]
 		if c.admit[i>>6]&(1<<(i&63)) == 0 {
@@ -1342,10 +1389,47 @@ func (c *CPU) plan() {
 		}
 		last := &b.Ops[len(b.Ops)-1]
 		selfLoop := last.U.Class == isa.UJump && last.U.Target == b.Ops[0].PC
-		if !b.Pure || !admits || selfLoop && !quietStep(last.PC, b.Ops[0].PC) {
+		quietLoop := selfLoop && quietStep(last.PC, b.Ops[0].PC)
+		if !b.Pure && quietLoop && c.stillOps(b.Ops, loads, reads) {
+			set(c.spin, i)
+		}
+		if !b.Pure || !admits || selfLoop && !quietLoop {
 			c.admit[i>>6] &^= 1 << (i & 63)
 		}
 	}
+}
+
+// stillOps reports whether every op of ops that touches memory is
+// quiet (see plan) and passes stillAccesses.
+func (c *CPU) stillOps(ops []isa.BlockOp, loads LoadFilter, reads ReadFilter) bool {
+	for k := range ops {
+		op := &ops[k]
+		if op.Mem && (!c.bitAt(c.quiet, op.PC) || !c.stillAccesses(op.PC, op.U, loads, reads)) {
+			return false
+		}
+	}
+	return true
+}
+
+// stillAccesses reports whether u, an op quietAccesses accepts, stores
+// nothing and loads only values that repeat until the next peripheral
+// event: from plain RAM, which nothing else writes inside a run, or
+// from a register loads says holds still. Under a watcher each read
+// must also be one its QuietRead calls quiet (none are without the
+// method).
+func (c *CPU) stillAccesses(pc uint16, u *isa.UOp, loads LoadFilter, reads ReadFilter) bool {
+	still := func(a uint16) bool {
+		if c.Watch != nil && (reads == nil || !reads.QuietRead(pc, a)) {
+			return false
+		}
+		return c.plainAt(a, u.Byte) || loads.HoldsStill(a, u.Byte)
+	}
+	if u.SrcK == isa.SrcMemConst && !still(u.SrcVal) {
+		return false
+	}
+	// CMP and BIT only read their destination; every other op on a
+	// memory destination stores to it.
+	return u.DstK == isa.DstRegK || (u.Op == isa.CMP || u.Op == isa.BIT) && still(u.DstVal)
 }
 
 // quietAccesses reports whether every data access u makes is at a
@@ -1356,12 +1440,7 @@ func (c *CPU) quietAccesses(u *isa.UOp, loads LoadFilter) bool {
 	if loads == nil || c.plain == nil || u.Class != isa.UFmt1 && u.Class != isa.UFmt1Reg {
 		return false
 	}
-	plain := func(a uint16) bool {
-		if !u.Byte {
-			a &^= 1
-		}
-		return c.plain[a]
-	}
+	plain := func(a uint16) bool { return c.plainAt(a, u.Byte) }
 	load := func(a uint16) bool { return plain(a) || loads.QuietLoad(a, u.Byte) }
 	switch u.SrcK {
 	case isa.SrcConst, isa.SrcReg:
@@ -1384,6 +1463,15 @@ func (c *CPU) quietAccesses(u *isa.UOp, loads LoadFilter) bool {
 		return u.Op == isa.CMP || u.Op == isa.BIT || plain(d)
 	}
 	return false
+}
+
+// plainAt reports whether an access at a (to the aligned word unless
+// byteWide) stays in plain RAM.
+func (c *CPU) plainAt(a uint16, byteWide bool) bool {
+	if !byteWide {
+		a &^= 1
+	}
+	return c.plain[a]
 }
 
 // blockFault finalizes state when a fused op faults — unreachable for

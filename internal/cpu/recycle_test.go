@@ -80,7 +80,7 @@ func TestPowerOnZeroesArchitecturalState(t *testing.T) {
 	if c.Cycles == 0 || c.Insns == 0 {
 		t.Fatal("setup: nothing executed")
 	}
-	c.PureInsns, c.GuardedInsns = 1, 1
+	c.PureInsns, c.GuardedInsns, c.SkippedInsns, c.SkippedCycles = 1, 1, 1, 1
 	for i := range c.BlockExits {
 		c.BlockExits[i] = uint64(i + 1)
 	}
@@ -89,9 +89,9 @@ func TestPowerOnZeroesArchitecturalState(t *testing.T) {
 		t.Errorf("registers after PowerOn: %v", c.R)
 	}
 	if c.Cycles != 0 || c.Insns != 0 || c.Interrupts != 0 || c.prevPC != 0 ||
-		c.PureInsns != 0 || c.GuardedInsns != 0 {
-		t.Errorf("counters after PowerOn: cycles=%d insns=%d irqs=%d prevPC=%04x pure=%d guarded=%d",
-			c.Cycles, c.Insns, c.Interrupts, c.prevPC, c.PureInsns, c.GuardedInsns)
+		c.PureInsns != 0 || c.GuardedInsns != 0 || c.SkippedInsns != 0 || c.SkippedCycles != 0 {
+		t.Errorf("counters after PowerOn: cycles=%d insns=%d irqs=%d prevPC=%04x pure=%d guarded=%d skipped=%d/%d",
+			c.Cycles, c.Insns, c.Interrupts, c.prevPC, c.PureInsns, c.GuardedInsns, c.SkippedInsns, c.SkippedCycles)
 	}
 	if c.BlockExits != [NumBlockExits]uint64{} {
 		t.Errorf("block exits after PowerOn: %v", c.BlockExits)

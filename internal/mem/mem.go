@@ -173,6 +173,17 @@ type QuietLoader interface {
 	QuietLoad(addr uint16) bool
 }
 
+// StillHolder is an optional Handler refinement that lets block
+// execution skip the repeats of a status poll. HoldsStill(addr) reports
+// that the value a load at addr returns changes only at the
+// peripheral's next event (periph.Cycled.NextEvent) or through an
+// access that is not a quiet load, so repeated quiet loads before that
+// event all read the same value. It must be static, like QuietLoad.
+// Handlers without the method hold nothing still.
+type StillHolder interface {
+	HoldsStill(addr uint16) bool
+}
+
 type mapping struct {
 	start, end uint16 // inclusive
 	h          Handler
@@ -312,18 +323,32 @@ func (s *Space) Direct() (slab *[Size]byte, plain *[Size]bool, hook *func(addr u
 // so the peripheral mapping must be complete before the first
 // cpu.RunBlocks.
 func (s *Space) QuietLoad(addr uint16, byteWide bool) bool {
+	h, a := s.loadHandler(addr, byteWide)
+	q, ok := h.(QuietLoader)
+	return ok && q.QuietLoad(a)
+}
+
+// HoldsStill is QuietLoad's twin for StillHolder: whether the load
+// reaches a handler that holds the value it returns still until its
+// next event. Plain and unmapped addresses report false.
+func (s *Space) HoldsStill(addr uint16, byteWide bool) bool {
+	h, a := s.loadHandler(addr, byteWide)
+	q, ok := h.(StillHolder)
+	return ok && q.HoldsStill(a)
+}
+
+// loadHandler resolves a load at addr (byte-wide or of the aligned
+// word) to the handler it reaches, nil for plain and unmapped
+// addresses, and the address that handler's load method receives.
+func (s *Space) loadHandler(addr uint16, byteWide bool) (Handler, uint16) {
 	if !byteWide {
 		addr = align(addr)
 	}
 	h, _ := s.lookup(addr)
-	q, ok := h.(QuietLoader)
-	if !ok {
-		return false
-	}
 	if _, bh := h.(ByteHandler); !bh {
 		addr = align(addr)
 	}
-	return q.QuietLoad(addr)
+	return h, addr
 }
 
 // align forces word alignment the way the MSP430 bus does (A0 ignored).
@@ -507,7 +532,9 @@ func (s *Space) Restore(snap *Snapshot) error {
 	if snap.layout != s.Layout {
 		return fmt.Errorf("mem: snapshot layout does not match this space")
 	}
-	s.ram = snap.ram
+	// copy, not an array assignment: assigning the 64 KiB field compiles
+	// to an unaligned block move that costs about three times as much.
+	copy(s.ram[:], snap.ram[:])
 	s.BusErrors = snap.busErrors
 	return nil
 }

@@ -224,6 +224,10 @@ func (g *GPIO) StoreWord(addr uint16, v uint16) {
 // QuietLoad implements mem.QuietLoader: port reads have no side effects.
 func (g *GPIO) QuietLoad(addr uint16) bool { return true }
 
+// HoldsStill implements mem.StillHolder: the registers change only on
+// stores and on SetInput, which the harness calls between runs.
+func (g *GPIO) HoldsStill(addr uint16) bool { return true }
+
 // Span returns the register range for bus mapping.
 func (g *GPIO) Span() (lo, hi uint16) { return g.Base, g.Base + 5 }
 
@@ -368,6 +372,11 @@ func (t *Timer) StoreWord(addr uint16, v uint16) {
 // QuietLoad implements mem.QuietLoader: a read only catches the counter
 // up, and before NextEvent that wraps nothing and requests nothing.
 func (t *Timer) QuietLoad(addr uint16) bool { return true }
+
+// HoldsStill implements mem.StillHolder: the counter moves every cycle,
+// while the control word (its IFG bit is set at a wrap, the timer's
+// event) and CCR0 change only at the wrap or on a store.
+func (t *Timer) HoldsStill(addr uint16) bool { return addr != t.Base+0x10 }
 
 // Span returns the register range for bus mapping.
 func (t *Timer) Span() (lo, hi uint16) { return t.Base, t.Base + 0x13 }
@@ -519,6 +528,11 @@ func (a *ADC) StoreWord(addr uint16, v uint16) {
 // in-flight conversion up, and before NextEvent it does not complete.
 func (a *ADC) QuietLoad(addr uint16) bool { return true }
 
+// HoldsStill implements mem.StillHolder: the result and the done flag
+// change when a conversion completes, the ADC's event, and the control
+// word only on a store.
+func (a *ADC) HoldsStill(addr uint16) bool { return true }
+
 // Span returns the register range for bus mapping.
 func (a *ADC) Span() (lo, hi uint16) { return ADCCTLAddr, ADCSTAGES + 1 }
 
@@ -599,6 +613,12 @@ func (u *UART) StoreWord(addr uint16, v uint16) {
 // re-raises the RX request while bytes remain, so it is the one loud
 // register; the status and transmit registers read without effect.
 func (u *UART) QuietLoad(addr uint16) bool { return addr != URXAddr }
+
+// HoldsStill implements mem.StillHolder: the RX-available bit of the
+// status register changes only when an RX read pops a byte (a loud
+// load) or Feed queues one, which callers do between runs; RX itself
+// reads the next byte each time.
+func (u *UART) HoldsStill(addr uint16) bool { return addr != URXAddr }
 
 // Span returns the register range for bus mapping.
 func (u *UART) Span() (lo, hi uint16) { return UTXAddr, USTATAddr + 1 }
@@ -686,6 +706,9 @@ func (l *LCD) StoreWord(addr uint16, v uint16) {
 
 // QuietLoad implements mem.QuietLoader: status reads have no effect.
 func (l *LCD) QuietLoad(addr uint16) bool { return true }
+
+// HoldsStill implements mem.StillHolder: the status reads as ready.
+func (l *LCD) HoldsStill(addr uint16) bool { return true }
 
 // Span returns the register range for bus mapping.
 func (l *LCD) Span() (lo, hi uint16) { return LCDCMDAddr, LCDDATAAddr + 1 }
@@ -810,6 +833,10 @@ func (u *Ultrasonic) StoreWord(addr uint16, v uint16) {
 // in-flight measurement up, and before NextEvent it does not complete.
 func (u *Ultrasonic) QuietLoad(addr uint16) bool { return true }
 
+// HoldsStill implements mem.StillHolder: the width and the done flag
+// change when a measurement completes, the ranger's event.
+func (u *Ultrasonic) HoldsStill(addr uint16) bool { return true }
+
 // Span returns the register range for bus mapping.
 func (u *Ultrasonic) Span() (lo, hi uint16) { return USTRIGAddr, USSTATAddr + 1 }
 
@@ -836,6 +863,9 @@ func (v *ViolationLatch) StoreWord(addr uint16, val uint16) {
 
 // QuietLoad implements mem.QuietLoader: the latch reads as zero.
 func (v *ViolationLatch) QuietLoad(addr uint16) bool { return true }
+
+// HoldsStill implements mem.StillHolder: the latch reads as zero.
+func (v *ViolationLatch) HoldsStill(addr uint16) bool { return true }
 
 // Reset clears the latch.
 func (v *ViolationLatch) Reset() { v.Writes = 0; v.Last = 0 }
