@@ -106,33 +106,30 @@ func runBatch(runner *fleet.Runner, o batchOpts, cancel <-chan struct{}, stdout,
 	interrupted := false
 	if o.verify {
 		// Verification compares the full concurrent result set against a
-		// sequential replay, so this path aggregates in memory.
-		rep, err := runner.Run()
+		// sequential replay, so this path collects the results in memory
+		// and emits them once both passes are done. A cancel during either
+		// pass stops it: the concurrent results so far are journalled, and
+		// no verdict is printed.
+		var results []fleet.JobResult
+		rep, intr, err := runner.RunStreamCancel(cancel, func(jr fleet.JobResult) {
+			results = append(results, jr)
+		})
+		var seq *fleet.Report
+		if err == nil && !intr {
+			seq, intr, err = runner.RunSequential(cancel)
+		}
+		if err == nil && !intr {
+			rep.Results = results
+			err = verifyIdentical(rep, seq, stdout)
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		seq, err := runner.RunSequential()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		a, errA := rep.ResultsJSON()
-		b, errB := seq.ResultsJSON()
-		if errA != nil || errB != nil {
-			fmt.Fprintln(stderr, "verify: marshalling failed:", errA, errB)
-			return 1
-		}
-		if !bytes.Equal(a, b) {
-			fmt.Fprintln(stderr, "verify: FAILED — concurrent results differ from the sequential replay")
-			return 1
-		}
-		fmt.Fprintf(stdout, "verify: %d-worker run byte-identical to sequential replay (%d jobs)\n",
-			rep.Workers, rep.Jobs)
 		if !o.quiet {
 			fleet.RenderTableHeader(stdout)
 		}
-		for _, jr := range rep.Results {
+		for _, jr := range results {
 			if err := emit(jr); err != nil {
 				fmt.Fprintln(stderr, err)
 				if jw != nil {
@@ -142,6 +139,7 @@ func runBatch(runner *fleet.Runner, o batchOpts, cancel <-chan struct{}, stdout,
 			}
 		}
 		report = rep
+		interrupted = intr
 	} else {
 		if !o.quiet {
 			fleet.RenderTableHeader(stdout)
@@ -203,6 +201,22 @@ func runBatch(runner *fleet.Runner, o batchOpts, cancel <-chan struct{}, stdout,
 		return 1
 	}
 	return 0
+}
+
+// verifyIdentical fails unless the concurrent run's results are
+// byte-identical to the sequential replay's, and prints the verdict.
+func verifyIdentical(rep, seq *fleet.Report, stdout io.Writer) error {
+	a, errA := rep.ResultsJSON()
+	b, errB := seq.ResultsJSON()
+	if errA != nil || errB != nil {
+		return fmt.Errorf("verify: marshalling failed: %v %v", errA, errB)
+	}
+	if !bytes.Equal(a, b) {
+		return fmt.Errorf("verify: FAILED — concurrent results differ from the sequential replay")
+	}
+	fmt.Fprintf(stdout, "verify: %d-worker run byte-identical to sequential replay (%d jobs)\n",
+		rep.Workers, rep.Jobs)
+	return nil
 }
 
 // runResume completes an interrupted (or partly failed) journal: rebuild

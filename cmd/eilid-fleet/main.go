@@ -60,7 +60,10 @@
 // the concurrent results are byte-identical — the fleet's determinism
 // contract, checkable from the command line. (Verification needs both
 // result sets in memory, so -verify runs aggregate rather than
-// streaming; the NDJSON output is line-identical either way.)
+// streaming; the NDJSON output is line-identical either way.) A signal
+// stops either pass like it stops the default path: the results so far
+// are journalled with the interrupted marker, no verdict is printed,
+// and the exit code is 3.
 //
 // Exit codes: 0 success; 1 job failures, failed checks or I/O errors;
 // 2 usage or spec errors; 3 interrupted (journal flushed, resumable).

@@ -308,6 +308,51 @@ func TestFleetCrashResumeCLI(t *testing.T) {
 	}
 }
 
+// TestFleetVerifyCancel: -verify honours a signal like the default
+// path. A pre-closed cancel stops the concurrent pass before dispatch:
+// the journal gets the interrupted marker, no verdict is printed, the
+// exit code is 3, and -resume completes the journal to a clean run's.
+func TestFleetVerifyCancel(t *testing.T) {
+	dir := t.TempDir()
+	clean := dir + "/clean.ndjson"
+	var out, errb strings.Builder
+	if code := run([]string{"-apps", "LightSensor", "-scenarios", "stack-smash", "-q", "-json", clean}, &out, &errb); code != 0 {
+		t.Fatalf("clean run: exit %d, stderr: %s", code, errb.String())
+	}
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := fleet.NewRunner(p, fleet.BatchSpec{Matrix: fleet.MatrixSpec{
+		Apps: []string{"LightSensor"}, Scenarios: []string{"stack-smash"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := dir + "/verify.ndjson"
+	cancel := make(chan struct{})
+	close(cancel)
+	out.Reset()
+	errb.Reset()
+	if code := runBatch(runner, batchOpts{jsonOut: path, verify: true, quiet: true}, cancel, &out, &errb); code != 3 {
+		t.Fatalf("cancelled -verify: exit %d, want 3; stderr: %s", code, errb.String())
+	}
+	if strings.Contains(out.String(), "verify:") {
+		t.Errorf("cancelled -verify printed a verdict:\n%s", out.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"journal":"interrupted"`) {
+		t.Fatalf("cancelled -verify journal missing the interrupted marker:\n%s", raw)
+	}
+	if code := run([]string{"-resume", path, "-q"}, &out, &errb); code != 0 {
+		t.Fatalf("resume: exit %d, stderr: %s", code, errb.String())
+	}
+	requireSameJournal(t, clean, path)
+}
+
 // TestFleetFaultInjectionCLI: a watchdog too short for any job fails
 // the batch (exit 1), every job still gets a journal record — a
 // watchdog failure for each one that lost the race — and -resume

@@ -1,11 +1,12 @@
 // Command eilid-fleetd is the fleet's long-running service mode: a
 // persistent HTTP daemon that accepts batch submissions and runs them
 // through the ordinary fleet runner while keeping build artifacts,
-// decode caches, block tables and recycled machine pools warm across
-// batches (internal/fleet/serve). Where every `eilid-fleet` invocation
-// pays the full cold start — pipeline construction, a dozen victim
-// builds for a generated batch, machine construction per matrix cell —
-// a warm daemon runs a resubmitted spec straight on recycled machines.
+// decode caches, block tables and recycled machines warm across
+// batches in one fleet.Warm (internal/fleet/serve). Where every
+// `eilid-fleet` invocation pays the full cold start — pipeline
+// construction, a dozen victim builds for a generated batch, machine
+// construction per matrix cell — a warm daemon runs a resubmitted spec
+// straight on recycled machines.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -319,6 +320,7 @@ func TestErrors(t *testing.T) {
 		"immediate dest":    ".org 0xE000\n mov r5, #4\n",
 		"byte jump":         ".org 0xE000\n jmp.b somewhere\n",
 		"overlap":           ".org 0xE000\n.word 1\n.org 0xE000\n.word 2\n",
+		"backward overlap":  ".org 0xE004\n.word 1\n.org 0xE000\n.word 2, 3, 4\n",
 		"bad string":        ".org 0xE000\n.ascii nope\n",
 		"bad align":         ".org 0xE000\n.align 3\n",
 	}
@@ -326,6 +328,20 @@ func TestErrors(t *testing.T) {
 		if _, err := Assemble("bad.s", src); err == nil {
 			t.Errorf("%s: expected error, got none", name)
 		}
+	}
+}
+
+// TestBackwardOrgFillsGap: a backward .org may fill a gap between
+// placed bytes as long as it overlaps none of them.
+func TestBackwardOrgFillsGap(t *testing.T) {
+	prog, err := Assemble("gap.s", ".org 0xE000\n.word 1\n.org 0xE004\n.word 3\n.org 0xE002\n.word 2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, base := prog.Image.Bytes()
+	want := []byte{1, 0, 2, 0, 3, 0}
+	if base != 0xE000 || !bytes.Equal(got, want) {
+		t.Fatalf("image = % x at 0x%04x, want % x at 0xE000", got, base, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 // ELF files of the paper's toolchain).
 type Image struct {
 	chunks map[uint16][]byte // start address -> bytes (normalized on read)
+	end    int               // one past the highest placed byte
 }
 
 // NewImage creates an empty image.
@@ -19,19 +20,26 @@ func NewImage() *Image {
 
 // Put writes data at addr, failing on overlap with previously placed
 // bytes (two statements assembling to the same address is always a bug).
+// Statements mostly place bytes in ascending order, so only a Put that
+// starts below the highest placed byte (a backward .org) scans the
+// placed chunks for an overlap.
 func (img *Image) Put(addr uint16, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	if int(addr)+len(data) > 0x10000 {
+	end := int(addr) + len(data)
+	if end > 0x10000 {
 		return fmt.Errorf("image: %d bytes at 0x%04x exceed the address space", len(data), addr)
 	}
-	for start, chunk := range img.chunks {
-		if int(addr) < int(start)+len(chunk) && int(start) < int(addr)+len(data) {
-			return fmt.Errorf("image: bytes at 0x%04x overlap chunk at 0x%04x", addr, start)
+	if int(addr) < img.end {
+		for start, chunk := range img.chunks {
+			if int(addr) < int(start)+len(chunk) && int(start) < end {
+				return fmt.Errorf("image: bytes at 0x%04x overlap chunk at 0x%04x", addr, start)
+			}
 		}
 	}
 	img.chunks[addr] = append([]byte(nil), data...)
+	img.end = max(img.end, end)
 	return nil
 }
 

@@ -5,9 +5,12 @@
 // instrumented exactly once via core.Pipeline, and its predecoded
 // instruction cache (core.Machine.EnablePredecode) and fused
 // basic-block table (isa.Predecoded.Blocks) are built once per ROM and
-// handed to every machine that runs it. Job results are
-// aggregated deterministically in job order, so a run with eight
-// workers is byte-identical to a sequential run of the same matrix.
+// handed to every machine that runs it. Machines live in one pool per
+// firmware and defense, in the runner's Warm: every job checks a
+// machine out, recycled to its sealed snapshot, and checks it back in.
+// Job results are aggregated deterministically in job order, so a run
+// with eight workers is byte-identical to a sequential run of the same
+// matrix.
 //
 // The cmd/eilid-fleet CLI, the eval/attacks sweeps and the repository
 // benchmarks all sit on top of this package; it is the substrate for
@@ -17,11 +20,9 @@ package fleet
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"eilid/internal/apps"
-	"eilid/internal/asm"
 	"eilid/internal/attacks"
 	"eilid/internal/core"
 	"eilid/internal/fleet/pool"
@@ -75,9 +76,6 @@ type artifact struct {
 	build   *core.BuildResult
 	preOrig *isa.Predecoded
 	preInst *isa.Predecoded
-	// warmKey content-addresses the artifact (sha256 of its assembly
-	// source) for the cross-batch Warm cache; empty outside warm runs.
-	warmKey string
 }
 
 // pre returns the decode cache for a defense's build flavour.
@@ -88,112 +86,77 @@ func (a *artifact) pre(spec *core.DefenseSpec) *isa.Predecoded {
 	return a.preOrig
 }
 
+// cell is what a job resolves to when NewRunnerWarm enumerates it: the
+// machine pool it runs in (its build under its defense) and its entry
+// in the runner's app, scenario or generated list.
+type cell struct {
+	pool poolKey
+	item int
+}
+
 // Runner holds a prepared matrix: every firmware built, every decode
-// cache snapshotted, every job enumerated. Run may be called multiple
-// times; the artifacts — and, when recycling, the pooled machines —
-// are reused.
+// cache snapshotted, every job enumerated and resolved to its cell. Run
+// may be called multiple times; the artifacts and the machines idle in
+// the runner's Warm are reused.
 type Runner struct {
 	p         *core.Pipeline
 	spec      BatchSpec // resolved (ResolveSpec) — the batch's canonical identity
 	apps      []apps.App
 	scenarios []attacks.Scenario
+	items     []scenario.Generated // the generated dimension, in batch order
 	defenses  []*core.DefenseSpec
-	specOf    map[string]*core.DefenseSpec // defense name → spec
-	artifacts map[string]*artifact         // keyed by kind/name (gen jobs: gen/victim)
-	generated map[string]scenario.Generated
+	artifacts map[string]*artifact // keyed by kind/name (gen jobs: gen/victim)
 	jobs      []Job
+	cells     []cell // cells[i] is where jobs[i] runs
 	workers   int
-	repeat    int
 
-	// jobTimeout arms the per-job watchdog (see runJobSafe).
+	// jobTimeout arms the per-job watchdog (see runJobSafe); each worker
+	// reuses its own timer, touched only on the worker's goroutine.
 	jobTimeout time.Duration
+	watchdogs  []*time.Timer
 	// beforeJob, when set, runs inside runJobOnce's recover before the
 	// job touches a machine. Only this package's tests set it, to panic
 	// or hang chosen jobs; a resume builds a new runner, so whatever it
 	// injects is never carried across one.
 	beforeJob func(job int)
 
-	// warm is the optional cross-batch cache (NewRunnerWarm): prepare
-	// consults it before building, machineFor before constructing, and
-	// ReleaseMachines returns the pooled machines to it when the batch
-	// is over. Nil for ordinary single-batch runners.
+	// warm is the runner's machine pool and artifact cache: private to
+	// the runner (NewRunner) or shared across batches (NewRunnerWarm).
+	// Every job checks a machine out of its cell's pool and back in; gen
+	// tags the machines this runner checks in, so the cache can tell
+	// cross-batch reuse from reuse within the batch.
 	warm *Warm
-
-	// The pool keeps one fully constructed machine per worker per matrix
-	// cell and recycles it between jobs instead of paying NewMachine +
-	// firmware load per job. worker[w] is owned by worker w, and every
-	// attempt borrows the worker's current machinePool handle; the mutex
-	// guards only that handle, so the watchdog can swap it out and leave
-	// an abandoned runaway attempt as the sole owner of its machines.
-	// Machine state never leaks between jobs because Recycle restores
-	// the sealed snapshot — the recycle differential suites pin
-	// byte-identical JobResults against noRecycle, set only by this
-	// package's tests, which constructs a fresh machine per job.
+	gen  uint64
+	// noRecycle, set only by this package's tests, constructs a fresh
+	// machine for every job and checks none in: the reference the
+	// recycle differential suites compare pooled machines against.
 	noRecycle bool
-	worker    []workerState
-}
-
-// workerState is one worker's machine-pool handle plus its reusable
-// watchdog timer (the timer is touched only on the worker goroutine).
-type workerState struct {
-	mu       sync.Mutex
-	pool     *machinePool
-	watchdog *time.Timer
-}
-
-// machinePool is owned by exactly one job attempt at a time: attempts
-// of a worker borrow it sequentially, and when the watchdog abandons a
-// runaway attempt the handle is replaced, so the runaway keeps (only)
-// its own machines and later jobs never share one with it.
-type machinePool struct {
-	machines map[string]pooledMachine // kind/name/defense → machine
-}
-
-// pooledMachine pairs a pooled machine with the content-addressed key
-// ReleaseMachines files it under in the warm cache (empty when the
-// runner has none).
-type pooledMachine struct {
-	m       *core.Machine
-	warmKey string
-}
-
-// attemptPool hands the next job attempt the worker's current pool,
-// creating a fresh one after a watchdog abandonment.
-func (r *Runner) attemptPool(worker int) *machinePool {
-	st := &r.worker[worker]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.pool == nil {
-		st.pool = &machinePool{machines: map[string]pooledMachine{}}
-	}
-	return st.pool
 }
 
 // NewRunner resolves the spec (ResolveSpec), builds all artifacts for
 // the selected matrix (sequentially, so preparation is deterministic)
-// and enumerates the jobs.
+// and enumerates the jobs. The runner pools its machines in a private
+// Warm.
 func NewRunner(p *core.Pipeline, spec BatchSpec) (*Runner, error) {
-	return NewRunnerWarm(p, spec, nil)
+	return NewRunnerWarm(p, spec, NewWarm())
 }
 
-// NewRunnerWarm is NewRunner backed by a cross-batch warm cache:
+// NewRunnerWarm is NewRunner backed by a Warm shared across batches:
 // artifacts already in the cache are reused instead of rebuilt, fresh
-// builds are published into it, and machineFor checks out idle warm
-// machines before constructing new ones. Results are byte-identical to
-// a cold runner's — every reused machine is recycled to its sealed
-// snapshot before a job touches it — which the warm differential
-// suites pin. Call ReleaseMachines when the batch is done to return
-// the pooled machines for the next batch.
+// builds are published into it, and jobs check their machines out of
+// its pools and back in. Results are byte-identical to a cold runner's
+// — every reused machine is recycled to its sealed snapshot before a
+// job touches it — which the warm differential suites pin.
 func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error) {
 	spec, err := ResolveSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{p: p, spec: spec, warm: warm, artifacts: map[string]*artifact{}, workers: spec.Exec.Workers}
+	r := &Runner{p: p, spec: spec, warm: warm, gen: warm.generation(), artifacts: map[string]*artifact{}, workers: spec.Exec.Workers}
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)
 	}
-	r.worker = make([]workerState, r.workers)
+	r.watchdogs = make([]*time.Timer, r.workers)
 	r.jobTimeout = spec.Exec.JobTimeout.Std()
 	// The resolved matrix carries explicit, registry-validated name
 	// lists; map them back to their registry objects.
@@ -204,11 +167,6 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 		}
 		r.defenses = append(r.defenses, d)
 	}
-	r.specOf = make(map[string]*core.DefenseSpec, len(r.defenses))
-	for _, d := range r.defenses {
-		r.specOf[d.Name] = d
-	}
-	r.repeat = spec.Matrix.Repeat
 	for _, n := range spec.Matrix.Apps {
 		a, ok := apps.ByName(n)
 		if !ok {
@@ -230,17 +188,28 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 		}
 	}
 
-	for _, app := range r.apps {
-		if _, err := r.prepare("app/"+app.Name, app.Name+".s", app.Source); err != nil {
+	// Every row of the matrix resolves once to its artifact and its list
+	// entry; the jobs cross the rows with the defense columns, per repeat.
+	type row struct {
+		job  Job // kind and name (generated rows: family and victim too)
+		a    *artifact
+		item int
+	}
+	var rows []row
+	for i, app := range r.apps {
+		a, err := r.prepare("app/"+app.Name, app.Name+".s", app.Source)
+		if err != nil {
 			return nil, fmt.Errorf("fleet: building %s: %w", app.Name, err)
 		}
+		rows = append(rows, row{Job{Kind: "app", Name: app.Name}, a, i})
 	}
-	for _, sc := range r.scenarios {
-		if _, err := r.prepare("attack/"+sc.Name, sc.Name+".s", sc.Source); err != nil {
+	for i, sc := range r.scenarios {
+		a, err := r.prepare("attack/"+sc.Name, sc.Name+".s", sc.Source)
+		if err != nil {
 			return nil, fmt.Errorf("fleet: building %s: %w", sc.Name, err)
 		}
+		rows = append(rows, row{Job{Kind: "attack", Name: sc.Name}, a, i})
 	}
-	var genItems []scenario.Generated
 	if spec.Matrix.Generated.Count > 0 {
 		batch := scenario.Generate(spec.Matrix.Generated.Seed, spec.Matrix.Generated.Count)
 		for _, v := range batch.Victims {
@@ -248,34 +217,21 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 				return nil, fmt.Errorf("fleet: building generated victim %s: %w", v.Name, err)
 			}
 		}
-		genItems = batch.Items
-		r.generated = make(map[string]scenario.Generated, len(batch.Items))
-		for _, g := range batch.Items {
-			r.generated[g.Scenario.Name] = g
+		r.items = batch.Items
+		// Generated jobs share their victim's artifact: a thousand-item
+		// batch runs on a dozen builds.
+		for i, g := range batch.Items {
+			job := Job{Kind: "gen", Name: g.Scenario.Name, Family: g.Family, Victim: g.Victim}
+			rows = append(rows, row{job, r.artifacts["gen/"+g.Victim], i})
 		}
 	}
-
-	for rep := 0; rep < r.repeat; rep++ {
-		for _, app := range r.apps {
+	for rep := 0; rep < spec.Matrix.Repeat; rep++ {
+		for _, rw := range rows {
 			for _, d := range r.defenses {
-				r.jobs = append(r.jobs, Job{
-					Index: len(r.jobs), Kind: "app", Name: app.Name, Defense: d.Name, Repeat: rep,
-				})
-			}
-		}
-		for _, sc := range r.scenarios {
-			for _, d := range r.defenses {
-				r.jobs = append(r.jobs, Job{
-					Index: len(r.jobs), Kind: "attack", Name: sc.Name, Defense: d.Name, Repeat: rep,
-				})
-			}
-		}
-		for _, g := range genItems {
-			for _, d := range r.defenses {
-				r.jobs = append(r.jobs, Job{
-					Index: len(r.jobs), Kind: "gen", Name: g.Scenario.Name,
-					Family: g.Family, Victim: g.Victim, Defense: d.Name, Repeat: rep,
-				})
+				job := rw.job
+				job.Index, job.Defense, job.Repeat = len(r.jobs), d.Name, rep
+				r.jobs = append(r.jobs, job)
+				r.cells = append(r.cells, cell{pool: poolKey{a: rw.a, spec: d}, item: rw.item})
 			}
 		}
 	}
@@ -289,58 +245,43 @@ func (r *Runner) Defenses() []*core.DefenseSpec {
 
 // prepare builds one firmware and snapshots its per-flavour decode
 // caches from reference machines carrying the exact images the jobs
-// will run. Both flavours are snapshotted regardless of the selected
+// will run, or takes the artifact from the Warm when it holds one for
+// this source. Both flavours are snapshotted regardless of the selected
 // defenses, so artifacts are identical whatever columns run.
 func (r *Runner) prepare(key, file, source string) (*artifact, error) {
 	if a, ok := r.artifacts[key]; ok {
 		return a, nil
 	}
-	if r.warm != nil {
-		if a := r.warm.artifact(file, source); a != nil {
-			r.artifacts[key] = a
-			return a, nil
+	content := warmContentKey(file, source)
+	a := r.warm.artifact(content)
+	if a == nil {
+		build, err := r.p.Build(file, source)
+		if err != nil {
+			return nil, err
 		}
-	}
-	build, err := r.p.Build(file, source)
-	if err != nil {
-		return nil, err
-	}
-	a := &artifact{build: build}
-	if a.preOrig, err = r.snapshot(build.Original.Image, false); err != nil {
-		return nil, err
-	}
-	if a.preInst, err = r.snapshot(build.Instrumented.Image, true); err != nil {
-		return nil, err
-	}
-	if r.warm != nil {
-		a.warmKey = warmContentKey(file, source)
-		r.warm.putArtifact(a)
+		a = &artifact{build: build}
+		if a.preOrig, err = r.snapshot(build, core.DefenseBaseline); err != nil {
+			return nil, err
+		}
+		if a.preInst, err = r.snapshot(build, core.DefenseEILID); err != nil {
+			return nil, err
+		}
+		r.warm.putArtifact(content, a)
 	}
 	r.artifacts[key] = a
 	return a, nil
 }
 
-// snapshot loads img on a throwaway machine of the given build flavour
-// and predecodes its fetchable memory.
-func (r *Runner) snapshot(img *asm.Image, instrumented bool) (*isa.Predecoded, error) {
-	opts := core.MachineOptions{Config: r.p.Config()}
-	if instrumented {
-		opts.ROM = r.p.ROM()
-		opts.Defense = core.DefenseEILID
-	}
-	m, err := core.NewMachine(opts)
+// snapshot loads the build flavour a defense runs on a throwaway
+// machine and returns the decode cache it predecoded. Installing the
+// cache fused its block table too, during sequential preparation, so
+// the first job to run this ROM pays for neither.
+func (r *Runner) snapshot(build *core.BuildResult, flavour *core.DefenseSpec) (*isa.Predecoded, error) {
+	m, err := attacks.TargetFor(r.p, build, flavour).NewMachine()
 	if err != nil {
 		return nil, err
 	}
-	if err := img.WriteTo(m.Space); err != nil {
-		return nil, err
-	}
-	pre := m.EnablePredecode()
-	// Fuse the basic-block table now, during sequential preparation, so
-	// the first job to run this ROM does not pay for it and every
-	// machine shares the one per-ROM table.
-	pre.Blocks()
-	return pre, nil
+	return m.CPU.Predecoded(), nil
 }
 
 // Jobs returns the enumerated matrix in execution order.
@@ -377,11 +318,16 @@ func (r *Runner) Run() (*Report, error) {
 }
 
 // RunSequential executes the same matrix on one worker — the reference
-// ordering for determinism checks.
-func (r *Runner) RunSequential() (*Report, error) {
+// ordering for determinism checks. Closing cancel stops it the way it
+// stops RunStreamCancel: it returns interrupted=true with a report of
+// the jobs that completed.
+func (r *Runner) RunSequential(cancel <-chan struct{}) (rep *Report, interrupted bool, err error) {
 	start := time.Now()
-	results := pool.DoIndexed(len(r.jobs), 1, r.runJobSafe)
-	return Aggregate(results, 1, time.Since(start)), nil
+	var results []JobResult
+	_, interrupted = pool.StreamIndexedCancel(len(r.jobs), 1, cancel, r.runJobSafe, func(_ int, jr JobResult) {
+		results = append(results, jr)
+	})
+	return Aggregate(results, 1, time.Since(start)), interrupted, nil
 }
 
 // RunStream executes the matrix and delivers every JobResult to emit —
@@ -439,20 +385,18 @@ func (r *Runner) RunIndices(indices []int, cancel <-chan struct{}, emit func(Job
 // it, so a panicking or runaway job becomes a deterministic JobResult
 // instead of a lost batch.
 func (r *Runner) runJobSafe(worker, i int) JobResult {
-	mp := r.attemptPool(worker)
 	if r.jobTimeout <= 0 {
-		return r.runJobOnce(mp, i)
+		return r.runJobOnce(i)
 	}
 	// The attempt runs on its own goroutine so the watchdog can abandon
 	// it; the buffered channel lets a late attempt finish and exit
 	// without a receiver. runJobOnce contains panics itself.
 	done := make(chan JobResult, 1)
-	go func() { done <- r.runJobOnce(mp, i) }()
-	st := &r.worker[worker]
-	t := st.watchdog
+	go func() { done <- r.runJobOnce(i) }()
+	t := r.watchdogs[worker]
 	if t == nil {
 		t = time.NewTimer(r.jobTimeout)
-		st.watchdog = t
+		r.watchdogs[worker] = t
 	} else {
 		t.Reset(r.jobTimeout)
 	}
@@ -463,143 +407,73 @@ func (r *Runner) runJobSafe(worker, i int) JobResult {
 		}
 		return res
 	case <-t.C:
-		// The attempt goroutine may still be mutating the machines in
-		// mp; swap the worker's handle so no later job shares one with
-		// it. The runaway goroutine keeps (only) its own pool and exits
-		// whenever (if ever) the attempt returns.
-		st.mu.Lock()
-		st.pool = nil
-		st.mu.Unlock()
-		res := JobResult{Job: r.jobs[i]}
-		res.Err = fmt.Sprintf("watchdog: job exceeded the %v wall-clock limit", r.jobTimeout)
-		return res
+		// The abandoned attempt keeps the machine it checked out; no
+		// other job can reach it, and it returns to its pool only if
+		// the attempt ever finishes.
+		return JobResult{Job: r.jobs[i], Err: fmt.Sprintf("watchdog: job exceeded the %v wall-clock limit", r.jobTimeout)}
 	}
 }
 
-// runJobOnce runs one job under recover: a panic becomes a
-// deterministic failure record (stable message, no stack addresses)
-// and the batch continues. The test hook fires before the job touches
-// any machine.
-func (r *Runner) runJobOnce(mp *machinePool, i int) (res JobResult) {
+// runJobOnce runs one job under recover: it checks a machine out of the
+// job's pool, runs the job on it and checks it back in. A panic becomes
+// a deterministic failure record (stable message, no stack addresses),
+// drops the machine — its state is unknown — and the batch continues.
+// The test hook fires before the job touches any machine.
+func (r *Runner) runJobOnce(i int) (res JobResult) {
 	defer func() {
 		if v := recover(); v != nil {
-			res = JobResult{Job: r.jobs[i]}
-			res.Err = fmt.Sprintf("panic: %v", v)
+			res = JobResult{Job: r.jobs[i], Err: fmt.Sprintf("panic: %v", v)}
 		}
 	}()
 	if r.beforeJob != nil {
 		r.beforeJob(i)
 	}
-	return r.runJob(mp, i)
-}
-
-func (r *Runner) runJob(mp *machinePool, i int) JobResult {
-	job := r.jobs[i]
+	job, c := r.jobs[i], r.cells[i]
+	m, err := r.checkout(c.pool)
+	if err != nil {
+		return JobResult{Job: job, Err: err.Error()}
+	}
 	switch job.Kind {
 	case "app":
-		return r.runAppJob(mp, job)
+		res = r.runAppJob(m, job, r.apps[c.item])
 	case "gen":
-		return r.runGenJob(mp, job)
+		res = r.runGenJob(m, job, c.pool, r.items[c.item])
 	default:
-		return r.runAttackJob(mp, job)
+		res = r.runAttackJob(m, job, c.pool, r.scenarios[c.item])
 	}
+	if !r.noRecycle {
+		r.warm.checkin(c.pool, r.gen, m)
+	}
+	return res
 }
 
-// newMachine constructs a fresh, fully loaded machine for one matrix
-// cell — defense wiring, firmware image, shared per-ROM decode cache —
+// target is the attack target of a pool: its defense's build flavour
+// with the shared per-ROM decode cache.
+func (r *Runner) target(k poolKey) attacks.Target {
+	t := attacks.TargetFor(r.p, k.a.build, k.spec)
+	t.Predecoded = k.a.pre(k.spec)
+	return t
+}
+
+// checkout hands a job a machine from its pool: an idle one recycled
+// to its sealed snapshot, or a fresh construction sealed on the spot —
 // through the same attacks.Target.NewMachine sequence the standalone
 // scenario path uses, so pooled and one-shot machines cannot diverge.
-func (r *Runner) newMachine(a *artifact, spec *core.DefenseSpec) (*core.Machine, error) {
-	t := attacks.TargetFor(r.p, a.build, spec)
-	t.Predecoded = a.pre(spec)
-	return t.NewMachine()
-}
-
-// artifactKey locates a job's shared build: generated jobs share their
-// victim's artifact (a thousand-item batch runs on a dozen builds),
-// everything else builds per name.
-func artifactKey(job Job) string {
-	if job.Kind == "gen" {
-		return "gen/" + job.Victim
-	}
-	return job.Kind + "/" + job.Name
-}
-
-// machineFor hands the attempt a machine for the cell: its borrowed
-// pool's, recycled back to the sealed snapshot, or — on the cell's
-// first job in this pool, or with recycling off — a fresh build.
-// Machines are pooled per (artifact, defense): a defense monitor is
-// stateful hardware, never shared across columns. mp is exclusively
-// owned by the calling attempt, so no locking is needed here.
-func (r *Runner) machineFor(mp *machinePool, job Job) (*core.Machine, error) {
-	a := r.artifacts[artifactKey(job)]
-	if a == nil {
-		return nil, fmt.Errorf("fleet: no artifact for %s", artifactKey(job))
-	}
-	spec := r.specOf[job.Defense]
-	if spec == nil {
-		return nil, fmt.Errorf("fleet: job %d names unselected defense %q", job.Index, job.Defense)
-	}
-	if r.noRecycle {
-		return r.newMachine(a, spec)
-	}
-	key := artifactKey(job) + "/" + job.Defense
-	if pm, ok := mp.machines[key]; ok {
-		if err := pm.m.Recycle(); err != nil {
-			return nil, err
-		}
-		return pm.m, nil
-	}
-	// Before constructing, try the cross-batch warm cache: an idle
-	// machine from an earlier batch of the same (artifact, defense)
-	// cell recycles to its sealed snapshot exactly like an in-batch
-	// pool hit does.
-	var warmKey string
-	if r.warm != nil && a.warmKey != "" {
-		warmKey = a.warmKey + "/" + job.Defense
-		if m := r.warm.takeMachine(warmKey); m != nil {
+func (r *Runner) checkout(k poolKey) (*core.Machine, error) {
+	if !r.noRecycle {
+		if m := r.warm.checkout(k, r.gen); m != nil {
 			if err := m.Recycle(); err != nil {
 				return nil, err
 			}
-			mp.machines[key] = pooledMachine{m: m, warmKey: warmKey}
 			return m, nil
 		}
 	}
-	m, err := r.newMachine(a, spec)
+	m, err := r.target(k).NewMachine()
 	if err != nil {
 		return nil, err
 	}
 	m.Snapshot()
-	mp.machines[key] = pooledMachine{m: m, warmKey: warmKey}
 	return m, nil
-}
-
-// ReleaseMachines moves every machine still held by the runner's
-// worker pools into the warm cache, leaving the runner's pools empty.
-// Call it only after the batch has fully drained (no attempt running);
-// machines the per-job watchdog abandoned were already detached from
-// the worker pools, so they are never released — their runaway attempt
-// keeps sole ownership. No-op without a warm cache or with recycling
-// off.
-func (r *Runner) ReleaseMachines() {
-	if r.warm == nil || r.noRecycle {
-		return
-	}
-	for i := range r.worker {
-		st := &r.worker[i]
-		st.mu.Lock()
-		mp := st.pool
-		st.pool = nil
-		st.mu.Unlock()
-		if mp == nil {
-			continue
-		}
-		for _, pm := range mp.machines {
-			if pm.warmKey != "" {
-				r.warm.putMachine(pm.warmKey, pm.m)
-			}
-		}
-	}
 }
 
 // ExecuteApp runs one application build under the given defense on a
@@ -611,26 +485,11 @@ func (r *Runner) ReleaseMachines() {
 // This is the one app-run sequence both the fleet jobs and eval's
 // Table IV measurement go through.
 func ExecuteApp(p *core.Pipeline, app apps.App, build *core.BuildResult, spec *core.DefenseSpec, pre *isa.Predecoded) (*apps.Inspection, string, error) {
-	if spec == nil {
-		spec = core.DefenseBaseline
-	}
-	opts := core.MachineOptions{Config: p.Config(), Defense: spec}
-	img := build.Original.Image
-	if spec.Instrumented {
-		opts.ROM = p.ROM()
-		img = build.Instrumented.Image
-	}
-	m, err := core.NewMachine(opts)
+	t := attacks.TargetFor(p, build, spec)
+	t.Predecoded = pre
+	m, err := t.NewMachine()
 	if err != nil {
 		return nil, "", err
-	}
-	if err := m.LoadFirmware(img); err != nil {
-		return nil, "", err
-	}
-	if pre != nil {
-		m.UsePredecoded(pre)
-	} else {
-		m.EnablePredecode()
 	}
 	return ExecuteAppOn(m, app)
 }
@@ -652,18 +511,8 @@ func ExecuteAppOn(m *core.Machine, app apps.App) (*apps.Inspection, string, erro
 	return insp, reason, runErr
 }
 
-func (r *Runner) runAppJob(mp *machinePool, job Job) JobResult {
+func (r *Runner) runAppJob(m *core.Machine, job Job, app apps.App) JobResult {
 	res := JobResult{Job: job}
-	app, ok := apps.ByName(job.Name)
-	if !ok {
-		res.Err = fmt.Sprintf("unknown app %q", job.Name)
-		return res
-	}
-	m, err := r.machineFor(mp, job)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
 	insp, reason, err := ExecuteAppOn(m, app)
 	if err != nil {
 		res.Err = err.Error()
@@ -689,21 +538,9 @@ func (r *Runner) runAppJob(mp *machinePool, job Job) JobResult {
 	return res
 }
 
-func (r *Runner) runAttackJob(mp *machinePool, job Job) JobResult {
+func (r *Runner) runAttackJob(m *core.Machine, job Job, k poolKey, sc attacks.Scenario) JobResult {
 	res := JobResult{Job: job}
-	var sc attacks.Scenario
-	found := false
-	for _, s := range r.scenarios {
-		if s.Name == job.Name {
-			sc, found = s, true
-			break
-		}
-	}
-	if !found {
-		res.Err = fmt.Sprintf("unknown scenario %q", job.Name)
-		return res
-	}
-	o, err := r.executeScenario(mp, job, sc)
+	o, err := attacks.ExecuteOn(m, r.target(k), sc)
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -716,14 +553,13 @@ func (r *Runner) runAttackJob(mp *machinePool, job Job) JobResult {
 	// detection or compromise is the matrix cell itself, so the check
 	// only demands architectural sanity (any reset reason must be one the
 	// defense can emit).
-	spec := r.specOf[job.Defense]
 	switch {
-	case spec.New == nil:
+	case k.spec.New == nil:
 		res.CheckOK = o.Compromised
-	case spec.Name == core.DefenseEILID.Name:
+	case k.spec.Name == core.DefenseEILID.Name:
 		res.CheckOK = !o.Compromised && o.Resets > 0
 	default:
-		res.CheckOK = o.Resets == 0 || spec.EmitsReason(o.Reason)
+		res.CheckOK = o.Resets == 0 || k.spec.EmitsReason(o.Reason)
 	}
 	return res
 }
@@ -741,50 +577,21 @@ func (res *JobResult) fillOutcome(o attacks.Outcome) {
 	res.Compromised = o.Compromised
 }
 
-// executeScenario runs a scenario for the job's matrix cell: shared
-// build artifact, defense target with the per-ROM decode cache, pooled
-// (or fresh) machine. Handcrafted attack jobs and generated jobs both
-// go through it, so the two kinds cannot diverge in target preparation
-// or machine lifecycle.
-func (r *Runner) executeScenario(mp *machinePool, job Job, sc attacks.Scenario) (attacks.Outcome, error) {
-	a := r.artifacts[artifactKey(job)]
-	if a == nil {
-		return attacks.Outcome{}, fmt.Errorf("no artifact for %s", artifactKey(job))
-	}
-	spec := r.specOf[job.Defense]
-	if spec == nil {
-		return attacks.Outcome{}, fmt.Errorf("job %d names unselected defense %q", job.Index, job.Defense)
-	}
-	t := attacks.TargetFor(r.p, a.build, spec)
-	t.Predecoded = a.pre(spec)
-
-	m, err := r.machineFor(mp, job)
-	if err != nil {
-		return attacks.Outcome{}, err
-	}
-	return attacks.ExecuteOn(m, t, sc)
-}
-
 // runGenJob executes one generated scenario variant. The check is the
 // generator's per-defense oracle (scenario.Generated.Check): EILID must
 // uphold the paper's guarantee, the comparative defenses must only
 // reset for reasons they can emit, and the baseline is recorded purely
 // as a diagnostic — many generated variants are deliberate near-misses
 // that fizzle everywhere.
-func (r *Runner) runGenJob(mp *machinePool, job Job) JobResult {
+func (r *Runner) runGenJob(m *core.Machine, job Job, k poolKey, g scenario.Generated) JobResult {
 	res := JobResult{Job: job}
-	g, ok := r.generated[job.Name]
-	if !ok {
-		res.Err = fmt.Sprintf("unknown generated scenario %q", job.Name)
-		return res
-	}
-	o, err := r.executeScenario(mp, job, g.Scenario)
+	o, err := attacks.ExecuteOn(m, r.target(k), g.Scenario)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
 	res.fillOutcome(o)
-	res.Oracle = g.Check(r.specOf[job.Defense], o)
+	res.Oracle = g.Check(k.spec, o)
 	res.CheckOK = res.Oracle == ""
 	return res
 }

@@ -26,9 +26,12 @@ func TestFleetDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := r.RunSequential()
+	seq, interrupted, err := r.RunSequential(nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if interrupted {
+		t.Fatal("uncancelled RunSequential reported interrupted")
 	}
 	par, err := r.Run()
 	if err != nil {
@@ -52,6 +55,16 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 	if seq.Workers != 1 || par.Workers != 8 {
 		t.Fatalf("worker accounting: seq=%d par=%d", seq.Workers, par.Workers)
+	}
+	// A closed cancel stops the sequential pass before it dispatches.
+	cancel := make(chan struct{})
+	close(cancel)
+	cut, interrupted, err := r.RunSequential(cancel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !interrupted || cut.Jobs != 0 {
+		t.Fatalf("pre-closed cancel: interrupted=%v after %d jobs", interrupted, cut.Jobs)
 	}
 }
 

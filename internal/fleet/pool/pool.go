@@ -48,8 +48,8 @@ func Do[T any](n, workers int, fn func(i int) T) []T {
 
 // DoIndexed is Do with the worker's identity passed to fn: worker is in
 // [0, workers) and each worker runs its jobs one at a time on a single
-// goroutine, so per-worker state — the fleet runner's recycled-machine
-// pools — needs no locking. Which worker runs which job is
+// goroutine, so per-worker state — the fleet runner's watchdog timers
+// — needs no locking. Which worker runs which job is
 // scheduling-dependent; fn must produce identical results regardless.
 func DoIndexed[T any](n, workers int, fn func(worker, job int) T) []T {
 	if n <= 0 {

@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"testing"
+
+	"eilid/internal/core"
 )
 
 // TestRecycleFleetByteIdentical is the fleet-level recycling contract:
@@ -49,16 +51,50 @@ func TestRecycleFleetByteIdentical(t *testing.T) {
 			t.Fatalf("pass %d: recycled results differ from construct-per-job run", pass)
 		}
 	}
-	pooled := 0
-	for w := range recycled.worker {
-		if mp := recycled.worker[w].pool; mp != nil {
-			pooled += len(mp.machines)
+	if st := recycled.warm.Stats(); st.Machines == 0 || st.MachineHits != 0 {
+		t.Fatalf("recycling runner's private Warm: %+v; want idle machines and no cross-batch hits", st)
+	}
+	if st := fresh.warm.Stats(); st.Machines != 0 {
+		t.Fatalf("construct-per-job runner pooled %d machines", st.Machines)
+	}
+}
+
+// TestRecycleOneIdleMachinePerPool pins what the one pool holds: on one
+// worker a Run leaves exactly one idle machine per (artifact, defense)
+// pool in the runner's Warm, and a second Run checks those same
+// machines out again and constructs none.
+func TestRecycleOneIdleMachinePerPool(t *testing.T) {
+	r, err := NewRunner(newPipeline(t), warmSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools := map[poolKey]bool{}
+	for _, c := range r.cells {
+		pools[c.pool] = true
+	}
+	idle := func() map[*core.Machine]bool {
+		set := map[*core.Machine]bool{}
+		for k, ms := range r.warm.machines {
+			if !pools[k] || len(ms) != 1 {
+				t.Fatalf("a %s pool holds %d idle machines, want 1 in each of the runner's pools", k.spec.Name, len(ms))
+			}
+			set[ms[0].m] = true
 		}
+		if len(set) != len(pools) || r.warm.Stats().Machines != len(pools) {
+			t.Fatalf("%d idle machines (stats %+v) for %d pools", len(set), r.warm.Stats(), len(pools))
+		}
+		return set
 	}
-	if pooled == 0 {
-		t.Fatal("recycling runner pooled no machines; the differential is vacuous")
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if mp := fresh.worker[0].pool; mp != nil && len(mp.machines) != 0 {
-		t.Fatalf("construct-per-job runner pooled %d machines", len(mp.machines))
+	first := idle()
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for m := range idle() {
+		if !first[m] {
+			t.Fatal("the second Run constructed a machine")
+		}
 	}
 }

@@ -116,13 +116,6 @@ func (r *Report) ResultsJSON() ([]byte, error) {
 	return json.MarshalIndent(r.Results, "", "  ")
 }
 
-// WriteJSON emits the full report (including timing) as JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // RenderTableHeader writes the column header of the per-job table (the
 // streaming CLI emits rows as jobs finish, so the header comes first).
 func RenderTableHeader(w io.Writer) {
@@ -234,7 +227,7 @@ func (r *Report) Render(w io.Writer) {
 }
 
 // WriteNDJSONLine emits one job result as a single JSON line — the
-// streaming counterpart of WriteJSON's results array.
+// streaming counterpart of ResultsJSON's array.
 func WriteNDJSONLine(w io.Writer, jr JobResult) error {
 	b, err := json.Marshal(jr)
 	if err != nil {

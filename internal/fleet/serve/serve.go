@@ -21,8 +21,10 @@
 //	GET  /healthz              liveness + warm-cache statistics
 //
 // Batches execute one at a time in submission order (jobs within a
-// batch still fan out across the runner's worker pool), so the warm
-// machine pools are handed from batch to batch without contention.
+// batch still fan out across the runner's worker pool). Every job checks
+// its machine out of the server's fleet.Warm and back in, so nothing is
+// handed over when a batch ends: the next batch checks out the machines
+// the last one checked in.
 //
 // Determinism contract: the journal streamed for a spec is
 // byte-identical to the journal `eilid-fleet -spec file -json out`
@@ -321,9 +323,6 @@ func (s *Server) execute(b *Batch) {
 	rep, interrupted, _ := runner.RunStreamCancel(s.stop, func(jr fleet.JobResult) {
 		b.appendResult(jr)
 	})
-	// Hand the batch's machines to the warm cache before journalling
-	// the tail, so a resubmission racing the summary line still warms.
-	runner.ReleaseMachines()
 	if interrupted {
 		err = b.appendLine(func(w io.Writer) error {
 			return fleet.WriteJournalInterrupted(w, b.Completed(), len(runner.Jobs()))

@@ -1,29 +1,32 @@
 package fleet
 
-// Warm is the server-lifetime cache behind eilid-fleetd's service mode:
-// build artifacts and recycled machines that outlive any single batch.
-// A cold batch pays the full preparation cost — assembling and
-// instrumenting every firmware, snapshotting decode caches, fusing
-// block tables, constructing machines — while a warm resubmission of
-// the same (or an overlapping) matrix finds all of that already built
-// and runs straight on recycled machines.
+// Warm is the runner's machine pool and artifact cache. NewRunner gives
+// every runner a private one; eilid-fleetd hands one server-lifetime
+// Warm to every batch (NewRunnerWarm), so build artifacts and recycled
+// machines outlive any single batch. A cold batch pays the full
+// preparation cost — assembling and instrumenting every firmware,
+// snapshotting decode caches, fusing block tables, constructing
+// machines — while a warm resubmission of the same (or an overlapping)
+// matrix finds all of that already built and runs straight on recycled
+// machines.
 //
-// Entries are content-addressed: artifacts key on the sha256 of their
+// Artifacts are content-addressed: they key on the sha256 of their
 // assembly source (never on the matrix-cell name, which for generated
 // victims could collide across seeds if a family ever renamed its
-// parameters), and machines key on their artifact's content key plus
-// the defense column. A machine is only ever handed to a job whose
-// artifact and defense match the ones it was built for, and every
-// checkout recycles it back to its sealed post-load snapshot — the same
-// Machine.Recycle contract the in-batch pools rely on — so warm reuse
-// is observationally identical to a cold construction. The cross-batch
-// differential suites pin that byte-identity.
+// parameters). Machines sit in one pool per (artifact, defense): every
+// job checks a machine out of its pool, runs on it and checks it back
+// in, so a pool holds as many machines as its jobs ever ran at once. A
+// machine is only ever handed to a job whose artifact and defense match
+// the ones it was built for, and every checkout recycles it back to its
+// sealed post-load snapshot (Machine.Recycle), so reuse — within a
+// batch or across batches — is observationally identical to a cold
+// construction. The recycle and cross-batch differential suites pin
+// that byte-identity.
 //
-// A Warm is safe for concurrent use; batches borrow machines during a
-// run and Runner.ReleaseMachines returns them when the batch ends.
-// Machines abandoned by the per-job watchdog are never released back
-// (their runaway attempt keeps sole ownership), so a warm pool never
-// contains a machine another goroutine may still be mutating.
+// A Warm is safe for concurrent use. A checked-out machine belongs to
+// its job alone: a job the per-job watchdog abandons keeps its machine
+// until it returns, and a job that panics drops it, so the pool never
+// holds a machine another goroutine may still be mutating.
 
 import (
 	"crypto/sha256"
@@ -33,25 +36,41 @@ import (
 	"eilid/internal/core"
 )
 
-// Warm caches build artifacts and idle recycled machines across
-// batches. The zero value is not usable; call NewWarm.
+// Warm caches build artifacts and idle recycled machines. The zero
+// value is not usable; call NewWarm.
 type Warm struct {
 	mu        sync.Mutex
-	artifacts map[string]*artifact       // content key → shared artifact
-	machines  map[string][]*core.Machine // content key + "/" + defense → idle machines
+	artifacts map[string]*artifact      // content key → shared artifact
+	machines  map[poolKey][]idleMachine // idle machines per pool
+	runners   uint64                    // generations handed to runners
 	stats     WarmStats
+}
+
+// poolKey names one machine pool: one built firmware under one defense.
+// A defense monitor is stateful hardware, so columns never share.
+type poolKey struct {
+	a    *artifact
+	spec *core.DefenseSpec
+}
+
+// idleMachine is a checked-in machine tagged with the generation of the
+// runner that checked it in.
+type idleMachine struct {
+	m   *core.Machine
+	gen uint64
 }
 
 // WarmStats counts cache traffic — the observable the warm-reuse tests
 // and the /healthz endpoint report.
 type WarmStats struct {
-	// Artifacts and Machines are the current cache sizes.
+	// Artifacts and Machines are the current cache sizes; Machines
+	// counts idle (checked-in) machines.
 	Artifacts int `json:"artifacts"`
 	Machines  int `json:"machines"`
 	// Hits and misses accumulate over the cache's lifetime. An artifact
-	// miss is a firmware actually built; a machine miss is only counted
-	// indirectly (constructions happen in the runner), so MachineHits
-	// alone measures cross-batch recycling.
+	// miss is a firmware actually built; MachineHits counts checkouts of
+	// a machine another runner checked in, so it measures cross-batch
+	// recycling only.
 	ArtifactHits   int `json:"artifact_hits"`
 	ArtifactMisses int `json:"artifact_misses"`
 	MachineHits    int `json:"machine_hits"`
@@ -61,7 +80,7 @@ type WarmStats struct {
 func NewWarm() *Warm {
 	return &Warm{
 		artifacts: map[string]*artifact{},
-		machines:  map[string][]*core.Machine{},
+		machines:  map[poolKey][]idleMachine{},
 	}
 }
 
@@ -75,10 +94,17 @@ func warmContentKey(file, source string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// artifact returns the cached artifact for this source, or nil on a
-// miss. The returned artifact is shared and read-only.
-func (w *Warm) artifact(file, source string) *artifact {
-	key := warmContentKey(file, source)
+// generation hands a new runner its generation tag.
+func (w *Warm) generation() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.runners++
+	return w.runners
+}
+
+// artifact returns the cached artifact under this content key, or nil
+// on a miss. The returned artifact is shared and read-only.
+func (w *Warm) artifact(key string) *artifact {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	a := w.artifacts[key]
@@ -91,40 +117,40 @@ func (w *Warm) artifact(file, source string) *artifact {
 }
 
 // putArtifact caches a freshly built artifact under its content key.
-func (w *Warm) putArtifact(a *artifact) {
-	if a.warmKey == "" {
-		return
-	}
+func (w *Warm) putArtifact(key string, a *artifact) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, ok := w.artifacts[a.warmKey]; !ok {
-		w.artifacts[a.warmKey] = a
+	if _, ok := w.artifacts[key]; !ok {
+		w.artifacts[key] = a
 		w.stats.Artifacts = len(w.artifacts)
 	}
 }
 
-// takeMachine checks an idle machine out of the pool for this
-// (artifact content, defense) key, or returns nil. The caller owns the
-// machine until it is released back and must Recycle it before use.
-func (w *Warm) takeMachine(key string) *core.Machine {
+// checkout takes an idle machine out of the pool, or returns nil when
+// the pool is empty. The caller owns the machine until it checks it
+// back in and must Recycle it before use.
+func (w *Warm) checkout(k poolKey, gen uint64) *core.Machine {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	pool := w.machines[key]
+	pool := w.machines[k]
 	if len(pool) == 0 {
 		return nil
 	}
-	m := pool[len(pool)-1]
-	w.machines[key] = pool[:len(pool)-1]
+	idle := pool[len(pool)-1]
+	pool[len(pool)-1] = idleMachine{}
+	w.machines[k] = pool[:len(pool)-1]
 	w.stats.Machines--
-	w.stats.MachineHits++
-	return m
+	if idle.gen != gen {
+		w.stats.MachineHits++
+	}
+	return idle.m
 }
 
-// putMachine returns an idle machine to the pool.
-func (w *Warm) putMachine(key string, m *core.Machine) {
+// checkin returns an idle machine to its pool.
+func (w *Warm) checkin(k poolKey, gen uint64, m *core.Machine) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.machines[key] = append(w.machines[key], m)
+	w.machines[k] = append(w.machines[k], idleMachine{m: m, gen: gen})
 	w.stats.Machines++
 }
 
