@@ -97,16 +97,18 @@ func BenchmarkTable4(b *testing.B) {
 			layout := p.Config().Layout
 			sizeEILID := build.Instrumented.Image.SizeInRange(layout.PMEMStart, layout.PMEMEnd)
 			var rep *fleet.Report
+			var results []fleet.JobResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rep, err = r.Run(); err != nil {
+				results = results[:0]
+				if rep, _, err = r.Run(nil, nil, func(jr fleet.JobResult) { results = append(results, jr) }); err != nil {
 					b.Fatal(err)
 				}
 			}
 			if rep.Failures != 0 {
-				b.Fatalf("fleet job failed: %+v", rep.Results)
+				b.Fatalf("fleet job failed: %+v", results)
 			}
-			orig, inst := rep.Results[0].Cycles, rep.Results[1].Cycles
+			orig, inst := results[0].Cycles, results[1].Cycles
 			b.ReportMetric(float64(orig), "cycles-orig")
 			b.ReportMetric(float64(inst), "cycles-eilid")
 			b.ReportMetric(100*float64(inst-orig)/float64(orig), "overhead-%")
@@ -272,7 +274,7 @@ func BenchmarkSimulator_FleetMatrix(b *testing.B) {
 	var jobs int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := r.Run()
+		rep, _, err := r.Run(nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

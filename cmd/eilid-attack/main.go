@@ -36,6 +36,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "eilid-attack: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
 
 	if *list {
 		for _, sc := range attacks.Scenarios() {

@@ -37,6 +37,10 @@ func TestAttackFlagErrors(t *testing.T) {
 	if code := run([]string{"-bogus"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
+	// A stray argument would drop the -scenario after it.
+	if code := run([]string{"stray", "-scenario", "stack-smash"}, &out, &errb); code != 2 {
+		t.Errorf("stray argument: exit %d, want 2", code)
+	}
 }
 
 // TestAttackFullSweep runs the whole suite concurrently — the command's

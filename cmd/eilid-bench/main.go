@@ -46,6 +46,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "eilid-bench: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -74,3 +74,15 @@ func TestBenchNoSelection(t *testing.T) {
 		t.Errorf("no selection: exit %d, want 2", code)
 	}
 }
+
+// TestBenchStrayArgument: flag stops at the first non-flag argument, so
+// a stray one would drop the -micro after it; the run is refused.
+func TestBenchStrayArgument(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-table", "1", "stray", "-micro"}, &out, &errb); code != 2 {
+		t.Errorf("stray argument: exit %d, want 2", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("stray argument: printed output:\n%s", out.String())
+	}
+}

@@ -1,13 +1,11 @@
 package main
 
-// Batch execution: the default mode's aggregate/stream/verify paths
-// over one fleet.Runner, plus the -resume path that completes an
-// interrupted journal. Both write the same canonical NDJSON journal —
-// byte-identical whatever path computed it.
+// Batch execution: the default mode over one fleet.Runner, plus the
+// -resume path that completes an interrupted journal. Both write the
+// same canonical NDJSON journal — byte-identical whatever path computed
+// it.
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -17,206 +15,82 @@ import (
 	"eilid/internal/fleet"
 )
 
-// journalWriter is the NDJSON sink with every write, flush and close
-// error surfaced: a journal that looks complete but lost its tail to a
-// full disk is worse than a loud failure.
-type journalWriter struct {
-	f *os.File // nil when the journal goes to stdout
-	w *bufio.Writer
-}
-
-func (jw *journalWriter) result(jr fleet.JobResult) error {
-	if err := fleet.WriteNDJSONLine(jw.w, jr); err != nil {
-		return err
-	}
-	// Flush per job: a consumer tailing the file sees every result the
-	// moment its job (and its predecessors) finish, and a crash loses at
-	// most the OS buffer, never silently drops the middle of the file.
-	return jw.w.Flush()
-}
-
-// close flushes and closes the sink, reporting the first error; the
-// stdout variant only flushes.
-func (jw *journalWriter) close() error {
-	err := jw.w.Flush()
-	if jw.f != nil {
-		if cerr := jw.f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
 // batchOpts carries the batch-mode flag values.
 type batchOpts struct {
 	jsonOut string // -json: journal destination ("-" = stdout)
-	verify  bool
 	quiet   bool
 }
 
-// runBatch executes the runner's matrix in-process: streaming (the
-// default), or aggregate with a sequential replay under -verify. Closing
-// cancel (the signal handler does) stops dispatch and journals the
-// batch as interrupted.
+// runBatch executes the runner's matrix in-process, printing the
+// per-job table as jobs complete and, under -json, writing the journal.
+// Closing cancel (the signal handler does) stops dispatch and journals
+// the batch as interrupted.
 func runBatch(runner *fleet.Runner, o batchOpts, cancel <-chan struct{}, stdout, stderr io.Writer) int {
-	// The NDJSON journal sink: a flushed writer when -json is set.
-	var jw *journalWriter
-	if o.jsonOut != "" {
-		jw = &journalWriter{}
-		if o.jsonOut == "-" {
-			// stdout is the NDJSON stream: interleaving the human table
-			// would corrupt it for line-oriented consumers.
-			o.quiet = true
-			jw.w = bufio.NewWriter(stdout)
-		} else {
-			f, err := os.Create(o.jsonOut)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			jw.f = f
-			jw.w = bufio.NewWriter(f)
-		}
-		err := fleet.WriteJournalHeader(jw.w, runner.JournalHeader())
-		if err == nil {
-			err = jw.w.Flush()
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "eilid-fleet: writing journal header:", err)
-			jw.close()
-			return 1
-		}
-	}
-
-	emitted := 0
-	emit := func(jr fleet.JobResult) error {
-		if !o.quiet {
-			jr.RenderRow(stdout)
-		}
-		if jw != nil {
-			if err := jw.result(jr); err != nil {
-				return err
-			}
-		}
-		emitted++
-		return nil
-	}
-
-	var report *fleet.Report
-	interrupted := false
-	if o.verify {
-		// Verification compares the full concurrent result set against a
-		// sequential replay, so this path collects the results in memory
-		// and emits them once both passes are done. A cancel during either
-		// pass stops it: the concurrent results so far are journalled, and
-		// no verdict is printed.
-		var results []fleet.JobResult
-		rep, intr, err := runner.RunStreamCancel(cancel, func(jr fleet.JobResult) {
-			results = append(results, jr)
-		})
-		var seq *fleet.Report
-		if err == nil && !intr {
-			seq, intr, err = runner.RunSequential(cancel)
-		}
-		if err == nil && !intr {
-			rep.Results = results
-			err = verifyIdentical(rep, seq, stdout)
-		}
-		if err != nil {
+	// The journal is written unbuffered, one Write per line: a consumer
+	// tailing it sees every result the moment its job (and its
+	// predecessors) finish, and a crash loses at most the OS buffer,
+	// never the middle of the file.
+	var journal io.Writer
+	var f *os.File
+	switch o.jsonOut {
+	case "":
+	case "-":
+		// stdout is the NDJSON stream: interleaving the human table
+		// would corrupt it for line-oriented consumers.
+		o.quiet = true
+		journal = stdout
+	default:
+		var err error
+		if f, err = os.Create(o.jsonOut); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		if !o.quiet {
-			fleet.RenderTableHeader(stdout)
-		}
-		for _, jr := range results {
-			if err := emit(jr); err != nil {
-				fmt.Fprintln(stderr, err)
-				if jw != nil {
-					jw.close()
-				}
-				return 1
-			}
-		}
-		report = rep
-		interrupted = intr
-	} else {
-		if !o.quiet {
-			fleet.RenderTableHeader(stdout)
-		}
-		var emitErr error
-		rep, intr, err := runner.RunStreamCancel(cancel, func(jr fleet.JobResult) {
-			if emitErr == nil {
-				emitErr = emit(jr)
-			}
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if emitErr != nil {
-			fmt.Fprintln(stderr, emitErr)
-			if jw != nil {
-				jw.close()
-			}
-			return 1
-		}
-		report = rep
-		interrupted = intr
-	}
-
-	if interrupted {
-		if jw != nil {
-			err := fleet.WriteJournalInterrupted(jw.w, emitted, len(runner.Jobs()))
-			if cerr := jw.close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "eilid-fleet: writing interrupted journal:", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "eilid-fleet: interrupted after %d/%d jobs; complete with: eilid-fleet -resume %s\n",
-				emitted, len(runner.Jobs()), o.jsonOut)
-		} else {
-			fmt.Fprintf(stderr, "eilid-fleet: interrupted after %d/%d jobs (no -json journal to resume from)\n",
-				emitted, len(runner.Jobs()))
-		}
-		return 3
+		journal = f
 	}
 
 	if !o.quiet {
-		report.RenderSummary(stdout)
+		fleet.RenderTableHeader(stdout)
 	}
-	if jw != nil {
-		err := fleet.WriteJournalSummary(jw.w, report)
-		if cerr := jw.close(); err == nil {
+	row := func(jr fleet.JobResult) {
+		if !o.quiet {
+			jr.RenderRow(stdout)
+		}
+	}
+	var report *fleet.Report
+	var interrupted bool
+	var err error
+	if journal != nil {
+		report, interrupted, err = runner.WriteJournal(journal, cancel, row)
+	} else {
+		report, interrupted, err = runner.Run(nil, cancel, row)
+	}
+	if f != nil {
+		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			fmt.Fprintln(stderr, "eilid-fleet: writing journal summary:", err)
-			return 1
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "eilid-fleet: writing journal:", err)
+		return 1
+	}
+
+	if interrupted {
+		if o.jsonOut != "" {
+			fmt.Fprintf(stderr, "eilid-fleet: interrupted after %d/%d jobs; complete with: eilid-fleet -resume %s\n",
+				report.Jobs, len(runner.Jobs()), o.jsonOut)
+		} else {
+			fmt.Fprintf(stderr, "eilid-fleet: interrupted after %d/%d jobs (no -json journal to resume from)\n",
+				report.Jobs, len(runner.Jobs()))
 		}
+		return 3
+	}
+	if !o.quiet {
+		report.RenderSummary(stdout)
 	}
 	if report.Failures > 0 || report.ChecksFailed > 0 {
 		return 1
 	}
 	return 0
-}
-
-// verifyIdentical fails unless the concurrent run's results are
-// byte-identical to the sequential replay's, and prints the verdict.
-func verifyIdentical(rep, seq *fleet.Report, stdout io.Writer) error {
-	a, errA := rep.ResultsJSON()
-	b, errB := seq.ResultsJSON()
-	if errA != nil || errB != nil {
-		return fmt.Errorf("verify: marshalling failed: %v %v", errA, errB)
-	}
-	if !bytes.Equal(a, b) {
-		return fmt.Errorf("verify: FAILED — concurrent results differ from the sequential replay")
-	}
-	fmt.Fprintf(stdout, "verify: %d-worker run byte-identical to sequential replay (%d jobs)\n",
-		rep.Workers, rep.Jobs)
-	return nil
 }
 
 // runResume completes an interrupted (or partly failed) journal: rebuild
@@ -262,16 +136,15 @@ func runResume(pipeline *core.Pipeline, path string, exec fleet.ExecSpec, cancel
 			fmt.Fprintln(stderr, "eilid-fleet: resume:", err)
 			return 1
 		}
-		jw := &journalWriter{f: f, w: bufio.NewWriter(f)}
 		if !quiet {
 			fmt.Fprintf(stdout, "resume: %d/%d jobs already journalled, running %d\n",
 				j.Header.Jobs-len(remaining), j.Header.Jobs, len(remaining))
 			fleet.RenderTableHeader(stdout)
 		}
-		var emitErr error
+		var werr error
 		ran := 0
-		interrupted, err := runner.RunIndices(remaining, cancel, func(jr fleet.JobResult) {
-			if emitErr != nil {
+		_, interrupted, err := runner.Run(remaining, cancel, func(jr fleet.JobResult) {
+			if werr != nil {
 				return
 			}
 			if !quiet {
@@ -279,35 +152,28 @@ func runResume(pipeline *core.Pipeline, path string, exec fleet.ExecSpec, cancel
 			}
 			// Append before recording: if the write fails the job is
 			// still "remaining" on the next resume.
-			if emitErr = jw.result(jr); emitErr == nil {
+			if werr = fleet.WriteNDJSONLine(f, jr); werr == nil {
 				j.Results[jr.Index] = jr
 				ran++
 			}
 		})
 		if err == nil {
-			err = emitErr
+			err = werr
+		}
+		if err == nil && interrupted {
+			err = fleet.WriteJournalInterrupted(f, j.Header.Jobs-len(remaining)+ran, j.Header.Jobs)
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 		if err != nil {
 			fmt.Fprintln(stderr, "eilid-fleet: resume:", err)
-			jw.close()
 			return 1
 		}
 		if interrupted {
-			werr := fleet.WriteJournalInterrupted(jw.w, j.Header.Jobs-len(remaining)+ran, j.Header.Jobs)
-			if cerr := jw.close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintln(stderr, "eilid-fleet: resume: writing interrupted journal:", werr)
-				return 1
-			}
 			fmt.Fprintf(stderr, "eilid-fleet: resume interrupted with %d jobs still to run; resume again\n",
 				len(remaining)-ran)
 			return 3
-		}
-		if err := jw.close(); err != nil {
-			fmt.Fprintln(stderr, "eilid-fleet: resume:", err)
-			return 1
 		}
 	}
 

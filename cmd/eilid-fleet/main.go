@@ -9,7 +9,7 @@
 //
 //	eilid-fleet [-workers N] [-repeat N] [-apps a,b] [-scenarios x,y]
 //	            [-defenses baseline,eilid,shadow,critvar]
-//	            [-gen N] [-seed S] [-json out.ndjson] [-verify] [-q]
+//	            [-gen N] [-seed S] [-json out.ndjson] [-q]
 //	            [-job-timeout 2m]
 //	eilid-fleet -spec batch.json [execution flags] | -dump-spec [matrix flags]
 //	eilid-fleet -resume out.ndjson [-workers N] [-q]
@@ -56,14 +56,9 @@
 // (rather than hangs on) runaway jobs. Neither is retried in-run; a
 // resume re-runs them.
 //
-// -verify additionally replays the matrix sequentially and fails unless
-// the concurrent results are byte-identical — the fleet's determinism
-// contract, checkable from the command line. (Verification needs both
-// result sets in memory, so -verify runs aggregate rather than
-// streaming; the NDJSON output is line-identical either way.) A signal
-// stops either pass like it stops the default path: the results so far
-// are journalled with the interrupted marker, no verdict is printed,
-// and the exit code is 3.
+// The journal is byte-identical across worker counts — the fleet's
+// determinism contract, checkable from the command line by comparing a
+// `-workers 1` journal with a `-workers 8` one.
 //
 // Exit codes: 0 success; 1 job failures, failed checks or I/O errors;
 // 2 usage or spec errors; 3 interrupted (journal flushed, resumable).
@@ -117,13 +112,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dumpSpec := fs.Bool("dump-spec", false, "print the resolved canonical batch spec as JSON and exit")
 	jsonOut := fs.String("json", "", "stream the results as a resumable NDJSON journal to this file (- for stdout)")
 	resume := fs.String("resume", "", "resume an interrupted journal: run the remaining jobs and compact the file")
-	verify := fs.Bool("verify", false, "replay sequentially and require byte-identical results")
 	jobTimeout := fs.Duration("job-timeout", 2*time.Minute, "per-job wall-clock watchdog; runaway jobs fail instead of hanging the batch (0 = off)")
 	quiet := fs.Bool("q", false, "suppress the per-job table")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
 		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "eilid-fleet: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
 	// set records which flags were given explicitly — the difference
@@ -158,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		incompatible := map[string]bool{
 			"apps": true, "scenarios": true, "no-apps": true, "no-scenarios": true,
 			"defenses": true, "repeat": true, "gen": true, "seed": true,
-			"json": true, "verify": true, "spec": true, "dump-spec": true,
+			"json": true, "spec": true, "dump-spec": true,
 		}
 		fs.Visit(func(f *flag.Flag) {
 			if incompatible[f.Name] {
@@ -249,5 +247,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	return runBatch(runner, batchOpts{jsonOut: *jsonOut, verify: *verify, quiet: *quiet}, cancel, stdout, stderr)
+	return runBatch(runner, batchOpts{jsonOut: *jsonOut, quiet: *quiet}, cancel, stdout, stderr)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -64,24 +65,35 @@ func parseNDJSON(t *testing.T, raw []byte) (jobs []map[string]any, summary map[s
 	return jobs, summary
 }
 
-func TestFleetVerifyAndJSON(t *testing.T) {
-	path := t.TempDir() + "/report.ndjson"
+// journalOf runs the CLI with args plus `-q -json <dir>/name` and
+// returns the journal it wrote.
+func journalOf(t *testing.T, dir, name string, args ...string) []byte {
+	t.Helper()
+	path := dir + "/" + name
 	var out, errb strings.Builder
-	code := run([]string{
-		"-apps", "TempSensor", "-no-scenarios", "-workers", "8", "-repeat", "2",
-		"-defenses", "baseline,eilid", "-verify", "-q", "-json", path,
-	}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s\n%s", code, errb.String(), out.String())
-	}
-	if !strings.Contains(out.String(), "byte-identical") {
-		t.Errorf("verify line missing:\n%s", out.String())
+	if code := run(append(args, "-q", "-json", path), &out, &errb); code != 0 {
+		t.Fatalf("%v: exit %d, stderr: %s\n%s", args, code, errb.String(), out.String())
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, summary := parseNDJSON(t, raw)
+	return raw
+}
+
+// TestFleetVerifyAndJSON: the -json journal frames the batch (header,
+// one line per job, a deterministic summary) and is byte-identical
+// between -workers 1 and -workers 8 — the determinism check the
+// command line offers.
+func TestFleetVerifyAndJSON(t *testing.T) {
+	dir := t.TempDir()
+	matrix := []string{"-apps", "TempSensor", "-no-scenarios", "-repeat", "2", "-defenses", "baseline,eilid"}
+	seq := journalOf(t, dir, "w1.ndjson", append(matrix, "-workers", "1")...)
+	par := journalOf(t, dir, "w8.ndjson", append(matrix, "-workers", "8")...)
+	if string(seq) != string(par) {
+		t.Errorf("journal differs between -workers 1 and -workers 8:\n%s\n%s", seq, par)
+	}
+	jobs, summary := parseNDJSON(t, par)
 	if len(jobs) != 4 {
 		t.Fatalf("got %d job lines, want 4", len(jobs))
 	}
@@ -98,47 +110,19 @@ func TestFleetVerifyAndJSON(t *testing.T) {
 	}
 }
 
-// TestFleetJSONStreamsDeterministically: the streamed (non-verify)
-// journal must be byte-identical to the verify path's, which in turn is
-// pinned to the sequential replay — so streaming loses no determinism.
+// TestFleetJSONStreamsDeterministically: a journal streamed by six
+// workers, whose jobs finish out of order, is byte-identical to one
+// streamed by a single worker.
 func TestFleetJSONStreamsDeterministically(t *testing.T) {
 	dir := t.TempDir()
-	runOnce := func(name string, extra ...string) []byte {
-		t.Helper()
-		path := dir + "/" + name
-		var out, errb strings.Builder
-		args := append([]string{
-			"-apps", "LightSensor", "-scenarios", "rop-chain", "-workers", "6",
-			"-q", "-json", path,
-		}, extra...)
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("exit %d, stderr: %s\n%s", code, errb.String(), out.String())
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	matrix := []string{"-apps", "LightSensor", "-scenarios", "rop-chain"}
+	seq := journalOf(t, dir, "w1.ndjson", append(matrix, "-workers", "1")...)
+	par := journalOf(t, dir, "w6.ndjson", append(matrix, "-workers", "6")...)
+	if string(seq) != string(par) {
+		t.Errorf("journal differs between -workers 1 and -workers 6:\n%s\n%s", seq, par)
 	}
-	streamed := runOnce("streamed.ndjson")
-	verified := runOnce("verified.ndjson", "-verify")
-
-	sJobs, sSum := parseNDJSON(t, streamed)
-	vJobs, vSum := parseNDJSON(t, verified)
-	if len(sJobs) != len(vJobs) {
-		t.Fatalf("job line counts differ: %d vs %d", len(sJobs), len(vJobs))
-	}
-	for i := range sJobs {
-		a, _ := json.Marshal(sJobs[i])
-		b, _ := json.Marshal(vJobs[i])
-		if string(a) != string(b) {
-			t.Errorf("job line %d differs:\n%s\n%s", i, a, b)
-		}
-	}
-	a, _ := json.Marshal(sSum)
-	b, _ := json.Marshal(vSum)
-	if string(a) != string(b) {
-		t.Errorf("summaries differ:\n%s\n%s", a, b)
+	if jobs, _ := parseNDJSON(t, par); len(jobs) != 8 {
+		t.Fatalf("got %d job lines, want 8", len(jobs))
 	}
 }
 
@@ -308,10 +292,10 @@ func TestFleetCrashResumeCLI(t *testing.T) {
 	}
 }
 
-// TestFleetVerifyCancel: -verify honours a signal like the default
-// path. A pre-closed cancel stops the concurrent pass before dispatch:
-// the journal gets the interrupted marker, no verdict is printed, the
-// exit code is 3, and -resume completes the journal to a clean run's.
+// TestFleetVerifyCancel: a one-worker batch honours a signal like a
+// wider one. A pre-closed cancel stops it before dispatch: the journal
+// gets the interrupted marker, the exit code is 3, and -resume
+// completes the journal to a clean run's.
 func TestFleetVerifyCancel(t *testing.T) {
 	dir := t.TempDir()
 	clean := dir + "/clean.ndjson"
@@ -323,34 +307,75 @@ func TestFleetVerifyCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runner, err := fleet.NewRunner(p, fleet.BatchSpec{
+		Matrix: fleet.MatrixSpec{Apps: []string{"LightSensor"}, Scenarios: []string{"stack-smash"}},
+		Exec:   fleet.ExecSpec{Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := dir + "/w1.ndjson"
+	cancel := make(chan struct{})
+	close(cancel)
+	errb.Reset()
+	if code := runBatch(runner, batchOpts{jsonOut: path, quiet: true}, cancel, &out, &errb); code != 3 {
+		t.Fatalf("cancelled 1-worker batch: exit %d, want 3; stderr: %s", code, errb.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"journal":"interrupted","completed":0`) {
+		t.Fatalf("cancelled 1-worker journal missing the interrupted marker:\n%s", raw)
+	}
+	if code := run([]string{"-resume", path, "-q"}, &out, &errb); code != 0 {
+		t.Fatalf("resume: exit %d, stderr: %s", code, errb.String())
+	}
+	requireSameJournal(t, clean, path)
+}
+
+// failAfter passes its first lines Writes through to w and fails every
+// one after.
+type failAfter struct {
+	lines int
+	w     strings.Builder
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.lines == 0 {
+		return 0, errors.New("disk full")
+	}
+	f.lines--
+	return f.w.Write(p)
+}
+
+// TestFleetJournalWriteFailure: a journal that cannot be written fails
+// the batch with exit 1 and names the error — whether the header or a
+// later job line is lost — and nothing follows the lost line.
+func TestFleetJournalWriteFailure(t *testing.T) {
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	runner, err := fleet.NewRunner(p, fleet.BatchSpec{Matrix: fleet.MatrixSpec{
 		Apps: []string{"LightSensor"}, Scenarios: []string{"stack-smash"},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := dir + "/verify.ndjson"
-	cancel := make(chan struct{})
-	close(cancel)
-	out.Reset()
-	errb.Reset()
-	if code := runBatch(runner, batchOpts{jsonOut: path, verify: true, quiet: true}, cancel, &out, &errb); code != 3 {
-		t.Fatalf("cancelled -verify: exit %d, want 3; stderr: %s", code, errb.String())
+	for _, lines := range []int{0, 3} {
+		stdout := &failAfter{lines: lines}
+		var errb strings.Builder
+		if code := runBatch(runner, batchOpts{jsonOut: "-"}, nil, stdout, &errb); code != 1 {
+			t.Errorf("journal failing after %d lines: exit %d, want 1", lines, code)
+		}
+		if !strings.Contains(errb.String(), "disk full") {
+			t.Errorf("journal failing after %d lines: stderr does not name the error:\n%s", lines, errb.String())
+		}
+		if got := strings.Count(stdout.w.String(), "\n"); got != lines {
+			t.Errorf("journal failing after %d lines kept %d lines", lines, got)
+		}
 	}
-	if strings.Contains(out.String(), "verify:") {
-		t.Errorf("cancelled -verify printed a verdict:\n%s", out.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"journal":"interrupted"`) {
-		t.Fatalf("cancelled -verify journal missing the interrupted marker:\n%s", raw)
-	}
-	if code := run([]string{"-resume", path, "-q"}, &out, &errb); code != 0 {
-		t.Fatalf("resume: exit %d, stderr: %s", code, errb.String())
-	}
-	requireSameJournal(t, clean, path)
 }
 
 // TestFleetFaultInjectionCLI: a watchdog too short for any job fails
@@ -421,6 +446,15 @@ func TestFleetFlagErrors(t *testing.T) {
 	if code := run([]string{"-bogus"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
+	// flag stops at the first non-flag argument: every flag after a
+	// stray one would be dropped, so the batch is refused instead.
+	path := t.TempDir() + "/s.ndjson"
+	if code := run([]string{"-apps", "TempSensor", "-no-scenarios", "stray", "-defenses", "eilid", "-q", "-json", path}, &out, &errb); code != 2 {
+		t.Errorf("stray argument: exit %d, want 2", code)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("stray argument: a journal was written (%v)", err)
+	}
 	if code := run([]string{"-h"}, &out, &errb); code != 0 {
 		t.Errorf("-h: exit %d, want 0", code)
 	}
@@ -432,9 +466,10 @@ func TestFleetFlagErrors(t *testing.T) {
 // TestFleetCoordinatorFlagValidation: nonsense execution knobs are
 // exit-2 usage errors at parse time, and so are the flags of the
 // multi-process coordinator and worker modes, the construct-per-job
-// switch, fault injection, the retry budget and the simulated
-// interrupt, which no longer exist — a script still passing them must
-// fail loudly rather than run a batch it did not ask for.
+// switch, fault injection, the retry budget, the simulated interrupt
+// and the sequential replay, which no longer exist — a script still
+// passing them must fail loudly rather than run a batch it did not ask
+// for.
 func TestFleetCoordinatorFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-workers", "0"},
@@ -469,6 +504,10 @@ func TestFleetCoordinatorFlagValidation(t *testing.T) {
 		{"-interrupt-after", "1", "-json", "x.ndjson"},
 		{"-apps", "LightSensor", "-no-scenarios", "-fault-hang", "0", "-job-timeout", "0"},
 		{"-apps", "LightSensor", "-no-scenarios", "-fault-panic", "nope"},
+		// Removed sequential replay.
+		{"-verify"},
+		{"-apps", "LightSensor", "-no-scenarios", "-verify"},
+		{"-resume", "x.ndjson", "-verify"},
 	}
 	for _, args := range cases {
 		var out, errb strings.Builder

@@ -40,6 +40,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "eilid-sim: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
 
 	if *list {
 		for _, a := range apps.All() {

@@ -92,6 +92,10 @@ func TestRunFlagErrors(t *testing.T) {
 	if code := run([]string{"-nonsense"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
+	// A stray argument would drop the -max after it.
+	if code := run([]string{"-app", "LightSensor", "stray", "-max", "1000"}, &out, &errb); code != 2 {
+		t.Errorf("stray argument: exit %d, want 2", code)
+	}
 }
 
 func TestRunList(t *testing.T) {

@@ -8,11 +8,15 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,42 +30,27 @@ func smallSpec() BatchSpec {
 	return BatchSpec{Matrix: MatrixSpec{Apps: []string{"LightSensor"}, Scenarios: []string{"stack-smash"}}}
 }
 
-// journalRun executes the runner while writing a journal, cancelling
-// after cancelAfter emitted results (0 = cancel before dispatch,
+// journalRun writes the runner's journal through WriteJournal,
+// cancelling after cancelAfter job lines (0 = cancel before dispatch,
 // negative = never). The returned bytes end with an interrupted marker
 // or the summary line, exactly as the CLI writes them.
 func journalRun(t *testing.T, r *Runner, cancelAfter int) (data []byte, interrupted bool) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteJournalHeader(&buf, r.JournalHeader()); err != nil {
-		t.Fatal(err)
-	}
 	var cancel chan struct{}
-	var once sync.Once
 	if cancelAfter >= 0 {
 		cancel = make(chan struct{})
 		if cancelAfter == 0 {
-			once.Do(func() { close(cancel) })
+			close(cancel)
 		}
 	}
-	emitted := 0
-	rep, interrupted, err := r.RunStreamCancel(cancel, func(jr JobResult) {
-		if err := WriteNDJSONLine(&buf, jr); err != nil {
-			t.Error(err)
-		}
-		emitted++
-		if cancelAfter > 0 && emitted == cancelAfter {
-			once.Do(func() { close(cancel) })
+	var buf bytes.Buffer
+	written := 0
+	_, interrupted, err := r.WriteJournal(&buf, cancel, func(JobResult) {
+		if written++; written == cancelAfter {
+			close(cancel)
 		}
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if interrupted {
-		if err := WriteJournalInterrupted(&buf, emitted, len(r.jobs)); err != nil {
-			t.Fatal(err)
-		}
-	} else if err := WriteJournalSummary(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), interrupted
@@ -69,7 +58,8 @@ func journalRun(t *testing.T, r *Runner, cancelAfter int) (data []byte, interrup
 
 // resumeJournal parses a journal, re-runs its remaining jobs on a
 // runner rebuilt from the header (no hook carried over — the resume
-// contract), and returns the compacted canonical journal.
+// contract), and returns the journal compacted the way -resume
+// compacts it (WriteJournalFile).
 func resumeJournal(t *testing.T, p *core.Pipeline, data []byte, workers int, noRecycle bool) []byte {
 	t.Helper()
 	j, err := ParseJournal(data)
@@ -86,32 +76,28 @@ func resumeJournal(t *testing.T, p *core.Pipeline, data []byte, workers int, noR
 	if err := j.Validate(r); err != nil {
 		t.Fatal(err)
 	}
-	interrupted, err := r.RunIndices(j.Remaining(), nil, func(jr JobResult) {
+	_, interrupted, err := r.Run(j.Remaining(), nil, func(jr JobResult) {
 		j.Results[jr.Index] = jr
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if interrupted {
-		t.Fatal("uncancelled RunIndices reported interrupted")
+		t.Fatal("uncancelled resume reported interrupted")
 	}
 	merged, err := j.Merged()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteJournalHeader(&buf, r.JournalHeader()); err != nil {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	if err := WriteJournalFile(path, r.JournalHeader(), merged, Aggregate(merged, r.workers, 0)); err != nil {
 		t.Fatal(err)
 	}
-	for _, jr := range merged {
-		if err := WriteNDJSONLine(&buf, jr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := WriteJournalSummary(&buf, Aggregate(merged, r.workers, 0)); err != nil {
+	compacted, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return compacted
 }
 
 // diffJournals reports the first differing line — far more useful than
@@ -263,15 +249,13 @@ func TestCrashResumeInterruptedTwice(t *testing.T) {
 	}
 	buf := bytes.NewBuffer(data)
 	cancel := make(chan struct{})
-	var once sync.Once
 	ran := 0
-	interrupted, err = r.RunIndices(remaining, cancel, func(jr JobResult) {
+	_, interrupted, err = r.Run(remaining, cancel, func(jr JobResult) {
 		if err := WriteNDJSONLine(buf, jr); err != nil {
 			t.Error(err)
 		}
-		ran++
-		if ran == 1 {
-			once.Do(func() { close(cancel) })
+		if ran++; ran == 1 {
+			close(cancel)
 		}
 	})
 	if err != nil {
@@ -415,10 +399,7 @@ func TestFaultTransientRetryInvisible(t *testing.T) {
 		mu.Unlock()
 		fault(job)
 	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, rep := runAll(t, r)
 	for i, n := range calls {
 		if n != 1 {
 			t.Errorf("hook ran %d times for job %d, want once", n, i)
@@ -427,7 +408,7 @@ func TestFaultTransientRetryInvisible(t *testing.T) {
 	if rep.Failures != 2 {
 		t.Fatalf("run has %d failures, want 2", rep.Failures)
 	}
-	for i, jr := range rep.Results {
+	for i, jr := range results {
 		if i == 2 || i == 6 {
 			if !strings.HasPrefix(jr.Err, "panic: ") {
 				t.Errorf("job %d error = %q, want a panic record", i, jr.Err)
@@ -648,4 +629,65 @@ func TestJournalParseAndValidate(t *testing.T) {
 			t.Error("journal validated against a different matrix")
 		}
 	})
+}
+
+var errDiskFull = errors.New("disk full")
+
+// failingWriter accepts its first lines Writes and fails every one
+// after, counting the attempts.
+type failingWriter struct {
+	lines, writes int
+	buf           bytes.Buffer
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.lines == 0 {
+		return 0, errDiskFull
+	}
+	w.lines--
+	return w.buf.Write(p)
+}
+
+// TestJournalWriteFailure: WriteJournal returns the first write error.
+// A failed header runs no job. A failure on job line k leaves the header
+// and the k lines before it, attempts no Write after it, and onJob has
+// seen exactly the k jobs whose lines were written; a failed summary
+// line is returned too.
+func TestJournalWriteFailure(t *testing.T) {
+	spec := smallSpec()
+	spec.Exec.Workers = 4
+	r, err := NewRunner(newPipeline(t), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, _ := journalRun(t, r, -1)
+	lines := bytes.SplitAfter(clean, []byte("\n"))
+	n := len(r.jobs)
+
+	var ran atomic.Int64
+	r.beforeJob = func(int) { ran.Add(1) }
+	w := &failingWriter{}
+	if _, _, err := r.WriteJournal(w, nil, func(JobResult) { t.Error("onJob after a failed header") }); !errors.Is(err, errDiskFull) {
+		t.Fatalf("failed header: err = %v, want %v", err, errDiskFull)
+	}
+	if ran.Load() != 0 || w.writes != 1 {
+		t.Fatalf("failed header: %d jobs ran, %d writes attempted; want 0 and 1", ran.Load(), w.writes)
+	}
+
+	r.beforeJob = nil
+	for _, k := range []int{0, 3, n - 1, n} { // k == n fails the summary line
+		w := &failingWriter{lines: 1 + k}
+		seen := 0
+		_, _, err := r.WriteJournal(w, nil, func(JobResult) { seen++ })
+		if !errors.Is(err, errDiskFull) {
+			t.Fatalf("failure at line %d: err = %v, want %v", k, err, errDiskFull)
+		}
+		if want := bytes.Join(lines[:1+k], nil); !bytes.Equal(w.buf.Bytes(), want) {
+			t.Errorf("failure at line %d left:\n%s\nwant:\n%s", k, w.buf.Bytes(), want)
+		}
+		if w.writes != k+2 || seen != min(k, n) {
+			t.Errorf("failure at line %d: %d writes attempted, onJob saw %d jobs; want %d and %d", k, w.writes, seen, k+2, min(k, n))
+		}
+	}
 }

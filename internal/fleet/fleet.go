@@ -238,11 +238,6 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 	return r, nil
 }
 
-// Defenses returns the selected defense columns in matrix order.
-func (r *Runner) Defenses() []*core.DefenseSpec {
-	return append([]*core.DefenseSpec(nil), r.defenses...)
-}
-
 // prepare builds one firmware and snapshots its per-flavour decode
 // caches from reference machines carrying the exact images the jobs
 // will run, or takes the artifact from the Warm when it holds one for
@@ -306,50 +301,39 @@ func (r *Runner) Workers() int { return r.workers }
 // returned spec enumerates the identical job matrix.
 func (r *Runner) Spec() BatchSpec { return r.spec }
 
-// Run executes the matrix on the worker pool and aggregates the report.
-// Per-job failures — including panics, which the fault boundary turns
-// into deterministic failure records — are recorded in the job's Err
-// field rather than aborting the fleet: one wild scenario must not sink
-// the batch.
-func (r *Runner) Run() (*Report, error) {
-	start := time.Now()
-	results := pool.DoIndexed(len(r.jobs), r.workers, r.runJobSafe)
-	return Aggregate(results, r.workers, time.Since(start)), nil
-}
-
-// RunSequential executes the same matrix on one worker — the reference
-// ordering for determinism checks. Closing cancel stops it the way it
-// stops RunStreamCancel: it returns interrupted=true with a report of
-// the jobs that completed.
-func (r *Runner) RunSequential(cancel <-chan struct{}) (rep *Report, interrupted bool, err error) {
-	start := time.Now()
-	var results []JobResult
-	_, interrupted = pool.StreamIndexedCancel(len(r.jobs), 1, cancel, r.runJobSafe, func(_ int, jr JobResult) {
-		results = append(results, jr)
-	})
-	return Aggregate(results, 1, time.Since(start)), interrupted, nil
-}
-
-// RunStream executes the matrix and delivers every JobResult to emit —
-// in job order, on the calling goroutine, as soon as it and its
-// predecessors complete — without retaining the per-job results in
-// memory. The returned report carries only the aggregate counters
-// (Results is nil); because emission is in job order, the stream is as
-// deterministic as Run's results array.
-func (r *Runner) RunStream(emit func(JobResult)) (*Report, error) {
-	rep, _, err := r.RunStreamCancel(nil, emit)
-	return rep, err
-}
-
-// RunStreamCancel is RunStream with graceful shutdown: when cancel is
-// closed, dispatch stops, the in-flight jobs drain and emit, and the
-// call returns interrupted=true with the partial aggregate. Every
-// emitted result is final — exactly what a journal needs to make the
-// batch resumable.
-func (r *Runner) RunStreamCancel(cancel <-chan struct{}, emit func(JobResult)) (rep *Report, interrupted bool, err error) {
+// Run executes jobs on the worker pool and delivers each JobResult to
+// emit (nil = discard) on the calling goroutine, in the order given, as
+// soon as it and its predecessors complete. Nil indices runs every job;
+// a resume passes the remainder of an interrupted batch. An index
+// outside the matrix is an error before any job runs. A job's result
+// depends neither on the worker count nor on which jobs ran beside it —
+// job identity is (seed, index)-deterministic and machines recycle to
+// sealed snapshots — so a resumed batch merges byte-identically into an
+// uninterrupted one.
+//
+// The report carries the aggregate counters of the emitted jobs; the
+// results are not retained. A failing or panicking job becomes a result
+// with Err set rather than aborting the batch. Closing cancel stops
+// dispatch: the in-flight jobs drain and emit, and Run returns
+// interrupted=true. Every emitted result is final.
+func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)) (rep *Report, interrupted bool, err error) {
+	n := len(r.jobs)
+	if indices != nil {
+		for _, i := range indices {
+			if i < 0 || i >= len(r.jobs) {
+				return nil, false, fmt.Errorf("fleet: job index %d out of range [0, %d)", i, len(r.jobs))
+			}
+		}
+		n = len(indices)
+	}
 	start := time.Now()
 	rep = &Report{Workers: r.workers}
-	_, interrupted = pool.StreamIndexedCancel(len(r.jobs), r.workers, cancel, r.runJobSafe, func(_ int, jr JobResult) {
+	_, interrupted = pool.Stream(n, r.workers, cancel, func(worker, k int) JobResult {
+		if indices != nil {
+			k = indices[k]
+		}
+		return r.runJobSafe(worker, k)
+	}, func(_ int, jr JobResult) {
 		rep.add(jr)
 		if emit != nil {
 			emit(jr)
@@ -358,26 +342,11 @@ func (r *Runner) RunStreamCancel(cancel <-chan struct{}, emit func(JobResult)) (
 	return rep.finish(time.Since(start)), interrupted, nil
 }
 
-// RunIndices executes only the named jobs (the remainder of an
-// interrupted batch, in ascending order) and streams their results to
-// emit as each completes. Results are identical to the same jobs' slice
-// of a full run: job identity is (seed, index)-deterministic and
-// machines recycle to sealed snapshots, so a resumed batch merges
-// byte-identically into an uninterrupted one.
-func (r *Runner) RunIndices(indices []int, cancel <-chan struct{}, emit func(JobResult)) (interrupted bool, err error) {
-	for _, i := range indices {
-		if i < 0 || i >= len(r.jobs) {
-			return false, fmt.Errorf("fleet: resume index %d out of range [0, %d)", i, len(r.jobs))
-		}
-	}
-	_, interrupted = pool.StreamIndexedCancel(len(indices), r.workers, cancel,
-		func(worker, k int) JobResult { return r.runJobSafe(worker, indices[k]) },
-		func(_ int, jr JobResult) {
-			if emit != nil {
-				emit(jr)
-			}
-		})
-	return interrupted, nil
+// RunStream is Run over every job with no cancel; the benchmark module
+// (benchmark/) calls it.
+func (r *Runner) RunStream(emit func(JobResult)) (*Report, error) {
+	rep, _, err := r.Run(nil, nil, emit)
+	return rep, err
 }
 
 // runJobSafe is the fault boundary around one job: per-job watchdog

@@ -1,8 +1,9 @@
 package fleet
 
 import (
-	"bytes"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"eilid/internal/core"
@@ -17,54 +18,100 @@ func newPipeline(t testing.TB) *core.Pipeline {
 	return p
 }
 
-// TestFleetDeterminism is the acceptance property of the runner: the
-// full app × defense × scenario matrix on 8 workers produces per-job
-// results byte-identical to a sequential run of the same matrix.
-func TestFleetDeterminism(t *testing.T) {
-	p := newPipeline(t)
-	r, err := NewRunner(p, BatchSpec{Matrix: MatrixSpec{Repeat: 2}, Exec: ExecSpec{Workers: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, interrupted, err := r.RunSequential(nil)
+// runAll runs every job of r and returns the results in job order with
+// the report.
+func runAll(t testing.TB, r *Runner) ([]JobResult, *Report) {
+	t.Helper()
+	var results []JobResult
+	rep, interrupted, err := r.Run(nil, nil, func(jr JobResult) { results = append(results, jr) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if interrupted {
-		t.Fatal("uncancelled RunSequential reported interrupted")
+		t.Fatal("uncancelled run reported interrupted")
 	}
-	par, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
+	return results, rep
+}
+
+// sameResults fails unless got matches want job for job, naming every
+// job that diverges.
+func sameResults(t testing.TB, label string, want, got []JobResult) {
+	t.Helper()
+	if slices.Equal(want, got) {
+		return
 	}
-	seqJSON, err := seq.ResultsJSON()
-	if err != nil {
-		t.Fatal(err)
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 	}
-	parJSON, err := par.ResultsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqJSON, parJSON) {
-		for i := range seq.Results {
-			if seq.Results[i] != par.Results[i] {
-				t.Errorf("job %d diverges:\nseq: %+v\npar: %+v", i, seq.Results[i], par.Results[i])
-			}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Errorf("%s: job %d diverges:\nwant: %+v\ngot:  %+v", label, i, want[i], got[i])
 		}
-		t.Fatal("concurrent results differ from sequential run")
 	}
-	if seq.Workers != 1 || par.Workers != 8 {
-		t.Fatalf("worker accounting: seq=%d par=%d", seq.Workers, par.Workers)
+	t.FailNow()
+}
+
+// TestFleetDeterminism is the acceptance property of the runner: the
+// full app × defense × scenario matrix on 8 workers produces per-job
+// results identical to a 1-worker run of the same matrix, and a
+// pre-closed cancel stops either runner before it dispatches a job.
+func TestFleetDeterminism(t *testing.T) {
+	p := newPipeline(t)
+	runner := func(workers int) *Runner {
+		r, err := NewRunner(p, BatchSpec{Matrix: MatrixSpec{Repeat: 2}, Exec: ExecSpec{Workers: workers}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	// A closed cancel stops the sequential pass before it dispatches.
+	seqRunner, parRunner := runner(1), runner(8)
+	seq, seqRep := runAll(t, seqRunner)
+	par, parRep := runAll(t, parRunner)
+	sameResults(t, "8 workers against 1", seq, par)
+	if seqRep.Workers != 1 || parRep.Workers != 8 {
+		t.Fatalf("worker accounting: seq=%d par=%d", seqRep.Workers, parRep.Workers)
+	}
 	cancel := make(chan struct{})
 	close(cancel)
-	cut, interrupted, err := r.RunSequential(cancel)
+	for _, r := range []*Runner{seqRunner, parRunner} {
+		var ran atomic.Int64
+		r.beforeJob = func(int) { ran.Add(1) }
+		cut, interrupted, err := r.Run(nil, cancel, func(JobResult) {
+			t.Errorf("%d workers: a job emitted after a pre-closed cancel", r.workers)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !interrupted || cut.Jobs != 0 || ran.Load() != 0 {
+			t.Fatalf("%d workers, pre-closed cancel: interrupted=%v after %d jobs, %d dispatched",
+				r.workers, interrupted, cut.Jobs, ran.Load())
+		}
+	}
+}
+
+// TestRunRefusesOutOfRangeIndex: an index outside the matrix is an
+// error before anything is dispatched — no job runs, none is emitted.
+func TestRunRefusesOutOfRangeIndex(t *testing.T) {
+	r, err := NewRunner(newPipeline(t), smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !interrupted || cut.Jobs != 0 {
-		t.Fatalf("pre-closed cancel: interrupted=%v after %d jobs", interrupted, cut.Jobs)
+	var ran atomic.Int64
+	r.beforeJob = func(int) { ran.Add(1) }
+	n := len(r.jobs)
+	for _, indices := range [][]int{{0, n}, {-1}, {n - 1, n + 7}} {
+		rep, interrupted, err := r.Run(indices, nil, func(JobResult) {
+			t.Errorf("Run(%v) emitted a job", indices)
+		})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Run(%v): err = %v, want an out-of-range error", indices, err)
+		}
+		if rep != nil || interrupted {
+			t.Errorf("Run(%v): report %+v, interrupted %v; want neither", indices, rep, interrupted)
+		}
+	}
+	if got := ran.Load(); got != 0 {
+		t.Fatalf("%d jobs ran despite an out-of-range index", got)
 	}
 }
 
@@ -79,12 +126,9 @@ func TestFleetRepeatsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, _ := runAll(t, r)
 	perCell := map[string]JobResult{}
-	for _, jr := range rep.Results {
+	for _, jr := range results {
 		key := jr.Kind + "/" + jr.Name + "/" + jr.Defense
 		ref, ok := perCell[key]
 		if !ok {
@@ -110,19 +154,16 @@ func TestFleetMatrixOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, rep := runAll(t, r)
 	if rep.Failures != 0 {
-		for _, jr := range rep.Results {
+		for _, jr := range results {
 			if jr.Err != "" {
 				t.Errorf("job %d (%s/%s/%s): %s", jr.Index, jr.Kind, jr.Name, jr.Defense, jr.Err)
 			}
 		}
 		t.Fatalf("%d job failures", rep.Failures)
 	}
-	for _, jr := range rep.Results {
+	for _, jr := range results {
 		if !jr.CheckOK {
 			t.Errorf("job %d (%s/%s/%s) failed its check (resets=%d reason=%q compromised=%v)",
 				jr.Index, jr.Kind, jr.Name, jr.Defense, jr.Resets, jr.Reason, jr.Compromised)
@@ -162,12 +203,14 @@ func TestFleetSpecSelection(t *testing.T) {
 	if len(jobs) != 4 { // 1 app × 2 defenses + 1 scenario × 2 defenses
 		t.Fatalf("got %d jobs, want 4", len(jobs))
 	}
-	rep, err := r.Run()
+	// The table the CLI prints: header, one row per job, summary.
+	var buf strings.Builder
+	RenderTableHeader(&buf)
+	rep, _, err := r.Run(nil, nil, func(jr JobResult) { jr.RenderRow(&buf) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	rep.Render(&buf)
+	rep.RenderSummary(&buf)
 	for _, want := range []string{"LightSensor", "stack-smash", "baseline", "eilid", "detection matrix"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("rendered report missing %q:\n%s", want, buf.String())
@@ -175,9 +218,10 @@ func TestFleetSpecSelection(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRun: the streamed results arrive in job order and
-// carry exactly the payloads Run aggregates, and the streamed report's
-// counters match the aggregate one's.
+// TestRunStreamMatchesRun: RunStream, the benchmark module's entry
+// point, delivers exactly what Run does over every job, and Run over
+// explicit indices — a resume's remainder — delivers those jobs' slice
+// of the full run in the order given, with counters over that slice.
 func TestRunStreamMatchesRun(t *testing.T) {
 	p := newPipeline(t)
 	r, err := NewRunner(p, BatchSpec{
@@ -187,29 +231,32 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, fullRep := runAll(t, r)
 	var streamed []JobResult
 	rep, err := r.RunStream(func(jr JobResult) { streamed = append(streamed, jr) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Results != nil {
-		t.Error("streamed report retained the results slice")
+	sameResults(t, "RunStream", full, streamed)
+	if rep.Jobs != fullRep.Jobs || rep.Failures != fullRep.Failures ||
+		rep.ChecksFailed != fullRep.ChecksFailed || rep.TotalCycles != fullRep.TotalCycles ||
+		rep.TotalInsns != fullRep.TotalInsns {
+		t.Errorf("aggregate counters diverged: %+v vs %+v", rep, fullRep)
 	}
-	if len(streamed) != len(full.Results) {
-		t.Fatalf("streamed %d results, Run produced %d", len(streamed), len(full.Results))
+
+	indices := []int{1, 2, 5, 7}
+	var want, got []JobResult
+	var cycles uint64
+	for _, i := range indices {
+		want = append(want, full[i])
+		cycles += full[i].Cycles
 	}
-	for i := range streamed {
-		if streamed[i] != full.Results[i] {
-			t.Errorf("result %d differs:\n%+v\n%+v", i, streamed[i], full.Results[i])
-		}
+	sub, interrupted, err := r.Run(indices, nil, func(jr JobResult) { got = append(got, jr) })
+	if err != nil || interrupted {
+		t.Fatalf("Run(%v): interrupted=%v err=%v", indices, interrupted, err)
 	}
-	if rep.Jobs != full.Jobs || rep.Failures != full.Failures ||
-		rep.ChecksFailed != full.ChecksFailed || rep.TotalCycles != full.TotalCycles ||
-		rep.TotalInsns != full.TotalInsns {
-		t.Errorf("aggregate counters diverged: %+v vs %+v", rep, full)
+	sameResults(t, "Run over indices", want, got)
+	if sub.Jobs != len(indices) || sub.TotalCycles != cycles {
+		t.Errorf("Run(%v) report counts %d jobs, %d cycles; want %d, %d", indices, sub.Jobs, sub.TotalCycles, len(indices), cycles)
 	}
 }

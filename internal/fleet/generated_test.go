@@ -17,7 +17,7 @@ func genNDJSON(t *testing.T, spec BatchSpec, noRecycle bool) []byte {
 	}
 	r.noRecycle = noRecycle
 	var buf bytes.Buffer
-	rep, err := r.RunStream(func(jr JobResult) {
+	rep, _, err := r.Run(nil, nil, func(jr JobResult) {
 		if err := WriteNDJSONLine(&buf, jr); err != nil {
 			t.Fatal(err)
 		}
@@ -81,12 +81,9 @@ func TestGeneratedOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, rep := runAll(t, r)
 	if rep.Failures > 0 || rep.ChecksFailed > 0 {
-		for _, jr := range rep.Results {
+		for _, jr := range results {
 			if jr.Err != "" || !jr.CheckOK {
 				t.Errorf("job %d %s/%s: err=%q oracle=%q", jr.Index, jr.Name, jr.Defense, jr.Err, jr.Oracle)
 			}
@@ -116,7 +113,7 @@ func TestGeneratedOracle(t *testing.T) {
 	}
 	// Every family must have reached the matrix.
 	fams := map[string]bool{}
-	for _, jr := range rep.Results {
+	for _, jr := range results {
 		fams[jr.Family] = true
 	}
 	if len(fams) < 8 {

@@ -216,6 +216,39 @@ func WriteJournalSummary(w io.Writer, rep *Report) error {
 	})
 }
 
+// WriteJournal runs every job (Run with nil indices) and writes the
+// batch's journal to w: the header, each job's line in one Write as
+// soon as the job and its predecessors complete, then the summary — or
+// the interrupted marker when cancel cut the batch short. onJob (nil =
+// none) sees each job after its line is written, so a caller's progress
+// never runs ahead of its journal. It returns the first write error: a
+// failed header runs no job, and after a failed line nothing more is
+// written.
+func (r *Runner) WriteJournal(w io.Writer, cancel <-chan struct{}, onJob func(JobResult)) (rep *Report, interrupted bool, err error) {
+	if err := WriteJournalHeader(w, r.JournalHeader()); err != nil {
+		return nil, false, err
+	}
+	var werr error
+	rep, interrupted, err = r.Run(nil, cancel, func(jr JobResult) {
+		if werr != nil {
+			return
+		}
+		if werr = WriteNDJSONLine(w, jr); werr == nil && onJob != nil {
+			onJob(jr)
+		}
+	})
+	if err == nil {
+		err = werr
+	}
+	if err != nil {
+		return rep, interrupted, err
+	}
+	if interrupted {
+		return rep, true, WriteJournalInterrupted(w, rep.Jobs, len(r.jobs))
+	}
+	return rep, false, WriteJournalSummary(w, rep)
+}
+
 // Journal is a parsed journal file.
 type Journal struct {
 	Header JournalHeader

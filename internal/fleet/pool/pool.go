@@ -43,50 +43,37 @@ func (e *PanicError) Error() string {
 // workers <= 1 the jobs run sequentially on the calling goroutine,
 // which is the reference ordering the concurrent path must match.
 func Do[T any](n, workers int, fn func(i int) T) []T {
-	return DoIndexed(n, workers, func(_, i int) T { return fn(i) })
-}
-
-// DoIndexed is Do with the worker's identity passed to fn: worker is in
-// [0, workers) and each worker runs its jobs one at a time on a single
-// goroutine, so per-worker state — the fleet runner's watchdog timers
-// — needs no locking. Which worker runs which job is
-// scheduling-dependent; fn must produce identical results regardless.
-func DoIndexed[T any](n, workers int, fn func(worker, job int) T) []T {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]T, n)
-	StreamIndexed(n, workers, fn, func(i int, v T) { out[i] = v })
+	Stream(n, workers, nil, func(_, i int) T { return fn(i) }, func(i int, v T) { out[i] = v })
 	return out
 }
 
-// Stream runs fn(0), …, fn(n-1) on up to workers goroutines like Do,
-// but delivers each result to emit — on the calling goroutine, in job
-// order — as soon as it and all its predecessors have completed,
-// instead of materializing the full result slice. Dispatch is held to a
-// window of 2×workers jobs beyond the last emitted one, so at most that
-// many results are ever buffered — even when an early job is
-// pathologically slow, an n-job matrix streams in O(workers) memory.
-// emit must not call back into the pool, and must not panic.
-func Stream[T any](n, workers int, fn func(i int) T, emit func(i int, v T)) {
-	StreamIndexed(n, workers, func(_, i int) T { return fn(i) }, emit)
-}
-
-// StreamIndexed is Stream with the worker's identity passed to fn (see
-// DoIndexed). With workers <= 1 every job runs as worker 0.
-func StreamIndexed[T any](n, workers int, fn func(worker, job int) T, emit func(i int, v T)) {
-	StreamIndexedCancel(n, workers, nil, fn, emit)
-}
-
-// StreamIndexedCancel is StreamIndexed with cooperative cancellation:
-// when cancel is closed, the pool stops handing out new jobs, waits for
-// every in-flight job to finish, and emits their results — so the
-// emitted prefix is always contiguous from job 0 and every emitted
-// result is final. It returns how many jobs were emitted and whether
-// the run was cut short. A nil cancel never fires; cancellation checks
-// sit between jobs, so a job that never returns still needs an
-// external watchdog (the fleet runner provides one).
-func StreamIndexedCancel[T any](n, workers int, cancel <-chan struct{}, fn func(worker, job int) T, emit func(i int, v T)) (emitted int, interrupted bool) {
+// Stream runs fn for jobs 0, …, n-1 on up to workers goroutines and
+// delivers each result to emit — on the calling goroutine, in job order
+// — as soon as it and all its predecessors have completed, instead of
+// materializing the full result slice. Dispatch is held to a window of
+// 2×workers jobs beyond the last emitted one, so at most that many
+// results are ever buffered — even when an early job is pathologically
+// slow, an n-job matrix streams in O(workers) memory. emit must not
+// call back into the pool, and must not panic.
+//
+// fn gets the worker's identity: worker is in [0, workers) (0 for
+// every job when workers <= 1), and each worker runs its jobs one at a
+// time on a single goroutine, so per-worker state — the fleet runner's
+// watchdog timers — needs no locking. Which worker runs which job is
+// scheduling-dependent; fn must produce identical results regardless.
+//
+// Closing cancel stops the pool handing out new jobs; it waits for
+// every in-flight job to finish and emits their results, so the emitted
+// prefix is always contiguous from job 0 and every emitted result is
+// final. Stream returns how many jobs were emitted and whether the run
+// was cut short. A nil cancel never fires; cancellation checks sit
+// between jobs, so a job that never returns still needs an external
+// watchdog (the fleet runner provides one).
+func Stream[T any](n, workers int, cancel <-chan struct{}, fn func(worker, job int) T, emit func(i int, v T)) (emitted int, interrupted bool) {
 	if n <= 0 {
 		return 0, false
 	}

@@ -52,7 +52,7 @@ func TestStreamInOrderDelivery(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		var got []int
 		last := -1
-		Stream(50, workers, func(i int) int { return i * i }, func(i, v int) {
+		Stream(50, workers, nil, func(_, i int) int { return i * i }, func(i, v int) {
 			if i != last+1 {
 				t.Fatalf("workers=%d: emitted job %d after %d", workers, i, last)
 			}
@@ -71,7 +71,7 @@ func TestStreamInOrderDelivery(t *testing.T) {
 }
 
 func TestStreamEmpty(t *testing.T) {
-	Stream(0, 4, func(i int) int { return i }, func(int, int) {
+	Stream(0, 4, nil, func(_, i int) int { return i }, func(int, int) {
 		t.Fatal("emit called for empty job set")
 	})
 }
@@ -88,7 +88,7 @@ func TestStreamWindowBound(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		close(release)
 	}()
-	Stream(1000, workers, func(i int) int {
+	Stream(1000, workers, nil, func(_, i int) int {
 		for {
 			cur := maxStarted.Load()
 			if int64(i) <= cur || maxStarted.CompareAndSwap(cur, int64(i)) {
@@ -129,7 +129,7 @@ func TestStreamPanicContained(t *testing.T) {
 					t.Errorf("workers=%d: message %q", workers, pe.Error())
 				}
 			}()
-			Stream(50, workers, func(i int) int {
+			Stream(50, workers, nil, func(_, i int) int {
 				if i == 7 {
 					panic("boom 7")
 				}
@@ -170,7 +170,7 @@ func TestStreamPanicLowestIndexWins(t *testing.T) {
 					t.Fatalf("workers=%d: recover = %v, want PanicError at job 3", workers, pe)
 				}
 			}()
-			Stream(40, workers, func(i int) int {
+			Stream(40, workers, nil, func(_, i int) int {
 				if i == 3 || i == 7 {
 					panic(i)
 				}
@@ -190,7 +190,7 @@ func TestStreamCancel(t *testing.T) {
 		cancel := make(chan struct{})
 		var once atomic.Bool
 		var got []int
-		emitted, interrupted := StreamIndexedCancel(500, workers, cancel,
+		emitted, interrupted := Stream(500, workers, cancel,
 			func(_, i int) int { return i * 3 },
 			func(i, v int) {
 				got = append(got, v)
@@ -219,7 +219,7 @@ func TestStreamCancelPreClosed(t *testing.T) {
 	close(cancel)
 	for _, workers := range []int{1, 4} {
 		ran := atomic.Int64{}
-		emitted, interrupted := StreamIndexedCancel(100, workers, cancel,
+		emitted, interrupted := Stream(100, workers, cancel,
 			func(_, i int) int { ran.Add(1); return i },
 			func(int, int) { t.Fatalf("workers=%d: emit on pre-cancelled run", workers) })
 		if emitted != 0 || !interrupted {
@@ -235,7 +235,7 @@ func TestStreamCancelPreClosed(t *testing.T) {
 // clean completion, not an interruption.
 func TestStreamCancelComplete(t *testing.T) {
 	cancel := make(chan struct{})
-	emitted, interrupted := StreamIndexedCancel(10, 4, cancel,
+	emitted, interrupted := Stream(10, 4, cancel,
 		func(_, i int) int { return i },
 		func(i, v int) {
 			if i == 9 {

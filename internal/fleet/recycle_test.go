@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"bytes"
+	"fmt"
 	"testing"
 
 	"eilid/internal/core"
@@ -24,32 +24,10 @@ func TestRecycleFleetByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := fresh.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.ResultsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := runAll(t, fresh)
 	for pass := 1; pass <= 2; pass++ {
-		rep, err := recycled.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rep.ResultsJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			for i := range ref.Results {
-				if ref.Results[i] != rep.Results[i] {
-					t.Errorf("pass %d job %d diverges:\nfresh:    %+v\nrecycled: %+v",
-						pass, i, ref.Results[i], rep.Results[i])
-				}
-			}
-			t.Fatalf("pass %d: recycled results differ from construct-per-job run", pass)
-		}
+		got, _ := runAll(t, recycled)
+		sameResults(t, fmt.Sprintf("pass %d, recycled against construct-per-job", pass), want, got)
 	}
 	if st := recycled.warm.Stats(); st.Machines == 0 || st.MachineHits != 0 {
 		t.Fatalf("recycling runner's private Warm: %+v; want idle machines and no cross-batch hits", st)
@@ -85,13 +63,9 @@ func TestRecycleOneIdleMachinePerPool(t *testing.T) {
 		}
 		return set
 	}
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runAll(t, r)
 	first := idle()
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runAll(t, r)
 	for m := range idle() {
 		if !first[m] {
 			t.Fatal("the second Run constructed a machine")

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -10,10 +9,9 @@ import (
 	"eilid/internal/core"
 )
 
-// Report aggregates one fleet run. Results is ordered by job index and
-// is fully deterministic; the wall-clock fields describe the run that
-// produced it and are excluded from determinism comparisons (see
-// ResultsJSON).
+// Report aggregates one fleet run. The counters and the matrix are
+// deterministic; the wall-clock fields describe the run that produced
+// it and stay out of the journal.
 type Report struct {
 	Workers       int     `json:"workers"`
 	Jobs          int     `json:"jobs"`
@@ -31,10 +29,6 @@ type Report struct {
 	// code. App jobs and errored jobs are excluded. Go's JSON encoder
 	// sorts map keys, so the marshalled matrix is deterministic.
 	Matrix map[string]map[string]*MatrixCell `json:"matrix,omitempty"`
-
-	// Results is ordered by job index; nil on streamed runs, whose
-	// per-job results were delivered incrementally instead of retained.
-	Results []JobResult `json:"results,omitempty"`
 }
 
 // MatrixCell aggregates one (attack row, defense column) cell.
@@ -48,7 +42,7 @@ type MatrixCell struct {
 	Compromised int `json:"compromised"`
 }
 
-// add folds one job result into the aggregate counters (not Results).
+// add folds one job result into the aggregate counters.
 func (r *Report) add(jr JobResult) {
 	r.Jobs++
 	r.TotalCycles += jr.Cycles
@@ -102,18 +96,11 @@ func (r *Report) finish(wall time.Duration) *Report {
 // runner applies incrementally, exported so a resumed batch can rebuild
 // the aggregate from merged journal results.
 func Aggregate(results []JobResult, workers int, wall time.Duration) *Report {
-	rep := &Report{Workers: workers, Results: results}
+	rep := &Report{Workers: workers}
 	for _, jr := range results {
 		rep.add(jr)
 	}
 	return rep.finish(wall)
-}
-
-// ResultsJSON marshals only the deterministic per-job results — the
-// byte stream that must be identical between a sequential and a
-// concurrent run of the same matrix.
-func (r *Report) ResultsJSON() ([]byte, error) {
-	return json.MarshalIndent(r.Results, "", "  ")
 }
 
 // RenderTableHeader writes the column header of the per-job table (the
@@ -213,27 +200,6 @@ func (r *Report) RenderSummary(w io.Writer) {
 		r.TotalCycles, r.TotalInsns, r.Failures, r.ChecksFailed)
 }
 
-// Render writes a human-readable summary table.
-func (r *Report) Render(w io.Writer) {
-	fmt.Fprintf(w, "fleet: %d jobs on %d workers in %.1f ms (%.2f simMcycles/s)\n",
-		r.Jobs, r.Workers, r.WallMS, r.MCyclesPerSec)
-	RenderTableHeader(w)
-	for _, jr := range r.Results {
-		jr.RenderRow(w)
-	}
-	r.RenderMatrix(w)
-	fmt.Fprintf(w, "totals: %d cycles, %d insns, %d failures, %d check failures\n",
-		r.TotalCycles, r.TotalInsns, r.Failures, r.ChecksFailed)
-}
-
-// WriteNDJSONLine emits one job result as a single JSON line — the
-// streaming counterpart of ResultsJSON's array.
-func WriteNDJSONLine(w io.Writer, jr JobResult) error {
-	b, err := json.Marshal(jr)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
+// WriteNDJSONLine emits one job result as a single JSON line, in one
+// Write.
+func WriteNDJSONLine(w io.Writer, jr JobResult) error { return writeLine(w, jr) }

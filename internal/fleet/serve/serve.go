@@ -299,9 +299,9 @@ func (s *Server) nextBatch() *Batch {
 	}
 }
 
-// execute runs one batch through the warm runner, appending journal
-// lines as they are produced. The journal bytes are exactly what the
-// CLI's -json file would contain for the same spec.
+// execute runs one batch through the warm runner, journalling it as it
+// runs. The journal bytes are exactly what the CLI's -json file would
+// contain for the same spec.
 func (s *Server) execute(b *Batch) {
 	start := time.Now()
 	b.setState(StateRunning)
@@ -314,76 +314,37 @@ func (s *Server) execute(b *Batch) {
 		fmt.Fprintf(s.log, "eilid-fleetd: %s failed: %v\n", b.id, err)
 		return
 	}
-	if err := b.appendLine(func(w io.Writer) error {
-		return fleet.WriteJournalHeader(w, runner.JournalHeader())
-	}); err != nil {
+	_, interrupted, err := runner.WriteJournal(batchJournal{b}, s.stop, b.count)
+	switch {
+	case err != nil:
+		// Appending cannot fail; only a marshalling bug lands here.
 		b.fail(err, time.Since(start))
 		return
-	}
-	rep, interrupted, _ := runner.RunStreamCancel(s.stop, func(jr fleet.JobResult) {
-		b.appendResult(jr)
-	})
-	if interrupted {
-		err = b.appendLine(func(w io.Writer) error {
-			return fleet.WriteJournalInterrupted(w, b.Completed(), len(runner.Jobs()))
-		})
-		if err == nil {
-			b.finish(StateInterrupted, time.Since(start))
-		}
-	} else {
-		err = b.appendLine(func(w io.Writer) error {
-			return fleet.WriteJournalSummary(w, rep)
-		})
-		if err == nil {
-			b.finish(StateDone, time.Since(start))
-		}
-	}
-	if err != nil {
-		b.fail(err, time.Since(start))
-		return
+	case interrupted:
+		b.finish(StateInterrupted, time.Since(start))
+	default:
+		b.finish(StateDone, time.Since(start))
 	}
 	st := b.Status()
 	fmt.Fprintf(s.log, "eilid-fleetd: %s %s: %d/%d jobs, %d failures, %d check failures in %.1f ms\n",
 		b.id, st.State, st.Completed, st.Jobs, st.Failures, st.ChecksFailed, st.WallMS)
 }
 
-// appendLine appends one journal line produced by write (a journal
-// marshal helper — these only fail on a marshalling bug).
-func (b *Batch) appendLine(write func(io.Writer) error) error {
-	var buf lineBuf
-	if err := write(&buf); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	b.journal = append(b.journal, buf...)
-	b.cond.Broadcast()
-	b.mu.Unlock()
-	return nil
-}
+// batchJournal is the writer a batch is journalled through: each Write
+// appends to the batch's journal and wakes the journal streams.
+type batchJournal struct{ b *Batch }
 
-// lineBuf is a minimal io.Writer the journal helpers marshal into.
-type lineBuf []byte
-
-func (l *lineBuf) Write(p []byte) (int, error) {
-	*l = append(*l, p...)
+func (w batchJournal) Write(p []byte) (int, error) {
+	w.b.mu.Lock()
+	w.b.journal = append(w.b.journal, p...)
+	w.b.cond.Broadcast()
+	w.b.mu.Unlock()
 	return len(p), nil
 }
 
-// appendResult journals one job line and folds it into the live
-// status counters.
-func (b *Batch) appendResult(jr fleet.JobResult) {
-	var buf lineBuf
-	if err := fleet.WriteNDJSONLine(&buf, jr); err != nil {
-		// JobResult marshalling cannot fail; recorded for completeness.
-		b.mu.Lock()
-		if b.errMsg == "" {
-			b.errMsg = err.Error()
-		}
-		b.mu.Unlock()
-		return
-	}
+// count folds one journalled job into the live status counters.
+func (b *Batch) count(jr fleet.JobResult) {
 	b.mu.Lock()
-	b.journal = append(b.journal, buf...)
 	if b.completed == 0 {
 		b.firstJob = time.Since(b.submitted)
 	}
@@ -394,7 +355,6 @@ func (b *Batch) appendResult(jr fleet.JobResult) {
 	case !jr.CheckOK:
 		b.checksFailed++
 	}
-	b.cond.Broadcast()
 	b.mu.Unlock()
 }
 
@@ -426,32 +386,17 @@ func (b *Batch) fail(err error, wall time.Duration) {
 
 // interruptQueued journals a batch that never started: header plus an
 // interrupted marker with zero completed jobs — the same journal shape
-// the CLI writes when stopped before dispatch.
+// the CLI writes when stopped before dispatch. Appending cannot fail,
+// and neither line's marshal can.
 func (b *Batch) interruptQueued() {
-	var buf lineBuf
-	if err := fleet.WriteJournalHeader(&buf, b.header); err == nil {
-		err = fleet.WriteJournalInterrupted(&buf, 0, b.header.Jobs)
-		if err == nil {
-			b.mu.Lock()
-			b.journal = append(b.journal, buf...)
-			b.state = StateInterrupted
-			b.cond.Broadcast()
-			b.mu.Unlock()
-			return
-		}
-	}
+	w := batchJournal{b}
+	_ = fleet.WriteJournalHeader(w, b.header)
+	_ = fleet.WriteJournalInterrupted(w, 0, b.header.Jobs)
 	b.setState(StateInterrupted)
 }
 
 // ID returns the batch's server-assigned identifier.
 func (b *Batch) ID() string { return b.id }
-
-// Completed returns how many job lines the batch has journalled.
-func (b *Batch) Completed() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.completed
-}
 
 // terminalLocked reports whether the batch will append no more journal
 // bytes. Callers hold b.mu.

@@ -43,18 +43,7 @@ func referenceJournal(t *testing.T, p *core.Pipeline, spec fleet.BatchSpec) []by
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := fleet.WriteJournalHeader(&buf, r.JournalHeader()); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.RunStream(func(jr fleet.JobResult) {
-		if err := fleet.WriteNDJSONLine(&buf, jr); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.WriteJournalSummary(&buf, rep); err != nil {
+	if _, _, err := r.WriteJournal(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

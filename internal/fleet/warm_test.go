@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -34,14 +35,7 @@ func TestRecycleWarmCrossBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := cold.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.ResultsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := runAll(t, cold)
 
 	warm := NewWarm()
 	for batch := 1; batch <= 3; batch++ {
@@ -49,23 +43,8 @@ func TestRecycleWarmCrossBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rep.ResultsJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			for i := range ref.Results {
-				if ref.Results[i] != rep.Results[i] {
-					t.Errorf("batch %d job %d diverges:\ncold: %+v\nwarm: %+v",
-						batch, i, ref.Results[i], rep.Results[i])
-				}
-			}
-			t.Fatalf("batch %d on the warm cache differs from the cold run", batch)
-		}
+		got, _ := runAll(t, r)
+		sameResults(t, fmt.Sprintf("batch %d on the warm cache against the cold run", batch), want, got)
 		// Only machines an earlier batch checked in count as hits.
 		if hits := warm.Stats().MachineHits; (batch == 1) != (hits == 0) {
 			t.Fatalf("%d machine hits after batch %d; want none after the first batch only", hits, batch)
@@ -97,9 +76,7 @@ func TestRecycleWarmDistinctSpecsShareArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := first.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runAll(t, first)
 	misses := warm.Stats().ArtifactMisses
 
 	// A narrower second spec: same app, one defense column.
@@ -111,29 +88,13 @@ func TestRecycleWarmDistinctSpecsShareArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := cold.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.ResultsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := runAll(t, cold)
 	second, err := NewRunnerWarm(p, spec2, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := second.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rep.ResultsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatal("warm run of the second spec differs from its cold reference")
-	}
+	got, _ := runAll(t, second)
+	sameResults(t, "warm run of the second spec against its cold reference", want, got)
 	if st := warm.Stats(); st.ArtifactMisses != misses {
 		t.Errorf("second spec rebuilt %d artifacts the cache already held", st.ArtifactMisses-misses)
 	}
