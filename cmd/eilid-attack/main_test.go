@@ -41,13 +41,17 @@ func TestAttackFlagErrors(t *testing.T) {
 	if code := run([]string{"stray", "-scenario", "stack-smash"}, &out, &errb); code != 2 {
 		t.Errorf("stray argument: exit %d, want 2", code)
 	}
+	// The sweep runs on the fleet runner's pool; it has no worker knob.
+	if code := run([]string{"-workers", "4"}, &out, &errb); code != 2 {
+		t.Errorf("-workers: exit %d, want 2", code)
+	}
 }
 
-// TestAttackFullSweep runs the whole suite concurrently — the command's
-// happy path and a second end-to-end determinism exercise of RunAll.
+// TestAttackFullSweep runs the whole suite through the fleet runner —
+// the command's happy path: every scenario defended, exit 0.
 func TestAttackFullSweep(t *testing.T) {
 	var out, errb strings.Builder
-	if code := run([]string{"-workers", "4"}, &out, &errb); code != 0 {
+	if code := run(nil, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s\n%s", code, errb.String(), out.String())
 	}
 	if n := strings.Count(out.String(), "yes"); n != 6 {

@@ -37,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	micro := fs.Bool("micro", false, "regenerate the micro-overhead numbers")
 	all := fs.Bool("all", false, "regenerate everything")
 	iters := fs.Int("iters", 50, "compile iterations for Table IV averaging")
-	workers := fs.Int("workers", 1, "apps measured concurrently for Table IV (1 keeps compile timings contention-free)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	if err := fs.Parse(args); err != nil {
@@ -112,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		did = true
 	}
 	if *all || *table == 4 {
-		t, err := eval.MeasureTableIV(pipeline, eval.MeasureOptions{CompileIterations: *iters, Workers: *workers})
+		t, err := eval.MeasureTableIV(pipeline, eval.MeasureOptions{CompileIterations: *iters})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1

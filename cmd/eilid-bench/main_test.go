@@ -31,7 +31,7 @@ func TestBenchTable4Quick(t *testing.T) {
 		t.Skip("table 4 measurement in -short mode")
 	}
 	var out, errb strings.Builder
-	if code := run([]string{"-table", "4", "-iters", "1", "-workers", "4"}, &out, &errb); code != 0 {
+	if code := run([]string{"-table", "4", "-iters", "1"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	for _, want := range []string{"Table IV", "LightSensor", "Average"} {
@@ -84,5 +84,17 @@ func TestBenchStrayArgument(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("stray argument: printed output:\n%s", out.String())
+	}
+}
+
+// TestBenchRetiredWorkersFlag: Table IV measures its apps one after
+// another, so the old -workers knob is an unknown flag.
+func TestBenchRetiredWorkersFlag(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-table", "4", "-iters", "1", "-workers", "4"}, &out, &errb); code != 2 {
+		t.Errorf("-workers: exit %d, want 2", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-workers: printed output:\n%s", out.String())
 	}
 }

@@ -102,6 +102,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "eilid-benchjson: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
 
 	out, err := parse(stdin)
 	if err != nil {

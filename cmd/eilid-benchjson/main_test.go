@@ -135,3 +135,20 @@ func TestRunRejectsEmptyInput(t *testing.T) {
 		t.Fatalf("exit %d on empty input, want 1", code)
 	}
 }
+
+// TestRunRejectsStrayArgument: flag stops at the first non-flag
+// argument, so a stray one would drop the -next and -o after it and
+// print the record to stdout instead; the run is refused.
+func TestRunRejectsStrayArgument(t *testing.T) {
+	dir := t.TempDir()
+	var out, errb strings.Builder
+	if code := run([]string{"stray", "-next", "-o", dir}, strings.NewReader(sample), &out, &errb); code != 2 {
+		t.Errorf("stray argument: exit %d, want 2", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("stray argument: printed output:\n%s", out.String())
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("stray argument: wrote %v (%v)", entries, err)
+	}
+}

@@ -6,6 +6,7 @@ package main
 // it.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -110,7 +111,7 @@ func runResume(pipeline *core.Pipeline, path string, exec fleet.ExecSpec, cancel
 		return 2
 	}
 	if j.Truncated {
-		fmt.Fprintln(stderr, "eilid-fleet: resume: journal ends in a torn write (crash mid-job?); the partial line is ignored")
+		fmt.Fprintln(stderr, "eilid-fleet: resume: journal ends in a torn write (crash mid-job?); the partial line is dropped")
 	}
 	spec := j.Header.Spec.Batch()
 	spec.Exec = exec
@@ -133,6 +134,17 @@ func runResume(pipeline *core.Pipeline, path string, exec fleet.ExecSpec, cancel
 	if len(remaining) > 0 {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
+			fmt.Fprintln(stderr, "eilid-fleet: resume:", err)
+			return 1
+		}
+		// The first appended line must start a line of its own: cut a
+		// torn tail, and end a last line that lost only its newline.
+		err = f.Truncate(int64(j.Intact))
+		if err == nil && !bytes.HasSuffix(data[:j.Intact], []byte("\n")) {
+			_, err = f.Write([]byte("\n"))
+		}
+		if err != nil {
+			f.Close()
 			fmt.Fprintln(stderr, "eilid-fleet: resume:", err)
 			return 1
 		}

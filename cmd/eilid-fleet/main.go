@@ -130,15 +130,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	// Nonsense execution knobs are usage errors (exit 2), caught before
-	// any work: a zero-worker pool would deadlock and a negative
-	// watchdog would arm instantly-expired timers.
+	// Nonsense matrix flags and a worker count below 1 (a spec's 0
+	// means GOMAXPROCS) are usage errors (exit 2), caught before any
+	// work. The other execution knobs are checked by fleet.ResolveSpec,
+	// as for a -spec file or a POST /batches body.
 	switch {
 	case *workers < 1:
 		fmt.Fprintf(stderr, "eilid-fleet: -workers must be >= 1 (got %d)\n", *workers)
-		return 2
-	case *jobTimeout < 0:
-		fmt.Fprintf(stderr, "eilid-fleet: -job-timeout must be >= 0 (got %v)\n", *jobTimeout)
 		return 2
 	case *repeat < 1:
 		fmt.Fprintf(stderr, "eilid-fleet: -repeat must be >= 1 (got %d)\n", *repeat)

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -289,6 +290,77 @@ func TestFleetCrashResumeCLI(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "already complete") {
 		t.Errorf("second resume did not report completion:\n%s", out.String())
+	}
+}
+
+// cancelOnRow closes cancel at the first table row written to it: the
+// stdout of a resume that is not quiet gets a progress line, the table
+// header and then one row per job, so on one worker the resume stops
+// after its first job.
+type cancelOnRow struct {
+	cancel chan struct{}
+	closed bool
+}
+
+func (c *cancelOnRow) Write(p []byte) (int, error) {
+	if !c.closed && len(p) > 0 && p[0] >= '0' && p[0] <= '9' {
+		close(c.cancel)
+		c.closed = true
+	}
+	return len(p), nil
+}
+
+// TestFleetCrashResumeCLITornTail: a resume of a journal whose last
+// line a crash cut short appends on a line of its own. The journal is
+// cut to its header, ten job lines and either the first 40 bytes of the
+// twelfth line (a torn write) or the whole twelfth line without its
+// newline; a resume interrupted after one job leaves its line and the
+// interrupted marker behind it, and a second resume must still parse
+// the file and compact it to the clean run's journal.
+func TestFleetCrashResumeCLITornTail(t *testing.T) {
+	dir := t.TempDir()
+	clean := dir + "/clean.ndjson"
+	var out, errb strings.Builder
+	if code := run([]string{"-gen", "20", "-seed", "1", "-no-apps", "-no-scenarios", "-q", "-json", clean}, &out, &errb); code != 0 {
+		t.Fatalf("clean run: exit %d, stderr: %s", code, errb.String())
+	}
+	raw, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	head := strings.Join(lines[:11], "")
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// completed is the interrupted marker's count: the jobs journalled
+	// before the cut (the torn line is none) plus the one the resume ran.
+	for _, c := range []struct {
+		name, tail string
+		completed  int
+	}{
+		{"torn-line", lines[11][:40], 11},
+		{"lost-newline", strings.TrimSuffix(lines[11], "\n"), 12},
+	} {
+		name, path := c.name, dir+"/"+c.name+".ndjson"
+		if err := os.WriteFile(path, []byte(head+c.tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stop := &cancelOnRow{cancel: make(chan struct{})}
+		errb.Reset()
+		if code := runResume(p, path, fleet.ExecSpec{Workers: 1}, stop.cancel, false, stop, &errb); code != 3 {
+			t.Fatalf("%s: interrupted resume: exit %d, want 3; stderr: %s", name, code, errb.String())
+		}
+		marker := fmt.Sprintf(`{"journal":"interrupted","completed":%d,`, c.completed)
+		if raw, err := os.ReadFile(path); err != nil || !strings.Contains(string(raw), marker) {
+			t.Fatalf("%s: interrupted resume did not journal exactly one job (%v):\n%s", name, err, raw)
+		}
+		errb.Reset()
+		if code := run([]string{"-resume", path, "-q"}, &out, &errb); code != 0 {
+			t.Fatalf("%s: second resume: exit %d, stderr: %s", name, code, errb.String())
+		}
+		requireSameJournal(t, clean, path)
 	}
 }
 

@@ -119,8 +119,8 @@ func TestSpecFileByteIdenticalJournal(t *testing.T) {
 
 // TestSpecFlagErrors: a -spec file owns the matrix selection —
 // combining it with the flags it replaces, feeding it garbage, a
-// retired field or a second document, or pointing it nowhere are all
-// loud exit-2 errors.
+// retired field, a second document or a negative watchdog, or pointing
+// it nowhere are all loud exit-2 errors.
 func TestSpecFlagErrors(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.json")
@@ -146,6 +146,8 @@ func TestSpecFlagErrors(t *testing.T) {
 	// A second document after a valid spec is refused, not ignored.
 	trailing := write("trailing.json", string(raw)+`{"matrix":{"apps":["TempSensor"]},"typo_knob":1}`)
 	garbage := write("garbage.json", "{not json")
+	// A negative watchdog is refused by ResolveSpec, as -job-timeout is.
+	negTimeout := write("neg-timeout.json", `{"matrix":{"apps":["LightSensor"],"no_scenarios":true},"exec":{"job_timeout":"-1s"}}`)
 
 	cases := []struct {
 		args []string
@@ -159,6 +161,9 @@ func TestSpecFlagErrors(t *testing.T) {
 		{[]string{"-spec", retries}, "max_retries"},
 		{[]string{"-spec", trailing}, "trailing data"},
 		{[]string{"-spec", garbage}, "spec"},
+		{[]string{"-spec", negTimeout}, "job_timeout"},
+		{[]string{"-spec", negTimeout, "-dump-spec"}, "job_timeout"},
+		{[]string{"-spec", good, "-job-timeout", "-1s"}, "job_timeout"},
 		{[]string{"-spec", filepath.Join(dir, "missing.json")}, "spec"},
 	}
 	for _, tc := range cases {

@@ -2,10 +2,12 @@
 // to validate EILID's three security properties (P1 return-address
 // integrity, P2 return-from-interrupt integrity, P3 indirect-call
 // integrity) plus the CASU-layer protections (W⊕X, shadow-stack
-// exclusivity). Each scenario is run twice: against the unprotected
-// baseline device, where it must succeed (demonstrating the threat is
-// real), and against the EILID-protected device, where the hardware must
-// reset before any attacker code executes.
+// exclusivity). Each scenario runs against the unprotected baseline
+// device, where it must succeed (demonstrating the threat is real), and
+// against the EILID-protected device, where the hardware must reset
+// before any attacker code executes. The fleet runner (internal/fleet)
+// schedules those runs and judges them; this package supplies the
+// scenarios, the per-defense Target and the one run sequence, ExecuteOn.
 //
 // The adversary model is the paper's: full knowledge of the binary (the
 // payloads are computed from the symbol table of the build under attack)
@@ -16,11 +18,9 @@ package attacks
 
 import (
 	"fmt"
-	"runtime"
 
 	"eilid/internal/asm"
 	"eilid/internal/core"
-	"eilid/internal/fleet/pool"
 	"eilid/internal/isa"
 )
 
@@ -81,22 +81,6 @@ type Outcome struct {
 	UART            string // transmit transcript
 }
 
-// Result pairs the baseline and protected outcomes of one scenario.
-type Result struct {
-	Scenario  Scenario
-	Baseline  Outcome
-	Protected Outcome
-}
-
-// Defended reports whether the scenario demonstrates EILID's value: the
-// baseline fell, the protected device reset for the expected reason, and
-// the attacker never ran code on it.
-func (r Result) Defended() bool {
-	return r.Baseline.Compromised &&
-		!r.Protected.Compromised &&
-		r.Protected.Resets > 0
-}
-
 // budget bounds every attack run.
 const budget = 5_000_000
 
@@ -117,14 +101,6 @@ type Target struct {
 	// exact Image (and ROM, for instrumented defenses); nil makes each
 	// machine snapshot a private one.
 	Predecoded *isa.Predecoded
-}
-
-// Symbol resolves a name in the target's symbol table (the baseline and
-// protected builds lay code out differently, so adversarial addresses
-// must always come from the table of the build under attack).
-func (t Target) Symbol(name string) (uint16, bool) {
-	v, ok := t.Symbols[name]
-	return v, ok
 }
 
 // TargetFor derives the target for one defense from a build: an
@@ -148,31 +124,6 @@ func TargetFor(p *core.Pipeline, build *core.BuildResult, spec *core.DefenseSpec
 	return t
 }
 
-// TargetsFor derives the baseline and EILID-protected targets from a
-// build (the two columns of the paper's own comparison).
-func TargetsFor(p *core.Pipeline, build *core.BuildResult) (baseline, protected Target) {
-	return TargetFor(p, build, core.DefenseBaseline), TargetFor(p, build, core.DefenseEILID)
-}
-
-// Run executes the scenario against both device variants.
-func Run(p *core.Pipeline, sc Scenario) (Result, error) {
-	build, err := p.Build(sc.Name+".s", sc.Source)
-	if err != nil {
-		return Result{}, fmt.Errorf("attacks: building %s: %w", sc.Name, err)
-	}
-
-	baseT, protT := TargetsFor(p, build)
-	base, err := Execute(baseT, sc)
-	if err != nil {
-		return Result{}, fmt.Errorf("attacks: %s baseline: %w", sc.Name, err)
-	}
-	prot, err := Execute(protT, sc)
-	if err != nil {
-		return Result{}, fmt.Errorf("attacks: %s protected: %w", sc.Name, err)
-	}
-	return Result{Scenario: sc, Baseline: base, Protected: prot}, nil
-}
-
 // NewMachine constructs a fresh device for this target: variant
 // options applied, image loaded, the target's shared decode cache
 // installed, or a private one when it carries none. The fleet's machine
@@ -193,16 +144,6 @@ func (t Target) NewMachine() (*core.Machine, error) {
 		m.EnablePredecode()
 	}
 	return m, nil
-}
-
-// Execute runs the scenario once against a prebuilt target on a fresh
-// machine.
-func Execute(t Target, sc Scenario) (Outcome, error) {
-	m, err := t.NewMachine()
-	if err != nil {
-		return Outcome{}, err
-	}
-	return ExecuteOn(m, t, sc)
 }
 
 // ExecuteOn runs the scenario on a prepared machine — fresh from
@@ -269,29 +210,4 @@ func outcomeOf(m *core.Machine) Outcome {
 		o.Reason = m.ResetReasons[0].Kind.String()
 	}
 	return o
-}
-
-// RunAll executes every scenario, sweeping them concurrently across the
-// available CPUs. Results come back in Scenarios() order and are
-// identical to a sequential sweep (each scenario builds and runs on
-// machines of its own).
-func RunAll(p *core.Pipeline) ([]Result, error) {
-	return RunAllWorkers(p, runtime.GOMAXPROCS(0))
-}
-
-// RunAllWorkers is RunAll with an explicit worker count (1 = sequential).
-func RunAllWorkers(p *core.Pipeline, workers int) ([]Result, error) {
-	scs := Scenarios()
-	results := pool.Do(len(scs), workers, func(i int) pool.Err[Result] {
-		r, err := Run(p, scs[i])
-		return pool.Err[Result]{V: r, Err: err}
-	})
-	if err := pool.First(results); err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(results))
-	for i, r := range results {
-		out[i] = r.V
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package attacks
 
 import (
-	"strings"
 	"testing"
 
 	"eilid/internal/core"
@@ -16,55 +15,30 @@ func pipeline(t *testing.T) *core.Pipeline {
 	return p
 }
 
-func TestAllScenariosDefended(t *testing.T) {
-	p := pipeline(t)
-	for _, sc := range Scenarios() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			r, err := Run(p, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !r.Baseline.Compromised {
-				t.Errorf("baseline NOT compromised (halted=%v exit=0x%02x): the threat must be demonstrable",
-					r.Baseline.Halted, r.Baseline.ExitCode)
-			}
-			if r.Protected.Compromised {
-				t.Error("attacker code executed on the EILID device")
-			}
-			if r.Protected.Resets == 0 {
-				t.Error("EILID device did not reset")
-			}
-			if !strings.Contains(r.Protected.Reason, sc.WantReason) {
-				t.Errorf("reset reason %q, want %q", r.Protected.Reason, sc.WantReason)
-			}
-			if !r.Defended() {
-				t.Errorf("scenario not fully defended: %+v", r)
-			}
-		})
-	}
-}
-
-func TestRunAll(t *testing.T) {
-	p := pipeline(t)
-	results, err := RunAll(p)
+// buildOf builds a scenario's victim firmware.
+func buildOf(t *testing.T, p *core.Pipeline, sc Scenario) *core.BuildResult {
+	t.Helper()
+	build, err := p.Build(sc.Name+".s", sc.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(Scenarios()) {
-		t.Fatalf("RunAll returned %d results", len(results))
+	return build
+}
+
+// outcome runs sc once on a fresh machine of the build under a defense:
+// the Target and ExecuteOn sequence every fleet job goes through.
+func outcome(t *testing.T, p *core.Pipeline, build *core.BuildResult, spec *core.DefenseSpec, sc Scenario) Outcome {
+	t.Helper()
+	target := TargetFor(p, build, spec)
+	m, err := target.NewMachine()
+	if err != nil {
+		t.Fatal(err)
 	}
-	props := map[string]bool{}
-	for _, r := range results {
-		props[r.Scenario.Property] = true
+	o, err := ExecuteOn(m, target, sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The suite must exercise all three paper properties plus the
-	// CASU-layer rules.
-	for _, want := range []string{"P1", "P2", "P3", "W^X", "SecureData"} {
-		if !props[want] {
-			t.Errorf("no scenario covers property %s", want)
-		}
-	}
+	return o
 }
 
 func TestScenariosHaveMetadata(t *testing.T) {
@@ -96,14 +70,11 @@ func TestBenignPayloadIsHarmless(t *testing.T) {
 	p := pipeline(t)
 	sc := stackSmash()
 	sc.Payload = func(map[string]uint16) []byte { return []byte{3, 'o', 'k', '!'} }
-	r, err := Run(p, sc)
-	if err != nil {
-		t.Fatal(err)
+	build := buildOf(t, p, sc)
+	if o := outcome(t, p, build, core.DefenseBaseline, sc); !o.Halted || o.ExitCode != 0 {
+		t.Errorf("baseline benign run: %+v", o)
 	}
-	if !r.Baseline.Halted || r.Baseline.ExitCode != 0 {
-		t.Errorf("baseline benign run: %+v", r.Baseline)
-	}
-	if !r.Protected.Halted || r.Protected.ExitCode != 0 || r.Protected.Resets != 0 {
-		t.Errorf("protected benign run: %+v", r.Protected)
+	if o := outcome(t, p, build, core.DefenseEILID, sc); !o.Halted || o.ExitCode != 0 || o.Resets != 0 {
+		t.Errorf("protected benign run: %+v", o)
 	}
 }

@@ -3,17 +3,22 @@ package attacks
 import (
 	"strings"
 	"testing"
+
+	"eilid/internal/core"
 )
 
 // TestScenarioConformance is the handcrafted suite's declarative
-// contract, stated table-driven over Scenarios(): every scenario's
-// protected run must reset for (a reason containing) its declared
-// WantReason without ever being compromised, and the suite as a whole
-// must keep at least one scenario on each of the paper's properties
+// contract, stated table-driven over Scenarios(): every scenario must
+// compromise the unprotected baseline (the threat is demonstrable), and
+// the EILID device must reset for (a reason containing) its declared
+// WantReason without ever being compromised. The suite as a whole must
+// keep at least one scenario on each of the paper's properties
 // (P1/P2/P3) and each CASU-layer rule (W^X, SecureData). The generated
 // families in internal/scenario mutate these exemplars, so a scenario
 // drifting from its declared reason would silently skew thousands of
-// generated oracles — this test pins the anchor points.
+// generated oracles — this test pins the anchor points. The same
+// sweep through the fleet runner, and the runner's verdict on it, is
+// pinned by TestAllScenariosDefended and TestRunAll.
 func TestScenarioConformance(t *testing.T) {
 	p := pipeline(t)
 	covered := map[string][]string{}
@@ -21,19 +26,20 @@ func TestScenarioConformance(t *testing.T) {
 		sc := sc
 		covered[sc.Property] = append(covered[sc.Property], sc.Name)
 		t.Run(sc.Name, func(t *testing.T) {
-			r, err := Run(p, sc)
-			if err != nil {
-				t.Fatal(err)
+			build := buildOf(t, p, sc)
+			if o := outcome(t, p, build, core.DefenseBaseline, sc); !o.Compromised {
+				t.Errorf("baseline NOT compromised (halted=%v exit=0x%02x): the threat must be demonstrable",
+					o.Halted, o.ExitCode)
 			}
-			if r.Protected.Compromised {
-				t.Errorf("protected device compromised")
+			o := outcome(t, p, build, core.DefenseEILID, sc)
+			if o.Compromised {
+				t.Errorf("attacker code executed on the EILID device")
 			}
-			if r.Protected.Resets == 0 {
-				t.Fatalf("protected device never reset; outcome %+v", r.Protected)
+			if o.Resets == 0 {
+				t.Fatalf("EILID device never reset; outcome %+v", o)
 			}
-			if !strings.Contains(r.Protected.Reason, sc.WantReason) {
-				t.Errorf("protected reset reason %q does not contain declared WantReason %q",
-					r.Protected.Reason, sc.WantReason)
+			if !strings.Contains(o.Reason, sc.WantReason) {
+				t.Errorf("EILID reset reason %q does not contain declared WantReason %q", o.Reason, sc.WantReason)
 			}
 		})
 	}

@@ -29,7 +29,7 @@ func protectedOverflowTarget() (Target, error) {
 			fuzzTarget.err = err
 			return
 		}
-		_, prot := TargetsFor(p, build)
+		prot := TargetFor(p, build, core.DefenseEILID)
 		m, err := prot.NewMachine()
 		if err != nil {
 			fuzzTarget.err = err
@@ -73,7 +73,11 @@ func FuzzUARTPayload(f *testing.F) {
 			// empty UART is a boring outcome, not a finding.
 			Budget: 150_000,
 		}
-		o, err := Execute(target, sc)
+		m, err := target.NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := ExecuteOn(m, target, sc)
 		if err != nil {
 			t.Fatalf("harness failure: %v", err)
 		}

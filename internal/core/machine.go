@@ -189,9 +189,6 @@ func NewMachine(opts MachineOptions) (*Machine, error) {
 // Defense returns the spec the machine was assembled from.
 func (m *Machine) Defense() *DefenseSpec { return m.defense }
 
-// DefenseName returns the registry name of the machine's defense.
-func (m *Machine) DefenseName() string { return m.defense.Name }
-
 // Instrumented reports whether the machine runs the EILID-instrumented
 // build with the secure ROM loaded.
 func (m *Machine) Instrumented() bool { return m.defense.Instrumented }

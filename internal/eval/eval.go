@@ -15,7 +15,6 @@ import (
 	"eilid/internal/apps"
 	"eilid/internal/core"
 	"eilid/internal/fleet"
-	"eilid/internal/fleet/pool"
 )
 
 // ClockMHz is the simulated core clock, matching the paper's 100 MHz
@@ -92,18 +91,13 @@ type MeasureOptions struct {
 	CompileIterations int
 	// Apps restricts the set (nil = all seven).
 	Apps []apps.App
-	// Workers measures that many applications concurrently through the
-	// fleet worker pool (<=1 = sequential). The simulated dimensions
-	// (cycles, sizes, sites) are identical at any worker count; the
-	// compile wall-clock averages pick up scheduler noise under
-	// contention, so keep Workers at 1 when those numbers matter.
-	Workers int
 }
 
 // MeasureTableIV builds and runs every application twice (original on
 // the unprotected device, instrumented on the EILID device) and measures
-// the three overhead dimensions. Rows come back in application order
-// regardless of Workers.
+// the three overhead dimensions. The applications are measured one after
+// another, so no build competes with another for the CPU while its
+// compile time is on the clock. Rows come back in application order.
 func MeasureTableIV(p *core.Pipeline, opts MeasureOptions) (*TableIV, error) {
 	iters := opts.CompileIterations
 	if iters <= 0 {
@@ -114,18 +108,12 @@ func MeasureTableIV(p *core.Pipeline, opts MeasureOptions) (*TableIV, error) {
 		list = apps.All()
 	}
 	table := &TableIV{CompileIterations: iters}
-	rows := pool.Do(len(list), opts.Workers, func(i int) pool.Err[TableIVRow] {
-		row, err := measureApp(p, list[i], iters)
+	for _, app := range list {
+		row, err := measureApp(p, app, iters)
 		if err != nil {
-			err = fmt.Errorf("eval: %s: %w", list[i].Name, err)
+			return nil, fmt.Errorf("eval: %s: %w", app.Name, err)
 		}
-		return pool.Err[TableIVRow]{V: row, Err: err}
-	})
-	if err := pool.First(rows); err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		table.Rows = append(table.Rows, r.V)
+		table.Rows = append(table.Rows, row)
 	}
 	return table, nil
 }

@@ -12,14 +12,15 @@
 // with eight workers is byte-identical to a sequential run of the same
 // matrix.
 //
-// The cmd/eilid-fleet CLI, the eval/attacks sweeps and the repository
-// benchmarks all sit on top of this package; it is the substrate for
-// scaling the simulator to large scenario matrices.
+// The cmd/eilid-fleet CLI, eilid-fleetd, the eilid-attack sweep and
+// the repository benchmarks all sit on top of this package; it is the
+// one scheduler of simulation batches.
 package fleet
 
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"eilid/internal/apps"
@@ -426,8 +427,9 @@ func (r *Runner) target(k poolKey) attacks.Target {
 
 // checkout hands a job a machine from its pool: an idle one recycled
 // to its sealed snapshot, or a fresh construction sealed on the spot —
-// through the same attacks.Target.NewMachine sequence the standalone
-// scenario path uses, so pooled and one-shot machines cannot diverge.
+// through the same attacks.Target.NewMachine sequence ExecuteApp and
+// one-shot scenario runs use, so pooled and one-shot machines cannot
+// diverge.
 func (r *Runner) checkout(k poolKey) (*core.Machine, error) {
 	if !r.noRecycle {
 		if m := r.warm.checkout(k, r.gen); m != nil {
@@ -518,15 +520,16 @@ func (r *Runner) runAttackJob(m *core.Machine, job Job, k poolKey, sc attacks.Sc
 	// The check depends on the defense column. The baseline must fall
 	// (demonstrating the threat is real) and EILID — the paper's defense,
 	// whose claims cover every handcrafted attack — must reset
-	// un-compromised. The comparative defenses are allowed to miss: their
-	// detection or compromise is the matrix cell itself, so the check
-	// only demands architectural sanity (any reset reason must be one the
-	// defense can emit).
+	// un-compromised, for the reason the scenario declares. The
+	// comparative defenses are allowed to miss: their detection or
+	// compromise is the matrix cell itself, so the check only demands
+	// architectural sanity (any reset reason must be one the defense can
+	// emit).
 	switch {
 	case k.spec.New == nil:
 		res.CheckOK = o.Compromised
 	case k.spec.Name == core.DefenseEILID.Name:
-		res.CheckOK = !o.Compromised && o.Resets > 0
+		res.CheckOK = !o.Compromised && o.Resets > 0 && strings.Contains(o.Reason, sc.WantReason)
 	default:
 		res.CheckOK = o.Resets == 0 || k.spec.EmitsReason(o.Reason)
 	}

@@ -177,6 +177,38 @@ func TestFleetMatrixOutcomes(t *testing.T) {
 	}
 }
 
+// TestAttackVerdictChecksReason: the EILID column of a handcrafted
+// attack passes only when the device resets for the reason the scenario
+// declares. The same batch whose scenario declares a reason the monitor
+// never gives fails its eilid job's check and still passes its baseline
+// job's.
+func TestAttackVerdictChecksReason(t *testing.T) {
+	p := newPipeline(t)
+	spec := BatchSpec{Matrix: MatrixSpec{
+		NoApps: true, Scenarios: []string{"stack-smash"}, Defenses: []string{"baseline", "eilid"},
+	}}
+	for _, want := range []string{"", "exec-from-nonexec"} {
+		r, err := NewRunner(p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != "" {
+			r.scenarios[0].WantReason = want
+		}
+		results, _ := runAll(t, r)
+		base, prot := results[0], results[1]
+		if !base.CheckOK || !base.Compromised {
+			t.Errorf("WantReason %q: baseline job %+v, want compromised with check_ok", want, base)
+		}
+		if prot.Reason != "cfi-check-failed" || prot.Resets == 0 || prot.Compromised {
+			t.Fatalf("WantReason %q: eilid job %+v, want a cfi-check-failed reset", want, prot)
+		}
+		if prot.CheckOK != (want == "") {
+			t.Errorf("WantReason %q: eilid check_ok %v, want %v", want, prot.CheckOK, want == "")
+		}
+	}
+}
+
 // TestFleetSpecSelection exercises name selection and error paths.
 func TestFleetSpecSelection(t *testing.T) {
 	p := newPipeline(t)

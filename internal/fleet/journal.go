@@ -28,7 +28,8 @@ package fleet
 // compacting the file into canonical order, so a crash mid-resume
 // loses nothing. ParseJournal tolerates a truncated final line — the
 // signature of a crash mid-write — and treats the affected job as
-// never run.
+// never run; the resume cuts that line off (Journal.Intact) before its
+// first append.
 
 import (
 	"bytes"
@@ -260,6 +261,11 @@ type Journal struct {
 	// Truncated reports whether the final line was cut off mid-write —
 	// the signature of a hard crash; the partial line is ignored.
 	Truncated bool
+	// Intact is how many leading bytes of the input hold whole lines:
+	// the offset where the torn final line starts when Truncated, the
+	// input's length otherwise. A resume cuts the file there before it
+	// appends, so no new line is glued onto the partial bytes.
+	Intact int
 }
 
 // ParseJournal reads a journal stream. It fails on a missing or
@@ -267,7 +273,7 @@ type Journal struct {
 // a truncated final line (crash mid-write) is tolerated and reported
 // via Truncated.
 func ParseJournal(data []byte) (*Journal, error) {
-	j := &Journal{Results: map[int]JobResult{}}
+	j := &Journal{Results: map[int]JobResult{}, Intact: len(data)}
 	lines := bytes.Split(data, []byte("\n"))
 	// Locate the last non-empty line: only a torn write there — the
 	// crash signature — is tolerated.
@@ -279,7 +285,10 @@ func ParseJournal(data []byte) (*Journal, error) {
 		}
 	}
 	seenHeader := false
+	next := 0 // offset of the line after this one
 	for li, line := range lines {
+		start := next
+		next += len(line) + 1
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -302,7 +311,7 @@ func ParseJournal(data []byte) (*Journal, error) {
 		}
 		if parseErr != nil {
 			if li == last {
-				j.Truncated = true
+				j.Truncated, j.Intact = true, start
 				break
 			}
 			return nil, fmt.Errorf("fleet: journal line %d corrupt: %w", li+1, parseErr)

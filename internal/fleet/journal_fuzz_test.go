@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -18,7 +19,8 @@ import (
 // under testdata/fuzz/FuzzParseJournal holds a small real journal
 // (eilid-fleet -gen 3 -seed 1 -no-apps -no-scenarios) and a torn copy.
 // The parser must never panic, and every journal it accepts must keep
-// its result indices in [0, Header.Jobs). Every accepted journal whose
+// its result indices in [0, Header.Jobs) and report the offset a resume
+// cuts it at (checkIntact). Every accepted journal whose
 // header matrix holds at most 64 jobs then goes through what -resume
 // does next, against a runner rebuilt from its header (checkResume).
 // A journal that parses whole (not torn) must also survive the crashes
@@ -48,6 +50,7 @@ func FuzzParseJournal(f *testing.F) {
 				t.Fatalf("result %d (index %d) outside [0, %d)", idx, r.Index, j.Header.Jobs)
 			}
 		}
+		checkIntact(t, data, j)
 		if r := rebuilt.runner(j); r != nil {
 			checkResume(t, j, r)
 		}
@@ -207,10 +210,32 @@ func checkCut(t *testing.T, data []byte, whole *Journal, unique bool, cut int) {
 	if err != nil {
 		t.Fatalf("cut at byte %d of %d: %v", cut, len(data), err)
 	}
+	checkIntact(t, data[:cut], pj)
 	for idx, r := range pj.Results {
 		if full, ok := whole.Results[idx]; !ok || unique && full != r {
 			t.Fatalf("cut at byte %d: result %d is not in the whole journal", cut, idx)
 		}
+	}
+}
+
+// checkIntact holds a parsed journal's Intact offset to what a resume
+// does with it: a journal that is not torn is intact to its end, and a
+// torn one, cut there, parses whole to the same results.
+func checkIntact(t *testing.T, data []byte, j *Journal) {
+	t.Helper()
+	if !j.Truncated {
+		if j.Intact != len(data) {
+			t.Fatalf("whole journal of %d bytes is intact to byte %d", len(data), j.Intact)
+		}
+		return
+	}
+	kept, err := ParseJournal(data[:j.Intact])
+	if err != nil {
+		t.Fatalf("torn journal cut at its intact byte %d: %v", j.Intact, err)
+	}
+	if kept.Truncated || !maps.Equal(kept.Results, j.Results) {
+		t.Fatalf("torn journal cut at its intact byte %d: truncated %v, %d of %d results",
+			j.Intact, kept.Truncated, len(kept.Results), len(j.Results))
 	}
 }
 

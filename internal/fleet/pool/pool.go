@@ -1,9 +1,9 @@
 // Package pool is the deterministic worker pool underneath the fleet
-// runner and the parallel evaluation sweeps: n independent jobs run on
-// up to w workers, and the results come back indexed by job number, so
-// the output is byte-identical regardless of scheduling. It is kept
-// free of any simulator imports so every layer (attacks, eval, fleet)
-// can use it without cycles.
+// runner: Stream runs n independent jobs on up to w workers and emits
+// the results in job order, so the output is byte-identical regardless
+// of scheduling. fleet.Runner.Run is its one caller outside tests —
+// every batch of simulations, the attack sweep included, is a fleet
+// batch — and the package imports nothing of the simulator.
 //
 // # Fault containment
 //
@@ -36,19 +36,6 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("pool: job %d panicked: %v", e.Job, e.Value)
-}
-
-// Do runs fn(0), …, fn(n-1) on up to workers goroutines and returns the
-// results in job order. fn must be safe for concurrent calls; with
-// workers <= 1 the jobs run sequentially on the calling goroutine,
-// which is the reference ordering the concurrent path must match.
-func Do[T any](n, workers int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	Stream(n, workers, nil, func(_, i int) T { return fn(i) }, func(i int, v T) { out[i] = v })
-	return out
 }
 
 // Stream runs fn for jobs 0, …, n-1 on up to workers goroutines and
@@ -213,21 +200,4 @@ func protect[T any](worker, job int, fn func(worker, job int) T) (v T, pe *Panic
 	}()
 	v = fn(worker, job)
 	return v, nil
-}
-
-// Err is a convenience pair for jobs that can fail: collect with Do,
-// then use First to surface the earliest failure deterministically.
-type Err[T any] struct {
-	V   T
-	Err error
-}
-
-// First returns the first error in job order, or nil.
-func First[T any](results []Err[T]) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
 }

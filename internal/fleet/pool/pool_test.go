@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"errors"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -9,47 +8,11 @@ import (
 	"time"
 )
 
-func TestDoOrderIndependent(t *testing.T) {
-	n := 1000
-	seq := Do(n, 1, func(i int) int { return i * i })
-	for _, w := range []int{2, 4, 8, 33} {
-		par := Do(n, w, func(i int) int { return i * i })
-		if len(par) != n {
-			t.Fatalf("workers=%d: got %d results", w, len(par))
-		}
-		for i := range seq {
-			if par[i] != seq[i] {
-				t.Fatalf("workers=%d: result %d = %d, want %d", w, i, par[i], seq[i])
-			}
-		}
-	}
-}
-
-func TestDoEdgeCases(t *testing.T) {
-	if got := Do(0, 4, func(i int) int { return i }); got != nil {
-		t.Fatalf("n=0: got %v, want nil", got)
-	}
-	if got := Do(3, 100, func(i int) int { return i }); len(got) != 3 {
-		t.Fatalf("workers>n: got %d results", len(got))
-	}
-	if got := Do(3, 0, func(i int) int { return i + 1 }); got[2] != 3 {
-		t.Fatalf("workers=0 should run sequentially, got %v", got)
-	}
-}
-
-func TestFirst(t *testing.T) {
-	boom := errors.New("boom")
-	rs := []Err[int]{{V: 1}, {V: 2, Err: boom}, {V: 3, Err: errors.New("later")}}
-	if err := First(rs); err != boom {
-		t.Fatalf("First = %v, want %v", err, boom)
-	}
-	if err := First([]Err[int]{{V: 1}}); err != nil {
-		t.Fatalf("First on clean set = %v", err)
-	}
-}
-
+// TestStreamInOrderDelivery: every worker count — none (sequential),
+// fewer than the jobs, more than the jobs — emits the same results in
+// job order.
 func TestStreamInOrderDelivery(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
+	for _, workers := range []int{0, 1, 3, 16, 100} {
 		var got []int
 		last := -1
 		Stream(50, workers, nil, func(_, i int) int { return i * i }, func(i, v int) {

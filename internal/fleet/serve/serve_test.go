@@ -286,9 +286,10 @@ func TestServeStopCancelsInFlight(t *testing.T) {
 // TestServeRejectsUnknownFields pins the validation surface: POST
 // /batches applies fleet.DecodeSpec (unknown fields — including the
 // retired `fault` section and `exec.max_retries` — and trailing data
-// are errors) and ResolveSpec, exactly like `eilid-fleet -spec` on a
-// file, and additionally refuses matrices past MaxBatchJobs — each a
-// 400 before anything is queued.
+// are errors) and ResolveSpec (a negative `exec.job_timeout` among its
+// refusals), exactly like `eilid-fleet -spec` on a file, and
+// additionally refuses matrices past MaxBatchJobs — each a 400 before
+// anything is queued.
 func TestServeRejectsUnknownFields(t *testing.T) {
 	s := New(newPipeline(t), Options{})
 	defer s.Stop()
@@ -301,6 +302,7 @@ func TestServeRejectsUnknownFields(t *testing.T) {
 		`{"matrix": `, // truncated JSON
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"workers": 1152921504606846976}}`,
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"no_recycle": true}}`,
+		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"job_timeout": "-1s"}}`,
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"job_timeout": "1h"}, "fault": {"hang_at": [0], "hang_for": "1h"}}`,
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "fault": {"panic_at": [0]}}`,
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"max_retries": 2}}`,

@@ -112,7 +112,7 @@ type ExecSpec struct {
 	// JobTimeout arms the per-job wall-clock watchdog: a job still
 	// running after this long is abandoned and recorded as a
 	// deterministic watchdog failure instead of hanging the batch.
-	// Zero disables the watchdog.
+	// Zero disables the watchdog; a negative value is refused.
 	JobTimeout Duration `json:"job_timeout,omitempty"`
 }
 
@@ -157,14 +157,19 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // mismatch instead of silently different matrices), names are
 // validated, Repeat defaults to 1, and an unused generated seed is
 // zeroed. Exec passes through untouched (Exec.Workers is only
-// range-checked) — its sentinel semantics (0 = default) are resolved
-// at run time, never baked into a serialized spec.
+// range-checked, and a negative Exec.JobTimeout is refused) — its
+// sentinel semantics (0 = default) are resolved at run time, never
+// baked into a serialized spec. The flags, -spec, -dump-spec and
+// POST /batches all validate through here.
 //
 // Resolution is idempotent and needs no build artifacts, so `-dump-
 // spec` can emit the canonical spec without assembling any firmware.
 func ResolveSpec(spec BatchSpec) (BatchSpec, error) {
 	if w := spec.Exec.Workers; w < 0 || w > MaxWorkers {
 		return spec, fmt.Errorf("fleet: exec workers must be in [0, %d] (got %d)", MaxWorkers, w)
+	}
+	if d := spec.Exec.JobTimeout; d < 0 {
+		return spec, fmt.Errorf("fleet: exec job_timeout must be >= 0 (got %v)", d)
 	}
 	m := &spec.Matrix
 	switch {

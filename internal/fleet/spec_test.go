@@ -227,9 +227,10 @@ func TestDurationJSON(t *testing.T) {
 	}
 }
 
-// TestResolveSpecErrors: unknown names, a negative generated count and
-// an out-of-range pool size are resolution errors, so they surface
-// identically from the CLI, the runner, -dump-spec and eilid-fleetd.
+// TestResolveSpecErrors: unknown names, a negative generated count, an
+// out-of-range pool size and a negative watchdog are resolution errors,
+// so they surface identically from the CLI, the runner, -dump-spec and
+// eilid-fleetd.
 func TestResolveSpecErrors(t *testing.T) {
 	for name, spec := range map[string]BatchSpec{
 		"unknown app":      {Matrix: MatrixSpec{Apps: []string{"NoSuchApp"}}},
@@ -238,6 +239,7 @@ func TestResolveSpecErrors(t *testing.T) {
 		"negative gen":     {Matrix: MatrixSpec{Generated: GeneratedSpec{Count: -1}}},
 		"negative workers": {Exec: ExecSpec{Workers: -1}},
 		"huge workers":     {Exec: ExecSpec{Workers: 1 << 60}},
+		"negative timeout": {Exec: ExecSpec{JobTimeout: Duration(-time.Second)}},
 	} {
 		if _, err := ResolveSpec(spec); err == nil {
 			t.Errorf("%s: accepted", name)

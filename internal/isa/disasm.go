@@ -126,24 +126,6 @@ func emulatedAlias(in Instruction) (string, bool) {
 	return "", false
 }
 
-// DisassembleWords decodes and renders every instruction in words,
-// returning one line per instruction; it is used by listing generation
-// and debug traces. Undecodable words render as .word directives.
-func DisassembleWords(words []uint16) []string {
-	var out []string
-	for i := 0; i < len(words); {
-		in, n, err := Decode(words[i:])
-		if err != nil {
-			out = append(out, fmt.Sprintf(".word 0x%04x", words[i]))
-			i++
-			continue
-		}
-		out = append(out, Disassemble(in))
-		i += n
-	}
-	return out
-}
-
 // FormatWords renders machine words as space-separated hex, as used in
 // listing files.
 func FormatWords(words []uint16) string {
