@@ -148,6 +148,7 @@ func TestSpecFlagErrors(t *testing.T) {
 	garbage := write("garbage.json", "{not json")
 	// A negative watchdog is refused by ResolveSpec, as -job-timeout is.
 	negTimeout := write("neg-timeout.json", `{"matrix":{"apps":["LightSensor"],"no_scenarios":true},"exec":{"job_timeout":"-1s"}}`)
+	dupes := write("dupes.json", `{"matrix":{"no_apps":true,"scenarios":["stack-smash","stack-smash"],"defenses":["eilid"]}}`)
 
 	cases := []struct {
 		args []string
@@ -165,6 +166,12 @@ func TestSpecFlagErrors(t *testing.T) {
 		{[]string{"-spec", negTimeout, "-dump-spec"}, "job_timeout"},
 		{[]string{"-spec", good, "-job-timeout", "-1s"}, "job_timeout"},
 		{[]string{"-spec", filepath.Join(dir, "missing.json")}, "spec"},
+		// A name listed twice is refused, as an unknown name is.
+		{[]string{"-no-apps", "-scenarios", "stack-smash,stack-smash", "-defenses", "eilid"}, `scenario "stack-smash" listed twice`},
+		{[]string{"-apps", "LightSensor,LightSensor", "-no-scenarios"}, `application "LightSensor" listed twice`},
+		{[]string{"-apps", "LightSensor", "-no-scenarios", "-defenses", "eilid,baseline,eilid"}, `defense "eilid" listed twice`},
+		{[]string{"-no-apps", "-scenarios", "stack-smash,stack-smash", "-dump-spec"}, "listed twice"},
+		{[]string{"-spec", dupes}, "listed twice"},
 	}
 	for _, tc := range cases {
 		var out, errb strings.Builder

@@ -443,9 +443,13 @@ func TestFaultWatchdogConvergesAfterResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Job 3 hangs until the test returns, so its worker outlives Run but
+	// not the test.
+	release := make(chan struct{})
+	defer close(release)
 	hung.beforeJob = func(job int) {
 		if job == 3 {
-			time.Sleep(2 * time.Second)
+			<-release
 		}
 	}
 	data, _ := journalRun(t, hung, -1)

@@ -12,21 +12,23 @@
 // with eight workers is byte-identical to a sequential run of the same
 // matrix.
 //
-// The cmd/eilid-fleet CLI, eilid-fleetd, the eilid-attack sweep and
-// the repository benchmarks all sit on top of this package; it is the
-// one scheduler of simulation batches.
+// Runner.Run is the one scheduler of simulation batches: it starts one
+// goroutine per worker, hands out jobs, emits their results in order
+// and abandons a job that outruns the batch's job timeout. The
+// cmd/eilid-fleet CLI, eilid-fleetd, the eilid-attack sweep and the
+// repository benchmarks all sit on top of this package.
 package fleet
 
 import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"eilid/internal/apps"
 	"eilid/internal/attacks"
 	"eilid/internal/core"
-	"eilid/internal/fleet/pool"
 	"eilid/internal/isa"
 	"eilid/internal/scenario"
 )
@@ -111,10 +113,9 @@ type Runner struct {
 	cells     []cell // cells[i] is where jobs[i] runs
 	workers   int
 
-	// jobTimeout arms the per-job watchdog (see runJobSafe); each worker
-	// reuses its own timer, touched only on the worker's goroutine.
+	// jobTimeout is the wall-clock limit past which Run abandons a job
+	// (0 = none).
 	jobTimeout time.Duration
-	watchdogs  []*time.Timer
 	// beforeJob, when set, runs inside runJobOnce's recover before the
 	// job touches a machine. Only this package's tests set it, to panic
 	// or hang chosen jobs; a resume builds a new runner, so whatever it
@@ -157,7 +158,6 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)
 	}
-	r.watchdogs = make([]*time.Timer, r.workers)
 	r.jobTimeout = spec.Exec.JobTimeout.Std()
 	// The resolved matrix carries explicit, registry-validated name
 	// lists; map them back to their registry objects.
@@ -302,21 +302,35 @@ func (r *Runner) Workers() int { return r.workers }
 // returned spec enumerates the identical job matrix.
 func (r *Runner) Spec() BatchSpec { return r.spec }
 
-// Run executes jobs on the worker pool and delivers each JobResult to
-// emit (nil = discard) on the calling goroutine, in the order given, as
-// soon as it and its predecessors complete. Nil indices runs every job;
-// a resume passes the remainder of an interrupted batch. An index
-// outside the matrix is an error before any job runs. A job's result
-// depends neither on the worker count nor on which jobs ran beside it —
-// job identity is (seed, index)-deterministic and machines recycle to
-// sealed snapshots — so a resumed batch merges byte-identically into an
-// uninterrupted one.
+// Run executes jobs and delivers each JobResult to emit (nil = discard)
+// on the calling goroutine, in the order given, as soon as it and its
+// predecessors complete. Nil indices runs every job; a resume passes the
+// remainder of an interrupted batch. An index outside the matrix is an
+// error before any job runs. A job's result depends neither on the
+// worker count nor on which jobs ran beside it — job identity is
+// (seed, index)-deterministic and machines recycle to sealed snapshots
+// — so a resumed batch merges byte-identically into an uninterrupted
+// one.
+//
+// Run is the one place job goroutines start. It starts min(workers, n)
+// workers (at least one), each running one job at a time, and the
+// calling goroutine alone schedules them. It hands out job positions
+// at most 2×workers past the last emitted one, so a batch streams in
+// O(workers) memory however slow an early job is. A single worker gets
+// one position at a time: it runs its jobs one after another, as a
+// sequential run does, and a cancel closed by emit stops the next one.
+// Run is also the watchdog: a job running longer than the batch's
+// job_timeout is recorded as a watchdog failure at its place in the
+// order, and a replacement worker takes its worker's place. The
+// abandoned worker keeps the machine it checked out, which no other
+// job can reach; it checks the machine back in and exits only if its
+// job ever returns, and Run never waits for it.
 //
 // The report carries the aggregate counters of the emitted jobs; the
 // results are not retained. A failing or panicking job becomes a result
 // with Err set rather than aborting the batch. Closing cancel stops
-// dispatch: the in-flight jobs drain and emit, and Run returns
-// interrupted=true. Every emitted result is final.
+// dispatch: the jobs already handed out run and emit, and Run returns
+// interrupted=true. Every emitted result is final. emit must not panic.
 func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)) (rep *Report, interrupted bool, err error) {
 	n := len(r.jobs)
 	if indices != nil {
@@ -329,18 +343,95 @@ func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)
 	}
 	start := time.Now()
 	rep = &Report{Workers: r.workers}
-	_, interrupted = pool.Stream(n, r.workers, cancel, func(worker, k int) JobResult {
-		if indices != nil {
-			k = indices[k]
+
+	workers := max(min(r.workers, n), 1)
+	window := 2 * workers
+	if workers == 1 {
+		window = 1
+	}
+	// slots[pos%window] is the attempt at a handed-out, unemitted
+	// position. Both channels hold a whole window, so neither Run nor a
+	// worker ever waits to hand one over.
+	slots := make([]*attempt, window)
+	todo := make(chan *attempt, window)
+	done := make(chan *attempt, window)
+	defer close(todo)
+	for w := 0; w < workers; w++ {
+		go r.work(todo, done)
+	}
+	var (
+		next, emitted int
+		stopped       bool
+		watchdog      *time.Timer
+		armed         bool
+	)
+	for {
+		for emitted < next && slots[emitted%window].ready {
+			a := slots[emitted%window]
+			slots[emitted%window] = nil
+			emitted++
+			rep.add(a.res)
+			if emit != nil {
+				emit(a.res)
+			}
 		}
-		return r.runJobSafe(worker, k)
-	}, func(_ int, jr JobResult) {
-		rep.add(jr)
-		if emit != nil {
-			emit(jr)
+		// Cancel stops hand-outs, and every hand-out is preceded by
+		// this check.
+		select {
+		case <-cancel:
+			stopped = true
+		default:
 		}
-	})
-	return rep.finish(time.Since(start)), interrupted, nil
+		if emitted == next && (stopped || next == n) {
+			break
+		}
+		if !stopped && next < n && next < emitted+window {
+			a := &attempt{job: next}
+			if indices != nil {
+				a.job = indices[next]
+			}
+			slots[next%window] = a
+			next++
+			todo <- a
+			continue
+		}
+		if r.jobTimeout > 0 && !armed {
+			if d, ok := r.watchdogDue(slots, emitted, next); ok {
+				if watchdog == nil {
+					watchdog = time.NewTimer(d)
+				} else {
+					watchdog.Reset(d)
+				}
+				armed = true
+			}
+		}
+		var fired <-chan time.Time
+		if armed {
+			fired = watchdog.C
+		}
+		select {
+		case a := <-done:
+			a.ready = true
+		case <-fired:
+			armed = false
+			now := monotonic()
+			for pos := emitted; pos < next; pos++ {
+				a := slots[pos%window]
+				if at := time.Duration(a.started.Load()); at == 0 || now-at < r.jobTimeout {
+					continue
+				}
+				if a.claimed.CompareAndSwap(false, true) {
+					a.res = JobResult{Job: r.jobs[a.job], Err: fmt.Sprintf("watchdog: job exceeded the %v wall-clock limit", r.jobTimeout)}
+					a.ready = true
+					go r.work(todo, done)
+				}
+			}
+		}
+	}
+	if watchdog != nil {
+		watchdog.Stop()
+	}
+	return rep.finish(time.Since(start)), emitted < n, nil
 }
 
 // RunStream is Run over every job with no cancel; the benchmark module
@@ -350,37 +441,57 @@ func (r *Runner) RunStream(emit func(JobResult)) (*Report, error) {
 	return rep, err
 }
 
-// runJobSafe is the fault boundary around one job: per-job watchdog
-// and panic containment. Everything the runner executes goes through
-// it, so a panicking or runaway job becomes a deterministic JobResult
-// instead of a lost batch.
-func (r *Runner) runJobSafe(worker, i int) JobResult {
-	if r.jobTimeout <= 0 {
-		return r.runJobOnce(i)
-	}
-	// The attempt runs on its own goroutine so the watchdog can abandon
-	// it; the buffered channel lets a late attempt finish and exit
-	// without a receiver. runJobOnce contains panics itself.
-	done := make(chan JobResult, 1)
-	go func() { done <- r.runJobOnce(i) }()
-	t := r.watchdogs[worker]
-	if t == nil {
-		t = time.NewTimer(r.jobTimeout)
-		r.watchdogs[worker] = t
-	} else {
-		t.Reset(r.jobTimeout)
-	}
-	select {
-	case res := <-done:
-		if !t.Stop() {
-			<-t.C
+// attempt is one job position handed to Run's workers. The worker
+// finishing it and the watchdog abandoning it race to claim it, and
+// exactly one wins: only a worker that claims its attempt reports it,
+// and an abandoned attempt's result is the watchdog's record.
+type attempt struct {
+	job     int
+	started atomic.Int64 // monotonic() when a worker took it; 0 while queued
+	claimed atomic.Bool
+	res     JobResult // written by whoever claimed the attempt
+	ready   bool      // res is final; Run's goroutine only
+}
+
+// epoch anchors monotonic.
+var epoch = time.Now()
+
+// monotonic reads the monotonic clock as a Duration since epoch, so an
+// attempt's start fits one atomic word.
+func monotonic() time.Duration { return time.Since(epoch) }
+
+// watchdogDue returns how long the watchdog may sleep before a job
+// among positions [from, to) that nobody has claimed can first pass
+// the job timeout, or false when no such job is out. A job still
+// queued starts no earlier than now.
+func (r *Runner) watchdogDue(slots []*attempt, from, to int) (time.Duration, bool) {
+	now := monotonic()
+	first, ok := now, false
+	for pos := from; pos < to; pos++ {
+		a := slots[pos%len(slots)]
+		if a.claimed.Load() {
+			continue
 		}
-		return res
-	case <-t.C:
-		// The abandoned attempt keeps the machine it checked out; no
-		// other job can reach it, and it returns to its pool only if
-		// the attempt ever finishes.
-		return JobResult{Job: r.jobs[i], Err: fmt.Sprintf("watchdog: job exceeded the %v wall-clock limit", r.jobTimeout)}
+		if at := time.Duration(a.started.Load()); at != 0 && at < first {
+			first = at
+		}
+		ok = true
+	}
+	return first + r.jobTimeout - now, ok
+}
+
+// work is one of Run's workers: it runs the attempts handed out, one at
+// a time, until todo closes, or until it loses a claim to the watchdog
+// and leaves its place to a replacement.
+func (r *Runner) work(todo <-chan *attempt, done chan<- *attempt) {
+	for a := range todo {
+		a.started.Store(int64(monotonic()))
+		res := r.runJobOnce(a.job)
+		if !a.claimed.CompareAndSwap(false, true) {
+			return
+		}
+		a.res = res
+		done <- a
 	}
 }
 

@@ -383,8 +383,10 @@ func (j *Journal) Remaining() []int {
 	return out
 }
 
-// Merged returns the full result set in canonical job order; every
-// index must be present (len(Remaining()) == 0 after the resume ran).
+// Merged returns the full result set in canonical job order. Every
+// index needs a recorded result, failed or not: a job that failed again
+// on resume keeps its new error record, and Merged returns it like any
+// other, though Remaining still lists it.
 func (j *Journal) Merged() ([]JobResult, error) {
 	out := make([]JobResult, j.Header.Jobs)
 	for i := range out {

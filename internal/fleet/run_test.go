@@ -1,0 +1,292 @@
+package fleet
+
+// Scheduler suite: Run hands out job positions, emits results in order,
+// stops dispatch on cancel and is the watchdog. The jobs are real (a
+// cheap attack on the baseline, repeated); the runner's beforeJob hook
+// slows, counts or hangs them.
+
+import (
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// schedRunner is a runner over n stack-smash jobs on the baseline, on
+// the given number of workers, with the given job timeout (0 = none).
+func schedRunner(t *testing.T, n, workers int, timeout time.Duration) *Runner {
+	t.Helper()
+	r, err := NewRunner(newPipeline(t), BatchSpec{
+		Matrix: MatrixSpec{NoApps: true, Scenarios: []string{"stack-smash"}, Defenses: []string{"baseline"}, Repeat: n},
+		Exec:   ExecSpec{Workers: workers, JobTimeout: Duration(timeout)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.jobs) != n {
+		t.Fatalf("%d jobs, want %d", len(r.jobs), n)
+	}
+	return r
+}
+
+// collect runs the given positions and returns what Run emitted, in
+// emission order, with whether it was interrupted.
+func collect(t *testing.T, r *Runner, indices []int, cancel <-chan struct{}) ([]JobResult, bool) {
+	t.Helper()
+	var got []JobResult
+	rep, interrupted, err := r.Run(indices, cancel, func(jr JobResult) { got = append(got, jr) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Jobs != len(got) {
+		t.Fatalf("report counts %d jobs, %d emitted", rep.Jobs, len(got))
+	}
+	return got, interrupted
+}
+
+// waitFor polls count until it returns want, and fails naming the count
+// it last saw if that takes more than 5 s.
+func waitFor(t *testing.T, count func() int, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := count()
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d, want %d", what, got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// workerGoroutines counts the goroutines inside Runner.work, of any
+// runner.
+func workerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "fleet.(*Runner).work(")
+}
+
+// TestRunInOrderDelivery: with one worker, with fewer workers than jobs
+// and with more, Run emits every position in the order given, and each
+// result equals the one-worker run's, although the hook makes jobs
+// finish out of order.
+func TestRunInOrderDelivery(t *testing.T) {
+	const n = 40
+	want, _ := collect(t, schedRunner(t, n, 1, 0), nil, nil)
+	reversed := make([]int, n)
+	for i := range reversed {
+		reversed[i] = n - 1 - i
+	}
+	for _, workers := range []int{1, 3, 100} {
+		for _, order := range [][]int{nil, reversed} {
+			r := schedRunner(t, n, workers, 0)
+			r.beforeJob = func(job int) { time.Sleep(time.Duration(job%3) * time.Millisecond) }
+			got, interrupted := collect(t, r, order, nil)
+			if interrupted || len(got) != n {
+				t.Fatalf("workers=%d: %d results, interrupted %v", workers, len(got), interrupted)
+			}
+			for k, jr := range got {
+				i := k
+				if order != nil {
+					i = order[k]
+				}
+				if jr != want[i] {
+					t.Fatalf("workers=%d: position %d emitted %+v, want %+v", workers, k, jr, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRunEmpty: an empty index list runs and emits nothing and is not
+// an interruption.
+func TestRunEmpty(t *testing.T) {
+	r := schedRunner(t, 4, 4, 0)
+	r.beforeJob = func(int) { t.Error("a job ran") }
+	got, interrupted := collect(t, r, []int{}, nil)
+	if len(got) != 0 || interrupted {
+		t.Fatalf("emitted %d, interrupted %v", len(got), interrupted)
+	}
+}
+
+// TestRunWindowBound: while the hook holds job 0, so nothing can be
+// emitted, Run hands out at most 2×workers positions.
+func TestRunWindowBound(t *testing.T) {
+	const workers, window = 4, 2 * 4
+	r := schedRunner(t, 200, workers, 0)
+	var started atomic.Int64
+	r.beforeJob = func(job int) {
+		started.Add(1)
+		if job == 0 {
+			time.Sleep(50 * time.Millisecond)
+			if n := started.Load(); n > window {
+				t.Errorf("%d jobs started while job 0 held the frontier, window %d", n, window)
+			}
+		}
+	}
+	if got, _ := collect(t, r, nil, nil); len(got) != 200 {
+		t.Fatalf("emitted %d of 200", len(got))
+	}
+}
+
+// TestRunCancelPreClosed: a cancel closed before Run starts runs no job.
+func TestRunCancelPreClosed(t *testing.T) {
+	cancel := make(chan struct{})
+	close(cancel)
+	for _, workers := range []int{1, 4} {
+		r := schedRunner(t, 20, workers, 0)
+		var ran atomic.Int64
+		r.beforeJob = func(int) { ran.Add(1) }
+		got, interrupted := collect(t, r, nil, cancel)
+		if len(got) != 0 || !interrupted || ran.Load() != 0 {
+			t.Fatalf("workers=%d: emitted %d, interrupted %v, %d jobs ran", workers, len(got), interrupted, ran.Load())
+		}
+	}
+}
+
+// TestRunCancel: a cancel closed mid-run stops dispatch; the in-flight
+// jobs drain, and Run returns an interrupted prefix contiguous from the
+// first position. A cancel closed by emit stops every job not yet
+// running, so one worker runs no job past the one emitted.
+func TestRunCancel(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		r := schedRunner(t, 200, workers, 0)
+		var ran atomic.Int64
+		r.beforeJob = func(int) { ran.Add(1) }
+		cancel := make(chan struct{})
+		var got []JobResult
+		rep, interrupted, err := r.Run(nil, cancel, func(jr JobResult) {
+			if got = append(got, jr); len(got) == 21 {
+				close(cancel)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !interrupted || len(got) < 21 || len(got) > 21+2*workers || rep.Jobs != len(got) {
+			t.Fatalf("workers=%d: interrupted %v after %d jobs (report %d)", workers, interrupted, len(got), rep.Jobs)
+		}
+		if workers == 1 && len(got) != 21 || ran.Load() != int64(len(got)) {
+			t.Fatalf("workers=%d: %d jobs ran, %d emitted, cancel closed at the 21st", workers, ran.Load(), len(got))
+		}
+		for k, jr := range got {
+			if jr.Index != k || jr.Err != "" {
+				t.Fatalf("workers=%d: position %d emitted job %d (error %q)", workers, k, jr.Index, jr.Err)
+			}
+		}
+	}
+}
+
+// TestRunCancelComplete: a cancel closed with the last emission is a
+// clean finish.
+func TestRunCancelComplete(t *testing.T) {
+	r := schedRunner(t, 10, 4, 0)
+	cancel := make(chan struct{})
+	var emitted int
+	rep, interrupted, err := r.Run(nil, cancel, func(jr JobResult) {
+		if emitted++; emitted == 10 {
+			close(cancel)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interrupted || rep.Jobs != 10 {
+		t.Fatalf("interrupted %v after %d jobs, want a clean finish of 10", interrupted, rep.Jobs)
+	}
+}
+
+// TestRunWatchdogReplacesWorker: a job hung past the timeout is one
+// watchdog record at its place, and a replacement worker runs the other
+// jobs; on one worker nothing else would run them. The hung job is let
+// go mid-run, and its worker must then exit instead of taking more
+// jobs, so no more of the other jobs than there are workers ever run
+// at once.
+func TestRunWatchdogReplacesWorker(t *testing.T) {
+	const n = 40
+	want, _ := collect(t, schedRunner(t, n, 1, 0), nil, nil)
+	for _, workers := range []int{1, 2} {
+		r := schedRunner(t, n, workers, 200*time.Millisecond)
+		release := make(chan struct{})
+		var releaseOnce sync.Once
+		var running, peak atomic.Int64
+		r.beforeJob = func(job int) {
+			if job == 2 {
+				<-release
+				return
+			}
+			cur := running.Add(1)
+			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			if job == 10 {
+				releaseOnce.Do(func() { close(release) })
+			}
+		}
+		finished := make(chan []JobResult, 1)
+		go func() {
+			var got []JobResult
+			r.Run(nil, nil, func(jr JobResult) { got = append(got, jr) })
+			finished <- got
+		}()
+		var got []JobResult
+		select {
+		case got = <-finished:
+		case <-time.After(10 * time.Second):
+			releaseOnce.Do(func() { close(release) })
+			t.Fatalf("workers=%d: Run did not finish while job 2 hung: nothing replaced its worker", workers)
+		}
+		if len(got) != n {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), n)
+		}
+		for i, jr := range got {
+			if i == 2 {
+				if jr.Err != "watchdog: job exceeded the 200ms wall-clock limit" || jr.Job != r.jobs[2] {
+					t.Fatalf("workers=%d: job 2: %+v, want the watchdog record", workers, jr)
+				}
+				continue
+			}
+			if jr != want[i] {
+				t.Fatalf("workers=%d: job %d: %+v, want %+v", workers, i, jr, want[i])
+			}
+		}
+		if p := peak.Load(); p > int64(workers) {
+			t.Fatalf("%d jobs ran at once on %d workers: the abandoned worker kept taking jobs", p, workers)
+		}
+	}
+}
+
+// TestRunLeavesOnlyHungJob: once Run returns, its idle workers exit, and
+// the only goroutine left is the hung job's, until its hook returns.
+func TestRunLeavesOnlyHungJob(t *testing.T) {
+	r := schedRunner(t, 20, 4, 100*time.Millisecond)
+	release := make(chan struct{})
+	r.beforeJob = func(job int) {
+		if job == 1 {
+			<-release
+		}
+	}
+	// A job an earlier test hung may still be sleeping in its worker.
+	waitFor(t, workerGoroutines, 0, "workers left by earlier tests")
+	before := runtime.NumGoroutine()
+	got, interrupted := collect(t, r, nil, nil)
+	if interrupted || len(got) != 20 {
+		t.Fatalf("%d results, interrupted %v", len(got), interrupted)
+	}
+	for i, jr := range got {
+		if (jr.Err != "") != (i == 1) {
+			t.Fatalf("job %d: error %q", i, jr.Err)
+		}
+	}
+	waitFor(t, runtime.NumGoroutine, before+1, "goroutines after Run returned")
+	if n := workerGoroutines(); n != 1 {
+		t.Fatalf("%d workers after Run returned, want the hung job's alone", n)
+	}
+	close(release)
+	waitFor(t, runtime.NumGoroutine, before, "goroutines after the hung job returned")
+}

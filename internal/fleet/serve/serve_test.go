@@ -299,6 +299,9 @@ func TestServeRejectsUnknownFields(t *testing.T) {
 	for _, body := range []string{
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "typo_field": 1}`,
 		`{"matrix": {"apps": ["NoSuchApp"], "no_scenarios": true}}`,
+		`{"matrix": {"apps": ["LightSensor", "LightSensor"], "no_scenarios": true}}`,
+		`{"matrix": {"no_apps": true, "scenarios": ["stack-smash", "stack-smash"], "defenses": ["eilid"]}}`,
+		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true, "defenses": ["eilid", "eilid"]}}`,
 		`{"matrix": `, // truncated JSON
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"workers": 1152921504606846976}}`,
 		`{"matrix": {"apps": ["LightSensor"], "no_scenarios": true}, "exec": {"no_recycle": true}}`,

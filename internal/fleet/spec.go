@@ -94,9 +94,9 @@ type GeneratedSpec struct {
 	Count int    `json:"count,omitempty"`
 }
 
-// MaxWorkers bounds ExecSpec.Workers. The runner allocates per-worker
-// state up front, so an unbounded pool size from a spec file or an
-// HTTP body could exhaust memory before a single job runs.
+// MaxWorkers bounds ExecSpec.Workers. Runner.Run starts a goroutine
+// per worker, so an unbounded pool size from a spec file or an HTTP
+// body could exhaust memory before a single job completes.
 const MaxWorkers = 256
 
 // ExecSpec holds the execution knobs. None of them may change job
@@ -155,12 +155,13 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // registries: nil "all" selections become explicit name lists (so a
 // registry drift between two processes shows up as a fingerprint
 // mismatch instead of silently different matrices), names are
-// validated, Repeat defaults to 1, and an unused generated seed is
-// zeroed. Exec passes through untouched (Exec.Workers is only
-// range-checked, and a negative Exec.JobTimeout is refused) — its
-// sentinel semantics (0 = default) are resolved at run time, never
-// baked into a serialized spec. The flags, -spec, -dump-spec and
-// POST /batches all validate through here.
+// validated (an unknown name, or one listed twice, is an error), Repeat
+// defaults to 1, and an unused generated seed is zeroed. Exec passes
+// through untouched (Exec.Workers is only range-checked, and a
+// negative Exec.JobTimeout is refused) — its sentinel semantics (0 =
+// default) are resolved at run time, never baked into a serialized
+// spec. The flags, -spec, -dump-spec and POST /batches all validate
+// through here.
 //
 // Resolution is idempotent and needs no build artifacts, so `-dump-
 // spec` can emit the canonical spec without assembling any firmware.
@@ -214,6 +215,21 @@ func ResolveSpec(spec BatchSpec) (BatchSpec, error) {
 			if _, err := core.DefenseByName(n); err != nil {
 				return spec, fmt.Errorf("fleet: %w", err)
 			}
+		}
+	}
+	for _, dim := range []struct {
+		what  string
+		names []string
+	}{{"application", m.Apps}, {"scenario", m.Scenarios}, {"defense", m.Defenses}} {
+		seen := make(map[string]bool, len(dim.names))
+		for _, n := range dim.names {
+			if seen[n] {
+				// It would run every job of its row or column twice and
+				// count them twice in the detection matrix; Repeat is
+				// the knob for running jobs again.
+				return spec, fmt.Errorf("fleet: %s %q listed twice", dim.what, n)
+			}
+			seen[n] = true
 		}
 	}
 	if m.Repeat < 1 {

@@ -227,10 +227,10 @@ func TestDurationJSON(t *testing.T) {
 	}
 }
 
-// TestResolveSpecErrors: unknown names, a negative generated count, an
-// out-of-range pool size and a negative watchdog are resolution errors,
-// so they surface identically from the CLI, the runner, -dump-spec and
-// eilid-fleetd.
+// TestResolveSpecErrors: unknown names, a name listed twice, a negative
+// generated count, an out-of-range pool size and a negative watchdog
+// are resolution errors, so they surface identically from the CLI, the
+// runner, -dump-spec and eilid-fleetd.
 func TestResolveSpecErrors(t *testing.T) {
 	for name, spec := range map[string]BatchSpec{
 		"unknown app":      {Matrix: MatrixSpec{Apps: []string{"NoSuchApp"}}},
@@ -240,6 +240,9 @@ func TestResolveSpecErrors(t *testing.T) {
 		"negative workers": {Exec: ExecSpec{Workers: -1}},
 		"huge workers":     {Exec: ExecSpec{Workers: 1 << 60}},
 		"negative timeout": {Exec: ExecSpec{JobTimeout: Duration(-time.Second)}},
+		"app twice":        {Matrix: MatrixSpec{Apps: []string{"LightSensor", "TempSensor", "LightSensor"}}},
+		"scenario twice":   {Matrix: MatrixSpec{NoApps: true, Scenarios: []string{"stack-smash", "stack-smash"}}},
+		"defense twice":    {Matrix: MatrixSpec{Defenses: []string{"eilid", "baseline", "eilid"}}},
 	} {
 		if _, err := ResolveSpec(spec); err == nil {
 			t.Errorf("%s: accepted", name)
