@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"eilid/internal/apps"
+	"eilid/internal/attacks"
 	"eilid/internal/core"
 	"eilid/internal/eval"
 	"eilid/internal/fleet"
@@ -361,7 +362,12 @@ func BenchmarkSimulator_AppsByDefense(b *testing.B) {
 // ROM + firmware load + shared-cache install + boot, every job.
 // recycled is the pooled lifecycle: Recycle (snapshot restore + power-on
 // resets) + boot. The recycling subsystem's acceptance bar is recycled
-// per-job overhead at least 2× below construct-per-job.
+// per-job overhead at least 2× below construct-per-job. A Restore
+// copies only the pages written since the last one, and recycled's
+// machine runs nothing, so it copies none: recycled-after-attack
+// measures what a short attack job pays, Recycle plus the stack-smash
+// run, with 64 machines in rotation so the copies do not hit a warm
+// cache.
 func BenchmarkFleet_MachineChurn(b *testing.B) {
 	p := newPipeline(b)
 	app, ok := apps.ByName("TempSensor")
@@ -407,6 +413,41 @@ func BenchmarkFleet_MachineChurn(b *testing.B) {
 			m.Boot()
 		}
 	})
+	sc := attacks.Scenarios()[0]
+	if sc.Name != "stack-smash" {
+		b.Fatalf("first handcrafted scenario is %s, want stack-smash", sc.Name)
+	}
+	victim, err := p.Build(sc.Name+".s", sc.Source)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, spec := range []*core.DefenseSpec{core.DefenseBaseline, core.DefenseEILID} {
+		b.Run("recycled-after-attack/"+spec.Name, func(b *testing.B) {
+			tg := attacks.TargetFor(p, victim, spec)
+			// The machines share the first one's decode cache, as a
+			// fleet pool's do.
+			ms := make([]*core.Machine, 64)
+			for i := range ms {
+				m, err := tg.NewMachine()
+				if err != nil {
+					b.Fatal(err)
+				}
+				tg.Predecoded = m.CPU.Predecoded()
+				m.Snapshot()
+				ms[i] = m
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := ms[i%len(ms)]
+				if err := m.Recycle(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := attacks.ExecuteOn(m, tg, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkEILIDsw_RoundTrip measures one full gateway round trip

@@ -43,37 +43,37 @@ func runAttack(t *testing.T, tg attacks.Target, sc attacks.Scenario, production 
 	return attackRun{outcome: o, obs: observation(m, rec, res, nil), ram: m.Space.ReadRaw(0, mem.Size)}, filter
 }
 
-// TestPredecodeDifferentialAttacks runs attacks, where control flow goes
-// wild — returns into the stack, forged interrupt frames, monitor
-// resets in the middle of a block — on the production path and on the
-// reference: the six handcrafted scenarios (EILID's P1–P3, W⊕X and
+// attack is one scenario with the build it runs on.
+type attack struct {
+	sc    attacks.Scenario
+	build *core.BuildResult
+}
+
+// attackSuite is the six handcrafted scenarios (EILID's P1–P3, W⊕X and
 // secure data) and scenario.Generate(1, 16), every generated family
-// twice, in every defense column. The outcome, every reset reason, the
-// registers, the peripheral state, the watcher stream (up to the quiet
-// events the defense filters) and every byte of RAM must match.
-func TestPredecodeDifferentialAttacks(t *testing.T) {
-	p, err := core.NewPipeline(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	type attack struct {
-		sc    attacks.Scenario
-		build *core.BuildResult
-	}
+// twice. Scenarios that share a victim share its build.
+func attackSuite(t *testing.T, p *core.Pipeline) []attack {
+	t.Helper()
 	var list []attack
+	handcrafted := map[string]*core.BuildResult{} // by source: stack-smash and rop-chain share a victim
 	for _, sc := range attacks.Scenarios() {
-		build, err := p.Build(sc.Name+".s", sc.Source)
-		if err != nil {
-			t.Fatal(err)
+		if handcrafted[sc.Source] == nil {
+			build, err := p.Build(sc.Name+".s", sc.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			handcrafted[sc.Source] = build
 		}
-		list = append(list, attack{sc, build})
+		list = append(list, attack{sc, handcrafted[sc.Source]})
 	}
 	batch := scenario.Generate(1, 16)
 	victims := map[string]*core.BuildResult{}
 	for _, v := range batch.Victims {
-		if victims[v.Name], err = p.Build(v.Name+".s", v.Source); err != nil {
+		build, err := p.Build(v.Name+".s", v.Source)
+		if err != nil {
 			t.Fatal(err)
 		}
+		victims[v.Name] = build
 	}
 	families := map[string]int{}
 	for _, g := range batch.Items {
@@ -85,6 +85,22 @@ func TestPredecodeDifferentialAttacks(t *testing.T) {
 			t.Fatalf("family %s has %d items, want 2", f, families[f])
 		}
 	}
+	return list
+}
+
+// TestPredecodeDifferentialAttacks runs attacks, where control flow goes
+// wild — returns into the stack, forged interrupt frames, monitor
+// resets in the middle of a block — on the production path and on the
+// reference: the attackSuite in every defense column. The outcome,
+// every reset reason, the registers, the peripheral state, the watcher
+// stream (up to the quiet events the defense filters) and every byte of
+// RAM must match.
+func TestPredecodeDifferentialAttacks(t *testing.T) {
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := attackSuite(t, p)
 	for _, a := range list {
 		t.Run(a.sc.Name, func(t *testing.T) {
 			for _, spec := range core.Defenses() {

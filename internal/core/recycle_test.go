@@ -1,14 +1,17 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 
 	"eilid/internal/apps"
+	"eilid/internal/attacks"
 	"eilid/internal/core"
 	"eilid/internal/cpu"
 	"eilid/internal/isa"
+	"eilid/internal/mem"
 )
 
 // newLoadedMachine constructs a machine for one app build variant with
@@ -345,4 +348,111 @@ func TestRecycleAllocFree(t *testing.T) {
 			t.Errorf("%s: Recycle allocates %.1f objects/run", spec.Name, allocs)
 		}
 	}
+}
+
+// TestRecycleSlabMatchesFresh pins what a recycle leaves in memory when
+// Restore copies back only the pages a job marked written: after every
+// Recycle, all 64 KiB and the bus-error count equal a freshly
+// constructed machine's, byte for byte. One machine per build and
+// defense column runs the attackSuite back to back, recycled before
+// each run, on the production path and on the cache-less reference.
+// The runs store into DMEM and the stack, write EILIDsw's secure data,
+// poke memory through Space.StoreWord/StoreByte and end in monitor
+// resets; the test fails if any of these never happens.
+func TestRecycleSlabMatchesFresh(t *testing.T) {
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := attackSuite(t, p)
+	type key struct {
+		build      *core.BuildResult
+		defense    string
+		production bool
+	}
+	type pooled struct {
+		m         *core.Machine
+		fresh     []byte
+		busErrors int
+	}
+	pool := map[key]*pooled{}
+	// Regions a run left different from a fresh machine, and what it did.
+	var dmem, stack, secure, pokes, resets int
+	const stackStart = 0x0900
+	l := mem.DefaultLayout()
+	differs := func(got, fresh []byte, lo, hi uint16) bool {
+		return !bytes.Equal(got[lo:int(hi)+1], fresh[lo:int(hi)+1])
+	}
+	recycle := func(what string, pm *pooled) {
+		t.Helper()
+		if err := pm.m.Recycle(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		got := pm.m.Space.ReadRaw(0, mem.Size)
+		for addr := range got {
+			if got[addr] != pm.fresh[addr] {
+				t.Errorf("%s: recycled memory differs first at 0x%04x: %02x, fresh %02x", what, addr, got[addr], pm.fresh[addr])
+				break
+			}
+		}
+		if pm.m.Space.BusErrors != pm.busErrors {
+			t.Errorf("%s: recycled bus errors %d, fresh %d", what, pm.m.Space.BusErrors, pm.busErrors)
+		}
+	}
+	for _, a := range list {
+		for _, spec := range core.Defenses() {
+			tg := attacks.TargetFor(p, a.build, spec)
+			for _, production := range []bool{true, false} {
+				what := fmt.Sprintf("%s defense=%s production=%v", a.sc.Name, spec.Name, production)
+				k := key{a.build, spec.Name, production}
+				pm := pool[k]
+				if pm == nil {
+					fresh, err := tg.NewMachine()
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := tg.NewMachine()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !production {
+						reference(m)
+					}
+					m.Snapshot()
+					pm = &pooled{m: m, fresh: fresh.Space.ReadRaw(0, mem.Size), busErrors: fresh.Space.BusErrors}
+					pool[k] = pm
+				}
+				recycle(what+" before", pm)
+				o, err := attacks.ExecuteOn(pm.m, tg, a.sc)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				got := pm.m.Space.ReadRaw(0, mem.Size)
+				if differs(got, pm.fresh, l.DMEMStart, stackStart-1) {
+					dmem++
+				}
+				if differs(got, pm.fresh, stackStart, l.DMEMEnd) {
+					stack++
+				}
+				if differs(got, pm.fresh, l.SecureDataStart, l.SecureDataEnd) {
+					secure++
+				}
+				if a.sc.PokeAt != "" {
+					pokes++
+				}
+				if o.Resets > 0 {
+					resets++
+				}
+			}
+		}
+	}
+	for k, pm := range pool {
+		recycle(fmt.Sprintf("last recycle, defense=%s production=%v", k.defense, k.production), pm)
+	}
+	if dmem == 0 || stack == 0 || secure == 0 || pokes == 0 || resets == 0 {
+		t.Errorf("vacuous: runs left DMEM dirty %d, the stack %d, secure data %d times; %d poked, %d reset",
+			dmem, stack, secure, pokes, resets)
+	}
+	t.Logf("%d machines, %d runs: DMEM dirty %d, stack %d, secure data %d; %d poked, %d reset",
+		len(pool), len(list)*2*len(core.Defenses()), dmem, stack, secure, pokes, resets)
 }

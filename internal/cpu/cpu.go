@@ -28,15 +28,17 @@ type Bus interface {
 }
 
 // DirectBus is an optional Bus refinement (implemented by mem.Space)
-// exposing the backing slab and per-address plain-memory flags so the
-// core can inline accesses to plain RAM without an interface call. The
-// fast path reproduces the bus semantics for such addresses exactly:
-// word alignment, little-endian layout, and the live write hook. All
+// exposing the backing slab, its written-page mask and per-address
+// plain-memory flags so the core can inline accesses to plain RAM
+// without an interface call. The fast path reproduces the bus semantics
+// for such addresses exactly: word alignment, little-endian layout, the
+// page mark (bit addr>>8 of the 256-bit mask: mem.Space.Restore copies
+// back only the marked 256-byte pages) and the live write hook. All
 // other addresses (peripheral handlers, unmapped space with its
 // bus-error accounting) go through the Bus methods unchanged.
 type DirectBus interface {
 	Bus
-	Direct() (slab *[1 << 16]byte, plain *[1 << 16]bool, hook *func(addr uint16, n int))
+	Direct() (slab *[1 << 16]byte, written *[4]uint64, plain *[1 << 16]bool, hook *func(addr uint16, n int))
 }
 
 // Watcher observes architectural events. All methods are called
@@ -181,10 +183,12 @@ type CPU struct {
 	invGen     uint64
 	busTouched bool
 
-	// slab/plain/hook are the DirectBus fast path (nil on plain buses).
-	slab  *[1 << 16]byte
-	plain *[1 << 16]bool
-	hook  *func(addr uint16, n int)
+	// slab/written/plain/hook are the DirectBus fast path (nil on plain
+	// buses).
+	slab    *[1 << 16]byte
+	written *[4]uint64
+	plain   *[1 << 16]bool
+	hook    *func(addr uint16, n int)
 
 	// PureInsns and GuardedInsns count the instructions RunBlocks
 	// retired on its pure path and in its guarded loop, and
@@ -232,7 +236,7 @@ const dirtyWords = 1 << 15
 func New(bus Bus) *CPU {
 	c := &CPU{bus: bus}
 	if d, ok := bus.(DirectBus); ok {
-		c.slab, c.plain, c.hook = d.Direct()
+		c.slab, c.written, c.plain, c.hook = d.Direct()
 	}
 	return c
 }
@@ -380,6 +384,7 @@ func (c *CPU) storeWord(pc, addr, v uint16) {
 	if a := addr &^ 1; c.slab != nil && c.plain[a] {
 		c.slab[a] = byte(v)
 		c.slab[a+1] = byte(v >> 8)
+		c.written[a>>14] |= 1 << (a >> 8 & 63)
 		if h := *c.hook; h != nil {
 			h(a, 2)
 		}
@@ -406,6 +411,7 @@ func (c *CPU) storeByte(pc, addr uint16, v uint8) {
 	}
 	if c.slab != nil && c.plain[addr] {
 		c.slab[addr] = v
+		c.written[addr>>14] |= 1 << (addr >> 8 & 63)
 		if h := *c.hook; h != nil {
 			h(addr, 1)
 		}

@@ -115,15 +115,20 @@ func directProgram() []byte {
 // on a CPU over a wrapper exposing only cpu.Bus, for each executor:
 // live decode, predecoded Step, and blocks. Registers, memory, cycles,
 // the WriteHook log, the watcher stream, the peripheral's log, handler
-// stores and bus errors must all match.
+// stores and bus errors must all match. Each side is sealed after the
+// image load and restored after the run: all 64 KiB must equal the
+// sealed image again, which fails on the direct side alone when a
+// direct store skips its page mark.
 func TestDirectRAMMatchesBus(t *testing.T) {
 	img := directProgram()
 	type side struct {
-		c     *CPU
-		s     *mem.Space
-		dev   *logDev
-		hooks []string
-		watch eventLog
+		c      *CPU
+		s      *mem.Space
+		dev    *logDev
+		hooks  []string
+		watch  eventLog
+		snap   *mem.Snapshot
+		sealed []byte
 	}
 	build := func(direct bool, executor string) *side {
 		sd := &side{s: mem.MustNewSpace(mem.DefaultLayout()), dev: &logDev{regs: map[uint16]uint16{}}}
@@ -136,6 +141,7 @@ func TestDirectRAMMatchesBus(t *testing.T) {
 		if err := sd.s.LoadImage(0xFFFE, []byte{0x00, 0xE0}); err != nil {
 			t.Fatal(err)
 		}
+		sd.snap, sd.sealed = sd.s.Snapshot(), sd.s.ReadRaw(0, mem.Size)
 		if direct {
 			sd.c = New(sd.s)
 		} else {
@@ -213,6 +219,20 @@ func TestDirectRAMMatchesBus(t *testing.T) {
 		if d.c.R[10] != 0 || d.s.BusErrors == 0 || d.s.HandlerStores() == 0 || len(d.hooks) < 40*4 {
 			t.Errorf("%s: stream did not run its course: r10=%d bus errors %d handler stores %d hooks %d",
 				executor, d.c.R[10], d.s.BusErrors, d.s.HandlerStores(), len(d.hooks))
+		}
+		for i, sd := range sides {
+			name := [2]string{"direct", "bus"}[i]
+			if err := sd.s.Restore(sd.snap); err != nil {
+				t.Fatal(err)
+			}
+			got := sd.s.ReadRaw(0, mem.Size)
+			for addr := range got {
+				if got[addr] != sd.sealed[addr] {
+					t.Errorf("%s %s: restored memory differs first at 0x%04x: %02x, sealed %02x",
+						executor, name, addr, got[addr], sd.sealed[addr])
+					break
+				}
+			}
 		}
 	}
 }

@@ -9,11 +9,32 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
 // Size of the MSP430 address space in bytes.
 const Size = 0x10000
+
+// pageShift sizes the pages Space marks as written: 256 bytes, so the
+// 64 KiB slab is 256 pages and the mask is four words. The CPU's direct
+// stores mark with the same shift (cpu.DirectBus).
+const pageShift = 8
+
+// pageMask is one bit per page of the slab, set by every write to it.
+type pageMask = [Size >> pageShift / 64]uint64
+
+// markPage sets the bit of the page holding addr.
+func markPage(m *pageMask, addr uint16) {
+	m[addr>>pageShift>>6] |= 1 << (addr >> pageShift & 63)
+}
+
+// markPages sets the bits of every page the n bytes at addr touch.
+func markPages(m *pageMask, addr uint16, n int) {
+	for p := int(addr) >> pageShift; p <= (int(addr)+n-1)>>pageShift; p++ {
+		m[p>>6] |= 1 << (p & 63)
+	}
+}
 
 // Region classifies an address for the hardware monitor.
 type Region uint8
@@ -198,10 +219,21 @@ type mapping struct {
 // classify every address as plain backing memory, a peripheral handler,
 // or unmapped space. dispatch_test.go checks them against a linear scan
 // of the mappings, the reference semantics.
+//
+// Every write to the backing array marks its 256-byte page in a mask:
+// the stores, LoadImage, the volatile clear in Reset, and the CPU's
+// direct stores through Direct. Restore reads the mask to copy back
+// only the pages written since the space last matched its base
+// snapshot.
 type Space struct {
 	Layout Layout
 	ram    [Size]byte
 	maps   []mapping
+
+	// written marks the pages of ram changed since the last Snapshot or
+	// Restore; base is the snapshot ram equalled then.
+	written pageMask
+	base    *Snapshot
 
 	// plain marks addresses that dispatch straight to the backing array:
 	// inside a mapped region, with no peripheral handler attached.
@@ -305,14 +337,16 @@ func (s *Space) Map(start, end uint16, h Handler) error {
 // peripheral's next-event deadline.
 func (s *Space) HandlerStores() uint64 { return s.handlerStores }
 
-// Direct exposes the backing slab, the plain-memory dispatch flags and
-// the live write hook so the CPU core can inline plain-RAM accesses
-// without an interface call. The returned pointers alias live Space
-// state: plain flags update as handlers are mapped, and *hook always
-// reads the current WriteHook. Callers must reproduce Space semantics
-// exactly (fast stores must invoke the hook).
-func (s *Space) Direct() (slab *[Size]byte, plain *[Size]bool, hook *func(addr uint16, n int)) {
-	return &s.ram, &s.plain, &s.WriteHook
+// Direct exposes the backing slab, its written-page mask, the
+// plain-memory dispatch flags and the live write hook so the CPU core
+// can inline plain-RAM accesses without an interface call. The returned
+// pointers alias live Space state: plain flags update as handlers are
+// mapped, and *hook always reads the current WriteHook. Callers must
+// reproduce Space semantics exactly: a fast store writes the slab, sets
+// bit addr>>8 of the mask (word addr>>14, bit addr>>8&63) and invokes
+// the hook. A store that skips the mark survives the next Restore.
+func (s *Space) Direct() (slab *[Size]byte, written *[4]uint64, plain *[Size]bool, hook *func(addr uint16, n int)) {
+	return &s.ram, &s.written, &s.plain, &s.WriteHook
 }
 
 // QuietLoad reports whether a load at addr (a byte load when byteWide,
@@ -396,6 +430,7 @@ func (s *Space) StoreWord(addr uint16, v uint16) {
 	}
 	s.ram[addr] = byte(v)
 	s.ram[addr+1] = byte(v >> 8)
+	markPage(&s.written, addr)
 	if s.WriteHook != nil {
 		s.WriteHook(addr, 2)
 	}
@@ -444,6 +479,7 @@ func (s *Space) StoreByte(addr uint16, v uint8) {
 		return
 	}
 	s.ram[addr] = v
+	markPage(&s.written, addr)
 	if s.WriteHook != nil {
 		s.WriteHook(addr, 1)
 	}
@@ -466,6 +502,7 @@ func (s *Space) LoadImage(addr uint16, data []byte) error {
 		return fmt.Errorf("mem: image of %d bytes at 0x%04x exceeds address space", len(data), addr)
 	}
 	copy(s.ram[addr:], data)
+	markPages(&s.written, addr, len(data))
 	if s.WriteHook != nil {
 		s.WriteHook(addr, len(data))
 	}
@@ -490,11 +527,15 @@ func (s *Space) ReadRaw(addr uint16, length int) []byte {
 // rather than byte-at-a-time; the WriteHook invalidation spans are
 // unchanged.
 func (s *Space) Reset() {
+	dmem := int(s.Layout.DMEMEnd) - int(s.Layout.DMEMStart) + 1
+	secure := int(s.Layout.SecureDataEnd) - int(s.Layout.SecureDataStart) + 1
 	clear(s.ram[s.Layout.DMEMStart : int(s.Layout.DMEMEnd)+1])
 	clear(s.ram[s.Layout.SecureDataStart : int(s.Layout.SecureDataEnd)+1])
+	markPages(&s.written, s.Layout.DMEMStart, dmem)
+	markPages(&s.written, s.Layout.SecureDataStart, secure)
 	if s.WriteHook != nil {
-		s.WriteHook(s.Layout.DMEMStart, int(s.Layout.DMEMEnd)-int(s.Layout.DMEMStart)+1)
-		s.WriteHook(s.Layout.SecureDataStart, int(s.Layout.SecureDataEnd)-int(s.Layout.SecureDataStart)+1)
+		s.WriteHook(s.Layout.DMEMStart, dmem)
+		s.WriteHook(s.Layout.SecureDataStart, secure)
 	}
 }
 
@@ -502,8 +543,8 @@ func (s *Space) Reset() {
 // backing slab plus the bus-error count at capture time. The dispatch
 // state (layout, peripheral mappings, per-address tables) is not
 // captured — it is construction-time state that Restore requires to be
-// unchanged, which is what makes Restore a pair of copies instead of a
-// re-zero and re-map.
+// unchanged, which is what makes Restore a copy of the written pages
+// instead of a re-zero and re-map.
 type Snapshot struct {
 	layout    Layout
 	ram       [Size]byte
@@ -512,19 +553,28 @@ type Snapshot struct {
 
 // Snapshot captures the Space's current memory image and bus-error
 // count. The fleet seals one per fully-constructed machine (post
-// firmware load) so later jobs restore it instead of rebuilding.
+// firmware load) so later jobs restore it instead of rebuilding. The
+// new snapshot becomes the space's base, and the written-page mask is
+// cleared: from here on it lists the pages that differ from the base.
 func (s *Space) Snapshot() *Snapshot {
-	return &Snapshot{layout: s.Layout, ram: s.ram, busErrors: s.BusErrors}
+	snap := &Snapshot{layout: s.Layout, ram: s.ram, busErrors: s.BusErrors}
+	s.base = snap
+	s.written = pageMask{}
+	return snap
 }
 
 // Restore copies a snapshot back over the backing slab and bus-error
 // count, leaving the peripheral mappings and dispatch tables (which the
 // snapshot asserts are unchanged — it must come from a Space with the
-// same layout) in place. Restore does NOT report the slab mutation
-// through WriteHook: the restored bytes are, by construction, the exact
-// image any installed decode cache was built from, so the caller resets
-// cache staleness wholesale instead (core.Machine.Recycle pairs Restore
-// with cpu.CPU.ResetCodeState).
+// same layout) in place. When snap is the space's base (the same
+// pointer), only the pages marked written since the last Snapshot or
+// Restore can differ from it, and only those are copied. Any other
+// snapshot is copied whole and becomes the base. Either way the mask is
+// cleared. Restore does NOT report the slab mutation through WriteHook:
+// the restored bytes are, by construction, the exact image any
+// installed decode cache was built from, so the caller resets cache
+// staleness wholesale instead (core.Machine.Recycle pairs Restore with
+// cpu.CPU.ResetCodeState).
 func (s *Space) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("mem: restore from nil snapshot")
@@ -532,9 +582,21 @@ func (s *Space) Restore(snap *Snapshot) error {
 	if snap.layout != s.Layout {
 		return fmt.Errorf("mem: snapshot layout does not match this space")
 	}
-	// copy, not an array assignment: assigning the 64 KiB field compiles
-	// to an unaligned block move that costs about three times as much.
-	copy(s.ram[:], snap.ram[:])
+	if snap == s.base {
+		for w, m := range s.written {
+			for ; m != 0; m &= m - 1 {
+				p := (w<<6 | bits.TrailingZeros64(m)) << pageShift
+				copy(s.ram[p:p+1<<pageShift], snap.ram[p:])
+			}
+		}
+	} else {
+		// copy, not an array assignment: assigning the 64 KiB field
+		// compiles to an unaligned block move that costs about three
+		// times as much.
+		copy(s.ram[:], snap.ram[:])
+		s.base = snap
+	}
+	s.written = pageMask{}
 	s.BusErrors = snap.busErrors
 	return nil
 }

@@ -6,7 +6,12 @@ import "testing"
 // returns the slab and the bus-error count to exactly the sealed state,
 // leaving peripheral mappings in place and firing no WriteHook (the
 // restored bytes are the image any decode cache was built from; the
-// machine resets cache staleness wholesale instead).
+// machine resets cache staleness wholesale instead). Restore from the
+// base copies only the pages marked written, so each write path is
+// driven on its own, into pages no other step writes, and every
+// Restore is checked over all 64 KiB: a path that skips its mark leaves
+// its bytes behind. A foreign snapshot is a full copy, and Snapshot
+// re-bases.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := MustNewSpace(DefaultLayout())
 	h := &stubHandler{}
@@ -16,24 +21,65 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := s.LoadImage(0xE000, []byte{0x11, 0x22, 0x33, 0x44}); err != nil {
 		t.Fatal(err)
 	}
+	// Sealed bytes in every volatile page Reset clears but no other
+	// step writes, so a Reset that skips its marks leaves zeros behind.
+	for a := 0x0200; a <= 0x0AFF; a += 0x100 {
+		s.StoreByte(uint16(a+0x80), byte(a>>8))
+	}
 	s.StoreWord(0x0200, 0xBEEF)
 	s.LoadWord(0x0C00) // unmapped: one bus error into the snapshot
 	snap := s.Snapshot()
+	sealed := s.ReadRaw(0, Size)
+	if n := WrittenPages(s); n != 0 {
+		t.Fatalf("Snapshot left %d pages marked, want 0", n)
+	}
 
 	var hooked int
 	s.WriteHook = func(addr uint16, n int) { hooked++ }
-	s.StoreWord(0x0200, 0x0000)
-	s.StoreWord(0xE000, 0x5555)
-	s.Reset()
-	s.LoadWord(0x0C00)
-	s.LoadWord(0x0C02)
-	preHooks := hooked
-
-	if err := s.Restore(snap); err != nil {
-		t.Fatal(err)
+	// restore returns s to snap and requires all of memory to equal
+	// want, the bus errors snap's, and the mask to be clear.
+	restore := func(what string, snap *Snapshot, want []byte) {
+		t.Helper()
+		preHooks := hooked
+		if err := s.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if hooked != preHooks {
+			t.Errorf("%s: Restore fired the WriteHook %d times, want 0", what, hooked-preHooks)
+		}
+		if n := WrittenPages(s); n != 0 {
+			t.Errorf("%s: Restore left %d pages marked, want 0", what, n)
+		}
+		if s.BusErrors != snap.busErrors {
+			t.Errorf("%s: BusErrors after restore = %d, want %d", what, s.BusErrors, snap.busErrors)
+		}
+		sameMemory(t, what, s.ReadRaw(0, Size), want)
 	}
-	if hooked != preHooks {
-		t.Errorf("Restore fired the WriteHook %d times, want 0", hooked-preHooks)
+	for _, step := range []struct {
+		name  string
+		write func()
+		pages int // pages the step marks
+	}{
+		{"StoreWord", func() { s.StoreWord(0x0200, 0x0000) }, 1},
+		{"StoreWord to PMEM", func() { s.StoreWord(0xE000, 0x5555) }, 1},
+		{"StoreByte", func() { s.StoreByte(0x0701, 0xA5) }, 1},
+		{"page-straddling LoadImage", func() {
+			if err := s.LoadImage(0xE0FE, []byte{1, 2, 3, 4}); err != nil {
+				t.Fatal(err)
+			}
+		}, 2},
+		{"Reset", s.Reset, 9},
+		{"bus errors and a handler store", func() {
+			s.LoadWord(0x0C00)
+			s.LoadWord(0x0C02)
+			s.StoreWord(0x0100, 7)
+		}, 0},
+	} {
+		step.write()
+		if n := WrittenPages(s); n != step.pages {
+			t.Errorf("%s marked %d pages, want %d", step.name, n, step.pages)
+		}
+		restore(step.name, snap, sealed)
 	}
 	if got := s.LoadWord(0x0200); got != 0xBEEF {
 		t.Errorf("DMEM after restore = 0x%04x, want 0xBEEF", got)
@@ -46,8 +92,53 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// The mapping survives untouched: handler dispatch still works.
 	s.StoreWord(0x0100, 7)
-	if h.stores != 1 {
-		t.Errorf("peripheral mapping lost across restore: %d stores", h.stores)
+	if h.stores != 2 {
+		t.Errorf("peripheral mapping lost across restore: %d stores, want 2", h.stores)
+	}
+
+	// Another space's snapshot shares no base with s: Restore copies it
+	// whole (nothing is marked, so a partial copy would change nothing)
+	// and makes it the base; the next Restore of snap is whole again.
+	o := MustNewSpace(DefaultLayout())
+	for a := 0; a < Size; a += 0x100 {
+		if err := o.LoadImage(uint16(a+0x40), []byte{^byte(a >> 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.BusErrors = 3
+	foreign := o.Snapshot()
+	restore("foreign snapshot", foreign, o.ReadRaw(0, Size))
+	s.StoreByte(0x0300, 9)
+	restore("foreign base", foreign, o.ReadRaw(0, Size))
+	restore("back to snap", snap, sealed)
+
+	// A second Snapshot re-bases: the pages written before it are not
+	// marked afterwards, so restoring snap must be a full copy.
+	s.StoreWord(0x0400, 0x1234)
+	snap2 := s.Snapshot()
+	resealed := s.ReadRaw(0, Size)
+	s.StoreWord(0x0500, 0x5678)
+	restore("snap after re-basing", snap, sealed)
+	restore("second snapshot", snap2, resealed)
+	s.StoreWord(0x0600, 0x9ABC)
+	restore("second snapshot as base", snap2, resealed)
+}
+
+// sameMemory reports the first and the number of bytes at which got
+// differs from want.
+func sameMemory(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	diff, first := 0, -1
+	for a := range want {
+		if got[a] != want[a] {
+			if first < 0 {
+				first = a
+			}
+			diff++
+		}
+	}
+	if diff > 0 {
+		t.Errorf("%s: %d bytes differ, first at 0x%04x: %02x, want %02x", what, diff, first, got[first], want[first])
 	}
 }
 
