@@ -1,11 +1,19 @@
 GO ?= go
 
-.PHONY: all build vet test test-differential test-benchmark fuzz-smoke bench-smoke bench bench-json check
+.PHONY: all build fmt vet test test-differential test-benchmark fuzz-smoke bench-smoke bench bench-json check
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# The format gate: gofmt -l over every tracked Go file, benchmark/
+# included. It only reads; it fails and lists the files gofmt would
+# rewrite.
+fmt:
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo 'fmt: no tracked Go files found'; exit 1; }; \
+	out=$$(gofmt -l $$files) || exit 1; \
+	if [ -n "$$out" ]; then echo "$$out"; echo 'fmt: gofmt would rewrite the files above'; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -92,4 +100,4 @@ bench-json:
 	@f=$$($(GO) run ./cmd/eilid-benchjson -next < BENCH.txt.tmp) || { rm -f BENCH.txt.tmp; exit 1; }; \
 	rm -f BENCH.txt.tmp; echo "wrote $$f"
 
-check: build vet test test-differential test-benchmark bench-smoke
+check: build fmt vet test test-differential test-benchmark bench-smoke

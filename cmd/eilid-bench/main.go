@@ -49,6 +49,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "eilid-bench: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
+	if *iters < 1 {
+		fmt.Fprintf(stderr, "eilid-bench: -iters must be >= 1 (got %d)\n", *iters)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -87,6 +87,23 @@ func TestBenchStrayArgument(t *testing.T) {
 	}
 }
 
+// TestBenchItersBelowOne: -iters counts compile runs to average, so 0
+// or a negative count is a usage error rather than a silent default.
+func TestBenchItersBelowOne(t *testing.T) {
+	for _, iters := range []string{"0", "-3"} {
+		var out, errb strings.Builder
+		if code := run([]string{"-table", "4", "-iters", iters}, &out, &errb); code != 2 {
+			t.Errorf("-iters %s: exit %d, want 2", iters, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-iters %s: printed output:\n%s", iters, out.String())
+		}
+		if !strings.Contains(errb.String(), "-iters must be >= 1") {
+			t.Errorf("-iters %s: stderr %q", iters, errb.String())
+		}
+	}
+}
+
 // TestBenchRetiredWorkersFlag: Table IV measures its apps one after
 // another, so the old -workers knob is an unknown flag.
 func TestBenchRetiredWorkersFlag(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"eilid/internal/apps"
+	"eilid/internal/asm"
 	"eilid/internal/core"
 )
 
@@ -87,15 +88,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	build, err := pipeline.Build("firmware.s", source)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-
+	// The baseline device runs the original build alone, so firmware
+	// that EILIDinst rejects still runs unprotected.
 	opts := core.MachineOptions{Config: pipeline.Config()}
-	img := build.Original.Image
-	if !*unprotected {
+	var img *asm.Image
+	if *unprotected {
+		prog, err := pipeline.BuildOriginal("firmware.s", source)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		img = prog.Image
+	} else {
+		build, err := pipeline.Build("firmware.s", source)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
 		opts.ROM = pipeline.ROM()
 		opts.Defense = core.DefenseEILID
 		img = build.Instrumented.Image

@@ -81,6 +81,47 @@ func TestRunQuickstartFile(t *testing.T) {
 	}
 }
 
+// r5Src writes r5, the register EILID reserves for its shadow-stack
+// index: EILIDinst rejects it, the original build does not.
+const r5Src = `
+.org 0xE000
+reset:
+    mov #0x0A00, sp
+    mov #5, r5
+    mov #0, &0x00FC
+stop:
+    jmp stop
+.org 0xFFFE
+.word reset
+`
+
+// TestRunUnprotectedOriginalBuild: -unprotected runs the original
+// build alone, so firmware that EILIDinst rejects still runs on the
+// baseline device, while the protected run refuses it.
+func TestRunUnprotectedOriginalBuild(t *testing.T) {
+	path := t.TempDir() + "/r5.s"
+	if err := writeFile(path, r5Src); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb strings.Builder
+	if code := run([]string{"-file", path, "-unprotected"}, &out, &errb); code != 0 {
+		t.Fatalf("-unprotected: exit %d, stderr: %s", code, errb.String())
+	}
+	for _, want := range []string{"unprotected baseline", "halted:   true"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-unprotected output missing %q:\n%s", want, out.String())
+		}
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-file", path}, &out, &errb); code != 1 {
+		t.Errorf("protected: exit %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "r5") {
+		t.Errorf("protected: stderr does not name r5: %q", errb.String())
+	}
+}
+
 func TestRunFlagErrors(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-app", "NoSuchApp"}, &out, &errb); code != 2 {

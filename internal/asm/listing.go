@@ -3,7 +3,6 @@ package asm
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"eilid/internal/isa"
@@ -82,8 +81,8 @@ func (l *Listing) FunctionSymbols() []string {
 //	;   <name> = 0x....
 //	e000  4031 0a00  |    3| mov #0x0A00, sp
 //
-// The format round-trips through ParseListing; the EILID pipeline passes
-// listings between iterations as text, as the paper's tooling does.
+// It is a display format (eilid-asm, eilid-instr -lst); the EILID
+// pipeline hands listings between its iterations as structs.
 func (l *Listing) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "; listing: %s\n; symbols:\n", l.Name)
@@ -101,9 +100,9 @@ func (l *Listing) String() string {
 		case e.IsInstr:
 			wordCol = isa.FormatWords(e.Words)
 		case len(e.Words) > 0:
-			// Data words carry an '=' marker so ParseListing never
-			// confuses them with instructions (a .word whose value
-			// happens to decode would otherwise round-trip wrong).
+			// Data words carry an '=' marker so a reader never takes
+			// them for instructions (a .word whose value happens to
+			// decode looks like one).
 			parts := make([]string, len(e.Words))
 			for i, w := range e.Words {
 				parts[i] = fmt.Sprintf("=%04x", w)
@@ -115,99 +114,4 @@ func (l *Listing) String() string {
 		fmt.Fprintf(&b, "%04x  %-24s |%5d| %s\n", e.Addr, wordCol, e.Line, e.Source)
 	}
 	return b.String()
-}
-
-// ParseListing parses the textual format produced by String. Instruction
-// words are re-decoded so that IsInstr/Instr are populated; entries whose
-// words do not decode (data .word lines) are kept as data.
-func ParseListing(text string) (*Listing, error) {
-	l := &Listing{Symbols: map[string]uint16{}}
-	for lineNo, raw := range strings.Split(text, "\n") {
-		line := strings.TrimRight(raw, " \t\r")
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, ";") {
-			body := strings.TrimSpace(line[1:])
-			switch {
-			case strings.HasPrefix(body, "listing:"):
-				l.Name = strings.TrimSpace(strings.TrimPrefix(body, "listing:"))
-			case strings.Contains(body, " = 0x"):
-				parts := strings.SplitN(body, " = ", 2)
-				if len(parts) == 2 {
-					v, err := strconv.ParseUint(strings.TrimPrefix(parts[1], "0x"), 16, 16)
-					if err != nil {
-						return nil, fmt.Errorf("listing line %d: bad symbol value %q", lineNo+1, parts[1])
-					}
-					l.Symbols[strings.TrimSpace(parts[0])] = uint16(v)
-				}
-			}
-			continue
-		}
-		// Data line: "addr  words |line| source"
-		bar1 := strings.Index(line, "|")
-		bar2 := -1
-		if bar1 >= 0 {
-			if rel := strings.Index(line[bar1+1:], "|"); rel >= 0 {
-				bar2 = bar1 + 1 + rel
-			}
-		}
-		if bar1 < 0 || bar2 < 0 {
-			return nil, fmt.Errorf("listing line %d: malformed entry %q", lineNo+1, line)
-		}
-		head := strings.Fields(line[:bar1])
-		if len(head) == 0 {
-			return nil, fmt.Errorf("listing line %d: missing address", lineNo+1)
-		}
-		addr64, err := strconv.ParseUint(head[0], 16, 16)
-		if err != nil {
-			return nil, fmt.Errorf("listing line %d: bad address %q", lineNo+1, head[0])
-		}
-		srcLine, err := strconv.Atoi(strings.TrimSpace(line[bar1+1 : bar2]))
-		if err != nil {
-			return nil, fmt.Errorf("listing line %d: bad line number", lineNo+1)
-		}
-		entry := ListEntry{
-			Addr:   uint16(addr64),
-			Line:   srcLine,
-			Source: strings.TrimSpace(line[bar2+1:]),
-		}
-		if len(head) > 1 && strings.HasPrefix(head[1], "<") {
-			// "<N bytes>" data annotation
-			var n int
-			if _, err := fmt.Sscanf(strings.Join(head[1:], " "), "<%d bytes>", &n); err != nil {
-				return nil, fmt.Errorf("listing line %d: bad byte annotation", lineNo+1)
-			}
-			entry.Bytes = n
-		} else {
-			isData := false
-			for _, h := range head[1:] {
-				hh := h
-				if strings.HasPrefix(hh, "=") {
-					isData = true
-					hh = hh[1:]
-				}
-				w, err := strconv.ParseUint(hh, 16, 16)
-				if err != nil {
-					return nil, fmt.Errorf("listing line %d: bad word %q", lineNo+1, h)
-				}
-				entry.Words = append(entry.Words, uint16(w))
-			}
-			if len(entry.Words) > 0 && !isData {
-				in, n, err := isa.Decode(entry.Words)
-				if err != nil || n != len(entry.Words) {
-					return nil, fmt.Errorf("listing line %d: undecodable instruction words", lineNo+1)
-				}
-				entry.IsInstr = true
-				entry.Instr = in
-			}
-		}
-		// Recover label definitions from source text ("name:").
-		src := entry.Source
-		if i := strings.Index(src, ":"); i > 0 && isIdent(src[:i]) {
-			entry.Label = src[:i]
-		}
-		l.Entries = append(l.Entries, entry)
-	}
-	return l, nil
 }

@@ -27,9 +27,6 @@ type CritVar struct {
 	// been (re)snapshotted since the last Clear.
 	attested []uint16
 	known    bool
-
-	// Trips counts violations since power-on.
-	Trips map[ViolationKind]int
 }
 
 // CritVarConfig parameterizes the monitor.
@@ -47,40 +44,24 @@ func NewCritVar(cfg CritVarConfig) *CritVar {
 	return &CritVar{
 		cfg:      cfg,
 		attested: make([]uint16, len(cfg.Watch)),
-		Trips:    map[ViolationKind]int{},
 	}
 }
 
 // Violation implements Defense.
 func (c *CritVar) Violation() *Violation { return c.violation }
 
-// Clear implements Defense: re-arm after a device reset. The attested
-// copies are resnapshotted at the next instruction boundary — the reset
-// swept volatile memory, so the pre-reset values are gone by design.
+// Clear implements Defense. The attested copies are resnapshotted at
+// the next instruction boundary — a device reset sweeps volatile memory
+// and a recycle restores the sealed image, so the old values are gone
+// by design.
 func (c *CritVar) Clear() {
 	c.violation = nil
 	c.known = false
 }
 
-// PowerOn implements Defense (allocation-free: the recycle path runs
-// per job).
-func (c *CritVar) PowerOn() {
-	c.Clear()
-	clear(c.Trips)
-}
-
-// TripCounts implements Defense.
-func (c *CritVar) TripCounts() map[ViolationKind]int { return c.Trips }
-
-func (c *CritVar) trip(kind ViolationKind, pc, addr uint16) {
-	c.Trips[kind]++
-	if c.violation == nil {
-		c.violation = &Violation{Kind: kind, PC: pc, Addr: addr}
-	}
-}
-
 // OnFetch implements Defense: the comparator sweep. The first boundary
-// after a reset snapshots; every later one verifies.
+// after a reset snapshots; every later one verifies until the first
+// divergence latches.
 func (c *CritVar) OnFetch(prev, pc uint16) {
 	if !c.known {
 		for i, w := range c.cfg.Watch {
@@ -89,12 +70,13 @@ func (c *CritVar) OnFetch(prev, pc uint16) {
 		c.known = true
 		return
 	}
+	if c.violation != nil {
+		return
+	}
 	for i, w := range c.cfg.Watch {
 		if c.cfg.Peek(w) != c.attested[i] {
-			c.trip(ViolationCritVar, pc, w)
-			// Re-attest so a single tamper is reported once per reset
-			// cycle rather than on every subsequent boundary.
-			c.attested[i] = c.cfg.Peek(w)
+			c.violation = &Violation{Kind: ViolationCritVar, PC: pc, Addr: w}
+			return
 		}
 	}
 }

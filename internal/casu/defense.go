@@ -38,13 +38,13 @@ package casu
 //     OnFetch/OnRead/OnWrite/OnInterrupt is observed cycle-exactly:
 //     block execution and per-instruction execution reset at identical
 //     points.
-//   - Violation returns the first breach since the last Clear; further
-//     breaches only increment the trip counters.
-//   - Clear re-arms after a device reset (violation state and any
-//     per-boot history are dropped; trip counters survive).
-//   - PowerOn models a power cycle (fleet machine recycling): the
-//     monitor returns to its freshly constructed state. Implementations
-//     must not allocate on this path — it runs per job at ~3 µs.
+//   - Violation returns the first breach since the last Clear; later
+//     breaches change nothing.
+//   - Clear is the one reset: the monitor returns to its freshly
+//     constructed state. The machine calls it on every device reset
+//     (Machine.Boot) and on every recycle (Machine.Recycle), which runs
+//     per job in a few µs, so implementations must not allocate on this
+//     path.
 type Defense interface {
 	// OnFetch fires before the instruction at pc executes; prev is the
 	// previously executed instruction.
@@ -67,10 +67,6 @@ type Defense interface {
 	// Violation returns the first breach observed since the last Clear,
 	// or nil.
 	Violation() *Violation
-	// Clear re-arms the monitor after a device reset.
+	// Clear returns the monitor to its freshly constructed state.
 	Clear()
-	// PowerOn returns the monitor to its freshly constructed state.
-	PowerOn()
-	// TripCounts exposes the per-kind violation counters since power-on.
-	TripCounts() map[ViolationKind]int
 }

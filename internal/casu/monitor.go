@@ -146,57 +146,29 @@ type Config struct {
 	// ViolationAddr is the secure MMIO latch EILIDsw writes on CFI
 	// failure.
 	ViolationAddr uint16
-	// EnforceSecureRegion enables rules (3)-(5); CASU without the EILID
-	// extension (plain immutability + W⊕X) runs with it false.
-	EnforceSecureRegion bool
 }
 
-// Monitor is the hardware monitor. It implements cpu.Watcher.
+// Monitor is the hardware monitor. It implements cpu.Watcher. Every
+// rule is a function of the observed signals alone, so the only state
+// it keeps is the latched violation.
 type Monitor struct {
-	cfg Config
-
-	curPC     uint16
+	cfg       Config
 	violation *Violation
-
-	// Trips counts violations since construction (across resets).
-	Trips map[ViolationKind]int
 }
 
 // NewMonitor creates an armed monitor.
 func NewMonitor(cfg Config) *Monitor {
-	return &Monitor{cfg: cfg, Trips: map[ViolationKind]int{}}
+	return &Monitor{cfg: cfg}
 }
-
-// Config returns the monitor configuration.
-func (m *Monitor) Config() Config { return m.cfg }
 
 // Violation returns the first violation observed since the last Clear,
 // or nil.
 func (m *Monitor) Violation() *Violation { return m.violation }
 
-// Clear re-arms the monitor after a device reset.
-func (m *Monitor) Clear() { m.violation = nil; m.curPC = 0 }
-
-// PowerOn returns the monitor to its freshly constructed state: armed,
-// no secure-state history, trip counters zeroed. Clear survives device
-// resets (Trips is "since construction"); PowerOn models the machine
-// being power-cycled, which is what fleet recycling simulates. The map
-// is cleared in place: the recycle path runs per job at ~3 µs and must
-// not allocate.
-func (m *Monitor) PowerOn() {
-	m.Clear()
-	clear(m.Trips)
-}
-
-// TripCounts implements Defense.
-func (m *Monitor) TripCounts() map[ViolationKind]int { return m.Trips }
-
-// InSecure reports whether the monitor last saw the PC inside the secure
-// ROM (the hardware "secure state" flag).
-func (m *Monitor) InSecure() bool { return m.cfg.Layout.InSecureROM(m.curPC) }
+// Clear implements Defense: it re-arms the monitor.
+func (m *Monitor) Clear() { m.violation = nil }
 
 func (m *Monitor) trip(kind ViolationKind, pc, addr uint16) {
-	m.Trips[kind]++
 	if m.violation == nil {
 		m.violation = &Violation{Kind: kind, PC: pc, Addr: addr}
 	}
@@ -205,13 +177,9 @@ func (m *Monitor) trip(kind ViolationKind, pc, addr uint16) {
 // OnFetch implements cpu.Watcher: W⊕X on the fetch side plus secure-region
 // entry/exit discipline.
 func (m *Monitor) OnFetch(prev, pc uint16) {
-	m.curPC = pc
 	l := m.cfg.Layout
 	if !l.Executable(pc) {
 		m.trip(ViolationExecNonExec, prev, pc)
-		return
-	}
-	if !m.cfg.EnforceSecureRegion {
 		return
 	}
 	fromSec, toSec := l.InSecureROM(prev), l.InSecureROM(pc)
@@ -225,9 +193,8 @@ func (m *Monitor) OnFetch(prev, pc uint16) {
 
 // QuietFetch implements Defense. A fetch of executable code that stays
 // on the same side of the secure-ROM boundary can trip neither W⊕X nor
-// the entry/exit discipline, and the only state it moves, the secure
-// state behind InSecure, keeps its value. PMEM ends where the secure
-// ROM begins, so a fall-through into the ROM is never quiet.
+// the entry/exit discipline. PMEM ends where the secure ROM begins, so
+// a fall-through into the ROM is never quiet.
 func (m *Monitor) QuietFetch(prev, pc uint16) bool {
 	l := m.cfg.Layout
 	return l.Executable(pc) && l.InSecureROM(prev) == l.InSecureROM(pc)
@@ -235,9 +202,6 @@ func (m *Monitor) QuietFetch(prev, pc uint16) bool {
 
 // OnRead implements cpu.Watcher: shadow-stack exclusivity on the read side.
 func (m *Monitor) OnRead(pc, addr uint16, byteWide bool) {
-	if !m.cfg.EnforceSecureRegion {
-		return
-	}
 	l := m.cfg.Layout
 	if l.RegionOf(addr) == mem.RegionSecureData && !l.InSecureROM(pc) {
 		m.trip(ViolationSecureData, pc, addr)
@@ -248,7 +212,7 @@ func (m *Monitor) OnRead(pc, addr uint16, byteWide bool) {
 // secure-data read from outside the secure ROM, which trips.
 func (m *Monitor) QuietRead(pc, addr uint16) bool {
 	l := m.cfg.Layout
-	return !m.cfg.EnforceSecureRegion || l.RegionOf(addr) != mem.RegionSecureData || l.InSecureROM(pc)
+	return l.RegionOf(addr) != mem.RegionSecureData || l.InSecureROM(pc)
 }
 
 // OnWrite implements cpu.Watcher: immutability, shadow-stack exclusivity
@@ -266,9 +230,6 @@ func (m *Monitor) OnWrite(pc, addr uint16, byteWide bool, value uint16) {
 		m.trip(ViolationIVTWrite, pc, addr)
 		return
 	}
-	if !m.cfg.EnforceSecureRegion {
-		return
-	}
 	if l.RegionOf(addr) == mem.RegionSecureData && !l.InSecureROM(pc) {
 		m.trip(ViolationSecureData, pc, addr)
 		return
@@ -284,7 +245,7 @@ func (m *Monitor) OnWrite(pc, addr uint16, byteWide bool, value uint16) {
 
 // OnInterrupt implements cpu.Watcher: no interrupts inside EILIDsw.
 func (m *Monitor) OnInterrupt(pc uint16, line int) {
-	if m.cfg.EnforceSecureRegion && m.cfg.Layout.InSecureROM(pc) {
+	if m.cfg.Layout.InSecureROM(pc) {
 		m.trip(ViolationIRQInSecure, pc, 0)
 	}
 }

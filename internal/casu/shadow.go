@@ -34,18 +34,15 @@ type ShadowStack struct {
 	// executing) instruction, resolved at the next OnFetch/OnInterrupt.
 	pending stackOp
 
-	// decode caches instruction classifications by pc for the current
-	// power cycle. Entries whose fetch window a write may have touched
-	// are dropped eagerly; PowerOn drops the whole cache, because wild
-	// control flow can classify job-dependent data bytes that the next
-	// job's restored image no longer matches — and the harness's
+	// decode caches instruction classifications by pc since the last
+	// Clear. Entries whose fetch window a write may have touched are
+	// dropped eagerly; Clear drops the whole cache, because wild control
+	// flow can classify data bytes that a device reset or a recycle
+	// rewrites behind the monitor's back — and the harness's
 	// arbitrary-write primitive is off-bus, so eager invalidation alone
 	// cannot see every divergence.
 	decode    map[uint16]stackOp
 	minCached uint16
-
-	// Trips counts violations since power-on.
-	Trips map[ViolationKind]int
 }
 
 // ShadowConfig parameterizes the shadow-stack monitor.
@@ -53,12 +50,12 @@ type ShadowConfig struct {
 	// Peek reads a word of memory without bus side effects (the
 	// hardware's private fetch-stream tap).
 	Peek func(addr uint16) uint16
-	// MaxDepth bounds the hardware stack (default 256 frames). On
-	// overflow the oldest frame is discarded: the monitor degrades to
-	// not vouching for the eldest callers rather than false-positives
-	// on deep recursion.
-	MaxDepth int
 }
+
+// shadowDepth bounds the hardware stack. On overflow the oldest frame
+// is discarded: the monitor degrades to not vouching for the eldest
+// callers rather than false-positives on deep recursion.
+const shadowDepth = 256
 
 type opClass uint8
 
@@ -93,50 +90,32 @@ type frame struct {
 
 // NewShadowStack creates an armed shadow-stack monitor.
 func NewShadowStack(cfg ShadowConfig) *ShadowStack {
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 256
-	}
 	return &ShadowStack{
 		cfg:       cfg,
-		stack:     make([]frame, 0, cfg.MaxDepth),
+		stack:     make([]frame, 0, shadowDepth),
 		decode:    make(map[uint16]stackOp),
 		minCached: 0xFFFF,
-		Trips:     map[ViolationKind]int{},
 	}
 }
 
 // Violation implements Defense.
 func (s *ShadowStack) Violation() *Violation { return s.violation }
 
-// Clear implements Defense: re-arm after a device reset. The decode
-// cache survives (code survives a reset; staleness is tracked by
-// OnWrite), but the call history does not.
+// Clear implements Defense: the violation, the call history and the
+// decode cache all go. The stack and the cache are emptied in place, so
+// this path does not allocate.
 func (s *ShadowStack) Clear() {
 	s.violation = nil
 	s.stack = s.stack[:0]
 	s.pending = stackOp{}
-}
-
-// PowerOn implements Defense. The decode cache is dropped (cleared in
-// place — this path must not allocate): a recycle restores the sealed
-// memory image, and cached classifications of bytes the finished job
-// scribbled (or executed out of) would silently diverge from a freshly
-// constructed machine's.
-func (s *ShadowStack) PowerOn() {
-	s.Clear()
-	clear(s.Trips)
 	clear(s.decode)
 	s.minCached = 0xFFFF
 }
-
-// TripCounts implements Defense.
-func (s *ShadowStack) TripCounts() map[ViolationKind]int { return s.Trips }
 
 // Depth returns the current shadow-stack depth (tests/debugging).
 func (s *ShadowStack) Depth() int { return len(s.stack) }
 
 func (s *ShadowStack) trip(kind ViolationKind, pc, addr uint16) {
-	s.Trips[kind]++
 	if s.violation == nil {
 		s.violation = &Violation{Kind: kind, PC: pc, Addr: addr}
 	}

@@ -49,16 +49,6 @@ type DefenseSpec struct {
 	New func(env DefenseEnv) casu.Defense
 }
 
-// Emits reports whether kind is in the spec's emittable set.
-func (s *DefenseSpec) Emits(kind casu.ViolationKind) bool {
-	for _, k := range s.Kinds {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // EmitsReason reports whether reason names (by ViolationKind.String) a
 // kind in the spec's emittable set — the check oracles apply to a reset
 // reason recorded for this defense.
@@ -100,11 +90,10 @@ var DefenseEILID = &DefenseSpec{
 	},
 	New: func(env DefenseEnv) casu.Defense {
 		return casu.NewMonitor(casu.Config{
-			Layout:              env.Config.Layout,
-			EntryPoint:          env.ROM.Entry,
-			ExitPoint:           env.ROM.Exit,
-			ViolationAddr:       env.Config.ViolationAddr,
-			EnforceSecureRegion: true,
+			Layout:        env.Config.Layout,
+			EntryPoint:    env.ROM.Entry,
+			ExitPoint:     env.ROM.Exit,
+			ViolationAddr: env.Config.ViolationAddr,
 		})
 	},
 }

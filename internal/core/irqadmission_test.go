@@ -382,7 +382,7 @@ func TestQuietLoadDeclarations(t *testing.T) {
 	}
 	still := map[load]uint16{}
 	type span interface{ Span() (uint16, uint16) }
-	for _, d := range []span{m.Port1, m.Port2, m.TimerA, m.ADC, m.UART, m.LCD, m.Ranger, m.Latch} {
+	for _, d := range []span{m.Port1, m.Port2, m.TimerA, m.ADC, m.UART, m.LCD, m.Ranger, &periph.ViolationLatch{}} {
 		lo, hi := d.Span()
 		for a := lo; a <= hi; a++ {
 			for _, byteWide := range []bool{false, true} {

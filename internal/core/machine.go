@@ -53,7 +53,6 @@ type Machine struct {
 	UART   *periph.UART
 	LCD    *periph.LCD
 	Ranger *periph.Ultrasonic
-	Latch  *periph.ViolationLatch
 
 	// Monitor is the wired defense monitor; nil on baseline machines.
 	Monitor casu.Defense
@@ -124,7 +123,7 @@ func NewMachine(opts MachineOptions) (*Machine, error) {
 	m.UART = periph.NewUART(m.IRQ, periph.IRQUART)
 	m.LCD = periph.NewLCD()
 	m.Ranger = periph.NewUltrasonic(m.IRQ, periph.IRQUltrasonic)
-	m.Latch = &periph.ViolationLatch{}
+	latch := &periph.ViolationLatch{}
 	m.TimerA.Clock = clock
 	m.ADC.Clock = clock
 	m.Ranger.Clock = clock
@@ -146,7 +145,7 @@ func NewMachine(opts MachineOptions) (*Machine, error) {
 	}{
 		{m.Port1, m.Port1}, {m.Port2, m.Port2}, {m.TimerA, m.TimerA},
 		{m.ADC, m.ADC}, {m.UART, m.UART}, {m.LCD, m.LCD},
-		{m.Ranger, m.Ranger}, {m.Latch, m.Latch},
+		{m.Ranger, m.Ranger}, {latch, latch},
 	} {
 		lo, hi := dev.s.Span()
 		if err := space.Map(lo, hi, dev.h); err != nil {
@@ -186,9 +185,6 @@ func NewMachine(opts MachineOptions) (*Machine, error) {
 	return m, nil
 }
 
-// Defense returns the spec the machine was assembled from.
-func (m *Machine) Defense() *DefenseSpec { return m.defense }
-
 // Instrumented reports whether the machine runs the EILID-instrumented
 // build with the secure ROM loaded.
 func (m *Machine) Instrumented() bool { return m.defense.Instrumented }
@@ -199,10 +195,11 @@ func (m *Machine) LoadFirmware(img *asm.Image) error {
 	return img.WriteTo(m.Space)
 }
 
-// Boot resets the CPU through the reset vector.
+// Boot resets the CPU through the reset vector, with the interrupt
+// controller cleared and the monitor (if any) returned to its freshly
+// constructed state by its one reset, Clear.
 func (m *Machine) Boot() {
 	m.IRQ.Reset()
-	m.Latch.Reset()
 	m.ctl.halted = false
 	if m.Monitor != nil {
 		m.Monitor.Clear()
@@ -313,9 +310,11 @@ var ErrNoSnapshot = errors.New("core: machine has no sealed snapshot to recycle 
 
 // Recycle returns the machine to the sealed snapshot state as if it had
 // been power-cycled and re-flashed with the snapshot image: memory is
-// restored by copy (no re-zeroing, no re-mapping), the CPU, interrupt
-// controller, violation latch and monitor return to power-on state, all
-// peripherals power on (keeping their attached sensor models), and the
+// restored by copy (no re-zeroing, no re-mapping), the CPU and interrupt
+// controller return to power-on state, the monitor to its freshly
+// constructed one (Clear, as on every boot), all peripherals power on
+// (keeping their attached sensor models; the violation latch keeps no
+// state), and the
 // predecode/block invalidation state is reset cheaply (generation bump
 // plus dirty-bitmap drop) without discarding the shared per-ROM decode
 // cache or block table. A recycled machine is observationally identical
@@ -335,9 +334,8 @@ func (m *Machine) Recycle() error {
 	m.CPU.ResetCodeState()
 	m.CPU.PowerOn()
 	m.IRQ.Reset()
-	m.Latch.Reset()
 	if m.Monitor != nil {
-		m.Monitor.PowerOn()
+		m.Monitor.Clear()
 	}
 	m.ResetCount = 0
 	m.ResetReasons = nil

@@ -644,8 +644,6 @@ const (
 type LCD struct {
 	screen [LCDRows][LCDCols]byte
 	addr   int
-	// Commands records the raw command stream for protocol tests.
-	Commands []uint16
 }
 
 // NewLCD creates a cleared display.
@@ -665,11 +663,8 @@ func (l *LCD) clear() {
 }
 
 // PowerOn returns the display to its freshly constructed state: screen
-// cleared, cursor home, command history dropped.
-func (l *LCD) PowerOn() {
-	l.clear()
-	l.Commands = nil
-}
+// cleared, cursor home.
+func (l *LCD) PowerOn() { l.clear() }
 
 // Row returns the text of row r.
 func (l *LCD) Row(r int) string {
@@ -686,7 +681,6 @@ func (l *LCD) LoadWord(addr uint16) uint16 { return 0 }
 func (l *LCD) StoreWord(addr uint16, v uint16) {
 	switch addr {
 	case LCDCMDAddr:
-		l.Commands = append(l.Commands, v)
 		switch {
 		case v == LCDCmdClear:
 			l.clear()
@@ -843,32 +837,24 @@ func (u *Ultrasonic) Span() (lo, hi uint16) { return USTRIGAddr, USSTATAddr + 1 
 // --- Violation latch -------------------------------------------------------
 
 // ViolationLatch is the secure MMIO register EILIDsw writes when a CFI
-// check fails. The CASU monitor treats ANY write to it as the reset
-// trigger; writes from outside the secure ROM are themselves violations.
-type ViolationLatch struct {
-	// Writes counts stores to the register since the last reset.
-	Writes int
-	// Last is the last value written.
-	Last uint16
-}
+// check fails. The CASU monitor hears every write to it on the data bus
+// and treats it as the reset trigger; writes from outside the secure
+// ROM are themselves violations. The register itself keeps nothing: it
+// reads as zero and ignores the value written.
+type ViolationLatch struct{}
 
 // LoadWord implements mem.Handler (reads as zero).
 func (v *ViolationLatch) LoadWord(addr uint16) uint16 { return 0 }
 
-// StoreWord implements mem.Handler.
-func (v *ViolationLatch) StoreWord(addr uint16, val uint16) {
-	v.Writes++
-	v.Last = val
-}
+// StoreWord implements mem.Handler: the monitor, not the register, acts
+// on the store.
+func (v *ViolationLatch) StoreWord(addr uint16, val uint16) {}
 
 // QuietLoad implements mem.QuietLoader: the latch reads as zero.
 func (v *ViolationLatch) QuietLoad(addr uint16) bool { return true }
 
 // HoldsStill implements mem.StillHolder: the latch reads as zero.
 func (v *ViolationLatch) HoldsStill(addr uint16) bool { return true }
-
-// Reset clears the latch.
-func (v *ViolationLatch) Reset() { v.Writes = 0; v.Last = 0 }
 
 // Span returns the register range for bus mapping.
 func (v *ViolationLatch) Span() (lo, hi uint16) { return ViolationAddr, ViolationAddr + 1 }

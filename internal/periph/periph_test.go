@@ -252,18 +252,16 @@ func TestUltrasonic(t *testing.T) {
 	}
 }
 
+// TestViolationLatch: the latch keeps nothing; it reads as zero before
+// and after a store (the monitor, not the register, acts on the store).
 func TestViolationLatch(t *testing.T) {
 	v := &ViolationLatch{}
 	if v.LoadWord(ViolationAddr) != 0 {
 		t.Error("latch should read 0")
 	}
 	v.StoreWord(ViolationAddr, 7)
-	if v.Writes != 1 || v.Last != 7 {
-		t.Errorf("latch state %+v", v)
-	}
-	v.Reset()
-	if v.Writes != 0 {
-		t.Error("reset failed")
+	if v.LoadWord(ViolationAddr) != 0 {
+		t.Error("latch reads the stored value")
 	}
 }
 

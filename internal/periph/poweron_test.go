@@ -65,8 +65,8 @@ func TestPowerOnRestoresFreshState(t *testing.T) {
 	l.StoreWord(LCDCMDAddr, LCDCmdSetAddr|0x02)
 	l.StoreWord(LCDDATAAddr, 'A')
 	l.PowerOn()
-	if l.Row(0) != "                " || l.addr != 0 || l.Commands != nil {
-		t.Errorf("LCD not fresh after PowerOn: %q cmds=%v", l.Row(0), l.Commands)
+	if l.Row(0) != "                " || l.addr != 0 {
+		t.Errorf("LCD not fresh after PowerOn: %q addr=%d", l.Row(0), l.addr)
 	}
 
 	r := NewUltrasonic(irq, IRQUltrasonic)

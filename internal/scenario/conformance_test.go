@@ -42,7 +42,7 @@ func TestViolationKindConformance(t *testing.T) {
 	for _, k := range kinds {
 		emitted := false
 		for _, spec := range core.Defenses() {
-			if spec.Emits(k) {
+			if spec.EmitsReason(k.String()) {
 				emitted = true
 				break
 			}
