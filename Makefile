@@ -28,15 +28,19 @@ test:
 # tick equivalence, pinned block exits and monitor callbacks), the
 # restore contract (every write to the slab marks its page, and
 # Space.Restore from the base snapshot copies back exactly the marked
-# pages; pinned per attack job), the recycled-vs-fresh, scheduler,
-# crash/resume and service-mode suites are the correctness contract of
-# the hot-path optimizations, the machine-recycling subsystem,
-# Runner.Run's scheduling and watchdog, the fleet's crash-safety
-# (journaled checkpointing, fault containment, resume convergence) and
-# the fleetd journal byte-identity; this target fails if any of them is
-# skipped or matches nothing.
+# pages; pinned per attack job), the staleness contract that rides on
+# the same mask (a cached decode is stale exactly when its fetch window
+# touches a marked page, a restore or a cache install makes it fresh,
+# and a poke between runs or a reinstall on a sealed machine is seen),
+# the recycled-vs-fresh, scheduler, crash/resume and service-mode
+# suites are the correctness contract of the hot-path optimizations,
+# the machine-recycling subsystem, Runner.Run's scheduling and
+# watchdog, the fleet's crash-safety (journaled checkpointing, fault
+# containment, resume convergence) and the fleetd journal
+# byte-identity; this target fails if any of them is skipped or matches
+# nothing.
 test-differential:
-	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke' \
+	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke' \
 		./internal/mem ./internal/cpu ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \

@@ -126,9 +126,11 @@ func TargetFor(p *core.Pipeline, build *core.BuildResult, spec *core.DefenseSpec
 
 // NewMachine constructs a fresh device for this target: variant
 // options applied, image loaded, the target's shared decode cache
-// installed, or a private one when it carries none. The fleet's machine
-// pool builds every pooled machine through this helper, seals it with
-// core.Machine.Snapshot and recycles it between jobs.
+// installed, or a private one when it carries none. Installing settles
+// the machine's memory (see core.Machine.UsePredecoded), so the image
+// load leaves no page marked and the cache starts fresh. The fleet's
+// machine pool builds every pooled machine through this helper, seals
+// it with core.Machine.Snapshot and recycles it between jobs.
 func (t Target) NewMachine() (*core.Machine, error) {
 	opts := core.MachineOptions{Config: t.Config, ROM: t.ROM, Defense: t.Defense}
 	m, err := core.NewMachine(opts)

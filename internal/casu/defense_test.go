@@ -186,9 +186,10 @@ func TestShadowOverflowDiscardsOldest(t *testing.T) {
 	}
 }
 
-// TestShadowInvalidation: a write over a cached fetch window drops the
-// stale classification, and Clear drops the whole cache (a recycle or a
-// device reset rewrites memory behind the monitor's back).
+// TestShadowInvalidation: the monitor classifies every fetch from
+// memory as it stands, so no classification outlives a write over its
+// fetch window, on the bus or off it (a recycle or a device reset
+// rewrites memory behind the monitor's back).
 func TestShadowInvalidation(t *testing.T) {
 	m := wordMem{}
 	ra := m.plant(t, 0xE000, call(0xE100))
@@ -196,14 +197,14 @@ func TestShadowInvalidation(t *testing.T) {
 
 	s := newShadow(m)
 	s.OnFetch(0, 0xE000)
-	s.OnFetch(0xE000, 0xE100) // call cached and resolved; ret cached
+	s.OnFetch(0xE000, 0xE100) // call classified and resolved; ret classified
 	s.OnFetch(0xE100, ra)
 	if s.Violation() != nil || s.Depth() != 0 {
 		t.Fatal("warm-up round trip failed")
 	}
 
 	// Overwrite the call site with something else on-bus; the next pass
-	// must not push a frame from the stale cache entry.
+	// must not push a frame for the old call.
 	m[0xE000] = 0
 	m[0xE002] = 0
 	s.OnWrite(0xE100, 0xE000, false, 0)
@@ -211,18 +212,18 @@ func TestShadowInvalidation(t *testing.T) {
 	s.OnFetch(0, 0xE000)
 	s.OnFetch(0xE000, 0xE100)
 	if s.Depth() != 0 {
-		t.Fatalf("stale call classification survived OnWrite: depth = %d", s.Depth())
+		t.Fatalf("stale call classification survived a write: depth = %d", s.Depth())
 	}
 
-	// Restore the call off-bus (as a recycle does) — only Clear may
-	// resynchronize the cache.
+	// Restore the call off-bus (as a recycle does), then Clear: the call
+	// is classified afresh.
 	words := isa.MustEncode(call(0xE100))
 	m[0xE000], m[0xE002] = words[0], words[1]
 	s.Clear()
 	s.OnFetch(0, 0xE000)
 	s.OnFetch(0xE000, 0xE100)
 	if s.Depth() != 1 {
-		t.Fatalf("Clear did not drop the decode cache: depth = %d", s.Depth())
+		t.Fatalf("the restored call was not classified: depth = %d", s.Depth())
 	}
 }
 
@@ -350,9 +351,6 @@ func TestQuietFetch(t *testing.T) {
 		if got := s.QuietFetch(tc.prev, tc.pc); got != tc.quiet {
 			t.Errorf("shadow: QuietFetch(%04x, %04x) = %v, want %v", tc.prev, tc.pc, got, tc.quiet)
 		}
-	}
-	if len(s.decode) != 0 {
-		t.Error("shadow: QuietFetch filled the decode cache")
 	}
 
 	if !NewCritVar(CritVarConfig{Watch: []uint16{0x0400}, Peek: mem.peek}).QuietFetch(0xE000, 0xE002) {

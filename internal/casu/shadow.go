@@ -16,11 +16,12 @@ import "eilid/internal/isa"
 //
 // Mechanics: the monitor classifies each fetched instruction (call,
 // ret — the MSP430 `mov @sp+, pc` idiom — or reti) by decoding it from
-// a side-effect-free memory tap, then resolves the classification at
-// the *next* control event, when the instruction has architecturally
-// completed: a call pushes its return address, a return is checked
-// against the recorded frames, an accepted interrupt pushes the
-// interrupted pc. Returns match by popping to the nearest agreeing call
+// a side-effect-free memory tap on every delivered fetch, so it keeps
+// no copy of memory that a write could stale. It resolves the
+// classification at the *next* control event, when the instruction has
+// architecturally completed: a call pushes its return address, a return
+// is checked against the recorded frames, an accepted interrupt pushes
+// the interrupted pc. Returns match by popping to the nearest agreeing call
 // frame (never across an interrupt frame), which tolerates benign
 // tail-call idioms while still catching every corrupted return: a
 // forged address equals no live frame.
@@ -33,16 +34,6 @@ type ShadowStack struct {
 	// pending is the classification of the most recently fetched (now
 	// executing) instruction, resolved at the next OnFetch/OnInterrupt.
 	pending stackOp
-
-	// decode caches instruction classifications by pc since the last
-	// Clear. Entries whose fetch window a write may have touched are
-	// dropped eagerly; Clear drops the whole cache, because wild control
-	// flow can classify data bytes that a device reset or a recycle
-	// rewrites behind the monitor's back — and the harness's
-	// arbitrary-write primitive is off-bus, so eager invalidation alone
-	// cannot see every divergence.
-	decode    map[uint16]stackOp
-	minCached uint16
 }
 
 // ShadowConfig parameterizes the shadow-stack monitor.
@@ -91,25 +82,20 @@ type frame struct {
 // NewShadowStack creates an armed shadow-stack monitor.
 func NewShadowStack(cfg ShadowConfig) *ShadowStack {
 	return &ShadowStack{
-		cfg:       cfg,
-		stack:     make([]frame, 0, shadowDepth),
-		decode:    make(map[uint16]stackOp),
-		minCached: 0xFFFF,
+		cfg:   cfg,
+		stack: make([]frame, 0, shadowDepth),
 	}
 }
 
 // Violation implements Defense.
 func (s *ShadowStack) Violation() *Violation { return s.violation }
 
-// Clear implements Defense: the violation, the call history and the
-// decode cache all go. The stack and the cache are emptied in place, so
-// this path does not allocate.
+// Clear implements Defense: the violation and the call history go. The
+// stack is emptied in place, so this path does not allocate.
 func (s *ShadowStack) Clear() {
 	s.violation = nil
 	s.stack = s.stack[:0]
 	s.pending = stackOp{}
-	clear(s.decode)
-	s.minCached = 0xFFFF
 }
 
 // Depth returns the current shadow-stack depth (tests/debugging).
@@ -121,20 +107,7 @@ func (s *ShadowStack) trip(kind ViolationKind, pc, addr uint16) {
 	}
 }
 
-// classify decodes (with caching) the instruction at pc.
-func (s *ShadowStack) classify(pc uint16) stackOp {
-	if op, ok := s.decode[pc]; ok {
-		return op
-	}
-	op := s.decodeAt(pc)
-	s.decode[pc] = op
-	if pc < s.minCached {
-		s.minCached = pc
-	}
-	return op
-}
-
-// decodeAt classifies the instruction at pc from memory, uncached.
+// decodeAt classifies the instruction at pc from memory.
 func (s *ShadowStack) decodeAt(pc uint16) stackOp {
 	words := [3]uint16{s.cfg.Peek(pc), s.cfg.Peek(pc + 2), s.cfg.Peek(pc + 4)}
 	op := stackOp{class: opOther, pc: pc}
@@ -201,7 +174,7 @@ func (s *ShadowStack) resolvePending(target uint16) {
 // instruction against the arrival at pc, then classify the new one.
 func (s *ShadowStack) OnFetch(prev, pc uint16) {
 	s.resolvePending(pc)
-	s.pending = s.classify(pc)
+	s.pending = s.decodeAt(pc)
 }
 
 // QuietFetch implements Defense: only calls, returns and
@@ -217,18 +190,9 @@ func (s *ShadowStack) OnRead(pc, addr uint16, byteWide bool) {}
 // QuietRead implements Defense: every read is quiet.
 func (s *ShadowStack) QuietRead(pc, addr uint16) bool { return true }
 
-// OnWrite implements Defense: drop decode-cache entries whose fetch
-// window the write may cover (an instruction starts at most four bytes
-// before a word it consumes).
-func (s *ShadowStack) OnWrite(pc, addr uint16, byteWide bool, value uint16) {
-	if s.minCached == 0xFFFF || int(addr) < int(s.minCached)-4 {
-		return
-	}
-	w := addr &^ 1
-	delete(s.decode, w)
-	delete(s.decode, w-2)
-	delete(s.decode, w-4)
-}
+// OnWrite implements Defense (the shadow stack does not watch writes:
+// it classifies every fetch from memory as it stands).
+func (s *ShadowStack) OnWrite(pc, addr uint16, byteWide bool, value uint16) {}
 
 // OnInterrupt implements Defense: the instruction before the interrupt
 // completed with control headed to pc; record the interrupted context.

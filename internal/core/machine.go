@@ -108,10 +108,6 @@ func NewMachine(opts MachineOptions) (*Machine, error) {
 	}
 	m := &Machine{Space: space, IRQ: &periph.IRQController{}, ctl: &simCtl{}}
 	m.CPU = cpu.New(space)
-	// Every backing-store write (CPU stores, image loads, reset clears)
-	// stales the decode cache for the touched window; a no-op until a
-	// cache is installed via EnablePredecode/UsePredecoded.
-	space.WriteHook = m.CPU.InvalidateCode
 
 	clock := func() uint64 { return m.CPU.Cycles }
 	m.Port1 = periph.NewGPIO(periph.P1INAddr, m.IRQ, periph.IRQPort1)
@@ -255,8 +251,9 @@ func (m *Machine) refreshDeadline() {
 // EnablePredecode snapshots the fetchable upper memory (user PMEM
 // through the IVT) into an immutable decode cache and installs it, so
 // Step skips isa.Decode on warm paths. Call it after LoadFirmware (the
-// snapshot must see the final code contents); writes that land in code
-// after this point are tracked and force a live re-decode. The returned
+// snapshot must see the final code contents); a write that lands in a
+// code page after this point marks it in the space's written-page mask,
+// which sends the code there back to live decode. The returned
 // cache may be shared, via UsePredecoded, with any machine whose code
 // contents are byte-identical — the fleet runner's per-ROM artifact.
 func (m *Machine) EnablePredecode() *isa.Predecoded {
@@ -281,7 +278,11 @@ func (m *Machine) EnablePredecode() *isa.Predecoded {
 // a machine loaded with byte-identical code, together with the cache's
 // fused basic-block table (Predecoded.Blocks — built once, shared by
 // every machine holding the same cache). Installing asserts the cache
-// matches this machine's memory right now.
+// matches this machine's memory right now, and settles the space to
+// say so (mem.Space.Settle): the written-page mask, the record of what
+// may differ from the cache, is cleared without allocating, and the
+// base snapshot is dropped, so the next Recycle copies the sealed image
+// whole (the ones after it are partial again).
 //
 // The cache is the one thing that separates the two execution paths.
 // With it, the machine runs the production path: threaded-code UOps,
@@ -291,15 +292,17 @@ func (m *Machine) EnablePredecode() *isa.Predecoded {
 // peripheral sync after every instruction. The two are cycle-exactly
 // equivalent; the differential tests in this package compare them.
 func (m *Machine) UsePredecoded(p *isa.Predecoded) {
+	m.Space.Settle()
 	m.CPU.SetPredecoded(p)
 	m.CPU.SetBlocks(p.Blocks())
 }
 
 // Snapshot seals the machine's current memory image as its recycle
 // point. Call it on a fully constructed machine — firmware loaded,
-// decode cache installed — so the image matches any installed cache:
-// Recycle restores exactly this image and asserts the cache is valid
-// against it without re-scanning anything.
+// decode cache installed — before it runs, so the image matches any
+// installed cache: sealing clears the written-page mask, which is also
+// the cache's record of staleness, and Recycle restores exactly this
+// image, so the cache is valid against it without re-scanning anything.
 func (m *Machine) Snapshot() {
 	m.snap = m.Space.Snapshot()
 }
@@ -314,13 +317,13 @@ var ErrNoSnapshot = errors.New("core: machine has no sealed snapshot to recycle 
 // controller return to power-on state, the monitor to its freshly
 // constructed one (Clear, as on every boot), all peripherals power on
 // (keeping their attached sensor models; the violation latch keeps no
-// state), and the
-// predecode/block invalidation state is reset cheaply (generation bump
-// plus dirty-bitmap drop) without discarding the shared per-ROM decode
-// cache or block table. A recycled machine is observationally identical
-// to a freshly constructed one carrying the same image — the recycle
-// differential suites pin that, byte for byte, for every app × variant
-// × scenario.
+// state), and the shared per-ROM decode cache and block table stay
+// installed: the restore clears the written-page mask, and with it the
+// staleness of every cached decode, since the restored image is the one
+// the cache was built from. A recycled machine is observationally
+// identical to a freshly constructed one carrying the same image — the
+// recycle differential suites pin that, byte for byte, for every app ×
+// variant × scenario.
 func (m *Machine) Recycle() error {
 	if m.snap == nil {
 		return ErrNoSnapshot
@@ -328,10 +331,6 @@ func (m *Machine) Recycle() error {
 	if err := m.Space.Restore(m.snap); err != nil {
 		return err
 	}
-	// Restore bypasses the WriteHook by contract: the restored bytes are
-	// the image the installed cache was built from, so staleness resets
-	// wholesale instead of word by word.
-	m.CPU.ResetCodeState()
 	m.CPU.PowerOn()
 	m.IRQ.Reset()
 	if m.Monitor != nil {

@@ -37,12 +37,12 @@ func TestPredecodeSkipsUnmappedWindows(t *testing.T) {
 	pre := m.EnablePredecode()
 
 	inRom := romEnd - 7 // window stays inside the ROM
-	if _, _, _, ok := pre.Lookup(inRom); !ok {
+	if pre.EntryAt(inRom) == nil {
 		t.Errorf("0x%04x: window inside ROM should be cached", inRom)
 	}
 	for _, a := range []uint16{romEnd - 3, romEnd - 1, romEnd + 1, romEnd + 3} {
 		a &^= 1
-		if _, _, _, ok := pre.Lookup(a); ok {
+		if pre.EntryAt(a) != nil {
 			t.Errorf("0x%04x: cached although its fetch window leaves RAM-backed space", a)
 		}
 	}

@@ -300,6 +300,50 @@ slot:
 	}
 }
 
+// TestRecycleAfterReinstall: installing a decode cache settles the
+// space, clearing the written-page mask. On a machine already sealed
+// and run, that forgets which pages the run wrote, so the install must
+// also drop the base and make the next Recycle copy the sealed image
+// whole. For every defense column, the recycled machine's memory must
+// equal a fresh machine's byte for byte, and its next run the first.
+func TestRecycleAfterReinstall(t *testing.T) {
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, ok := apps.ByName("LightSensor")
+	if !ok {
+		t.Fatal("LightSensor application missing")
+	}
+	build, err := p.Build(app.Name+".s", app.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range core.Defenses() {
+		what := fmt.Sprintf("%s defense=%s", app.Name, spec.Name)
+		fresh := newLoadedMachine(t, p, build, spec).Space.ReadRaw(0, mem.Size)
+		m := newLoadedMachine(t, p, build, spec)
+		base := m.CPU.Watch
+		m.Snapshot()
+		first := observeOn(t, m, base, app)
+		if bytes.Equal(m.Space.ReadRaw(0, mem.Size), fresh) {
+			t.Fatalf("%s: the run wrote nothing", what)
+		}
+		m.UsePredecoded(m.CPU.Predecoded())
+		if err := m.Recycle(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		got := m.Space.ReadRaw(0, mem.Size)
+		for addr := range got {
+			if got[addr] != fresh[addr] {
+				t.Errorf("%s: recycled memory differs first at 0x%04x: %02x, fresh %02x", what, addr, got[addr], fresh[addr])
+				break
+			}
+		}
+		compareObserved(t, what, first, observeOn(t, m, base, app))
+	}
+}
+
 // TestRecycleRequiresSnapshot pins the guard: a machine that was never
 // sealed cannot be recycled.
 func TestRecycleRequiresSnapshot(t *testing.T) {

@@ -537,6 +537,63 @@ func TestBlockSelfModifying(t *testing.T) {
 	selfModDifferential(t, "same-block", running)
 }
 
+// TestPredecodeSelfModifyingPoke: a harness poke between runs — a
+// Space.StoreWord into a cached code word, as attacks.ExecuteOn's Poke
+// makes — lands off the CPU, where no direct store clears the block
+// executor's summary of the written-page mask. The next run must still
+// see it: the loop's remaining passes execute the patched instruction,
+// exactly as on the reference.
+func TestPredecodeSelfModifyingPoke(t *testing.T) {
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch := isa.MustEncode(isa.Instruction{Op: isa.ADD, Src: isa.Imm(1), Dst: isa.RegOp(10)})
+	const passes = 40
+	src := fmt.Sprintf(`
+.org 0xE000
+reset:
+    mov #0x0A00, sp
+    mov #%d, r12
+loop:
+site:
+    inc r9
+    dec r12
+    jnz loop
+    mov #0, &0x00FC
+spin:
+    jmp spin
+.org 0xFFFE
+.word reset
+`, passes)
+	prog, err := p.BuildOriginal("selfmod-poke.s", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := prog.Symbols["site"]
+	// poked runs a few passes of the loop, patches "inc r9" at site into
+	// "inc r10" from outside the CPU, and runs on to the halt.
+	poked := func(m *core.Machine, budget uint64) (core.RunResult, error) {
+		c0, i0 := m.CPU.Cycles, m.CPU.Insns
+		if _, err := m.Run(60); err != core.ErrCycleBudget {
+			t.Fatalf("first run: %v, want the cycle budget", err)
+		}
+		m.Space.StoreWord(site, patch[0])
+		res, err := m.Run(budget)
+		res.Cycles, res.Insns = m.CPU.Cycles-c0, m.CPU.Insns-i0
+		return res, err
+	}
+	app := apps.App{Name: "selfmod-poke", Source: src, MaxCycles: 100_000}
+	build := &core.BuildResult{Original: prog}
+	prod := runDriven(t, p, app, build, core.DefenseBaseline, nil, poked)
+	ref := runDriven(t, p, app, build, core.DefenseBaseline, reference, poked)
+	compareObserved(t, "poke", prod, ref)
+	if r9, r10 := prod.regs[9], prod.regs[10]; !prod.res.Halted || r9 == 0 || r10 == 0 || r9+r10 != passes {
+		t.Errorf("poked loop executed wrong: halted %v, r9 %d passes before the poke, r10 %d after, want %d in all",
+			prod.res.Halted, r9, r10, passes)
+	}
+}
+
 // TestFastSlowSelfModifying runs both patch shapes with the production
 // machine stepped (see stepped), where no block ends at the patch and
 // the stale threaded-code entry alone must send the fetch back to live

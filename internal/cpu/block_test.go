@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eilid/internal/isa"
+	"eilid/internal/mem"
 )
 
 // filterWatcher is a recWatcher that is also a FetchFilter: every
@@ -137,7 +138,10 @@ func TestRunBlocksExitReasons(t *testing.T) {
 		t.Errorf("pc %04x r10 %d: pure %d, guarded %d of %d instructions",
 			c.PC(), c.R[10], c.PureInsns, c.GuardedInsns, c.Insns)
 	}
-	c.InvalidateCode(0xE00C, 2)
+	// Rewriting the jmp $ with itself changes no byte but marks its
+	// page, which stales the block.
+	s := c.bus.(*mem.Space)
+	s.StoreWord(0xE00C, s.PeekWord(0xE00C))
 	run(c.Cycles+100, ExitStale)
 	c.R[isa.SR] |= isa.FlagCPUOff
 	run(c.Cycles+100, ExitOther)

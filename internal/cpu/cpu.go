@@ -31,14 +31,22 @@ type Bus interface {
 // exposing the backing slab, its written-page mask and per-address
 // plain-memory flags so the core can inline accesses to plain RAM
 // without an interface call. The fast path reproduces the bus semantics
-// for such addresses exactly: word alignment, little-endian layout, the
-// page mark (bit addr>>8 of the 256-bit mask: mem.Space.Restore copies
-// back only the marked 256-byte pages) and the live write hook. All
-// other addresses (peripheral handlers, unmapped space with its
-// bus-error accounting) go through the Bus methods unchanged.
+// for such addresses exactly: word alignment, little-endian layout and
+// the page mark (bit addr>>8 of the 256-bit mask: mem.Space.Restore
+// copies back only the marked 256-byte pages). All other addresses
+// (peripheral handlers, unmapped space with its bus-error accounting)
+// go through the Bus methods unchanged.
+//
+// The mask is also the core's only record of which cached decodes a
+// write may have staled: every write to the slab, on the CPU or off it,
+// marks its page, and the bus clears the mask only when the slab again
+// matches the image an installed cache was built from (mem.Space's
+// Settle, Snapshot and Restore). A cached decode is stale when its
+// fetch window, pc..pc+5, touches a marked page. A CPU whose bus is not
+// a DirectBus has no mask to read, so it trusts no cached decode.
 type DirectBus interface {
 	Bus
-	Direct() (slab *[1 << 16]byte, written *[4]uint64, plain *[1 << 16]bool, hook *func(addr uint16, n int))
+	Direct() (slab *[1 << 16]byte, written *[4]uint64, plain *[1 << 16]bool)
 }
 
 // Watcher observes architectural events. All methods are called
@@ -160,18 +168,20 @@ type CPU struct {
 
 	// pre is an optional shared read-only decode cache; preStart and
 	// preEntries mirror its table so the warm-path lookup needs no
-	// pointer chase through the cache object. dirty marks word addresses
-	// whose predecoded entry may be stale because a bus write landed in
-	// its fetch window (1 bit per word address, lazily built).
+	// pointer chase through the cache object. Whether an entry is stale
+	// is read from the bus's written-page mask (see DirectBus).
 	pre        *isa.Predecoded
 	preStart   uint16
 	preEntries []isa.Entry
-	dirty      []uint64
 
 	// blkStart/blkTable mirror the installed basic-block table (see
-	// isa.Blocks) so the block lookup needs no pointer chase. invGen
-	// counts InvalidateCode calls: the block executor snapshots it and
-	// re-checks its block's stale range when a write lands mid-block.
+	// isa.Blocks) so the block lookup needs no pointer chase.
+	// codeClean is the block executor's summary of the mask: no page at
+	// or above the cache window's first page is marked, so no cached
+	// decode is stale and admission need not read the mask. RunBlocks
+	// recomputes it on entry, since writes off the CPU (harness pokes,
+	// LoadImage, Space.Reset) land only between its calls, and a direct
+	// store at or above that page clears it.
 	// busTouched is set by every bus access that leaves the plain-RAM
 	// fast path; the block executor clears it per block and ends the
 	// block after any op that set it, unless the plan calls the op's
@@ -180,15 +190,14 @@ type CPU struct {
 	// effect (peripheral state, halt, a new interrupt request).
 	blkStart   uint16
 	blkTable   []isa.Block
-	invGen     uint64
+	codeClean  bool
 	busTouched bool
 
-	// slab/written/plain/hook are the DirectBus fast path (nil on plain
+	// slab/written/plain are the DirectBus fast path (nil on plain
 	// buses).
 	slab    *[1 << 16]byte
 	written *[4]uint64
 	plain   *[1 << 16]bool
-	hook    *func(addr uint16, n int)
 
 	// PureInsns and GuardedInsns count the instructions RunBlocks
 	// retired on its pure path and in its guarded loop, and
@@ -229,14 +238,11 @@ const (
 	NumBlockExits
 )
 
-// dirtyWords is the size of the stale bitmap: one bit per word address.
-const dirtyWords = 1 << 15
-
 // New creates a CPU attached to the bus. Call Reset before stepping.
 func New(bus Bus) *CPU {
 	c := &CPU{bus: bus}
 	if d, ok := bus.(DirectBus); ok {
-		c.slab, c.written, c.plain, c.hook = d.Direct()
+		c.slab, c.written, c.plain = d.Direct()
 	}
 	return c
 }
@@ -255,13 +261,14 @@ func (c *CPU) PrevPC() uint16 { return c.prevPC }
 
 // SetPredecoded installs (or, with nil, removes) a decode cache built
 // from the memory contents the CPU currently fetches from. The cache is
-// read-only and may be shared across CPUs running identical code. Any
-// previously recorded staleness is discarded: the caller asserts the
-// cache matches memory at this instant.
+// read-only and may be shared across CPUs running identical code. An
+// entry is trusted while no page its fetch window touches is marked in
+// the bus's written-page mask, so the caller settles the bus first
+// (mem.Space.Settle, as core.Machine.UsePredecoded does): a page still
+// marked from the image load would keep its code on the live path.
 func (c *CPU) SetPredecoded(p *isa.Predecoded) {
 	c.pre = p
 	c.preStart, c.preEntries = p.Table()
-	c.dirty = nil
 	// A block table is only valid against the cache it was fused from;
 	// drop it until the caller re-pairs them.
 	c.SetBlocks(nil)
@@ -279,50 +286,6 @@ func (c *CPU) SetBlocks(b *isa.Blocks) {
 	c.planned = false
 }
 
-// InvalidateCode records that the n bytes at addr were overwritten, so
-// cached decodes whose fetch window covers them must re-decode live. An
-// instruction starts at most four bytes before a word it consumes, so
-// the two preceding word slots are staled along with the written range.
-// It is safe (and cheap) to call for every bus write; mem.Space's
-// WriteHook is wired to it by core.Machine.
-//
-// Writes that land entirely below the cached window are a no-op: cached
-// entries exist only at pc >= the cache start, and no entry's fetch
-// window reaches further back than four bytes before it, so ordinary
-// DMEM stores — and the volatile-memory sweep a device reset performs —
-// never touch the dirty bitmap or the block invalidation generation.
-func (c *CPU) InvalidateCode(addr uint16, n int) {
-	if c.pre == nil || n <= 0 {
-		return
-	}
-	if (int(addr)+n-1)>>1 < int(c.preStart)>>1 {
-		return
-	}
-	c.invGen++
-	if c.dirty == nil {
-		c.dirty = make([]uint64, dirtyWords/64)
-	}
-	w0 := int(addr)>>1 - 2
-	w1 := (int(addr) + n - 1) >> 1
-	for w := w0; w <= w1; w++ {
-		i := w & (dirtyWords - 1)
-		c.dirty[i>>6] |= 1 << (uint(i) & 63)
-	}
-}
-
-// ResetCodeState discards all recorded predecode staleness and block
-// invalidation state while keeping the installed (shared) decode cache
-// and block table. The caller asserts that memory once again matches
-// the cache exactly — the situation after mem.Space.Restore puts back
-// the very image the cache was built from. The generation bump makes
-// any stale in-flight block bookkeeping re-check rather than trust a
-// pre-reset snapshot.
-func (c *CPU) ResetCodeState() {
-	c.invGen++
-	c.dirty = nil
-	c.busTouched = false
-}
-
 // PowerOn returns the CPU to its freshly constructed state: registers
 // and every counter (cycles, instructions, interrupts, the executor and
 // skip counters and BlockExits) zeroed. Unlike Reset it models a power
@@ -336,14 +299,16 @@ func (c *CPU) PowerOn() {
 	c.prevPC = 0
 }
 
-// staleAt reports whether the predecoded entry at pc has been
-// invalidated by a write.
+// staleAt reports whether the cached entry at pc (below 0xFFFB, as every
+// cached pc is) may be stale: a page its fetch window pc..pc+5 touches
+// is marked written, or the bus has no mask to tell.
 func (c *CPU) staleAt(pc uint16) bool {
-	if c.dirty == nil {
-		return false
+	w := c.written
+	if w == nil {
+		return true
 	}
-	i := int(pc) >> 1
-	return c.dirty[i>>6]&(1<<(uint(i)&63)) != 0
+	p0, p1 := pc>>8, (pc+5)>>8
+	return (w[p0>>6]>>(p0&63)|w[p1>>6]>>(p1&63))&1 != 0
 }
 
 // Flag reports whether the given status flag is set.
@@ -385,8 +350,8 @@ func (c *CPU) storeWord(pc, addr, v uint16) {
 		c.slab[a] = byte(v)
 		c.slab[a+1] = byte(v >> 8)
 		c.written[a>>14] |= 1 << (a >> 8 & 63)
-		if h := *c.hook; h != nil {
-			h(a, 2)
+		if a>>8 >= c.preStart>>8 {
+			c.codeClean = false
 		}
 		return
 	}
@@ -412,8 +377,8 @@ func (c *CPU) storeByte(pc, addr uint16, v uint8) {
 	if c.slab != nil && c.plain[addr] {
 		c.slab[addr] = v
 		c.written[addr>>14] |= 1 << (addr >> 8 & 63)
-		if h := *c.hook; h != nil {
-			h(addr, 1)
+		if addr>>8 >= c.preStart>>8 {
+			c.codeClean = false
 		}
 		return
 	}
@@ -483,13 +448,7 @@ func (c *CPU) Step() (int, error) {
 		if e := &c.preEntries[i]; e.OK && !c.staleAt(pc) {
 			c.R[isa.PC] = pc + e.Size
 			c.prevPC = pc
-			var err error
-			if e.Fast {
-				err = c.execUOp(pc, &e.U)
-			} else {
-				err = c.execute(pc, e.In)
-			}
-			if err != nil {
+			if err := c.execUOp(pc, &e.U); err != nil {
 				return 0, &ExecError{PC: pc, Err: err}
 			}
 			c.Cycles += uint64(e.Cycles)
@@ -1048,28 +1007,29 @@ func (c *CPU) uLoc(kind uint8, reg isa.Reg, val, inc uint16) loc {
 
 // --- basic-block execution ---------------------------------------------
 
-// staleRange reports whether any dirty bit is set in the word-index
-// range [w0, w1] — the block-granular form of staleAt.
-func (c *CPU) staleRange(w0, w1 uint16) bool {
-	d := c.dirty
-	if d == nil {
-		return false
+// staleRange reports whether any page from p0 through p1 is marked
+// written, or the bus has no mask to tell: the block-granular form of
+// staleAt, over the pages an isa.Block's W0 and W1 bound.
+func (c *CPU) staleRange(p0, p1 uint16) bool {
+	w := c.written
+	if w == nil {
+		return true
 	}
-	i0, i1 := int(w0)>>6, int(w1)>>6
-	lo := ^uint64(0) << (w0 & 63)
-	hi := ^uint64(0) >> (63 - w1&63)
+	i0, i1 := p0>>6, p1>>6
+	lo := ^uint64(0) << (p0 & 63)
+	hi := ^uint64(0) >> (63 - p1&63)
 	if i0 == i1 {
-		return d[i0]&lo&hi != 0
+		return w[i0]&lo&hi != 0
 	}
-	if d[i0]&lo != 0 {
+	if w[i0]&lo != 0 {
 		return true
 	}
 	for i := i0 + 1; i < i1; i++ {
-		if d[i] != 0 {
+		if w[i] != 0 {
 			return true
 		}
 	}
-	return d[i1]&hi != 0
+	return w[i1]&hi != 0
 }
 
 // RunBlocks executes whole predecoded basic blocks back to back while
@@ -1086,9 +1046,12 @@ func (c *CPU) staleRange(w0, w1 uint16) bool {
 //     in plain RAM or is a load the bus's LoadFilter calls quiet
 //     (bit #1,&USTAT; mov &ADCMEM,r12): it changes nothing a later op
 //     or the machine loop could observe, so its block runs on;
-//   - a write landing in the block's own fetch window (self-modifying
-//     code) ends the block before the next op re-fetches, via the same
-//     dirty map that guards individual predecoded entries;
+//   - a write landing in a page the block's fetch windows touch
+//     (self-modifying code) ends the block before the next op
+//     re-fetches, via the same written-page mask that guards individual
+//     predecoded entries. Admission and the check after each op read
+//     the mask only once codeClean is false, which a direct store into
+//     the cache window's pages makes it;
 //   - with GIE set the pending-interrupt poll runs at every block
 //     entry. Inside a block no request can become pending (see
 //     IRQSource), so the poll is repeated only before an op where an
@@ -1116,6 +1079,12 @@ func (c *CPU) staleRange(w0, w1 uint16) bool {
 // watcher. If that entry fetch trips, op 0 alone retires, as it would
 // per instruction.
 //
+// A block whose pages are marked in the bus's written-page mask is
+// stale and never entered (ExitStale), so the caller's Step decodes its
+// code live. Each call rebuilds codeClean from the mask on entry, so a
+// write made off the CPU between calls (a harness poke, LoadImage,
+// Space.Reset) stales exactly what it would stale for Step.
+//
 // Interrupt service, low-power idling and non-fused instructions are
 // never handled here; the caller falls back to Step. Every return
 // counts one BlockExits reason. Returns whether at least one
@@ -1130,6 +1099,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 	if !c.planned || c.Watch != c.planWatch || c.IRQ != c.planIRQ {
 		c.plan()
 	}
+	c.codeClean = !c.staleRange(c.preStart>>8, 0xFF)
 	for {
 		sr := c.R[isa.SR]
 		if sr&isa.FlagCPUOff != 0 {
@@ -1155,7 +1125,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			c.BlockExits[ExitLimit]++
 			return
 		}
-		if c.staleRange(b.W0, b.W1) {
+		if !c.codeClean && c.staleRange(b.W0, b.W1) {
 			c.BlockExits[ExitStale]++
 			return
 		}
@@ -1239,7 +1209,6 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			continue
 		}
 
-		g0 := c.invGen
 		c.busTouched = false
 		observe := gie || c.Watch != nil
 		spin := c.spin[i>>6]&(1<<(i&63)) != 0
@@ -1286,12 +1255,9 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 				}
 				c.busTouched = false
 			}
-			if c.invGen != g0 {
-				if c.staleRange(b.W0, b.W1) {
-					c.BlockExits[ExitStale]++
-					return
-				}
-				g0 = c.invGen
+			if !c.codeClean && c.staleRange(b.W0, b.W1) {
+				c.BlockExits[ExitStale]++
+				return
 			}
 			if heard && stop != nil && stop() {
 				c.BlockExits[ExitStop]++

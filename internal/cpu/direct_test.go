@@ -53,7 +53,10 @@ func (e *eventLog) OnInterrupt(pc uint16, line int) {
 // byte loads and stores to DMEM (odd addresses, auto-increment,
 // read-modify-write), a word-only peripheral (byte stores synthesized),
 // unmapped space, the stack, and PMEM, including a store that rewrites
-// a code word in place. It returns the image to load at 0xE000.
+// a code word in place. The rewritten word opens the subroutine, which
+// starts page 0xE2, so the loop's own page is never marked and a CPU
+// with a decode cache keeps running the loop from it. It returns the
+// image to load at 0xE000.
 func directProgram() []byte {
 	const dev, hole = 0x0140, 0x1000
 	// Filled in by the first layout pass; ImmExt keeps the call's size
@@ -93,7 +96,10 @@ func directProgram() []byte {
 	layout := func() ([]byte, []uint16) {
 		var buf []byte
 		var at []uint16
-		for _, in := range prog() {
+		for i, in := range prog() {
+			if i == 21 { // sub
+				buf = append(buf, make([]byte, 0x200-len(buf))...)
+			}
 			at = append(at, 0xE000+uint16(len(buf)))
 			for _, w := range isa.MustEncode(in) {
 				buf = append(buf, byte(w), byte(w>>8))
@@ -113,19 +119,20 @@ func directProgram() []byte {
 // TestDirectRAMMatchesBus runs one instruction stream on a CPU over
 // mem.Space, whose plain-RAM accesses take the inlined direct path, and
 // on a CPU over a wrapper exposing only cpu.Bus, for each executor:
-// live decode, predecoded Step, and blocks. Registers, memory, cycles,
-// the WriteHook log, the watcher stream, the peripheral's log, handler
+// live decode, predecoded Step, and blocks. The wrapper has no
+// written-page mask to read, so it trusts no cached decode and runs
+// live throughout: the reference. Registers, memory, cycles, the pages
+// marked written, the watcher stream, the peripheral's log, handler
 // stores and bus errors must all match. Each side is sealed after the
-// image load and restored after the run: all 64 KiB must equal the
-// sealed image again, which fails on the direct side alone when a
-// direct store skips its page mark.
+// image load and cache install and restored after the run: all 64 KiB
+// must equal the sealed image again, which fails on the direct side
+// alone when a direct store skips its page mark.
 func TestDirectRAMMatchesBus(t *testing.T) {
 	img := directProgram()
 	type side struct {
 		c      *CPU
 		s      *mem.Space
 		dev    *logDev
-		hooks  []string
 		watch  eventLog
 		snap   *mem.Snapshot
 		sealed []byte
@@ -141,15 +148,10 @@ func TestDirectRAMMatchesBus(t *testing.T) {
 		if err := sd.s.LoadImage(0xFFFE, []byte{0x00, 0xE0}); err != nil {
 			t.Fatal(err)
 		}
-		sd.snap, sd.sealed = sd.s.Snapshot(), sd.s.ReadRaw(0, mem.Size)
 		if direct {
 			sd.c = New(sd.s)
 		} else {
 			sd.c = New(busOnly{sd.s})
-		}
-		sd.s.WriteHook = func(addr uint16, n int) {
-			sd.hooks = append(sd.hooks, fmt.Sprintf("%04x+%d", addr, n))
-			sd.c.InvalidateCode(addr, n)
 		}
 		if executor != "live" {
 			pre := predecoded(sd.c, sd.s)
@@ -157,6 +159,7 @@ func TestDirectRAMMatchesBus(t *testing.T) {
 				sd.c.SetBlocks(pre.Blocks())
 			}
 		}
+		sd.snap, sd.sealed = sd.s.Snapshot(), sd.s.ReadRaw(0, mem.Size)
 		sd.c.Watch = &sd.watch
 		sd.c.Reset(0xFFFE)
 		return sd
@@ -192,11 +195,15 @@ func TestDirectRAMMatchesBus(t *testing.T) {
 		if !reflect.DeepEqual(d.s.ReadRaw(0, mem.Size), b.s.ReadRaw(0, mem.Size)) {
 			t.Errorf("%s: memory diverged", executor)
 		}
+		_, dw, _ := d.s.Direct()
+		_, bw, _ := b.s.Direct()
+		if *dw != *bw {
+			t.Errorf("%s: written pages %016x vs %016x", executor, *dw, *bw)
+		}
 		for _, l := range []struct {
 			name string
 			a, b []string
 		}{
-			{"WriteHook", d.hooks, b.hooks},
 			{"watcher", d.watch, b.watch},
 			{"peripheral", d.dev.log, b.dev.log},
 		} {
@@ -215,10 +222,15 @@ func TestDirectRAMMatchesBus(t *testing.T) {
 				d.s.BusErrors, d.s.HandlerStores(), b.s.BusErrors, b.s.HandlerStores())
 		}
 		// Guard against a vacuous pass: the loop must have finished and
-		// every kind of access must have happened.
-		if d.c.R[10] != 0 || d.s.BusErrors == 0 || d.s.HandlerStores() == 0 || len(d.hooks) < 40*4 {
-			t.Errorf("%s: stream did not run its course: r10=%d bus errors %d handler stores %d hooks %d",
-				executor, d.c.R[10], d.s.BusErrors, d.s.HandlerStores(), len(d.hooks))
+		// every kind of access must have happened, marking the DMEM
+		// pages it stores to (0x03, 0x04), the stack's (0x09) and the
+		// two PMEM pages (0xE2 for the self-rewrite, 0xF0). With blocks,
+		// the loop must have run in them.
+		wantPages := [4]uint64{1<<0x03 | 1<<0x04 | 1<<0x09, 0, 0, 1<<(0xE2-0xC0) | 1<<(0xF0-0xC0)}
+		if d.c.R[10] != 0 || d.s.BusErrors == 0 || d.s.HandlerStores() == 0 || *dw != wantPages ||
+			executor == "blocks" && d.c.GuardedInsns < 40*10 {
+			t.Errorf("%s: stream did not run its course: r10=%d bus errors %d handler stores %d written pages %016x, want %016x, %d block instructions",
+				executor, d.c.R[10], d.s.BusErrors, d.s.HandlerStores(), *dw, wantPages, d.c.GuardedInsns)
 		}
 		for i, sd := range sides {
 			name := [2]string{"direct", "bus"}[i]

@@ -1,71 +1,121 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"eilid/internal/isa"
 	"eilid/internal/mem"
 )
 
-// predecoded installs a decode cache over the fetchable upper memory of
-// the test space, mirroring how core.Machine.EnablePredecode wires it.
+// predecoded settles the test space and installs a decode cache over
+// its fetchable upper memory, mirroring how core.Machine.EnablePredecode
+// wires it.
 func predecoded(c *CPU, s *mem.Space) *isa.Predecoded {
 	p := isa.Predecode(s.PeekWord, 0xE000, 0xFFFF, nil)
+	s.Settle()
 	c.SetPredecoded(p)
 	return p
 }
 
-// TestInvalidateCodeBelowCacheIsFree pins the reset-path fix: writes
-// that land entirely below the cached window (every ordinary DMEM
-// store, and the DMEM + secure-data sweep a device reset performs) must
-// not allocate or touch the dirty bitmap, while writes reaching the
-// window still stale it.
+// staleSet lists the cached entries of p that c calls stale.
+func staleSet(c *CPU, p *isa.Predecoded) []uint16 {
+	var stale []uint16
+	for a := 0xE000; a < 0xFFFC; a += 2 {
+		if p.EntryAt(uint16(a)) != nil && c.staleAt(uint16(a)) {
+			stale = append(stale, uint16(a))
+		}
+	}
+	return stale
+}
+
+// TestInvalidateCodeBelowCacheIsFree pins what stales a cached decode
+// now that the space's written-page mask is the one record of writes.
+// Stores below the cache window — DMEM stores through the space or the
+// CPU, and the DMEM + secure-data sweep of a device reset — stale no
+// entry, and a direct CPU store there leaves the block executor's
+// summary set. A store into a code page clears the summary and stales
+// every entry whose fetch window touches that page, the last two word
+// slots of the page before included, and nothing else.
 func TestInvalidateCodeBelowCacheIsFree(t *testing.T) {
-	c, s := program(t, isa.Instruction{Op: isa.MOV, Src: isa.Imm(1), Dst: isa.RegOp(4)})
-	predecoded(c, s)
+	c, s := program(t,
+		isa.Instruction{Op: isa.MOV, Src: isa.Imm(1), Dst: isa.Abs(0x0200)}, // 0xE000
+		isa.Instruction{Op: isa.MOV, Src: isa.Imm(2), Dst: isa.Abs(0xE104)}, // 0xE004
+		isa.Instruction{Op: isa.JMP, JumpOffset: -1},                        // 0xE008
+	)
+	// A nop sled across the boundary of pages 0xE0 and 0xE1.
+	var sled []byte
+	for a := 0xE0F0; a < 0xE110; a += 2 {
+		sled = append(sled, 0x03, 0x43) // mov r3, r3
+	}
+	if err := s.LoadImage(0xE0F0, sled); err != nil {
+		t.Fatal(err)
+	}
+	p := predecoded(c, s)
+	if got := staleSet(c, p); got != nil {
+		t.Fatalf("fresh cache has stale entries %04x", got)
+	}
 
-	// The whole volatile sweep of a device reset: DMEM + secure data.
-	c.InvalidateCode(0x0200, 0x0800)
-	c.InvalidateCode(0x0A00, 0x0100)
-	if c.dirty != nil {
-		t.Fatal("below-cache invalidation allocated the dirty bitmap")
+	s.StoreWord(0x0200, 7)
+	s.StoreByte(0x0A10, 1)
+	s.Reset()
+	if got := staleSet(c, p); got != nil {
+		t.Fatalf("DMEM stores and Reset staled entries %04x", got)
 	}
-	if c.invGen != 0 {
-		t.Fatalf("below-cache invalidation bumped invGen to %d", c.invGen)
+	c.codeClean = true
+	step(t, c, 1) // mov #1, &0x0200
+	if !c.codeClean {
+		t.Fatal("a direct DMEM store cleared the block executor's summary")
+	}
+	if got := staleSet(c, p); got != nil {
+		t.Fatalf("a direct DMEM store staled entries %04x", got)
 	}
 
-	// A write whose affected fetch windows reach the cache start must
-	// still stale the first cached entry.
-	c.InvalidateCode(0xDFFE, 4)
-	if !c.staleAt(0xE000) {
-		t.Fatal("boundary write did not stale the first cached entry")
+	step(t, c, 1) // mov #2, &0xE104
+	if c.codeClean {
+		t.Fatal("a direct store into a code page left the summary set")
 	}
-	if c.invGen == 0 {
-		t.Fatal("boundary write did not bump invGen")
+	var want []uint16
+	for a := 0xE0FC; a < 0xE110; a += 2 {
+		if p.EntryAt(uint16(a)) != nil {
+			want = append(want, uint16(a))
+		}
+	}
+	if got := staleSet(c, p); fmt.Sprint(got) != fmt.Sprint(want) || len(want) != 10 {
+		t.Fatalf("store into page 0xE1 staled %04x, want %04x", got, want)
 	}
 }
 
-// TestResetCodeStateDiscardsStaleness pins the recycle primitive: after
-// ResetCodeState the cache is trusted again (the caller restored the
-// exact image it was built from), the generation advanced, and the
-// installed cache and block table remain in place.
+// TestResetCodeStateDiscardsStaleness pins how staleness ends: a
+// Restore of the base the space was sealed with after the cache went in
+// makes every entry fresh again, with the cache and its block table
+// still installed, so blocks run again.
 func TestResetCodeStateDiscardsStaleness(t *testing.T) {
-	c, s := program(t, isa.Instruction{Op: isa.MOV, Src: isa.Imm(1), Dst: isa.RegOp(4)})
+	c, s := program(t,
+		isa.Instruction{Op: isa.MOV, Src: isa.Imm(1), Dst: isa.RegOp(4)},
+		isa.Instruction{Op: isa.JMP, JumpOffset: -1},
+	)
 	p := predecoded(c, s)
-	c.InvalidateCode(0xE000, 2)
+	c.SetBlocks(p.Blocks())
+	snap := s.Snapshot()
+	s.StoreWord(0xE000, 0x4303) // mov r3, r3 over mov #1, r4
 	if !c.staleAt(0xE000) {
 		t.Fatal("setup: entry not stale")
 	}
-	g := c.invGen
-	c.ResetCodeState()
-	if c.staleAt(0xE000) {
-		t.Fatal("staleness survived ResetCodeState")
+	if ran, _, _ := c.RunBlocks(c.Cycles+100, nil); ran || c.BlockExits[ExitStale] != 1 {
+		t.Fatalf("stale block ran (%v) or exits %v", ran, c.BlockExits)
 	}
-	if c.invGen <= g {
-		t.Fatal("ResetCodeState did not advance invGen")
+	if err := s.Restore(snap); err != nil {
+		t.Fatal(err)
 	}
-	if c.Predecoded() != p {
-		t.Fatal("ResetCodeState dropped the installed decode cache")
+	if got := staleSet(c, p); got != nil {
+		t.Fatalf("staleness survived Restore: %04x", got)
+	}
+	if c.Predecoded() != p || c.blkTable == nil {
+		t.Fatal("Restore dropped the installed decode cache or block table")
+	}
+	if ran, _, err := c.RunBlocks(c.Cycles+100, nil); !ran || err != nil || c.R[4] != 1 {
+		t.Fatalf("restored block did not run: ran %v, err %v, r4 %d", ran, err, c.R[4])
 	}
 }
 

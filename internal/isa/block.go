@@ -17,8 +17,9 @@ package isa
 // shared between every machine running byte-identical code; the fleet
 // runner's per-ROM predecode artifact carries its block table (see
 // Predecoded.Blocks). Staleness stays the CPU core's problem: a block
-// is entered only when no bus write has landed in its fetch window
-// (the same dirty map that guards individual predecoded entries).
+// is entered only when no page its fetch windows touch has been written
+// (the same written-page mask that guards individual predecoded
+// entries; see cpu.DirectBus).
 
 // MaxBlockOps caps the instructions fused into one block. Long
 // straight-line runs are split into chainable segments so a block's
@@ -71,8 +72,11 @@ type Block struct {
 	// guarded loop: an access that leaves plain RAM ends the block
 	// unless it is a quiet load at a constant address (cpu.LoadFilter).
 	Pure bool
-	// W0, W1 bound the dirty-map word indices of every op's fetch
-	// address, the range the CPU core scans before entering the block.
+	// W0, W1 are the first and last 256-byte page (address >> 8) the
+	// ops' fetch windows touch: from the first op's pc to the last op's
+	// pc+5. A write marked in any of them stales the block, so they are
+	// the range of the written-page mask the CPU core reads before
+	// entering the block and after each op that may have stored.
 	W0, W1 uint16
 }
 
@@ -241,7 +245,7 @@ func BuildBlocks(p *Predecoded) *Blocks {
 	bl.blocks = make([]Block, len(entries))
 	var idxs []int
 	for i := range entries {
-		if bl.blocks[i].Ops != nil || !entries[i].OK || !entries[i].Fast {
+		if bl.blocks[i].Ops != nil || !entries[i].OK {
 			continue
 		}
 		var ops []BlockOp
@@ -255,8 +259,7 @@ func BuildBlocks(p *Predecoded) *Blocks {
 				break
 			}
 			nj := j + int(e.Size)>>1
-			if nj >= len(entries) || !entries[nj].OK || !entries[nj].Fast ||
-				bl.blocks[nj].Ops != nil {
+			if nj >= len(entries) || !entries[nj].OK || bl.blocks[nj].Ops != nil {
 				break
 			}
 			j = nj
@@ -275,8 +278,8 @@ func BuildBlocks(p *Predecoded) *Blocks {
 				Ops:    sub,
 				Cycles: cyc,
 				Pure:   pure,
-				W0:     sub[0].PC >> 1,
-				W1:     sub[len(sub)-1].PC >> 1,
+				W0:     sub[0].PC >> 8,
+				W1:     (sub[len(sub)-1].PC + 5) >> 8,
 			}
 		}
 	}

@@ -2,33 +2,30 @@ package isa
 
 import "sync"
 
-// Entry caches one successful decode at a fixed fetch address: the
-// raised Instruction (the generic interpreter's input), its
-// threaded-code lowering (the fast interpreter's input, valid when Fast
-// is set), and the size/cycle figures both share. Entries are read-only
-// after construction; callers must not mutate them.
+// Entry caches one decode at a fixed fetch address as its threaded-code
+// lowering (see UOp), with the instruction's size and cycle figures.
+// Entries are read-only after construction; callers must not mutate
+// them.
 type Entry struct {
-	In     Instruction
 	U      UOp
 	Size   uint16
 	Cycles uint16
 	OK     bool
-	Fast   bool
 }
 
 // Predecoded is an immutable decode cache for a fixed code image: every
 // even address in its window is decoded once, up front, so the CPU core
 // can skip both the speculative three-word fetch and Decode on warm
-// paths. Each cached decode also carries its threaded-code lowering
-// (see UOp), so the warm path skips the per-step format switch and
-// operand resolution too. A Predecoded is read-only after construction
-// and therefore safe to share between any number of machines running
-// byte-identical code — the per-ROM artifact the fleet runner builds
-// once per application.
+// paths. A cached decode is its threaded-code lowering (see UOp), so the
+// warm path skips the per-step format switch and operand resolution
+// too; an instruction LowerUOp refuses stays uncached. A Predecoded is
+// read-only after construction and therefore safe to share between any
+// number of machines running byte-identical code — the per-ROM
+// artifact the fleet runner builds once per application.
 //
-// Staleness is the caller's problem: the CPU core pairs a shared
-// Predecoded with a per-machine dirty map (see cpu.CPU.InvalidateCode)
-// so that writes observed on the bus force a live re-decode.
+// Staleness is the caller's problem: the CPU core reads each machine's
+// written-page mask (see cpu.DirectBus), so an entry whose fetch window
+// touches a page written since the cache was installed re-decodes live.
 type Predecoded struct {
 	start   uint16
 	entries []Entry
@@ -42,9 +39,12 @@ type Predecoded struct {
 }
 
 // Predecode decodes every even address in [start, end] using read to
-// fetch words. Addresses that do not decode (data, padding) simply stay
-// uncached and fall back to the live path at run time, as do the last
-// two word slots of the address space (their fetch window would wrap).
+// fetch words. Addresses that do not decode (data, padding), whose
+// decode LowerUOp refuses (shapes that fault at run time, such as an
+// immediate operand on rrc, where the live path raises the same fault
+// at the same pc) or whose fetch window would wrap (the last two word
+// slots of the address space) simply stay uncached and fall back to the
+// live path at run time.
 //
 // fetchable, when non-nil, restricts caching to addresses whose whole
 // three-word fetch window it accepts. The live path speculatively reads
@@ -73,12 +73,11 @@ func Predecode(read func(addr uint16) uint16, start, end uint16, fetchable func(
 		if err != nil {
 			continue
 		}
-		e := &p.entries[i]
-		e.In = in
-		e.Size = in.Size()
-		e.Cycles = uint16(Cycles(in))
-		e.OK = true
-		e.U, e.Fast = LowerUOp(addr, in)
+		u, ok := LowerUOp(addr, in)
+		if !ok {
+			continue
+		}
+		p.entries[i] = Entry{U: u, Size: in.Size(), Cycles: uint16(Cycles(in)), OK: true}
 	}
 	return p
 }
@@ -119,16 +118,6 @@ func (p *Predecoded) Blocks() *Blocks {
 	}
 	p.blkOnce.Do(func() { p.blk = BuildBlocks(p) })
 	return p.blk
-}
-
-// Lookup returns the cached instruction, its size in bytes and its cycle
-// cost for a fetch at addr. ok is false when EntryAt would return nil.
-func (p *Predecoded) Lookup(addr uint16) (in Instruction, size, cycles uint16, ok bool) {
-	e := p.EntryAt(addr)
-	if e == nil {
-		return Instruction{}, 0, 0, false
-	}
-	return e.In, e.Size, e.Cycles, true
 }
 
 // Len reports how many addresses hold a cached decode (for tests and

@@ -2,12 +2,13 @@ package isa
 
 import "testing"
 
-// TestPredecodeMatchesDecode: every cached entry must be exactly what
-// Decode returns for the same words, and addresses that fail to decode
-// must stay uncached.
+// TestPredecodeMatchesDecode: every cached entry must be exactly the
+// lowering of what Decode returns for the same words, and addresses that
+// fail to decode, or whose decode LowerUOp refuses, must stay uncached.
 func TestPredecodeMatchesDecode(t *testing.T) {
 	// A small "memory": two valid instructions, a data word that does
-	// not decode, then another instruction.
+	// not decode, an instruction that decodes but only faults at run
+	// time (rra #4), then another instruction.
 	mem := map[uint16]uint16{}
 	addr := uint16(0x1000)
 	put := func(ws []uint16) {
@@ -18,33 +19,46 @@ func TestPredecodeMatchesDecode(t *testing.T) {
 	}
 	put(MustEncode(Instruction{Op: MOV, Src: ImmExt(0x1234), Dst: RegOp(10)}))
 	put(MustEncode(Instruction{Op: ADD, Src: RegOp(10), Dst: RegOp(11)}))
-	put([]uint16{0x0000}) // invalid opcode word
+	put([]uint16{0x0000})         // invalid opcode word
+	put([]uint16{0x1130, 0x0004}) // rra @pc+ with its operand word: rra #4
 	put(MustEncode(Instruction{Op: JMP, JumpOffset: -1}))
 	end := addr
 
 	read := func(a uint16) uint16 { return mem[a] }
 	p := Predecode(read, 0x1000, end, nil)
 
+	refused := 0
 	for a := uint16(0x1000); a < end; a += 2 {
 		words := []uint16{read(a), read(a + 2), read(a + 4)}
-		want, _, wantErr := Decode(words)
-		in, size, cycles, ok := p.Lookup(a)
-		if wantErr != nil {
-			if ok {
+		e := p.EntryAt(a)
+		in, _, err := Decode(words)
+		if err != nil {
+			if e != nil {
 				t.Errorf("0x%04x: cached but Decode fails", a)
 			}
 			continue
 		}
-		if !ok {
+		want, lowered := LowerUOp(a, in)
+		if !lowered {
+			refused++
+			if e != nil {
+				t.Errorf("0x%04x: cached although LowerUOp refuses %+v", a, in)
+			}
+			continue
+		}
+		if e == nil {
 			t.Errorf("0x%04x: decodable but not cached", a)
 			continue
 		}
-		if in != want {
-			t.Errorf("0x%04x: cached %+v, Decode gives %+v", a, in, want)
+		if e.U != want {
+			t.Errorf("0x%04x: cached %+v, LowerUOp gives %+v", a, e.U, want)
 		}
-		if size != want.Size() || int(cycles) != Cycles(want) {
-			t.Errorf("0x%04x: size/cycles %d/%d, want %d/%d", a, size, cycles, want.Size(), Cycles(want))
+		if e.Size != in.Size() || int(e.Cycles) != Cycles(in) {
+			t.Errorf("0x%04x: size/cycles %d/%d, want %d/%d", a, e.Size, e.Cycles, in.Size(), Cycles(in))
 		}
+	}
+	if refused == 0 {
+		t.Error("no decode was refused by LowerUOp; the uncached case went untested")
 	}
 }
 
@@ -52,20 +66,20 @@ func TestPredecodeLookupBounds(t *testing.T) {
 	read := func(a uint16) uint16 { return 0x4303 } // nop (mov r3, r3)
 	p := Predecode(read, 0x2000, 0x2010, nil)
 
-	if _, _, _, ok := p.Lookup(0x1FFE); ok {
+	if p.EntryAt(0x1FFE) != nil {
 		t.Error("below window cached")
 	}
-	if _, _, _, ok := p.Lookup(0x2012); ok {
+	if p.EntryAt(0x2012) != nil {
 		t.Error("above window cached")
 	}
-	if _, _, _, ok := p.Lookup(0x2001); ok {
+	if p.EntryAt(0x2001) != nil {
 		t.Error("odd address cached")
 	}
-	if _, _, _, ok := p.Lookup(0x2000); !ok {
+	if p.EntryAt(0x2000) == nil {
 		t.Error("window start not cached")
 	}
 	var nilP *Predecoded
-	if _, _, _, ok := nilP.Lookup(0x2000); ok {
+	if nilP.EntryAt(0x2000) != nil {
 		t.Error("nil cache returned a hit")
 	}
 	if nilP.Len() != 0 {
@@ -79,11 +93,11 @@ func TestPredecodeWrapWindow(t *testing.T) {
 	read := func(a uint16) uint16 { return 0x4303 }
 	p := Predecode(read, 0xFFF0, 0xFFFF, nil)
 	for _, a := range []uint16{0xFFFC, 0xFFFE} {
-		if _, _, _, ok := p.Lookup(a); ok {
+		if p.EntryAt(a) != nil {
 			t.Errorf("0x%04x cached despite wrapping fetch window", a)
 		}
 	}
-	if _, _, _, ok := p.Lookup(0xFFFA); !ok {
+	if p.EntryAt(0xFFFA) == nil {
 		t.Error("0xFFFA should be cacheable")
 	}
 }
@@ -95,12 +109,12 @@ func TestPredecodeFetchablePredicate(t *testing.T) {
 	read := func(a uint16) uint16 { return 0x4303 } // nop (mov r3, r3)
 	fetchable := func(a uint16) bool { return a < 0x3010 }
 	p := Predecode(read, 0x3000, 0x3020, fetchable)
-	if _, _, _, ok := p.Lookup(0x3008); !ok {
+	if p.EntryAt(0x3008) == nil {
 		t.Error("window fully inside the region should be cached")
 	}
 	// 0x300C reads 0x300C/0x300E/0x3010; the last word is outside.
 	for _, a := range []uint16{0x300C, 0x300E, 0x3010, 0x3012} {
-		if _, _, _, ok := p.Lookup(a); ok {
+		if p.EntryAt(a) != nil {
 			t.Errorf("0x%04x cached despite fetch window leaving the region", a)
 		}
 	}

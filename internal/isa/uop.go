@@ -8,7 +8,8 @@ package isa
 // width-masked, and the format dispatch becomes a single class token.
 // The CPU core's warm path executes UOps without touching the per-step
 // format switch, ExtOffsets or operand-resolution logic; anything the
-// lowering cannot represent bit-exactly keeps the generic interpreter.
+// lowering cannot represent bit-exactly stays uncached and runs on the
+// live path (live decode and the generic interpreter).
 
 // UOp execution classes.
 const (
@@ -73,10 +74,10 @@ type UOp struct {
 }
 
 // LowerUOp compiles in, decoded at the fixed fetch address pc, into its
-// threaded-code form. ok is false when the instruction must keep the
-// generic interpreter — operand shapes whose run-time error semantics
-// (e.g. an immediate operand on an in-place format II op) the fast path
-// does not reproduce.
+// threaded-code form. ok is false when the instruction must stay on the
+// live path (Predecode leaves it uncached) — operand shapes whose
+// run-time error semantics (e.g. an immediate operand on an in-place
+// format II op) the fast path does not reproduce.
 func LowerUOp(pc uint16, in Instruction) (UOp, bool) {
 	u := UOp{Op: in.Op, Byte: in.Byte}
 	switch {

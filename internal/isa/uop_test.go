@@ -83,9 +83,9 @@ func TestLowerUOpRegDestClass(t *testing.T) {
 	}
 }
 
-// TestPredecodeEntriesCarryUOps: every cached decode either lowers or
-// is explicitly marked for the generic interpreter, and the lowered
-// size/cycles match the instruction's own figures.
+// TestPredecodeEntriesCarryUOps: every cached entry is the lowering of
+// its decoded instruction, with that instruction's size and cycles, and
+// a decode LowerUOp refuses stays uncached.
 func TestPredecodeEntriesCarryUOps(t *testing.T) {
 	words := map[uint16]uint16{}
 	emit := func(addr uint16, in Instruction) uint16 {
@@ -98,6 +98,11 @@ func TestPredecodeEntriesCarryUOps(t *testing.T) {
 	a := emit(0x3000, Instruction{Op: MOV, Src: ImmExt(0x1234), Dst: RegOp(7)})
 	a = emit(a, Instruction{Op: ADD, Src: Indexed(4, 9), Dst: Abs(0x0200)})
 	a = emit(a, Instruction{Op: JMP, JumpOffset: -2})
+	// rra @pc+ with its operand word decodes as rra #4, which the
+	// encoder refuses to emit.
+	rra := a
+	words[a], words[a+2] = 0x1130, 0x0004
+	a += 4
 	_ = emit(a, Instruction{Op: RETI})
 
 	read := func(addr uint16) uint16 { return words[addr] }
@@ -109,15 +114,27 @@ func TestPredecodeEntriesCarryUOps(t *testing.T) {
 			continue
 		}
 		n++
-		if !e.Fast {
-			continue
+		in, _, err := Decode([]uint16{read(addr), read(addr + 2), read(addr + 4)})
+		if err != nil {
+			t.Fatalf("0x%04x: cached but does not decode: %v", addr, err)
 		}
-		if e.Size != e.In.Size() || int(e.Cycles) != Cycles(e.In) {
+		if u, ok := LowerUOp(addr, in); !ok || e.U != u {
+			t.Errorf("0x%04x: entry %+v, LowerUOp gives %+v (ok=%v)", addr, e.U, u, ok)
+		}
+		if e.Size != in.Size() || int(e.Cycles) != Cycles(in) {
 			t.Errorf("0x%04x: entry size/cycles %d/%d disagree with instruction %d/%d",
-				addr, e.Size, e.Cycles, e.In.Size(), Cycles(e.In))
+				addr, e.Size, e.Cycles, in.Size(), Cycles(in))
 		}
 	}
 	if n == 0 {
 		t.Fatal("predecode cached nothing")
+	}
+	if in, _, err := Decode([]uint16{read(rra), read(rra + 2), read(rra + 4)}); err != nil {
+		t.Fatalf("rra #4 does not decode: %v", err)
+	} else if _, ok := LowerUOp(rra, in); ok {
+		t.Fatal("LowerUOp accepts rra #4")
+	}
+	if p.EntryAt(rra) != nil {
+		t.Error("rra #4 cached although LowerUOp refuses it")
 	}
 }

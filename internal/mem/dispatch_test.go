@@ -52,14 +52,14 @@ type bus interface {
 // linearSpace is the reference bus semantics the dispatch tables are
 // checked against: every access scans the mappings in order, and an
 // address no mapping claims is plain memory unless the layout leaves it
-// unmapped.
+// unmapped. Every plain store marks its 256-byte page in written.
 type linearSpace struct {
 	layout        Layout
 	ram           [Size]byte
 	maps          []mapping
 	busErrors     int
 	handlerStores uint64
-	writeHook     func(addr uint16, n int)
+	written       [Size / 256]bool
 }
 
 func (s *linearSpace) lookup(addr uint16) (h Handler, plain bool) {
@@ -98,7 +98,7 @@ func (s *linearSpace) StoreWord(addr uint16, v uint16) {
 	}
 	s.ram[addr] = byte(v)
 	s.ram[addr+1] = byte(v >> 8)
-	s.writeHook(addr, 2)
+	s.written[addr/256] = true
 }
 
 func (s *linearSpace) LoadByte(addr uint16) uint8 {
@@ -142,18 +142,17 @@ func (s *linearSpace) StoreByte(addr uint16, v uint8) {
 		return
 	}
 	s.ram[addr] = v
-	s.writeHook(addr, 1)
+	s.written[addr/256] = true
 }
 
 // diffPair is a table-dispatch Space and the linear-scan reference with
-// identical mappings, plus their observation logs (index 0 is the
-// Space, 1 the reference).
+// identical mappings, plus their handlers' logs (index 0 is the Space,
+// 1 the reference).
 type diffPair struct {
-	space    *Space
-	ref      *linearSpace
-	words    [2]*wordDev
-	bytes    [2]*byteDev
-	hookLogs [2][]string
+	space *Space
+	ref   *linearSpace
+	words [2]*wordDev
+	bytes [2]*byteDev
 }
 
 // wordSpan/byteSpan place one word-only and one byte-capable handler in
@@ -167,11 +166,6 @@ const (
 func newDiffPair(t *testing.T) *diffPair {
 	t.Helper()
 	p := &diffPair{}
-	hook := func(i int) func(addr uint16, n int) {
-		return func(addr uint16, n int) {
-			p.hookLogs[i] = append(p.hookLogs[i], fmt.Sprintf("%04x+%d", addr, n))
-		}
-	}
 	for i := range p.words {
 		p.words[i] = newWordDev()
 		p.bytes[i] = &byteDev{wordDev: *newWordDev()}
@@ -183,13 +177,22 @@ func newDiffPair(t *testing.T) *diffPair {
 	if err := p.space.Map(byteLo, byteHi, p.bytes[0]); err != nil {
 		t.Fatal(err)
 	}
-	p.space.WriteHook = hook(0)
 	p.ref = &linearSpace{
-		layout:    DefaultLayout(),
-		maps:      []mapping{{wordLo, wordHi, p.words[1]}, {byteLo, byteHi, p.bytes[1]}},
-		writeHook: hook(1),
+		layout: DefaultLayout(),
+		maps:   []mapping{{wordLo, wordHi, p.words[1]}, {byteLo, byteHi, p.bytes[1]}},
 	}
 	return p
+}
+
+// writtenPages lists the pages s has marked written, in order.
+func writtenPages(s *Space) []int {
+	var pages []int
+	for p := 0; p < Size/256; p++ {
+		if s.written[p/64]&(1<<(p%64)) != 0 {
+			pages = append(pages, p)
+		}
+	}
+	return pages
 }
 
 // compare asserts every observable of the two dispatchers is identical.
@@ -202,8 +205,14 @@ func (p *diffPair) compare(t *testing.T, what string) {
 	if a.HandlerStores() != b.handlerStores {
 		t.Errorf("%s: HandlerStores %d vs %d", what, a.HandlerStores(), b.handlerStores)
 	}
-	if got, want := fmt.Sprint(p.hookLogs[0]), fmt.Sprint(p.hookLogs[1]); got != want {
-		t.Errorf("%s: WriteHook log diverged:\n table: %s\nlinear: %s", what, got, want)
+	var want []int
+	for page, w := range b.written {
+		if w {
+			want = append(want, page)
+		}
+	}
+	if got := writtenPages(a); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("%s: written pages diverged:\n table: %x\nlinear: %x", what, got, want)
 	}
 	if got, want := fmt.Sprint(p.words[0].log), fmt.Sprint(p.words[1].log); got != want {
 		t.Errorf("%s: word-handler log diverged:\n table: %s\nlinear: %s", what, got, want)
@@ -233,9 +242,9 @@ func (p *diffPair) both(t *testing.T, what string, f func(s bus) uint16) {
 // TestDispatchDifferentialTargeted drives the access shapes the page
 // table must get exactly right — handler-boundary straddles, byte
 // access synthesized onto word-only handlers, unmapped holes with their
-// bus-error accounting, and WriteHook-visible plain stores — through
-// the Space and the linear-scan reference and requires identical
-// observables.
+// bus-error accounting, and plain stores with the pages they mark —
+// through the Space and the linear-scan reference and requires
+// identical observables.
 func TestDispatchDifferentialTargeted(t *testing.T) {
 	p := newDiffPair(t)
 	layout := DefaultLayout()
@@ -275,7 +284,7 @@ func TestDispatchDifferentialTargeted(t *testing.T) {
 		{"LB unmapped", func(s bus) uint16 { return uint16(s.LoadByte(hole + 1)) }},
 		{"SW unmapped", func(s bus) uint16 { s.StoreWord(hole+2, 0xDEAD); return 0 }},
 		{"SB unmapped", func(s bus) uint16 { s.StoreByte(hole+3, 0xEE); return 0 }},
-		// Plain RAM with WriteHook accounting.
+		// Plain RAM, marking the pages it writes.
 		{"SW dmem", func(s bus) uint16 { s.StoreWord(layout.DMEMStart+0x10, 0xBEEF); return 0 }},
 		{"SB dmem", func(s bus) uint16 { s.StoreByte(layout.DMEMStart+0x13, 0x5A); return 0 }},
 		{"LW dmem", func(s bus) uint16 { return s.LoadWord(layout.DMEMStart + 0x10) }},
@@ -294,6 +303,9 @@ func TestDispatchDifferentialTargeted(t *testing.T) {
 	}
 	if p.space.HandlerStores() == 0 {
 		t.Error("targeted cases never stored to a handler")
+	}
+	if n := WrittenPages(p.space); n < 3 {
+		t.Errorf("targeted cases marked %d pages, want the DMEM, top and peripheral-window pages", n)
 	}
 }
 
@@ -323,6 +335,18 @@ func TestDispatchDifferentialRandom(t *testing.T) {
 	p.compare(t, "after random stream")
 	if p.space.BusErrors == 0 {
 		t.Error("random stream never hit unmapped space")
+	}
+	plainPages := 0
+	for page := 0; page < Size/256; page++ {
+		for a := page * 256; a < page*256+256; a++ {
+			if p.space.plain[a] {
+				plainPages++
+				break
+			}
+		}
+	}
+	if n := WrittenPages(p.space); n != plainPages {
+		t.Errorf("random stream marked %d pages, want all %d that hold plain memory", n, plainPages)
 	}
 }
 

@@ -18,7 +18,8 @@ const Size = 0x10000
 
 // pageShift sizes the pages Space marks as written: 256 bytes, so the
 // 64 KiB slab is 256 pages and the mask is four words. The CPU's direct
-// stores mark with the same shift (cpu.DirectBus).
+// stores mark, and its decode-cache staleness checks read, with the same
+// shift (cpu.DirectBus).
 const pageShift = 8
 
 // pageMask is one bit per page of the slab, set by every write to it.
@@ -222,16 +223,20 @@ type mapping struct {
 //
 // Every write to the backing array marks its 256-byte page in a mask:
 // the stores, LoadImage, the volatile clear in Reset, and the CPU's
-// direct stores through Direct. Restore reads the mask to copy back
-// only the pages written since the space last matched its base
-// snapshot.
+// direct stores through Direct. The mask is the one record of what was
+// written since the space last matched a known image: its base
+// snapshot after Snapshot or Restore, an installed decode cache's
+// image after Settle. Restore reads it to copy back only the pages
+// written since, and the CPU reads it to tell a stale cached decode
+// (cpu.DirectBus).
 type Space struct {
 	Layout Layout
 	ram    [Size]byte
 	maps   []mapping
 
-	// written marks the pages of ram changed since the last Snapshot or
-	// Restore; base is the snapshot ram equalled then.
+	// written marks the pages of ram changed since the last Snapshot,
+	// Restore or Settle; base is the snapshot ram equalled then (nil
+	// after Settle).
 	written pageMask
 	base    *Snapshot
 
@@ -250,13 +255,6 @@ type Space struct {
 	// 0xFFFF / 0xFF, writes are dropped), mirroring openMSP430's
 	// behaviour of not trapping them.
 	BusErrors int
-
-	// WriteHook, when non-nil, observes every mutation of the backing
-	// array — CPU stores, image loads, the volatile clear on reset —
-	// with the start address and byte length. Peripheral-handler writes
-	// are not reported: they never alias fetchable memory. The decode
-	// cache (cpu.CPU.InvalidateCode) is its consumer.
-	WriteHook func(addr uint16, n int)
 }
 
 // plainTemplates caches the handler-free dispatch table per layout, so
@@ -337,16 +335,17 @@ func (s *Space) Map(start, end uint16, h Handler) error {
 // peripheral's next-event deadline.
 func (s *Space) HandlerStores() uint64 { return s.handlerStores }
 
-// Direct exposes the backing slab, its written-page mask, the
-// plain-memory dispatch flags and the live write hook so the CPU core
-// can inline plain-RAM accesses without an interface call. The returned
-// pointers alias live Space state: plain flags update as handlers are
-// mapped, and *hook always reads the current WriteHook. Callers must
-// reproduce Space semantics exactly: a fast store writes the slab, sets
-// bit addr>>8 of the mask (word addr>>14, bit addr>>8&63) and invokes
-// the hook. A store that skips the mark survives the next Restore.
-func (s *Space) Direct() (slab *[Size]byte, written *[4]uint64, plain *[Size]bool, hook *func(addr uint16, n int)) {
-	return &s.ram, &s.written, &s.plain, &s.WriteHook
+// Direct exposes the backing slab, its written-page mask and the
+// plain-memory dispatch flags so the CPU core can inline plain-RAM
+// accesses without an interface call, and read the mask to tell which
+// cached decodes a write may have staled. The returned pointers alias
+// live Space state: plain flags update as handlers are mapped, and the
+// mask is the one every write path marks. Callers must reproduce Space
+// semantics exactly: a fast store writes the slab and sets bit addr>>8
+// of the mask (word addr>>14, bit addr>>8&63). A store that skips the
+// mark survives the next Restore and leaves stale code running.
+func (s *Space) Direct() (slab *[Size]byte, written *[4]uint64, plain *[Size]bool) {
+	return &s.ram, &s.written, &s.plain
 }
 
 // QuietLoad reports whether a load at addr (a byte load when byteWide,
@@ -431,9 +430,6 @@ func (s *Space) StoreWord(addr uint16, v uint16) {
 	s.ram[addr] = byte(v)
 	s.ram[addr+1] = byte(v >> 8)
 	markPage(&s.written, addr)
-	if s.WriteHook != nil {
-		s.WriteHook(addr, 2)
-	}
 }
 
 // LoadByte reads a byte.
@@ -480,9 +476,6 @@ func (s *Space) StoreByte(addr uint16, v uint8) {
 	}
 	s.ram[addr] = v
 	markPage(&s.written, addr)
-	if s.WriteHook != nil {
-		s.WriteHook(addr, 1)
-	}
 }
 
 // PeekWord reads a little-endian word straight from the backing array,
@@ -503,9 +496,6 @@ func (s *Space) LoadImage(addr uint16, data []byte) error {
 	}
 	copy(s.ram[addr:], data)
 	markPages(&s.written, addr, len(data))
-	if s.WriteHook != nil {
-		s.WriteHook(addr, len(data))
-	}
 	return nil
 }
 
@@ -524,8 +514,7 @@ func (s *Space) ReadRaw(addr uint16, length int) []byte {
 // program memory, secure ROM and the IVT — the behaviour of a device
 // reset as opposed to a reflash. This path runs on every monitor
 // violation, so the volatile regions are cleared as whole slab ranges
-// rather than byte-at-a-time; the WriteHook invalidation spans are
-// unchanged.
+// rather than byte-at-a-time.
 func (s *Space) Reset() {
 	dmem := int(s.Layout.DMEMEnd) - int(s.Layout.DMEMStart) + 1
 	secure := int(s.Layout.SecureDataEnd) - int(s.Layout.SecureDataStart) + 1
@@ -533,10 +522,6 @@ func (s *Space) Reset() {
 	clear(s.ram[s.Layout.SecureDataStart : int(s.Layout.SecureDataEnd)+1])
 	markPages(&s.written, s.Layout.DMEMStart, dmem)
 	markPages(&s.written, s.Layout.SecureDataStart, secure)
-	if s.WriteHook != nil {
-		s.WriteHook(s.Layout.DMEMStart, dmem)
-		s.WriteHook(s.Layout.SecureDataStart, secure)
-	}
 }
 
 // Snapshot is an immutable copy of a Space's restorable state: the full
@@ -556,6 +541,9 @@ type Snapshot struct {
 // firmware load) so later jobs restore it instead of rebuilding. The
 // new snapshot becomes the space's base, and the written-page mask is
 // cleared: from here on it lists the pages that differ from the base.
+// Clearing the mask also declares an installed decode cache fresh, so
+// the caller asserts the image is the one the cache was built from, as
+// core.Machine.Snapshot does by sealing before the first run.
 func (s *Space) Snapshot() *Snapshot {
 	snap := &Snapshot{layout: s.Layout, ram: s.ram, busErrors: s.BusErrors}
 	s.base = snap
@@ -570,11 +558,10 @@ func (s *Space) Snapshot() *Snapshot {
 // pointer), only the pages marked written since the last Snapshot or
 // Restore can differ from it, and only those are copied. Any other
 // snapshot is copied whole and becomes the base. Either way the mask is
-// cleared. Restore does NOT report the slab mutation through WriteHook:
-// the restored bytes are, by construction, the exact image any
-// installed decode cache was built from, so the caller resets cache
-// staleness wholesale instead (core.Machine.Recycle pairs Restore with
-// cpu.CPU.ResetCodeState).
+// cleared, and with it the staleness of every cached decode: the
+// restored bytes are, by construction, the image any installed decode
+// cache was built from (core.Machine.Recycle restores the snapshot it
+// sealed after installing the cache).
 func (s *Space) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("mem: restore from nil snapshot")
@@ -599,6 +586,18 @@ func (s *Space) Restore(snap *Snapshot) error {
 	s.written = pageMask{}
 	s.BusErrors = snap.busErrors
 	return nil
+}
+
+// Settle declares the slab as it stands the image a decode cache was
+// just built from (core.Machine.UsePredecoded calls it on install). The
+// written-page mask is cleared, so from here on it lists the pages that
+// may differ from the cache, and the base snapshot is dropped, because
+// the mask no longer lists the pages that differ from it: the next
+// Restore copies its snapshot whole and makes it the base. Settle
+// allocates nothing.
+func (s *Space) Settle() {
+	s.written = pageMask{}
+	s.base = nil
 }
 
 // VectorAddress returns the IVT slot address for interrupt line n
