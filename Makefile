@@ -37,13 +37,23 @@ test:
 # the machine-recycling subsystem, Runner.Run's scheduling and
 # watchdog, the fleet's crash-safety (journaled checkpointing, fault
 # containment, resume convergence) and the fleetd journal
-# byte-identity; this target fails if any of them is skipped or matches
-# nothing.
+# byte-identity. The differentials compare the production path with
+# the reference, but the two share their op bodies (doFormat1,
+# doFormat2, reti), so the check of those bodies is the known-answer
+# test (format II ops and jumps on both paths against answers worked
+# by hand from the MSP430 family guide) and the fault premise (only
+# live decode can fault: every word a decode cache may hold runs
+# without error, on a CPU and on a machine). This target fails if any
+# of these suites is skipped or matches nothing, or if those three
+# tests do not pass under their own names.
 test-differential:
-	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke' \
+	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults' \
 		./internal/mem ./internal/cpu ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \
+	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine; do \
+		echo "$$out" | grep -q -- "--- PASS: $$t (" || { echo "$$t did not pass"; exit 1; }; \
+	done; \
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"
 
 # benchmark/ is a Go module of its own, so the root ./... patterns never

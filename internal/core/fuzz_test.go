@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"eilid/internal/core"
 	"eilid/internal/isa"
+	"eilid/internal/mem"
 	"eilid/internal/periph"
 )
 
@@ -73,7 +75,7 @@ func fuzzOperand(b *fuzzBytes, src bool) isa.Operand {
 }
 
 // fuzzInstruction decodes one format I or format II instruction (CALL
-// and RETI excluded, so control stays on the template's path).
+// and RETI excluded: the control-flow shapes of spinProgram place them).
 func fuzzInstruction(b *fuzzBytes) isa.Instruction {
 	op := b.next()
 	in := isa.Instruction{Byte: op&0x80 != 0, Src: fuzzOperand(b, true)}
@@ -86,18 +88,73 @@ func fuzzInstruction(b *fuzzBytes) isa.Instruction {
 	return in
 }
 
+// fuzzLines encodes in as a .word line, or as no line when isa.Encode
+// refuses it.
+func fuzzLines(in isa.Instruction) []string {
+	words, err := isa.Encode(in)
+	if err != nil {
+		return nil
+	}
+	hex := make([]string, len(words))
+	for i, w := range words {
+		hex[i] = fmt.Sprintf("0x%04X", w)
+	}
+	return []string{".word " + strings.Join(hex, ", ")}
+}
+
+// fuzzJumps are the eight format III mnemonics.
+var fuzzJumps = [8]string{"jne", "jeq", "jnc", "jc", "jn", "jge", "jl", "jmp"}
+
+// fuzzControl decodes one control-flow shape with the generated label
+// l: a forward conditional jump over the next 0-2 fuzzed instructions;
+// a call to a leaf subroutine of 0-2 fuzzed instructions that ends in
+// ret; a push (either width, any source mode) and a pop around a
+// fuzzed instruction; or a forged interrupt frame (a return label and
+// SR, or flags the input picks) that reti pops. It returns the lines
+// that go inline and those that go after the interrupt handler.
+func fuzzControl(b *fuzzBytes, l string) (inline, sub []string) {
+	switch b.next() % 4 {
+	case 0:
+		j := b.next()
+		inline = append(inline, fuzzJumps[j%8]+" "+l)
+		for n := j >> 3 % 3; n > 0; n-- {
+			inline = append(inline, fuzzLines(fuzzInstruction(b))...)
+		}
+		return append(inline, l+":"), nil
+	case 1:
+		sub = append(sub, l+":")
+		for n := b.next() % 3; n > 0; n-- {
+			sub = append(sub, fuzzLines(fuzzInstruction(b))...)
+		}
+		return []string{"call #" + l}, append(sub, "ret")
+	case 2:
+		push := isa.Instruction{Op: isa.PUSH, Byte: b.next()&1 != 0, Src: fuzzOperand(b, true)}
+		inline = append(fuzzLines(push), fuzzLines(fuzzInstruction(b))...)
+		return append(inline, fmt.Sprintf("pop r%d", 4+b.next()%12)), nil
+	}
+	sr := "push sr"
+	if f := b.next(); f&0x80 != 0 {
+		// C, Z, N and GIE from the low bits, V from bit 4.
+		sr = fmt.Sprintf("push #0x%04X", uint16(f&0x0F)|uint16(f&0x10)<<4)
+	}
+	return []string{"push #" + l, sr, "reti", l + ":"}, nil
+}
+
 // spinProgram turns a fuzz input into a program: setup that starts the
 // timer, the ADC and the ranger as the input asks, an instruction
-// stream encoded through isa.Encode, then a spin loop on the polled
-// address, with an interrupt handler on every vector that counts the
-// DMEM flag up. It also returns the bytes to feed the UART.
+// stream encoded through isa.Encode, control-flow shapes (see
+// fuzzControl), then a spin loop on the polled address, with an
+// interrupt handler on every vector that counts the DMEM flag up. It
+// also returns the bytes to feed the UART.
 //
 // Input layout: poll selector; flags (bit 0 GIE, 1 timer IE, 2 ADC
 // start, 3 ADC IE, 4 ranger trigger, 5-6 the loop's extra op: none, a
 // store or a register change, 7 cmp instead of bit); flags (bits 0-1
 // the jump condition, 2 a byte-wide poll, 3-4 UART bytes, 5 the mask in
 // the high byte); timer period (little-endian, 0 leaves the timer off);
-// poll mask; the UART bytes; the stream's length; the stream.
+// poll mask; the UART bytes; the stream's length; the stream; the
+// number of control-flow shapes; the shapes. An input that ends before
+// the shapes reads as none.
 func spinProgram(data []byte) (src string, uart []byte) {
 	b := fuzzBytes(data)
 	poll := spinPolls[int(b.next())%len(spinPolls)]
@@ -131,13 +188,12 @@ func spinProgram(data []byte) (src string, uart []byte) {
 		setup = append(setup, "eint")
 	}
 	for n := b.next() % 9; n > 0; n-- {
-		if words, err := isa.Encode(fuzzInstruction(&b)); err == nil {
-			hex := make([]string, len(words))
-			for i, w := range words {
-				hex[i] = fmt.Sprintf("0x%04X", w)
-			}
-			setup = append(setup, ".word "+strings.Join(hex, ", "))
-		}
+		setup = append(setup, fuzzLines(fuzzInstruction(&b))...)
+	}
+	var subs []string
+	for i, n := 0, int(b.next()%5); i < n; i++ {
+		inline, sub := fuzzControl(&b, fmt.Sprintf("cf%d", i))
+		setup, subs = append(setup, inline...), append(subs, sub...)
 	}
 	extra := [4]string{"", fmt.Sprintf("mov r4, &0x%04X", fuzzFlag+2), "inc r5", ""}[f1>>5&3]
 	test := "bit"
@@ -164,21 +220,25 @@ spin:
 isr:
     add #1, &0x%04X
     reti
+%s
 .org 0xFFE0
 .word %s
 .word reset
-`, strings.Join(setup, "\n    "), extra, test, mask, poll, jump, fuzzFlag, vectors), uart
+`, strings.Join(setup, "\n    "), extra, test, mask, poll, jump, fuzzFlag, strings.Join(subs, "\n"), vectors), uart
 }
 
-// FuzzExecDifferential runs arbitrary instruction streams, ending in a
-// spin loop whose shape the fuzzer picks, on the cache-less reference
-// and on the production path under every defense column, with a small
-// cycle budget. Production is watched through the defense's own filter,
-// so blocks skip quiet fetches and spin loops retire their repeats
-// without running them. Every observable must match the reference, and
-// the watcher stream may lack only the fetches and reads the filter
-// calls quiet. The committed corpus (testdata/fuzz/FuzzExecDifferential)
-// starts from one spin per polled address.
+// FuzzExecDifferential runs arbitrary instruction streams and
+// control flow (jumps, calls, push/pop pairs, forged RETI frames),
+// ending in a spin loop whose shape the fuzzer picks, on the cache-less
+// reference and on the production path under every defense column,
+// with a small cycle budget. Production is watched through the
+// defense's own filter, so blocks skip quiet fetches and spin loops
+// retire their repeats without running them. Every observable and all
+// 64 KiB of RAM must match the reference (the stack is where P1 attacks
+// land), and the watcher stream may lack only the fetches and reads the
+// filter calls quiet. The committed corpus
+// (testdata/fuzz/FuzzExecDifferential) starts from one spin per polled
+// address and one program per control-flow shape.
 func FuzzExecDifferential(f *testing.F) {
 	p, err := core.NewPipeline(core.DefaultConfig())
 	if err != nil {
@@ -194,8 +254,15 @@ func FuzzExecDifferential(f *testing.F) {
 		entry := prog.Symbols["reset"]
 		for _, spec := range core.Defenses() {
 			prod, m := cornerRun(t, p, spec, prog, true, entry, feed, fuzzBudget)
-			ref, _ := cornerRun(t, p, spec, prog, false, entry, feed, fuzzBudget)
+			ref, r := cornerRun(t, p, spec, prog, false, entry, feed, fuzzBudget)
 			compareAdmitted(t, spec.Name, prod, ref, filterOf(m))
+			if a, b := m.Space.ReadRaw(0, mem.Size), r.Space.ReadRaw(0, mem.Size); !bytes.Equal(a, b) {
+				i := 0
+				for a[i] == b[i] {
+					i++
+				}
+				t.Errorf("%s: RAM differs first at 0x%04x: %02x, reference %02x", spec.Name, i, a[i], b[i])
+			}
 		}
 		if t.Failed() {
 			t.Log(src)

@@ -379,7 +379,9 @@ func (m *Machine) deviceReset(v casu.Violation) {
 }
 
 // Step executes one CPU step, syncs the peripherals and applies the
-// reset-on-violation rule. It returns the cycles consumed.
+// reset-on-violation rule. It returns the cycles consumed, and the
+// cpu.ExecError of a step that faulted (only live decode can) unless
+// the monitor reset the device first.
 func (m *Machine) Step() (int, error) {
 	n, err := m.CPU.Step()
 	// The monitor outranks the fault path: if the instruction tripped a
@@ -391,16 +393,12 @@ func (m *Machine) Step() (int, error) {
 			return n, nil
 		}
 	}
-	if err != nil {
-		// A decode fault on real hardware executes garbage; under EILID
-		// the W⊕X/immutability monitors normally fire first. Surface it.
-		// A faulting step consumes no cycles, so syncing here only
-		// delivers the cycles of completed instructions.
-		m.syncPeriph()
-		return n, err
-	}
+	// A fault (see cpu.ExecError) on real hardware executes garbage;
+	// under EILID the W⊕X/immutability monitors normally fire first.
+	// Surface it. A faulting step consumes no cycles, so syncing here
+	// only delivers the cycles of completed instructions.
 	m.syncPeriph()
-	return n, nil
+	return n, err
 }
 
 // RunResult summarizes a Run.
@@ -451,6 +449,12 @@ func (m *Machine) RunUntilReset(maxCycles uint64) (RunResult, error) {
 // monitor hears only the fetches its QuietFetch does not call quiet
 // inside a block (see cpu.RunBlocks). The reference machine, with no
 // cache, runs Step throughout and hears every fetch.
+//
+// Only Step can fault (see cpu.ExecError), so only its branch returns
+// an error. The two branches keep their own violation handling: a
+// block's reset syncs the peripherals to the cycle before its last op
+// (RunBlocks' lastPre), a step's to the cycle before that step, and
+// the reference machine reaches only the second.
 func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) {
 	startCycles, startInsns, startResets := m.CPU.Cycles, m.CPU.Insns, m.ResetCount
 	// A zero budget can execute nothing: report it as an exhausted
@@ -506,18 +510,13 @@ func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) 
 			limit = newLimit()
 		}
 		if !reference {
-			if ran, blkPre, err := cpu.RunBlocks(limit, stopFn); ran || err != nil {
+			if ran, blkPre := cpu.RunBlocks(limit, stopFn); ran {
 				if mon != nil {
 					if v := mon.Violation(); v != nil {
 						m.syncPeriphTo(blkPre)
 						m.deviceReset(*v)
 						limit = newLimit()
-						continue
 					}
-				}
-				if err != nil {
-					m.syncPeriph()
-					return m.result(startCycles, startInsns, startResets), err
 				}
 				continue
 			}

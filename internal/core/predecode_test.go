@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
 	"eilid/internal/apps"
 	"eilid/internal/core"
+	"eilid/internal/cpu"
 	"eilid/internal/isa"
 )
 
@@ -74,4 +76,51 @@ func TestPredecodeSharedAcrossMachines(t *testing.T) {
 	shared := runObserved(t, p, app, build, core.DefenseEILID, func(m *core.Machine) { m.UsePredecoded(pre) })
 	ref := runObserved(t, p, app, build, core.DefenseEILID, reference)
 	compareObserved(t, "shared cache", shared, ref)
+}
+
+// faultProgram counts a loop down on blocks, then reaches rra #4 (rra
+// @pc+ with its operand word), which no decode cache holds and which
+// faults on the live path.
+const faultProgram = `
+.org 0xE000
+reset:
+    mov #0x0A00, sp
+    mov #40, r4
+loop:
+    add r4, r5
+    dec r4
+    jnz loop
+fault:
+    .word 0x1130, 0x0004
+    jmp fault
+.org 0xFFFE
+.word reset
+`
+
+// TestOnlyLiveDecodeFaultsMachine: a machine that reaches an
+// instruction only the live path runs stops with the same error, at the
+// same PC and cycle count, on production (after its loop ran on blocks)
+// as on the reference machine, in every defense column.
+func TestOnlyLiveDecodeFaultsMachine(t *testing.T) {
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := p.BuildOriginal("fault.s", faultProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := prog.Symbols["fault"]
+	for _, spec := range core.Defenses() {
+		prod, m := cornerRun(t, p, spec, prog, true, 0, nil, cornerBudget)
+		ref, _ := cornerRun(t, p, spec, prog, false, 0, nil, cornerBudget)
+		compareAdmitted(t, spec.Name, prod, ref, filterOf(m))
+		var ee *cpu.ExecError
+		if !errors.As(prod.err, &ee) || ee.PC != at {
+			t.Errorf("%s: run ended with %v, want an ExecError at 0x%04x", spec.Name, prod.err, at)
+		}
+		if m.CPU.PureInsns+m.CPU.GuardedInsns == 0 {
+			t.Errorf("%s: no block ran before the fault", spec.Name)
+		}
+	}
 }

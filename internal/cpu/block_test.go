@@ -61,9 +61,7 @@ func TestRunBlocksFetchFilter(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := blockProgram(t)
 			c.Watch = tc.w
-			if _, _, err := c.RunBlocks(c.Cycles+100, nil); err != nil {
-				t.Fatal(err)
-			}
+			c.RunBlocks(c.Cycles+100, nil)
 			got := tc.w.(interface{ fetched() []uint16 }).fetched()
 			if tc.want == nil && uint64(len(got)) != c.Insns {
 				t.Errorf("%d fetches for %d instructions", len(got), c.Insns)
@@ -92,9 +90,9 @@ func TestRunBlocksEntryTrip(t *testing.T) {
 	w := &filterWatcher{}
 	c.Watch = w
 	start := c.Cycles
-	ran, lastPre, err := c.RunBlocks(c.Cycles+100, func() bool { return len(w.fetches) > 0 })
-	if err != nil || !ran {
-		t.Fatalf("ran %v, err %v", ran, err)
+	ran, lastPre := c.RunBlocks(c.Cycles+100, func() bool { return len(w.fetches) > 0 })
+	if !ran {
+		t.Fatal("nothing ran")
 	}
 	if c.Insns != 1 || c.GuardedInsns != 1 || c.PureInsns != 0 || lastPre != start {
 		t.Errorf("insns %d (guarded %d, pure %d), lastPre %d want %d",
@@ -120,9 +118,7 @@ func TestRunBlocksExitReasons(t *testing.T) {
 		t.Helper()
 		calls++
 		before := c.BlockExits[reason]
-		if _, _, err := c.RunBlocks(limit, nil); err != nil {
-			t.Fatal(err)
-		}
+		c.RunBlocks(limit, nil)
 		if c.BlockExits[reason] != before+1 {
 			t.Errorf("call %d: exits %v, want one more at index %d", calls, c.BlockExits, reason)
 		}

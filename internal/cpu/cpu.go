@@ -133,8 +133,10 @@ type IRQGate interface {
 }
 
 // ExecError reports a fault the real hardware would stumble through but a
-// simulator must surface: undecodable opcodes or fetches that wrapped the
-// address space.
+// simulator must surface: a word that does not decode, or an immediate
+// operand on RRC, RRA, SWPB or SXT. Only Step's live path raises it:
+// isa.LowerUOp refuses those shapes, so nothing a decode cache holds can
+// fault, and the threaded-code path and RunBlocks return no error.
 type ExecError struct {
 	PC  uint16
 	Err error
@@ -231,8 +233,8 @@ const (
 	ExitIRQ
 	// ExitLimit: the next block would not finish before the limit.
 	ExitLimit
-	// ExitOther: CPUOFF, a PC with no fused block, a fault, or no
-	// block table at all.
+	// ExitOther: CPUOFF, a PC with no fused block, or no block table
+	// at all.
 	ExitOther
 	// NumBlockExits is the number of reasons.
 	NumBlockExits
@@ -448,9 +450,7 @@ func (c *CPU) Step() (int, error) {
 		if e := &c.preEntries[i]; e.OK && !c.staleAt(pc) {
 			c.R[isa.PC] = pc + e.Size
 			c.prevPC = pc
-			if err := c.execUOp(pc, &e.U); err != nil {
-				return 0, &ExecError{PC: pc, Err: err}
-			}
+			c.execUOp(pc, &e.U)
 			c.Cycles += uint64(e.Cycles)
 			c.Insns++
 			return int(c.Cycles - start), nil
@@ -567,13 +567,17 @@ func (c *CPU) srcValue(pc uint16, in isa.Instruction) uint16 {
 		}
 		return v
 	}
+	return c.readLoc(pc, c.srcLoc(pc, in), in.Byte)
+}
+
+// srcLoc resolves a non-immediate source operand location.
+func (c *CPU) srcLoc(pc uint16, in isa.Instruction) loc {
 	srcOff, srcHas, _, _ := in.ExtOffsets()
 	extAddr := pc
 	if srcHas {
 		extAddr = pc + uint16(srcOff)
 	}
-	l := c.resolve(pc, in.Src, extAddr, in.Byte)
-	return c.readLoc(pc, l, in.Byte)
+	return c.resolve(pc, in.Src, extAddr, in.Byte)
 }
 
 // dstLoc resolves the destination operand location.
@@ -681,21 +685,32 @@ func dadd(src, dst uint16, carryIn uint16, byteOp bool) (r uint16, f uint16) {
 // allFlags is the set of arithmetic flags instructions may update.
 const allFlags = isa.FlagC | isa.FlagZ | isa.FlagN | isa.FlagV
 
+// execute runs a live-decoded instruction on the generic interpreter,
+// which resolves its operands from the decoded addressing modes. Its only
+// fault is execFormat2's immediate operand on an in-place op.
 func (c *CPU) execute(pc uint16, in isa.Instruction) error {
 	switch {
 	case in.Op.IsJump():
-		return c.execJump(pc, in)
+		if c.jumpTaken(in.Op) {
+			c.R[isa.PC] = pc + 2 + 2*uint16(in.JumpOffset)
+		}
 	case in.Op == isa.RETI:
-		sp := c.R[isa.SP]
-		c.R[isa.SR] = c.loadWord(pc, sp)
-		c.R[isa.PC] = c.loadWord(pc, sp+2)
-		c.R[isa.SP] = sp + 4
-		return nil
+		c.reti(pc)
 	case in.Op.IsOneOperand():
 		return c.execFormat2(pc, in)
 	default:
-		return c.execFormat1(pc, in)
+		src := c.srcValue(pc, in)
+		c.doFormat1(pc, in.Op, in.Byte, src, c.dstLoc(pc, in))
 	}
+	return nil
+}
+
+// reti returns from an interrupt: SR is popped first, then PC.
+func (c *CPU) reti(pc uint16) {
+	sp := c.R[isa.SP]
+	c.R[isa.SR] = c.loadWord(pc, sp)
+	c.R[isa.PC] = c.loadWord(pc, sp+2)
+	c.R[isa.SP] = sp + 4
 }
 
 // jumpTaken evaluates a format III condition against the status register.
@@ -721,48 +736,26 @@ func (c *CPU) jumpTaken(op isa.Opcode) bool {
 	return true // JMP
 }
 
-func (c *CPU) execJump(pc uint16, in isa.Instruction) error {
-	if c.jumpTaken(in.Op) {
-		c.R[isa.PC] = pc + 2 + 2*uint16(in.JumpOffset)
+func (c *CPU) execFormat2(pc uint16, in isa.Instruction) error {
+	if in.Src.Mode != isa.ModeImmediate {
+		l := c.srcLoc(pc, in)
+		c.doFormat2(pc, in.Op, in.Byte, l, c.readLoc(pc, l, in.Byte))
+		return nil
 	}
+	// Only PUSH and CALL read an immediate; the others write their
+	// operand in place.
+	if in.Op != isa.PUSH && in.Op != isa.CALL {
+		return fmt.Errorf("immediate operand for %v", in.Op)
+	}
+	c.doFormat2(pc, in.Op, in.Byte, loc{}, c.srcValue(pc, in))
 	return nil
 }
 
-func (c *CPU) execFormat2(pc uint16, in isa.Instruction) error {
-	// PUSH/CALL accept immediates; the others operate in place.
-	if in.Src.Mode == isa.ModeImmediate {
-		v := c.srcValue(pc, in)
-		switch in.Op {
-		case isa.PUSH:
-			if in.Byte {
-				c.R[isa.SP] -= 2
-				c.storeByte(pc, c.R[isa.SP], uint8(v))
-			} else {
-				c.push(pc, v)
-			}
-			return nil
-		case isa.CALL:
-			c.push(pc, c.R[isa.PC]) // return address: next instruction
-			c.R[isa.PC] = v
-			return nil
-		}
-		return fmt.Errorf("immediate operand for %v", in.Op)
-	}
-
-	srcOff, srcHas, _, _ := in.ExtOffsets()
-	extAddr := pc
-	if srcHas {
-		extAddr = pc + uint16(srcOff)
-	}
-	l := c.resolve(pc, in.Src, extAddr, in.Byte)
-	return c.doFormat2(pc, in.Op, in.Byte, l)
-}
-
-// doFormat2 executes a single-operand instruction on a resolved
-// location — the tail shared by the generic interpreter and the
-// threaded-code path.
-func (c *CPU) doFormat2(pc uint16, op isa.Opcode, byteOp bool, l loc) error {
-	v := c.readLoc(pc, l, byteOp)
+// doFormat2 executes a single-operand instruction given its operand's
+// location and the value read from it (for a PUSH or CALL immediate,
+// the value alone) — the one body of each format II op, shared by the
+// generic interpreter and the threaded-code path.
+func (c *CPU) doFormat2(pc uint16, op isa.Opcode, byteOp bool, l loc, v uint16) {
 	_, sign := width(byteOp)
 
 	switch op {
@@ -807,24 +800,15 @@ func (c *CPU) doFormat2(pc uint16, op isa.Opcode, byteOp bool, l loc) error {
 			c.push(pc, v)
 		}
 	case isa.CALL:
-		c.push(pc, c.R[isa.PC])
+		c.push(pc, c.R[isa.PC]) // return address: next instruction
 		c.R[isa.PC] = v
-	default:
-		return fmt.Errorf("unhandled format II opcode %v", op)
 	}
-	return nil
-}
-
-func (c *CPU) execFormat1(pc uint16, in isa.Instruction) error {
-	src := c.srcValue(pc, in)
-	dl := c.dstLoc(pc, in)
-	return c.doFormat1(pc, in.Op, in.Byte, src, dl)
 }
 
 // doFormat1 executes a double-operand instruction given the evaluated
 // source and the resolved destination — the tail shared by the generic
 // interpreter and the threaded-code path.
-func (c *CPU) doFormat1(pc uint16, op isa.Opcode, byteOp bool, src uint16, dl loc) error {
+func (c *CPU) doFormat1(pc uint16, op isa.Opcode, byteOp bool, src uint16, dl loc) {
 	// MOV/BIC/BIS don't need the old destination value for flags, but
 	// BIC/BIS need it for the operation itself.
 	var dst uint16
@@ -894,10 +878,7 @@ func (c *CPU) doFormat1(pc uint16, op isa.Opcode, byteOp bool, src uint16, dl lo
 		}
 		c.writeLoc(pc, dl, byteOp, r)
 		c.setFlags(f, allFlags)
-	default:
-		return fmt.Errorf("unhandled format I opcode %v", op)
 	}
-	return nil
 }
 
 // --- threaded-code execution --------------------------------------------
@@ -906,53 +887,42 @@ func (c *CPU) doFormat1(pc uint16, op isa.Opcode, byteOp bool, src uint16, dl lo
 // lowered at predecode time (isa.LowerUOp), so no format switch,
 // extension-word arithmetic or addressing-mode resolution happens here;
 // the op bodies and every bus/watcher interaction are shared with the
-// generic interpreter, keeping the two paths bit-identical.
-func (c *CPU) execUOp(pc uint16, u *isa.UOp) error {
+// generic interpreter, keeping the two paths bit-identical. Lowering
+// refuses the one shape that faults (an immediate operand on an
+// in-place format II op), so no micro-op can fail.
+func (c *CPU) execUOp(pc uint16, u *isa.UOp) {
 	switch u.Class {
 	case isa.UFmt1Reg:
-		return c.execFmt1Reg(u, c.uSrc(pc, u))
+		c.execFmt1Reg(u, c.uSrc(pc, u))
 	case isa.UJump:
 		if c.jumpTaken(u.Op) {
 			c.R[isa.PC] = u.Target
 		}
-		return nil
 	case isa.UReti:
-		sp := c.R[isa.SP]
-		c.R[isa.SR] = c.loadWord(pc, sp)
-		c.R[isa.PC] = c.loadWord(pc, sp+2)
-		c.R[isa.SP] = sp + 4
-		return nil
+		c.reti(pc)
 	case isa.UFmt2:
-		if u.SrcK == isa.SrcConst {
-			// Lowering only emits constants for PUSH and CALL (the ops
-			// whose immediate form is architecturally valid).
-			v := u.SrcVal
-			if u.Op == isa.PUSH {
-				if u.Byte {
-					c.R[isa.SP] -= 2
-					c.storeByte(pc, c.R[isa.SP], uint8(v))
-				} else {
-					c.push(pc, v)
-				}
-				return nil
-			}
-			c.push(pc, c.R[isa.PC])
-			c.R[isa.PC] = v
-			return nil
+		// A constant source is a PUSH or CALL immediate (or their
+		// folded PC read), which has no location.
+		var l loc
+		v := u.SrcVal
+		if u.SrcK != isa.SrcConst {
+			l = c.uLoc(u.SrcK, u.SrcReg, u.SrcVal, u.Inc)
+			v = c.readLoc(pc, l, u.Byte)
 		}
-		return c.doFormat2(pc, u.Op, u.Byte, c.uLoc(u.SrcK, u.SrcReg, u.SrcVal, u.Inc))
+		c.doFormat2(pc, u.Op, u.Byte, l, v)
+	default: // UFmt1
+		src := c.uSrc(pc, u)
+		var dl loc
+		switch u.DstK {
+		case isa.DstRegK:
+			dl = loc{isReg: true, reg: u.DstReg}
+		case isa.DstMemConst:
+			dl = loc{ea: u.DstVal}
+		default: // DstMemReg
+			dl = loc{ea: c.R[u.DstReg] + u.DstVal}
+		}
+		c.doFormat1(pc, u.Op, u.Byte, src, dl)
 	}
-	src := c.uSrc(pc, u)
-	var dl loc
-	switch u.DstK {
-	case isa.DstRegK:
-		dl = loc{isReg: true, reg: u.DstReg}
-	case isa.DstMemConst:
-		dl = loc{ea: u.DstVal}
-	default: // DstMemReg
-		dl = loc{ea: c.R[u.DstReg] + u.DstVal}
-	}
-	return c.doFormat1(pc, u.Op, u.Byte, src, dl)
 }
 
 // uSrc evaluates a lowered source operand, performing any
@@ -1086,15 +1056,16 @@ func (c *CPU) staleRange(p0, p1 uint16) bool {
 // Space.Reset) stales exactly what it would stale for Step.
 //
 // Interrupt service, low-power idling and non-fused instructions are
-// never handled here; the caller falls back to Step. Every return
-// counts one BlockExits reason. Returns whether at least one
-// instruction executed, the cycle count observed before the last
-// executed instruction (the machine's violation re-sync anchor), and
-// any execution fault.
-func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre uint64, err error) {
+// never handled here; the caller falls back to Step. Nothing a block
+// runs can fault (see ExecError). Every return counts one BlockExits
+// reason. executed reports whether at least one instruction ran, and
+// lastPre is the cycle count before the last one that ran: the anchor
+// to which the machine syncs its peripherals when a violation ends the
+// call.
+func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre uint64) {
 	if c.blkTable == nil {
 		c.BlockExits[ExitOther]++
-		return false, 0, nil
+		return false, 0
 	}
 	if !c.planned || c.Watch != c.planWatch || c.IRQ != c.planIRQ {
 		c.plan()
@@ -1162,9 +1133,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 							src = c.R[u.SrcReg]
 						}
 						if op.Flags {
-							if e := c.execFmt1Reg(u, src); e != nil {
-								return c.blockFault(b, k, executed, lastPre, e)
-							}
+							c.execFmt1Reg(u, src)
 						} else {
 							// The hottest dead-flag ops inline; the
 							// rest share the out-of-line twin.
@@ -1192,9 +1161,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 							c.R[isa.PC] = u.Target
 						}
 					default:
-						if e := c.execUOp(op.PC, u); e != nil {
-							return c.blockFault(b, k, executed, lastPre, e)
-						}
+						c.execUOp(op.PC, u)
 					}
 				}
 				c.Cycles += uint64(b.Cycles)
@@ -1240,10 +1207,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			}
 			c.R[isa.PC] = op.Next
 			c.prevPC = op.PC
-			if e := c.execUOp(op.PC, op.U); e != nil {
-				c.BlockExits[ExitOther]++
-				return executed, lastPre, &ExecError{PC: op.PC, Err: e}
-			}
+			c.execUOp(op.PC, op.U)
 			c.Cycles += uint64(op.Cycles)
 			c.Insns++
 			c.GuardedInsns++
@@ -1446,25 +1410,6 @@ func (c *CPU) plainAt(a uint16, byteWide bool) bool {
 	return c.plain[a]
 }
 
-// blockFault finalizes state when a fused op faults — unreachable for
-// lowered ops in practice, kept for parity with Step: completed ops of
-// the current trip stay accounted, the faulting op consumes nothing,
-// and PC/prevPC are left exactly as Step would leave them. (Flag
-// results elided as dead earlier in a pure block are not recomputed;
-// they are only provably dead on the fault-free path.)
-func (c *CPU) blockFault(b *isa.Block, k int, executed bool, lastPre uint64, e error) (bool, uint64, error) {
-	for j := 0; j < k; j++ {
-		c.Cycles += uint64(b.Ops[j].Cycles)
-	}
-	c.Insns += uint64(k)
-	c.PureInsns += uint64(k)
-	c.BlockExits[ExitOther]++
-	op := &b.Ops[k]
-	c.R[isa.PC] = op.Next
-	c.prevPC = op.PC
-	return executed || k > 0, lastPre, &ExecError{PC: op.PC, Err: e}
-}
-
 // fmt1RegDeadFlags executes the register-destination micro-ops the
 // pure block loop does not inline — the carry-consuming and flag-only
 // shapes — when their flag results were proven dead within the block:
@@ -1489,7 +1434,7 @@ func (c *CPU) fmt1RegDeadFlags(u *isa.UOp, src uint16) {
 // location indirection stripped and the source already evaluated. The
 // op semantics mirror doFormat1 for word width exactly (mask 0xFFFF,
 // sign 0x8000).
-func (c *CPU) execFmt1Reg(u *isa.UOp, src uint16) error {
+func (c *CPU) execFmt1Reg(u *isa.UOp, src uint16) {
 	d := &c.R[u.DstReg]
 	dst := *d
 	carry := c.R[isa.SR] & isa.FlagC // 0 or 1: FlagC is bit 0
@@ -1549,8 +1494,5 @@ func (c *CPU) execFmt1Reg(u *isa.UOp, src uint16) error {
 		}
 		*d = r
 		c.setFlags(f, allFlags)
-	default:
-		return fmt.Errorf("unhandled format I opcode %v", u.Op)
 	}
-	return nil
 }

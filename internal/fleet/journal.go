@@ -146,14 +146,7 @@ type JournalSummary struct {
 // JournalHeader builds the header describing this runner's matrix,
 // derived from the runner's resolved BatchSpec.
 func (r *Runner) JournalHeader() *JournalHeader {
-	spec := r.spec.Matrix.journalSpec()
-	return &JournalHeader{
-		Journal:     journalMagic,
-		Version:     JournalVersion,
-		Fingerprint: spec.Fingerprint(),
-		Jobs:        len(r.jobs),
-		Spec:        spec,
-	}
+	return newJournalHeader(r.spec.Matrix, len(r.jobs))
 }
 
 // JournalHeaderForSpec builds the journal header a batch with this
@@ -168,19 +161,24 @@ func JournalHeaderForSpec(spec BatchSpec) (*JournalHeader, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := rs.Matrix
-	js := m.journalSpec()
-	jobs, ok := m.JobCount(math.MaxInt)
+	jobs, ok := rs.Matrix.JobCount(math.MaxInt)
 	if !ok {
 		return nil, fmt.Errorf("fleet: matrix job count overflows")
 	}
+	return newJournalHeader(rs.Matrix, jobs), nil
+}
+
+// newJournalHeader builds the header of a batch over the matrix m
+// with the given job count.
+func newJournalHeader(m MatrixSpec, jobs int) *JournalHeader {
+	spec := m.journalSpec()
 	return &JournalHeader{
 		Journal:     journalMagic,
 		Version:     JournalVersion,
-		Fingerprint: js.Fingerprint(),
+		Fingerprint: spec.Fingerprint(),
 		Jobs:        jobs,
-		Spec:        js,
-	}, nil
+		Spec:        spec,
+	}
 }
 
 // writeLine marshals v and writes it as one NDJSON line.

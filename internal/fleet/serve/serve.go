@@ -304,13 +304,13 @@ func (s *Server) nextBatch() *Batch {
 // contain for the same spec.
 func (s *Server) execute(b *Batch) {
 	start := time.Now()
-	b.setState(StateRunning)
+	b.setState(StateRunning, 0, nil)
 	runner, err := fleet.NewRunnerWarm(s.p, b.spec, s.warm)
 	if err != nil {
 		// The spec resolved at submission, so this is a build/prepare
 		// failure; the batch dies with an empty journal and the error in
 		// its status.
-		b.fail(err, time.Since(start))
+		b.setState(StateFailed, time.Since(start), err)
 		fmt.Fprintf(s.log, "eilid-fleetd: %s failed: %v\n", b.id, err)
 		return
 	}
@@ -318,12 +318,12 @@ func (s *Server) execute(b *Batch) {
 	switch {
 	case err != nil:
 		// Appending cannot fail; only a marshalling bug lands here.
-		b.fail(err, time.Since(start))
+		b.setState(StateFailed, time.Since(start), err)
 		return
 	case interrupted:
-		b.finish(StateInterrupted, time.Since(start))
+		b.setState(StateInterrupted, time.Since(start), nil)
 	default:
-		b.finish(StateDone, time.Since(start))
+		b.setState(StateDone, time.Since(start), nil)
 	}
 	st := b.Status()
 	fmt.Fprintf(s.log, "eilid-fleetd: %s %s: %d/%d jobs, %d failures, %d check failures in %.1f ms\n",
@@ -358,28 +358,16 @@ func (b *Batch) count(jr fleet.JobResult) {
 	b.mu.Unlock()
 }
 
-func (b *Batch) setState(state string) {
-	b.mu.Lock()
-	b.state = state
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-func (b *Batch) finish(state string, wall time.Duration) {
+// setState moves the batch to state and wakes its journal streams.
+// wall is the time the batch has run (zero before it ends), and err,
+// when non-nil, is why it failed; the first error is kept.
+func (b *Batch) setState(state string, wall time.Duration, err error) {
 	b.mu.Lock()
 	b.state = state
 	b.wall = wall
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-func (b *Batch) fail(err error, wall time.Duration) {
-	b.mu.Lock()
-	b.state = StateFailed
-	if b.errMsg == "" {
+	if err != nil && b.errMsg == "" {
 		b.errMsg = err.Error()
 	}
-	b.wall = wall
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
@@ -392,7 +380,7 @@ func (b *Batch) interruptQueued() {
 	w := batchJournal{b}
 	_ = fleet.WriteJournalHeader(w, b.header)
 	_ = fleet.WriteJournalInterrupted(w, 0, b.header.Jobs)
-	b.setState(StateInterrupted)
+	b.setState(StateInterrupted, 0, nil)
 }
 
 // ID returns the batch's server-assigned identifier.
@@ -468,10 +456,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	b, err := s.Submit(spec)
 	switch err {
 	case nil:
-	case errDraining:
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case errQueueFull:
+	case errDraining, errQueueFull:
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	default:
