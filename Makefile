@@ -43,15 +43,21 @@ test:
 # test (format II ops and jumps on both paths against answers worked
 # by hand from the MSP430 family guide) and the fault premise (only
 # live decode can fault: every word a decode cache may hold runs
-# without error, on a CPU and on a machine). This target fails if any
-# of these suites is skipped or matches nothing, or if those three
-# tests do not pass under their own names.
+# without error, on a CPU and on a machine). The countdown differential
+# pins the one place the production path computes instead of running:
+# a `dec Rn; jnz` self-loop retired in closed form, against the
+# reference stepping every iteration. The golden journal digests pin
+# what the whole simulator computes for the default matrix and
+# Generate(1, 64) in every column: a change meant only to run faster
+# leaves them as they are. This target fails if any of these suites is
+# skipped or matches nothing, or if those five tests do not pass under
+# their own names.
 test-differential:
 	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults' \
 		./internal/mem ./internal/cpu ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \
-	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine; do \
+	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests; do \
 		echo "$$out" | grep -q -- "--- PASS: $$t (" || { echo "$$t did not pass"; exit 1; }; \
 	done; \
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"

@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	figure := fs.Int("figure", 0, "regenerate a figure (10)")
 	micro := fs.Bool("micro", false, "regenerate the micro-overhead numbers")
 	all := fs.Bool("all", false, "regenerate everything")
-	iters := fs.Int("iters", 50, "compile iterations for Table IV averaging")
+	iters := fs.Int("iters", 50, "interleaved compile rounds for Table IV (each build reports its fastest)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	if err := fs.Parse(args); err != nil {

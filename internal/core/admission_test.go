@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"eilid/internal/casu"
 	"eilid/internal/core"
 	"eilid/internal/cpu"
+	"eilid/internal/mem"
 )
 
 // admitFilter is what block execution asks of a watcher: which
@@ -62,6 +64,19 @@ func compareAdmitted(t *testing.T, what string, admitted, reference observed, qu
 			what, len(admitted.events)-j, admitted.events[j])
 	}
 	return dropped
+}
+
+// compareRAM asserts that a production machine's 64 KiB of RAM equal
+// the reference machine's after their runs.
+func compareRAM(t *testing.T, what string, prod, ref *core.Machine) {
+	t.Helper()
+	if a, b := prod.Space.ReadRaw(0, mem.Size), ref.Space.ReadRaw(0, mem.Size); !bytes.Equal(a, b) {
+		i := 0
+		for a[i] == b[i] {
+			i++
+		}
+		t.Errorf("%s: RAM differs first at 0x%04x: %02x, reference %02x", what, i, a[i], b[i])
+	}
 }
 
 // allQuiet is the filter of an unmonitored machine: a machine without

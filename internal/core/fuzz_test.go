@@ -1,14 +1,12 @@
 package core_test
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"eilid/internal/core"
 	"eilid/internal/isa"
-	"eilid/internal/mem"
 	"eilid/internal/periph"
 )
 
@@ -109,11 +107,17 @@ var fuzzJumps = [8]string{"jne", "jeq", "jnc", "jc", "jn", "jge", "jl", "jmp"}
 // l: a forward conditional jump over the next 0-2 fuzzed instructions;
 // a call to a leaf subroutine of 0-2 fuzzed instructions that ends in
 // ret; a push (either width, any source mode) and a pop around a
-// fuzzed instruction; or a forged interrupt frame (a return label and
-// SR, or flags the input picks) that reti pops. It returns the lines
-// that go inline and those that go after the interrupt handler.
+// fuzzed instruction; a forged interrupt frame (a return label and SR,
+// or flags the input picks) that reti pops; or a countdown loop, a
+// counter the input picks (zero included) loaded into a register and
+// stepped down to zero by `dec` or, if the input says so, by a
+// near-miss step the closed form must not take (see
+// TestBlockCountdownDifferential). At 3 cycles an iteration a large
+// counter outlasts fuzzBudget, so the budget stop lands inside the
+// loop. It returns the lines that go inline and those that go after the
+// interrupt handler.
 func fuzzControl(b *fuzzBytes, l string) (inline, sub []string) {
-	switch b.next() % 4 {
+	switch b.next() % 5 {
 	case 0:
 		j := b.next()
 		inline = append(inline, fuzzJumps[j%8]+" "+l)
@@ -131,13 +135,24 @@ func fuzzControl(b *fuzzBytes, l string) (inline, sub []string) {
 		push := isa.Instruction{Op: isa.PUSH, Byte: b.next()&1 != 0, Src: fuzzOperand(b, true)}
 		inline = append(fuzzLines(push), fuzzLines(fuzzInstruction(b))...)
 		return append(inline, fmt.Sprintf("pop r%d", 4+b.next()%12)), nil
+	case 3:
+		sr := "push sr"
+		if f := b.next(); f&0x80 != 0 {
+			// C, Z, N and GIE from the low bits, V from bit 4.
+			sr = fmt.Sprintf("push #0x%04X", uint16(f&0x0F)|uint16(f&0x10)<<4)
+		}
+		return []string{"push #" + l, sr, "reti", l + ":"}, nil
 	}
-	sr := "push sr"
-	if f := b.next(); f&0x80 != 0 {
-		// C, Z, N and GIE from the low bits, V from bit 4.
-		sr = fmt.Sprintf("push #0x%04X", uint16(f&0x0F)|uint16(f&0x10)<<4)
+	// Bit 0 picks a near-miss step, bits 1-2 which one; the high nibble
+	// picks the register.
+	k := b.next()
+	r := fmt.Sprintf("r%d", 4+k>>4%12)
+	step := []string{"dec " + r}
+	if k&1 != 0 {
+		step = [4][]string{{"decd " + r}, {"dec.b " + r}, {"sub r14, " + r}, {"nop", "dec " + r}}[k>>1&3]
 	}
-	return []string{"push #" + l, sr, "reti", l + ":"}, nil
+	inline = append([]string{fmt.Sprintf("mov #%d, %s", b.word(), r), l + ":"}, step...)
+	return append(inline, "jnz "+l), nil
 }
 
 // spinProgram turns a fuzz input into a program: setup that starts the
@@ -256,13 +271,7 @@ func FuzzExecDifferential(f *testing.F) {
 			prod, m := cornerRun(t, p, spec, prog, true, entry, feed, fuzzBudget)
 			ref, r := cornerRun(t, p, spec, prog, false, entry, feed, fuzzBudget)
 			compareAdmitted(t, spec.Name, prod, ref, filterOf(m))
-			if a, b := m.Space.ReadRaw(0, mem.Size), r.Space.ReadRaw(0, mem.Size); !bytes.Equal(a, b) {
-				i := 0
-				for a[i] == b[i] {
-					i++
-				}
-				t.Errorf("%s: RAM differs first at 0x%04x: %02x, reference %02x", spec.Name, i, a[i], b[i])
-			}
+			compareRAM(t, spec.Name, m, r)
 		}
 		if t.Failed() {
 			t.Log(src)

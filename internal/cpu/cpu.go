@@ -204,7 +204,9 @@ type CPU struct {
 	// PureInsns and GuardedInsns count the instructions RunBlocks
 	// retired on its pure path and in its guarded loop, and
 	// SkippedInsns those it retired without running them, as the
-	// repeats of a spin loop; Step retired the rest of Insns.
+	// repeats of a spin loop; Step retired the rest of Insns. PureInsns
+	// includes the iterations of countdown loops retired in closed form
+	// (see RunBlocks); SkippedInsns counts spin repeats only.
 	// SkippedCycles are the cycles of the skipped instructions.
 	PureInsns, GuardedInsns, SkippedInsns uint64
 	SkippedCycles                         uint64
@@ -1039,7 +1041,15 @@ func (c *CPU) staleRange(p0, p1 uint16) bool {
 //     SkippedCycles, and the next admission ends with ExitLimit as it
 //     would have after running them. Their entry fetches and reads are
 //     not delivered; the plan marks a spin block only where the watcher
-//     calls every one of them quiet.
+//     calls every one of them quiet;
+//   - a countdown block (isa.Block.Countdown, `dec Rn; jnz` to itself)
+//     admitted to the pure path would re-run in place until its counter
+//     reaches zero or the next trip no longer fits under limit. Its end
+//     depends on the counter alone, so on entry all but the last of
+//     those iterations are retired in closed form (see countdown),
+//     counted in PureInsns, and the last one runs through the op
+//     bodies. The plain in-place loop delivers nothing between trips
+//     either, so callbacks, interrupt polls and exits do not change.
 //
 // A watcher hears every block's entry fetch and every data access. It
 // hears the other fetches too unless it is a FetchFilter: then only the
@@ -1121,6 +1131,9 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			// keeps the gate's mask, so only the deadline admission
 			// needs re-checking per trip.
 			n := len(ops)
+			if b.Countdown {
+				c.countdown(b, limit)
+			}
 			for {
 				c.R[isa.PC] = ops[n-1].Next
 				for k := range ops {
@@ -1236,6 +1249,36 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			c.SkippedInsns += n * uint64(len(ops))
 		}
 	}
+}
+
+// countdown retires in closed form all but the last of the iterations
+// the pure path's in-place loop would run of b, a Countdown block
+// admitted at c.Cycles: t = min(counter, ⌊(limit − Cycles) / b.Cycles⌋),
+// where a zero counter means 65,536 iterations. Admission guarantees
+// t ≥ 1. Only the counter, Cycles, Insns and PureInsns change; the
+// in-place loop then runs the last iteration for real, so SR and PC
+// come out of the op bodies and the loop ends as it would have.
+//
+// It runs once per block entry and stays out of line: inlined, it
+// changed which values RunBlocks keeps in registers across the
+// in-place loop that every pure self-loop runs, while out of line that
+// loop compiles to the same instructions as without it.
+//
+//go:noinline
+func (c *CPU) countdown(b *isa.Block, limit uint64) {
+	r := &c.R[b.Ops[0].U.DstReg]
+	t := uint64(*r)
+	if t == 0 {
+		t = 1 << 16
+	}
+	if fit := (limit - c.Cycles) / uint64(b.Cycles); fit < t {
+		t = fit
+	}
+	t--
+	*r -= uint16(t)
+	c.Cycles += t * uint64(b.Cycles)
+	c.Insns += 2 * t
+	c.PureInsns += 2 * t
 }
 
 // bitAt reports the plan bit of the block-table slot of pc.

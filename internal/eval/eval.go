@@ -30,6 +30,8 @@ func CyclesToMicros(cycles uint64) float64 {
 type TableIVRow struct {
 	App string
 
+	// The fastest of the interleaved compile rounds (see
+	// MeasureOptions.CompileIterations).
 	CompileOrig  time.Duration // one assembler run
 	CompileEILID time.Duration // full three-iteration pipeline
 
@@ -65,8 +67,9 @@ func pct(after, before float64) float64 {
 // TableIV is the full software-overhead table.
 type TableIV struct {
 	Rows []TableIVRow
-	// CompileIterations is how many times each build was repeated for
-	// the wall-clock average (the paper uses 50).
+	// CompileIterations is how many interleaved rounds timed the two
+	// builds (the paper averages 50 runs; each row here reports the
+	// fastest round of each build).
 	CompileIterations int
 }
 
@@ -87,7 +90,9 @@ func (t *TableIV) Averages() (compile, size, runtime float64) {
 
 // MeasureOptions tunes the harness.
 type MeasureOptions struct {
-	// CompileIterations per build for wall-clock averaging (paper: 50).
+	// CompileIterations is the number of interleaved rounds, each
+	// timing one original and one EILID build; a row reports each
+	// build's fastest round (default 50, the paper's run count).
 	CompileIterations int
 	// Apps restricts the set (nil = all seven).
 	Apps []apps.App
@@ -130,26 +135,33 @@ func measureApp(p *core.Pipeline, app apps.App, iters int) (TableIVRow, error) {
 		return row, err
 	}
 
-	// Compile-time: original = one assembler run.
-	start := time.Now()
+	// Compile time, in interleaved rounds: each round times one original
+	// build (one assembler run) and then one EILID build (the full
+	// Figure 2 pipeline: three assembler runs plus two instrumentation
+	// passes), and each path reports its fastest round. Other work on
+	// the host only ever adds time, so the minimum is the estimate it
+	// disturbs least, and interleaving puts both paths through the same
+	// host phases.
+	var build *core.BuildResult
 	for i := 0; i < iters; i++ {
+		start := time.Now()
 		if _, err := p.BuildOriginal(app.Name+".s", app.Source); err != nil {
 			return row, err
 		}
-	}
-	row.CompileOrig = time.Since(start) / time.Duration(iters)
-
-	// Compile-time: EILID = the full Figure 2 pipeline (three assembler
-	// runs plus two instrumentation passes).
-	start = time.Now()
-	var build *core.BuildResult
-	var err error
-	for i := 0; i < iters; i++ {
+		orig := time.Since(start)
+		start = time.Now()
+		var err error
 		if build, err = p.Build(app.Name+".s", app.Source); err != nil {
 			return row, err
 		}
+		eilid := time.Since(start)
+		if i == 0 || orig < row.CompileOrig {
+			row.CompileOrig = orig
+		}
+		if i == 0 || eilid < row.CompileEILID {
+			row.CompileEILID = eilid
+		}
 	}
-	row.CompileEILID = time.Since(start) / time.Duration(iters)
 
 	layout := p.Config().Layout
 	row.SizeOrig = build.Original.Image.SizeInRange(layout.PMEMStart, layout.PMEMEnd)

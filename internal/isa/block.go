@@ -72,6 +72,13 @@ type Block struct {
 	// guarded loop: an access that leaves plain RAM ends the block
 	// unless it is a quiet load at a constant address (cpu.LoadFilter).
 	Pure bool
+	// Countdown marks a block that is exactly a word `sub #1, Rn` with
+	// a constant source on a general-purpose register (the assembler's
+	// `dec Rn`) followed by a jne back to its own entry: a delay loop
+	// whose end depends on the counter alone, so the pure path may
+	// retire all but its last iteration in closed form (see
+	// cpu.RunBlocks).
+	Countdown bool
 	// W0, W1 are the first and last 256-byte page (address >> 8) the
 	// ops' fetch windows touch: from the first op's pc to the last op's
 	// pc+5. A write marked in any of them stales the block, so they are
@@ -275,13 +282,25 @@ func BuildBlocks(p *Predecoded) *Blocks {
 				pure = pure && !sub[k].Mem
 			}
 			bl.blocks[idx] = Block{
-				Ops:    sub,
-				Cycles: cyc,
-				Pure:   pure,
-				W0:     sub[0].PC >> 8,
-				W1:     (sub[len(sub)-1].PC + 5) >> 8,
+				Ops:       sub,
+				Cycles:    cyc,
+				Pure:      pure,
+				Countdown: countdown(sub),
+				W0:        sub[0].PC >> 8,
+				W1:        (sub[len(sub)-1].PC + 5) >> 8,
 			}
 		}
 	}
 	return bl
+}
+
+// countdown reports whether ops is a `dec Rn; jnz` self-loop (see
+// Block.Countdown). UFmt1Reg already means a word op on R4..R15.
+func countdown(ops []BlockOp) bool {
+	if len(ops) != 2 {
+		return false
+	}
+	d, j := ops[0].U, ops[1].U
+	return d.Class == UFmt1Reg && d.Op == SUB && d.SrcK == SrcConst && d.SrcVal == 1 &&
+		j.Class == UJump && j.Op == JNE && j.Target == ops[0].PC
 }
