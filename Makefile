@@ -27,8 +27,9 @@ test:
 # against the cache-less reference machine, block admission corners,
 # tick equivalence, pinned block exits and monitor callbacks), the
 # restore contract (every write to the slab marks its page, and
-# Space.Restore from the base snapshot copies back exactly the marked
-# pages; pinned per attack job), the staleness contract that rides on
+# Space.Restore from the base snapshot restores exactly the marked
+# pages; pinned per attack job, as are the pages a sealed snapshot
+# holds), the staleness contract that rides on
 # the same mask (a cached decode is stale exactly when its fetch window
 # touches a marked page, a restore or a cache install makes it fresh,
 # and a poke between runs or a reinstall on a sealed machine is seen),
@@ -49,15 +50,17 @@ test:
 # reference stepping every iteration. The golden journal digests pin
 # what the whole simulator computes for the default matrix and
 # Generate(1, 64) in every column: a change meant only to run faster
-# leaves them as they are. This target fails if any of these suites is
-# skipped or matches nothing, or if those five tests do not pass under
-# their own names.
+# leaves them as they are. The sealed-machine gate bounds the live heap
+# one pooled machine holds, so a change that gives each machine its own
+# copy of something shareable fails here. This target fails if any of
+# these suites is skipped or matches nothing, or if those six tests do
+# not pass under their own names.
 test-differential:
-	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults' \
+	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults|TestSealedMachineBytes' \
 		./internal/mem ./internal/cpu ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \
-	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests; do \
+	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes; do \
 		echo "$$out" | grep -q -- "--- PASS: $$t (" || { echo "$$t did not pass"; exit 1; }; \
 	done; \
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"

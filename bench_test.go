@@ -367,7 +367,9 @@ func BenchmarkSimulator_AppsByDefense(b *testing.B) {
 // machine runs nothing, so it copies none: recycled-after-attack
 // measures what a short attack job pays, Recycle plus the stack-smash
 // run, with 64 machines in rotation so the copies do not hit a warm
-// cache.
+// cache. Every case reports its allocations, so B/op and allocs/op land
+// in the BENCH_<n>.json records: construct-per-job's B/op is about what
+// one machine holds.
 func BenchmarkFleet_MachineChurn(b *testing.B) {
 	p := newPipeline(b)
 	app, ok := apps.ByName("TempSensor")
@@ -395,6 +397,7 @@ func BenchmarkFleet_MachineChurn(b *testing.B) {
 	pre.Blocks()
 
 	b.Run("construct-per-job", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m := newMachine(b)
 			m.UsePredecoded(pre)
@@ -402,6 +405,7 @@ func BenchmarkFleet_MachineChurn(b *testing.B) {
 		}
 	})
 	b.Run("recycled", func(b *testing.B) {
+		b.ReportAllocs()
 		m := newMachine(b)
 		m.UsePredecoded(pre)
 		m.Snapshot()
@@ -423,6 +427,7 @@ func BenchmarkFleet_MachineChurn(b *testing.B) {
 	}
 	for _, spec := range []*core.DefenseSpec{core.DefenseBaseline, core.DefenseEILID} {
 		b.Run("recycled-after-attack/"+spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			tg := attacks.TargetFor(p, victim, spec)
 			// The machines share the first one's decode cache, as a
 			// fleet pool's do.

@@ -96,18 +96,15 @@ type MachineOptions struct {
 	Defense *DefenseSpec
 }
 
-// NewMachine assembles a device.
+// NewMachine assembles a device: the peripherals first, then the memory
+// space with their whole map (mem.NewSpace, which shares its dispatch
+// table with every machine of the same layout), then the CPU over it.
 func NewMachine(opts MachineOptions) (*Machine, error) {
 	cfg := opts.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	space, err := mem.NewSpace(cfg.Layout)
-	if err != nil {
-		return nil, err
-	}
-	m := &Machine{Space: space, IRQ: &periph.IRQController{}, ctl: &simCtl{}}
-	m.CPU = cpu.New(space)
+	m := &Machine{IRQ: &periph.IRQController{}, ctl: &simCtl{}}
 
 	clock := func() uint64 { return m.CPU.Cycles }
 	m.Port1 = periph.NewGPIO(periph.P1INAddr, m.IRQ, periph.IRQPort1)
@@ -132,25 +129,25 @@ func NewMachine(opts MachineOptions) (*Machine, error) {
 	m.ADC.Attach(2, periph.FlameSensorModel)
 	m.Ranger.Distance = periph.RangerDistanceModel
 
-	type span interface {
+	// The whole peripheral map goes to NewSpace, so the space's dispatch
+	// table is fixed before the CPU takes its plain-memory flags.
+	type device interface {
+		mem.Handler
 		Span() (uint16, uint16)
 	}
-	for _, dev := range []struct {
-		s span
-		h mem.Handler
-	}{
-		{m.Port1, m.Port1}, {m.Port2, m.Port2}, {m.TimerA, m.TimerA},
-		{m.ADC, m.ADC}, {m.UART, m.UART}, {m.LCD, m.LCD},
-		{m.Ranger, m.Ranger}, {latch, latch},
-	} {
-		lo, hi := dev.s.Span()
-		if err := space.Map(lo, hi, dev.h); err != nil {
-			return nil, err
-		}
+	devices := []device{m.Port1, m.Port2, m.TimerA, m.ADC, m.UART, m.LCD, m.Ranger, latch}
+	maps := make([]mem.Mapping, 0, len(devices)+1)
+	for _, dev := range devices {
+		lo, hi := dev.Span()
+		maps = append(maps, mem.Mapping{Start: lo, End: hi, Handler: dev})
 	}
-	if err := space.Map(SimCtlAddr, SimCtlAddr+1, m.ctl); err != nil {
+	maps = append(maps, mem.Mapping{Start: SimCtlAddr, End: SimCtlAddr + 1, Handler: m.ctl})
+	space, err := mem.NewSpace(cfg.Layout, maps...)
+	if err != nil {
 		return nil, err
 	}
+	m.Space = space
+	m.CPU = cpu.New(space)
 
 	spec := opts.Defense
 	if spec == nil {

@@ -30,12 +30,14 @@ type Bus interface {
 // DirectBus is an optional Bus refinement (implemented by mem.Space)
 // exposing the backing slab, its written-page mask and per-address
 // plain-memory flags so the core can inline accesses to plain RAM
-// without an interface call. The fast path reproduces the bus semantics
-// for such addresses exactly: word alignment, little-endian layout and
-// the page mark (bit addr>>8 of the 256-bit mask: mem.Space.Restore
-// copies back only the marked 256-byte pages). All other addresses
-// (peripheral handlers, unmapped space with its bus-error accounting)
-// go through the Bus methods unchanged.
+// without an interface call. New takes the three pointers once, so they
+// must stay valid, and the flags unchanged, for the bus's life. The
+// fast path reproduces the bus semantics for such addresses exactly:
+// word alignment, little-endian layout and the page mark (bit addr>>8
+// of the 256-bit mask: mem.Space.Restore copies back only the marked
+// 256-byte pages). All other addresses (peripheral handlers, unmapped
+// space with its bus-error accounting) go through the Bus methods
+// unchanged.
 //
 // The mask is also the core's only record of which cached decodes a
 // write may have staled: every write to the slab, on the CPU or off it,
@@ -243,6 +245,9 @@ const (
 )
 
 // New creates a CPU attached to the bus. Call Reset before stepping.
+// A DirectBus hands over its slab, mask and plain-memory flags here,
+// once: the flags must not change for the bus's life, as mem.Space's
+// do not, since its peripheral map is fixed when it is built.
 func New(bus Bus) *CPU {
 	c := &CPU{bus: bus}
 	if d, ok := bus.(DirectBus); ok {

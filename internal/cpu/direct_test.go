@@ -138,10 +138,8 @@ func TestDirectRAMMatchesBus(t *testing.T) {
 		sealed []byte
 	}
 	build := func(direct bool, executor string) *side {
-		sd := &side{s: mem.MustNewSpace(mem.DefaultLayout()), dev: &logDev{regs: map[uint16]uint16{}}}
-		if err := sd.s.Map(0x0140, 0x0143, sd.dev); err != nil {
-			t.Fatal(err)
-		}
+		sd := &side{dev: &logDev{regs: map[uint16]uint16{}}}
+		sd.s = mem.MustNewSpace(mem.DefaultLayout(), mem.Mapping{Start: 0x0140, End: 0x0143, Handler: sd.dev})
 		if err := sd.s.LoadImage(0xE000, img); err != nil {
 			t.Fatal(err)
 		}

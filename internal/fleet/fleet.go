@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,22 +72,40 @@ type JobResult struct {
 	Err    string `json:"error,omitempty"`
 }
 
-// artifact is the shared read-only build product for one firmware:
-// assembled images plus one predecoded instruction cache per build
-// flavour (instrumented defenses share preInst, all others preOrig —
-// their memory contents are byte-identical).
+// artifact is the shared build product for one firmware: assembled
+// images plus up to one predecoded instruction cache per build flavour
+// (instrumented defenses share inst, all others orig — their memory
+// contents are byte-identical). A flavour's cache is built the first
+// time a runner that runs it prepares the artifact, and never changes
+// after.
 type artifact struct {
-	build   *core.BuildResult
-	preOrig *isa.Predecoded
-	preInst *isa.Predecoded
+	build      *core.BuildResult
+	orig, inst flavour
 }
 
-// pre returns the decode cache for a defense's build flavour.
-func (a *artifact) pre(spec *core.DefenseSpec) *isa.Predecoded {
+// flavour is one build flavour's decode cache, built at most once from
+// a machine of the flavour's reference defense.
+type flavour struct {
+	once sync.Once
+	pre  *isa.Predecoded
+	err  error
+}
+
+// flavour returns the slot of a defense's build flavour and the defense
+// its cache is snapshotted under: eilid for the instrumented build,
+// baseline for the original one.
+func (a *artifact) flavour(spec *core.DefenseSpec) (*flavour, *core.DefenseSpec) {
 	if spec.Instrumented {
-		return a.preInst
+		return &a.inst, core.DefenseEILID
 	}
-	return a.preOrig
+	return &a.orig, core.DefenseBaseline
+}
+
+// pre returns the decode cache for a defense's build flavour. The
+// runner's prepare built it before any of the runner's jobs started.
+func (a *artifact) pre(spec *core.DefenseSpec) *isa.Predecoded {
+	f, _ := a.flavour(spec)
+	return f.pre
 }
 
 // cell is what a job resolves to when NewRunnerWarm enumerates it: the
@@ -97,10 +116,11 @@ type cell struct {
 	item int
 }
 
-// Runner holds a prepared matrix: every firmware built, every decode
-// cache snapshotted, every job enumerated and resolved to its cell. Run
-// may be called multiple times; the artifacts and the machines idle in
-// the runner's Warm are reused.
+// Runner holds a prepared matrix: every firmware built, the decode cache
+// of every build flavour its columns run snapshotted, every job
+// enumerated and resolved to its cell. Run may be called multiple
+// times; the artifacts and the machines idle in the runner's Warm are
+// reused.
 type Runner struct {
 	p         *core.Pipeline
 	spec      BatchSpec // resolved (ResolveSpec) — the batch's canonical identity
@@ -226,6 +246,8 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 			rows = append(rows, row{job, r.artifacts["gen/"+g.Victim], i})
 		}
 	}
+	n := spec.Matrix.Repeat * len(rows) * len(r.defenses)
+	r.jobs, r.cells = make([]Job, 0, n), make([]cell, 0, n)
 	for rep := 0; rep < spec.Matrix.Repeat; rep++ {
 		for _, rw := range rows {
 			for _, d := range r.defenses {
@@ -239,11 +261,15 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 	return r, nil
 }
 
-// prepare builds one firmware and snapshots its per-flavour decode
-// caches from reference machines carrying the exact images the jobs
-// will run, or takes the artifact from the Warm when it holds one for
-// this source. Both flavours are snapshotted regardless of the selected
-// defenses, so artifacts are identical whatever columns run.
+// prepare builds one firmware, or takes the artifact from the Warm when
+// it holds one for this source, and makes sure the artifact carries the
+// decode cache of every build flavour the runner's defenses run: a
+// baseline-only batch never builds the instrumented cache, and an
+// eilid-only batch never builds the original one. A flavour missing
+// from a warm artifact is built here, once, whichever of the runners
+// sharing the Warm gets there first; the others wait for it. Each cache
+// is snapshotted from a reference machine carrying the exact image the
+// jobs will run.
 func (r *Runner) prepare(key, file, source string) (*artifact, error) {
 	if a, ok := r.artifacts[key]; ok {
 		return a, nil
@@ -255,14 +281,14 @@ func (r *Runner) prepare(key, file, source string) (*artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		a = &artifact{build: build}
-		if a.preOrig, err = r.snapshot(build, core.DefenseBaseline); err != nil {
-			return nil, err
+		a = r.warm.putArtifact(content, &artifact{build: build})
+	}
+	for _, d := range r.defenses {
+		f, ref := a.flavour(d)
+		f.once.Do(func() { f.pre, f.err = r.snapshot(a.build, ref) })
+		if f.err != nil {
+			return nil, f.err
 		}
-		if a.preInst, err = r.snapshot(build, core.DefenseEILID); err != nil {
-			return nil, err
-		}
-		r.warm.putArtifact(content, a)
 	}
 	r.artifacts[key] = a
 	return a, nil
@@ -272,8 +298,8 @@ func (r *Runner) prepare(key, file, source string) (*artifact, error) {
 // machine and returns the decode cache it predecoded. Installing the
 // cache fused its block table too, during sequential preparation, so
 // the first job to run this ROM pays for neither.
-func (r *Runner) snapshot(build *core.BuildResult, flavour *core.DefenseSpec) (*isa.Predecoded, error) {
-	m, err := attacks.TargetFor(r.p, build, flavour).NewMachine()
+func (r *Runner) snapshot(build *core.BuildResult, ref *core.DefenseSpec) (*isa.Predecoded, error) {
+	m, err := attacks.TargetFor(r.p, build, ref).NewMachine()
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +350,10 @@ func (r *Runner) Spec() BatchSpec { return r.spec }
 // order, and a replacement worker takes its worker's place. The
 // abandoned worker keeps the machine it checked out, which no other
 // job can reach; it checks the machine back in and exits only if its
-// job ever returns, and Run never waits for it.
+// job ever returns, and Run never waits for it. A job that returns past
+// its timeout before the watchdog looked is recorded the same way by
+// its own worker, so whether a job that ran too long is a watchdog
+// failure does not depend on when the watchdog wakes.
 //
 // The report carries the aggregate counters of the emitted jobs; the
 // results are not retained. A failing or panicking job becomes a result
@@ -421,7 +450,7 @@ func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)
 					continue
 				}
 				if a.claimed.CompareAndSwap(false, true) {
-					a.res = JobResult{Job: r.jobs[a.job], Err: fmt.Sprintf("watchdog: job exceeded the %v wall-clock limit", r.jobTimeout)}
+					a.res = r.watchdogRecord(a.job)
 					a.ready = true
 					go r.work(todo, done)
 				}
@@ -485,14 +514,23 @@ func (r *Runner) watchdogDue(slots []*attempt, from, to int) (time.Duration, boo
 // and leaves its place to a replacement.
 func (r *Runner) work(todo <-chan *attempt, done chan<- *attempt) {
 	for a := range todo {
-		a.started.Store(int64(monotonic()))
+		start := monotonic()
+		a.started.Store(int64(start))
 		res := r.runJobOnce(a.job)
 		if !a.claimed.CompareAndSwap(false, true) {
 			return
 		}
+		if r.jobTimeout > 0 && monotonic()-start >= r.jobTimeout {
+			res = r.watchdogRecord(a.job)
+		}
 		a.res = res
 		done <- a
 	}
+}
+
+// watchdogRecord is the result of a job that ran past the job timeout.
+func (r *Runner) watchdogRecord(job int) JobResult {
+	return JobResult{Job: r.jobs[job], Err: fmt.Sprintf("watchdog: job exceeded the %v wall-clock limit", r.jobTimeout)}
 }
 
 // runJobOnce runs one job under recover: it checks a machine out of the

@@ -68,9 +68,12 @@ type WarmStats struct {
 	Artifacts int `json:"artifacts"`
 	Machines  int `json:"machines"`
 	// Hits and misses accumulate over the cache's lifetime. An artifact
-	// miss is a firmware actually built; MachineHits counts checkouts of
-	// a machine another runner checked in, so it measures cross-batch
-	// recycling only.
+	// miss is a firmware actually built. A cached artifact counts as a
+	// hit even when the runner has to add the decode cache of a build
+	// flavour no earlier runner ran (a baseline-only batch builds only
+	// the original build's): the firmware was not built again.
+	// MachineHits counts checkouts of a machine another runner checked
+	// in, so it measures cross-batch recycling only.
 	ArtifactHits   int `json:"artifact_hits"`
 	ArtifactMisses int `json:"artifact_misses"`
 	MachineHits    int `json:"machine_hits"`
@@ -116,14 +119,18 @@ func (w *Warm) artifact(key string) *artifact {
 	return a
 }
 
-// putArtifact caches a freshly built artifact under its content key.
-func (w *Warm) putArtifact(key string, a *artifact) {
+// putArtifact caches a freshly built artifact under its content key and
+// returns the one cached there: a, or the artifact a concurrent runner
+// cached first, so that runners sharing the Warm share its flavours.
+func (w *Warm) putArtifact(key string, a *artifact) *artifact {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, ok := w.artifacts[key]; !ok {
-		w.artifacts[key] = a
-		w.stats.Artifacts = len(w.artifacts)
+	if cached, ok := w.artifacts[key]; ok {
+		return cached
 	}
+	w.artifacts[key] = a
+	w.stats.Artifacts = len(w.artifacts)
+	return a
 }
 
 // checkout takes an idle machine out of the pool, or returns nil when

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
+
+	"eilid/internal/core"
+	"eilid/internal/isa"
 )
 
 // warmSpec is the cross-batch matrix: an app, an attack and a small
@@ -134,5 +138,110 @@ func TestJournalHeaderForSpec(t *testing.T) {
 		if want.Jobs != len(r.Jobs()) {
 			t.Errorf("arithmetic job count %d != %d actual jobs for %+v", want.Jobs, len(r.Jobs()), spec.Matrix)
 		}
+	}
+}
+
+// TestRecycleWarmAddsFlavour pins that a runner predecodes only the
+// build flavours its columns run, and that a warm artifact lacking a
+// flavour a later batch needs gets it then, once, for every machine of
+// that flavour to share. A baseline-only batch leaves the instrumented
+// cache unbuilt; two eilid runners preparing at once on the same Warm
+// share the one either builds, and the machines of two eilid batches
+// run exactly that cache. Every journal equals its cold run's.
+func TestRecycleWarmAddsFlavour(t *testing.T) {
+	p := newPipeline(t)
+	spec := func(defense string) BatchSpec {
+		s := warmSpec(2)
+		s.Matrix.Defenses = []string{defense}
+		return s
+	}
+	cold := func(defense string) []byte {
+		r, err := NewRunner(p, spec(defense))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := journalRun(t, r, -1)
+		return data
+	}
+	warm := NewWarm()
+	run := func(defense string) *Runner {
+		r, err := NewRunnerWarm(p, spec(defense), warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := journalRun(t, r, -1); !bytes.Equal(got, cold(defense)) {
+			t.Fatalf("%s batch on the warm cache: journal differs from its cold run", defense)
+		}
+		return r
+	}
+
+	base := run("baseline")
+	for key, a := range base.artifacts {
+		if a.orig.pre == nil || a.inst.pre != nil {
+			t.Fatalf("%s after a baseline-only batch: original cache %p, instrumented %p; want only the original",
+				key, a.orig.pre, a.inst.pre)
+		}
+	}
+	misses := warm.Stats().ArtifactMisses
+
+	// Two eilid runners prepare at once, as concurrent fleetd batches
+	// may: each must see the one instrumented cache either of them built.
+	var racing [2]*Runner
+	var wg sync.WaitGroup
+	for i := range racing {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := NewRunnerWarm(p, spec("eilid"), warm)
+			if err != nil {
+				t.Error(err)
+			}
+			racing[i] = r
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for key, a := range racing[0].artifacts {
+		if b := racing[1].artifacts[key]; b != a || a.inst.pre == nil {
+			t.Fatalf("%s: concurrent eilid runners prepared artifacts %p and %p (instrumented cache %p)", key, a, b, a.inst.pre)
+		}
+	}
+
+	built := map[*artifact]*isa.Predecoded{}
+	for pass := 1; pass <= 2; pass++ {
+		r := run("eilid")
+		for key, a := range r.artifacts {
+			if a != base.artifacts[key] {
+				t.Fatalf("pass %d: %s rebuilt instead of taken from the Warm", pass, key)
+			}
+			if a.inst.pre == nil {
+				t.Fatalf("pass %d: %s has no instrumented cache after an eilid batch", pass, key)
+			}
+			if pass == 1 {
+				built[a] = a.inst.pre
+			} else if a.inst.pre != built[a] {
+				t.Fatalf("%s: the second eilid batch rebuilt the instrumented cache", key)
+			}
+		}
+		idle := 0
+		for k, ms := range warm.machines {
+			if k.spec != core.DefenseEILID {
+				continue
+			}
+			for _, im := range ms {
+				idle++
+				if got := im.m.CPU.Predecoded(); got != k.a.inst.pre {
+					t.Fatalf("pass %d: an eilid machine runs cache %p, not the artifact's %p", pass, got, k.a.inst.pre)
+				}
+			}
+		}
+		if idle == 0 {
+			t.Fatalf("pass %d: no eilid machine idle in the Warm", pass)
+		}
+	}
+	if st := warm.Stats(); st.ArtifactMisses != misses {
+		t.Errorf("the eilid batches built %d firmwares the Warm held", st.ArtifactMisses-misses)
 	}
 }

@@ -106,6 +106,14 @@ func raiseDst(reg Reg, ad uint16, next func() (uint16, bool)) (Operand, error) {
 	}
 }
 
+// opensInstruction reports whether w has the shape of a first word of
+// one of the three formats (a jump, a single-operand or a
+// double-operand instruction); Decode refuses every other word as an
+// unrecognized format.
+func opensInstruction(w uint16) bool {
+	return w&0xE000 == 0x2000 || w&0xFC00 == 0x1000 || w>>12 >= 0x4
+}
+
 // Decode decodes one instruction from the start of words, returning the
 // instruction and the number of 16-bit words consumed.
 func Decode(words []uint16) (Instruction, int, error) {

@@ -69,6 +69,9 @@ func Predecode(read func(addr uint16) uint16, start, end uint16, fetchable func(
 			continue
 		}
 		words := [3]uint16{read(addr), read(addr + 2), read(addr + 4)}
+		if !opensInstruction(words[0]) {
+			continue // empty flash: skip Decode's error allocation
+		}
 		in, _, err := Decode(words[:])
 		if err != nil {
 			continue

@@ -1,6 +1,9 @@
 package isa
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // TestPredecodeMatchesDecode: every cached entry must be exactly the
 // lowering of what Decode returns for the same words, and addresses that
@@ -116,6 +119,20 @@ func TestPredecodeFetchablePredicate(t *testing.T) {
 	for _, a := range []uint16{0x300C, 0x300E, 0x3010, 0x3012} {
 		if p.EntryAt(a) != nil {
 			t.Errorf("0x%04x cached despite fetch window leaving the region", a)
+		}
+	}
+}
+
+// TestOpensInstructionMatchesDecode pins the shortcut Predecode takes
+// past Decode: a word opensInstruction rejects is exactly one Decode
+// refuses as an unrecognized format, whatever follows it.
+func TestOpensInstructionMatchesDecode(t *testing.T) {
+	for w := 0; w <= 0xFFFF; w++ {
+		_, _, err := Decode([]uint16{uint16(w), 0x1234, 0x5678})
+		var de *DecodeError
+		unrecognized := errors.As(err, &de) && de.Why == "unrecognized format"
+		if opensInstruction(uint16(w)) == unrecognized {
+			t.Fatalf("word 0x%04x: opensInstruction %v, Decode error %v", w, opensInstruction(uint16(w)), err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -56,7 +57,7 @@ type bus interface {
 type linearSpace struct {
 	layout        Layout
 	ram           [Size]byte
-	maps          []mapping
+	maps          []Mapping
 	busErrors     int
 	handlerStores uint64
 	written       [Size / 256]bool
@@ -64,8 +65,8 @@ type linearSpace struct {
 
 func (s *linearSpace) lookup(addr uint16) (h Handler, plain bool) {
 	for _, m := range s.maps {
-		if addr >= m.start && addr <= m.end {
-			return m.h, false
+		if addr >= m.Start && addr <= m.End {
+			return m.Handler, false
 		}
 	}
 	return nil, s.layout.RegionOf(addr) != RegionUnmapped
@@ -170,16 +171,11 @@ func newDiffPair(t *testing.T) *diffPair {
 		p.words[i] = newWordDev()
 		p.bytes[i] = &byteDev{wordDev: *newWordDev()}
 	}
-	p.space = MustNewSpace(DefaultLayout())
-	if err := p.space.Map(wordLo, wordHi, p.words[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.space.Map(byteLo, byteHi, p.bytes[0]); err != nil {
-		t.Fatal(err)
-	}
+	p.space = MustNewSpace(DefaultLayout(),
+		Mapping{wordLo, wordHi, p.words[0]}, Mapping{byteLo, byteHi, p.bytes[0]})
 	p.ref = &linearSpace{
 		layout: DefaultLayout(),
-		maps:   []mapping{{wordLo, wordHi, p.words[1]}, {byteLo, byteHi, p.bytes[1]}},
+		maps:   []Mapping{{wordLo, wordHi, p.words[1]}, {byteLo, byteHi, p.bytes[1]}},
 	}
 	return p
 }
@@ -339,7 +335,7 @@ func TestDispatchDifferentialRandom(t *testing.T) {
 	plainPages := 0
 	for page := 0; page < Size/256; page++ {
 		for a := page * 256; a < page*256+256; a++ {
-			if p.space.plain[a] {
+			if p.space.table.plain[a] {
 				plainPages++
 				break
 			}
@@ -351,29 +347,135 @@ func TestDispatchDifferentialRandom(t *testing.T) {
 }
 
 // TestDispatchTableMatchesRegions cross-checks the table against the
-// layout classifier for every address.
+// layout classifier for every address, and a mapped range against its
+// handler index.
 func TestDispatchTableMatchesRegions(t *testing.T) {
 	s := MustNewSpace(DefaultLayout())
 	for a := 0; a < Size; a++ {
 		addr := uint16(a)
 		wantPlain := s.Layout.RegionOf(addr) != RegionUnmapped
-		if s.plain[addr] != wantPlain {
-			t.Fatalf("plain[0x%04x] = %v, want %v (region %v)", addr, s.plain[addr], wantPlain, s.Layout.RegionOf(addr))
+		if s.table.plain[addr] != wantPlain {
+			t.Fatalf("plain[0x%04x] = %v, want %v (region %v)", addr, s.table.plain[addr], wantPlain, s.Layout.RegionOf(addr))
 		}
-		if s.hidx[addr] != 0 {
-			t.Fatalf("hidx[0x%04x] = %d on a handler-free space", addr, s.hidx[addr])
+		if s.table.hidx[addr] != 0 {
+			t.Fatalf("hidx[0x%04x] = %d on a handler-free space", addr, s.table.hidx[addr])
 		}
 	}
-	d := newWordDev()
-	if err := s.Map(0x0040, 0x0047, d); err != nil {
-		t.Fatal(err)
-	}
+	m := MustNewSpace(DefaultLayout(), Mapping{0x0040, 0x0047, newWordDev()})
 	for a := 0x0040; a <= 0x0047; a++ {
-		if s.plain[a] || s.hidx[a] == 0 {
+		if m.table.plain[a] || m.table.hidx[a] != 1 {
 			t.Fatalf("mapped address 0x%04x not routed to handler", a)
 		}
 	}
-	if s.plain[0x003F] != true || s.plain[0x0048] != true {
+	if m.table.plain[0x003F] != true || m.table.plain[0x0048] != true {
 		t.Fatal("mapping leaked outside its range")
 	}
+}
+
+// TestDispatchDifferentialShared pins the sharing: spaces built with the same
+// layout and ranges point at one table, whatever their handlers, and
+// each still dispatches to its own handlers exactly as its linear-scan
+// reference does; a space with a different map gets a table of its own
+// and leaves the first spaces' dispatch as it was.
+func TestDispatchDifferentialShared(t *testing.T) {
+	a, b := newDiffPair(t), newDiffPair(t)
+	if a.space.table != b.space.table {
+		t.Fatal("two spaces with the same map built separate dispatch tables")
+	}
+	before := *a.space.table
+	other := MustNewSpace(DefaultLayout(), Mapping{wordLo, wordHi + 2, newWordDev()})
+	if other.table == a.space.table {
+		t.Fatal("a space with a different map shares the first map's table")
+	}
+	if *a.space.table != before {
+		t.Fatal("building a space with another map changed the shared table")
+	}
+	if i := other.table.hidx[wordHi+2]; i != 1 {
+		t.Fatalf("other map: hidx[0x%04x] = %d, want 1", wordHi+2, i)
+	}
+	if a.space.table.hidx[wordHi+2] != 0 || !a.space.table.plain[wordHi+2] {
+		t.Fatalf("shared map: 0x%04x is not plain", wordHi+2)
+	}
+	rng := rand.New(rand.NewSource(0x5A4ED))
+	for i := 0; i < 4000; i++ {
+		addr := uint16(wordLo - 8 + rng.Intn(byteHi-wordLo+16))
+		v := uint16(rng.Uint32())
+		for _, p := range []*diffPair{a, b} {
+			switch i % 4 {
+			case 0:
+				p.both(t, "LW", func(s bus) uint16 { return s.LoadWord(addr) })
+			case 1:
+				p.both(t, "LB", func(s bus) uint16 { return uint16(s.LoadByte(addr)) })
+			case 2:
+				p.both(t, "SW", func(s bus) uint16 { s.StoreWord(addr, v+uint16(i)); return 0 })
+			case 3:
+				p.both(t, "SB", func(s bus) uint16 { s.StoreByte(addr, uint8(v)); return 0 })
+			}
+		}
+	}
+	a.compare(t, "first space sharing the table")
+	b.compare(t, "second space sharing the table")
+	if a.space.HandlerStores() == 0 || b.space.HandlerStores() == 0 {
+		t.Error("the stream never stored to a handler")
+	}
+
+	// Spaces built at once from several goroutines, as fleet workers
+	// build machines, with a map no other test uses: one table for all.
+	spaces := make([]*Space, 4)
+	var wg sync.WaitGroup
+	for i := range spaces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spaces[i] = MustNewSpace(DefaultLayout(), Mapping{0x0180, 0x0183, newWordDev()})
+		}()
+	}
+	wg.Wait()
+	for _, s := range spaces[1:] {
+		if s.table != spaces[0].table {
+			t.Fatal("spaces built concurrently with the same map got separate tables")
+		}
+	}
+}
+
+// TestNewSpaceRejectsBadMaps pins the map validation NewSpace does
+// before it takes or builds a table.
+func TestNewSpaceRejectsBadMaps(t *testing.T) {
+	dev := newWordDev()
+	for _, c := range []struct {
+		name string
+		maps []Mapping
+		want string
+	}{
+		{"overlapping", []Mapping{{0x0020, 0x002F, dev}, {0x0028, 0x0030, dev}},
+			"mem: mapping 0x0028..0x0030 overlaps 0x0020..0x002f"},
+		{"outside the peripheral window", []Mapping{{0x0300, 0x0310, dev}},
+			"mem: mapping 0x0300..0x0310 outside peripheral window"},
+		{"straddling the window's end", []Mapping{{0x01F0, 0x0200, dev}},
+			"mem: mapping 0x01f0..0x0200 outside peripheral window"},
+		{"inverted", []Mapping{{0x0040, 0x0030, dev}},
+			"mem: bad mapping 0x0040..0x0030"},
+		{"256 mappings", twoByteMaps(256, dev),
+			"mem: too many peripheral mappings (max 255)"},
+	} {
+		if _, err := NewSpace(DefaultLayout(), c.maps...); err == nil || err.Error() != c.want {
+			t.Errorf("%s: NewSpace error %v, want %q", c.name, err, c.want)
+		}
+	}
+	s, err := NewSpace(DefaultLayout(), twoByteMaps(255, dev)...)
+	if err != nil {
+		t.Fatalf("255 mappings: %v", err)
+	}
+	if i := s.table.hidx[0x01FC]; i != 255 {
+		t.Fatalf("255th mapping: hidx = %d, want 255", i)
+	}
+}
+
+// twoByteMaps returns n adjacent two-byte mappings from address 0.
+func twoByteMaps(n int, h Handler) []Mapping {
+	maps := make([]Mapping, n)
+	for i := range maps {
+		maps[i] = Mapping{uint16(2 * i), uint16(2*i + 1), h}
+	}
+	return maps
 }

@@ -12,3 +12,7 @@ func WrittenPages(s *Space) int {
 	}
 	return n
 }
+
+// SnapshotPages returns how many 256-byte pages snap holds: the pages
+// of the sealed slab that held a non-zero byte.
+func SnapshotPages(snap *Snapshot) int { return len(snap.pages) }

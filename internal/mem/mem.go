@@ -206,20 +206,26 @@ type StillHolder interface {
 	HoldsStill(addr uint16) bool
 }
 
-type mapping struct {
-	start, end uint16 // inclusive
-	h          Handler
+// Mapping attaches a peripheral handler to the inclusive address range
+// [Start, End], which must lie inside the layout's peripheral window.
+type Mapping struct {
+	Start, End uint16
+	Handler    Handler
 }
 
-// Space is the device memory: a 64 KB backing array plus peripheral
-// mappings. It implements the bus the CPU core drives. Space performs no
-// protection checks itself — protection is the hardware monitor's job —
-// but it records the last bus error (access to unmapped space) for tests.
+// Space is the device memory: a 64 KB backing slab plus the peripheral
+// map it was built with. It implements the bus the CPU core drives.
+// Space performs no protection checks itself — protection is the
+// hardware monitor's job — but it records the last bus error (access to
+// unmapped space) for tests.
 //
-// Dispatch is O(1): two per-address tables, built at NewSpace/Map time,
-// classify every address as plain backing memory, a peripheral handler,
-// or unmapped space. dispatch_test.go checks them against a linear scan
-// of the mappings, the reference semantics.
+// Dispatch is O(1): two per-address tables classify every address as
+// plain backing memory, a peripheral handler, or unmapped space. They
+// depend only on the layout and the mapped ranges, which are fixed at
+// NewSpace, so every space built with the same layout and ranges points
+// at one read-only table built once per process; only the handlers are
+// the space's own. dispatch_test.go checks the tables against a linear
+// scan of the mappings, the reference semantics.
 //
 // Every write to the backing array marks its 256-byte page in a mask:
 // the stores, LoadImage, the volatile clear in Reset, and the CPU's
@@ -229,22 +235,21 @@ type mapping struct {
 // image after Settle. Restore reads it to copy back only the pages
 // written since, and the CPU reads it to tell a stale cached decode
 // (cpu.DirectBus).
+//
+// A sealed space holds its slab (an allocation of its own, exactly
+// 64 KiB), its handlers and, through its base, a snapshot of only the
+// pages that hold a byte; the dispatch table is shared.
 type Space struct {
-	Layout Layout
-	ram    [Size]byte
-	maps   []mapping
+	Layout   Layout
+	ram      *[Size]byte
+	table    *dispatch
+	handlers []Handler // handlers[i] serves the addresses table.hidx marks i+1
 
 	// written marks the pages of ram changed since the last Snapshot,
 	// Restore or Settle; base is the snapshot ram equalled then (nil
 	// after Settle).
 	written pageMask
 	base    *Snapshot
-
-	// plain marks addresses that dispatch straight to the backing array:
-	// inside a mapped region, with no peripheral handler attached.
-	plain [Size]bool
-	// hidx maps an address to 1+index of its handler in maps (0 = none).
-	hidx [Size]uint8
 
 	// handlerStores counts stores that reached a peripheral handler; the
 	// machine's run loop uses it to notice that a register write may have
@@ -257,17 +262,48 @@ type Space struct {
 	BusErrors int
 }
 
-// plainTemplates caches the handler-free dispatch table per layout, so
-// the fleet runner's bulk machine construction pays the 64 K region
-// classification once per layout rather than once per Space.
-var plainTemplates sync.Map // Layout -> *[Size]bool
+// dispatch routes every address of one layout and peripheral map. It is
+// read-only once built and shared by every space built with the same
+// layout and ranges.
+type dispatch struct {
+	// plain marks addresses that dispatch straight to the backing slab:
+	// inside a mapped region, with no peripheral handler attached.
+	plain [Size]bool
+	// hidx maps an address to 1+index of its mapping (0 = none).
+	hidx [Size]uint8
+}
 
-func plainTemplate(l Layout) *[Size]bool {
-	if v, ok := plainTemplates.Load(l); ok {
-		return v.(*[Size]bool)
+// dispatchKey names a dispatch table: a layout and the bounds of its
+// mappings, four bytes each, in map order.
+type dispatchKey struct {
+	layout Layout
+	ranges string
+}
+
+// dispatches interns one table per whole peripheral map, so the fleet
+// runner's bulk machine construction builds the 64 K classification once
+// per process rather than once per space. Only whole maps are interned:
+// a process holds one table per distinct map it built a space with.
+var (
+	dispatchMu sync.Mutex
+	dispatches = map[dispatchKey]*dispatch{}
+)
+
+// dispatchFor returns the shared table for a layout and a validated
+// peripheral map, building it on first use.
+func dispatchFor(l Layout, maps []Mapping) *dispatch {
+	ranges := make([]byte, 0, 64)
+	for _, m := range maps {
+		ranges = append(ranges, byte(m.Start), byte(m.Start>>8), byte(m.End), byte(m.End>>8))
 	}
-	t := new([Size]bool)
-	// Every mapped region is plain memory until a handler claims it.
+	key := dispatchKey{l, string(ranges)}
+	dispatchMu.Lock()
+	defer dispatchMu.Unlock()
+	if d := dispatches[key]; d != nil {
+		return d
+	}
+	d := new(dispatch)
+	// Every mapped region is plain memory unless a handler claims it.
 	for _, span := range [][2]uint16{
 		{l.PeriphStart, l.PeriphEnd},
 		{l.DMEMStart, l.DMEMEnd},
@@ -277,56 +313,56 @@ func plainTemplate(l Layout) *[Size]bool {
 		{l.IVTStart, 0xFFFF},
 	} {
 		for a := int(span[0]); a <= int(span[1]); a++ {
-			t[a] = true
+			d.plain[a] = true
 		}
 	}
-	v, _ := plainTemplates.LoadOrStore(l, t)
-	return v.(*[Size]bool)
+	for i, m := range maps {
+		for a := int(m.Start); a <= int(m.End); a++ {
+			d.hidx[a] = uint8(i + 1)
+			d.plain[a] = false
+		}
+	}
+	dispatches[key] = d
+	return d
 }
 
-// NewSpace creates a Space with the given layout.
-func NewSpace(l Layout) (*Space, error) {
+// NewSpace creates a Space with the given layout and peripheral map.
+// Mappings must fall inside the peripheral window and must not overlap,
+// and there may be at most 255 of them. The map is fixed for the
+// space's life.
+func NewSpace(l Layout, maps ...Mapping) (*Space, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Space{Layout: l}
-	s.plain = *plainTemplate(l)
+	if len(maps) > 255 {
+		return nil, fmt.Errorf("mem: too many peripheral mappings (max 255)")
+	}
+	s := &Space{Layout: l, ram: new([Size]byte), handlers: make([]Handler, len(maps))}
+	for i, m := range maps {
+		if m.Start > m.End {
+			return nil, fmt.Errorf("mem: bad mapping 0x%04x..0x%04x", m.Start, m.End)
+		}
+		if l.RegionOf(m.Start) != RegionPeriph || l.RegionOf(m.End) != RegionPeriph {
+			return nil, fmt.Errorf("mem: mapping 0x%04x..0x%04x outside peripheral window", m.Start, m.End)
+		}
+		for _, o := range maps[:i] {
+			if m.Start <= o.End && o.Start <= m.End {
+				return nil, fmt.Errorf("mem: mapping 0x%04x..0x%04x overlaps 0x%04x..0x%04x", m.Start, m.End, o.Start, o.End)
+			}
+		}
+		s.handlers[i] = m.Handler
+	}
+	s.table = dispatchFor(l, maps)
 	return s, nil
 }
 
-// MustNewSpace is NewSpace for known-good layouts.
-func MustNewSpace(l Layout) *Space {
-	s, err := NewSpace(l)
+// MustNewSpace is NewSpace for known-good layouts and maps.
+func MustNewSpace(l Layout, maps ...Mapping) *Space {
+	s, err := NewSpace(l, maps...)
 	if err != nil {
 		panic(err)
 	}
 	return s
-}
-
-// Map attaches a peripheral handler to [start,end] (inclusive). Mappings
-// must fall inside the peripheral window and must not overlap.
-func (s *Space) Map(start, end uint16, h Handler) error {
-	if start > end {
-		return fmt.Errorf("mem: bad mapping 0x%04x..0x%04x", start, end)
-	}
-	if s.Layout.RegionOf(start) != RegionPeriph || s.Layout.RegionOf(end) != RegionPeriph {
-		return fmt.Errorf("mem: mapping 0x%04x..0x%04x outside peripheral window", start, end)
-	}
-	for _, m := range s.maps {
-		if start <= m.end && m.start <= end {
-			return fmt.Errorf("mem: mapping 0x%04x..0x%04x overlaps 0x%04x..0x%04x", start, end, m.start, m.end)
-		}
-	}
-	if len(s.maps) >= 255 {
-		return fmt.Errorf("mem: too many peripheral mappings (max 255)")
-	}
-	s.maps = append(s.maps, mapping{start, end, h})
-	idx := uint8(len(s.maps)) // 1-based in hidx
-	for a := int(start); a <= int(end); a++ {
-		s.hidx[a] = idx
-		s.plain[a] = false
-	}
-	return nil
 }
 
 // HandlerStores returns a generation counter incremented by every store
@@ -338,23 +374,25 @@ func (s *Space) HandlerStores() uint64 { return s.handlerStores }
 // Direct exposes the backing slab, its written-page mask and the
 // plain-memory dispatch flags so the CPU core can inline plain-RAM
 // accesses without an interface call, and read the mask to tell which
-// cached decodes a write may have staled. The returned pointers alias
-// live Space state: plain flags update as handlers are mapped, and the
-// mask is the one every write path marks. Callers must reproduce Space
-// semantics exactly: a fast store writes the slab and sets bit addr>>8
-// of the mask (word addr>>14, bit addr>>8&63). A store that skips the
-// mark survives the next Restore and leaves stale code running.
+// cached decodes a write may have staled. The slab and the mask alias
+// live Space state, the mask the one every write path marks; the flags
+// are the shared read-only table, fixed for the space's life and never
+// to be written through. All three pointers stay valid for the space's
+// life, so a caller may take them once, at construction. Callers must
+// reproduce Space semantics exactly: a fast store writes the slab and
+// sets bit addr>>8 of the mask (word addr>>14, bit addr>>8&63). A store
+// that skips the mark survives the next Restore and leaves stale code
+// running.
 func (s *Space) Direct() (slab *[Size]byte, written *[4]uint64, plain *[Size]bool) {
-	return &s.ram, &s.written, &s.plain
+	return s.ram, &s.written, &s.table.plain
 }
 
 // QuietLoad reports whether a load at addr (a byte load when byteWide,
 // else a word load of the aligned word) reaches a handler whose
 // QuietLoad calls it quiet, asking the handler about the address its
 // load method will receive. Plain and unmapped addresses report false.
-// The CPU's block planner reads it once per constant-address operand,
-// so the peripheral mapping must be complete before the first
-// cpu.RunBlocks.
+// The CPU's block planner reads it once per constant-address operand;
+// the answer cannot change, since the map is fixed at NewSpace.
 func (s *Space) QuietLoad(addr uint16, byteWide bool) bool {
 	h, a := s.loadHandler(addr, byteWide)
 	q, ok := h.(QuietLoader)
@@ -391,16 +429,16 @@ func align(addr uint16) uint16 { return addr &^ 1 }
 // and whether the address is plain backing memory. Exactly one of
 // (h != nil), plain, or unmapped holds.
 func (s *Space) lookup(addr uint16) (h Handler, plain bool) {
-	if i := s.hidx[addr]; i != 0 {
-		return s.maps[i-1].h, false
+	if i := s.table.hidx[addr]; i != 0 {
+		return s.handlers[i-1], false
 	}
-	return nil, s.plain[addr]
+	return nil, s.table.plain[addr]
 }
 
 // LoadWord reads a little-endian word. Odd addresses are aligned down.
 func (s *Space) LoadWord(addr uint16) uint16 {
 	addr = align(addr)
-	if s.plain[addr] {
+	if s.table.plain[addr] {
 		return uint16(s.ram[addr]) | uint16(s.ram[addr+1])<<8
 	}
 	h, plain := s.lookup(addr)
@@ -524,44 +562,88 @@ func (s *Space) Reset() {
 	markPages(&s.written, s.Layout.SecureDataStart, secure)
 }
 
-// Snapshot is an immutable copy of a Space's restorable state: the full
-// backing slab plus the bus-error count at capture time. The dispatch
-// state (layout, peripheral mappings, per-address tables) is not
-// captured — it is construction-time state that Restore requires to be
-// unchanged, which is what makes Restore a copy of the written pages
-// instead of a re-zero and re-map.
+// pageSize is the size of the pages Space marks and Snapshot keeps.
+const pageSize = 1 << pageShift
+
+// page is the bytes of one page of the slab.
+type page = [pageSize]byte
+
+// Snapshot is an immutable copy of a Space's restorable state: the
+// pages of the backing slab that held a non-zero byte, an index saying
+// which page each one is, and the bus-error count at capture time.
+// Every other page was all zero. A firmware image fills 2 of the
+// default layout's 256 pages (4–5 with the EILIDsw ROM), so a snapshot
+// is a few hundred bytes to a few KiB, not 64 KiB. The dispatch state
+// (layout, peripheral mappings, per-address tables) is not captured —
+// it is construction-time state that Restore requires to be unchanged,
+// which is what makes Restore a copy of the written pages instead of a
+// re-zero and re-map.
 type Snapshot struct {
 	layout    Layout
-	ram       [Size]byte
 	busErrors int
+	// index[p] is 1+the position of page p in pages, or 0 when page p
+	// was all zero.
+	index [Size >> pageShift]uint16
+	pages []page
 }
 
 // Snapshot captures the Space's current memory image and bus-error
-// count. The fleet seals one per fully-constructed machine (post
-// firmware load) so later jobs restore it instead of rebuilding. The
-// new snapshot becomes the space's base, and the written-page mask is
-// cleared: from here on it lists the pages that differ from the base.
-// Clearing the mask also declares an installed decode cache fresh, so
-// the caller asserts the image is the one the cache was built from, as
-// core.Machine.Snapshot does by sealing before the first run.
+// count: the pages that hold a non-zero byte, in one allocation. The
+// fleet seals one per fully-constructed machine (post firmware load) so
+// later jobs restore it instead of rebuilding. The new snapshot becomes
+// the space's base, and the written-page mask is cleared: from here on
+// it lists the pages that differ from the base. Clearing the mask also
+// declares an installed decode cache fresh, so the caller asserts the
+// image is the one the cache was built from, as core.Machine.Snapshot
+// does by sealing before the first run.
 func (s *Space) Snapshot() *Snapshot {
-	snap := &Snapshot{layout: s.Layout, ram: s.ram, busErrors: s.BusErrors}
+	snap := &Snapshot{layout: s.Layout, busErrors: s.BusErrors}
+	var held pageMask
+	n := 0
+	for p := range snap.index {
+		if *s.page(p) != (page{}) {
+			markPage(&held, uint16(p<<pageShift))
+			n++
+		}
+	}
+	snap.pages = make([]page, 0, n)
+	for p := range snap.index {
+		if held[p>>6]&(1<<(p&63)) != 0 {
+			snap.pages = append(snap.pages, *s.page(p))
+			snap.index[p] = uint16(len(snap.pages))
+		}
+	}
 	s.base = snap
 	s.written = pageMask{}
 	return snap
 }
 
-// Restore copies a snapshot back over the backing slab and bus-error
-// count, leaving the peripheral mappings and dispatch tables (which the
-// snapshot asserts are unchanged — it must come from a Space with the
-// same layout) in place. When snap is the space's base (the same
-// pointer), only the pages marked written since the last Snapshot or
-// Restore can differ from it, and only those are copied. Any other
-// snapshot is copied whole and becomes the base. Either way the mask is
+// page returns page p of the slab.
+func (s *Space) page(p int) *page {
+	return (*page)(s.ram[p<<pageShift:])
+}
+
+// restorePage returns page p of the slab to its bytes in snap.
+func (s *Space) restorePage(snap *Snapshot, p int) {
+	if i := snap.index[p]; i != 0 {
+		*s.page(p) = snap.pages[i-1]
+	} else {
+		*s.page(p) = page{}
+	}
+}
+
+// Restore returns the backing slab and bus-error count to a snapshot:
+// the pages it holds are copied back and every other page is cleared.
+// The peripheral mappings and dispatch tables stay in place (the
+// snapshot asserts they are unchanged — it must come from a Space with
+// the same layout). When snap is the space's base (the same pointer),
+// only the pages marked written since the last Snapshot or Restore can
+// differ from it, and only those are restored. Any other snapshot is
+// restored over every page and becomes the base. Either way the mask is
 // cleared, and with it the staleness of every cached decode: the
 // restored bytes are, by construction, the image any installed decode
 // cache was built from (core.Machine.Recycle restores the snapshot it
-// sealed after installing the cache).
+// sealed after installing the cache). Restore allocates nothing.
 func (s *Space) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("mem: restore from nil snapshot")
@@ -572,15 +654,13 @@ func (s *Space) Restore(snap *Snapshot) error {
 	if snap == s.base {
 		for w, m := range s.written {
 			for ; m != 0; m &= m - 1 {
-				p := (w<<6 | bits.TrailingZeros64(m)) << pageShift
-				copy(s.ram[p:p+1<<pageShift], snap.ram[p:])
+				s.restorePage(snap, w<<6|bits.TrailingZeros64(m))
 			}
 		}
 	} else {
-		// copy, not an array assignment: assigning the 64 KiB field
-		// compiles to an unaligned block move that costs about three
-		// times as much.
-		copy(s.ram[:], snap.ram[:])
+		for p := range snap.index {
+			s.restorePage(snap, p)
+		}
 		s.base = snap
 	}
 	s.written = pageMask{}

@@ -120,11 +120,8 @@ func (p *stubPeriph) LoadWord(a uint16) uint16     { return p.words[a] }
 func (p *stubPeriph) StoreWord(a uint16, v uint16) { p.words[a] = v }
 
 func TestPeripheralMapping(t *testing.T) {
-	s := MustNewSpace(DefaultLayout())
 	p := &stubPeriph{words: map[uint16]uint16{}}
-	if err := s.Map(0x0020, 0x002F, p); err != nil {
-		t.Fatal(err)
-	}
+	s := MustNewSpace(DefaultLayout(), Mapping{0x0020, 0x002F, p})
 	s.StoreWord(0x0020, 0x00FF)
 	if p.words[0x0020] != 0x00FF {
 		t.Error("peripheral store not dispatched")
@@ -142,13 +139,13 @@ func TestPeripheralMapping(t *testing.T) {
 	}
 
 	// Overlapping and out-of-window mappings are rejected.
-	if err := s.Map(0x0028, 0x0030, &stubPeriph{}); err == nil {
+	if _, err := NewSpace(DefaultLayout(), Mapping{0x0020, 0x002F, p}, Mapping{0x0028, 0x0030, &stubPeriph{}}); err == nil {
 		t.Error("overlapping mapping accepted")
 	}
-	if err := s.Map(0x0300, 0x0310, &stubPeriph{}); err == nil {
+	if _, err := NewSpace(DefaultLayout(), Mapping{0x0300, 0x0310, &stubPeriph{}}); err == nil {
 		t.Error("mapping outside peripheral window accepted")
 	}
-	if err := s.Map(0x0040, 0x0030, &stubPeriph{}); err == nil {
+	if _, err := NewSpace(DefaultLayout(), Mapping{0x0040, 0x0030, &stubPeriph{}}); err == nil {
 		t.Error("inverted mapping accepted")
 	}
 }

@@ -3,6 +3,7 @@ package mem_test
 import (
 	"testing"
 
+	"eilid/internal/apps"
 	"eilid/internal/attacks"
 	"eilid/internal/core"
 	"eilid/internal/mem"
@@ -82,5 +83,63 @@ func TestSnapshotRestorePages(t *testing.T) {
 	if total != wantGeneratedPages {
 		t.Errorf("Generate(1, 64): %d pages marked over %d jobs (%.2f each), want %d", total, jobs,
 			float64(total)/float64(jobs), wantGeneratedPages)
+	}
+}
+
+// wantSealedPages pins the pages each Table IV app's sealed snapshot
+// holds, in the original build and in the eilid build with the EILIDsw
+// ROM. Every handcrafted attack and generated victim holds 2 and 4.
+var wantSealedPages = map[string][2]int{
+	"LightSensor":      {2, 4},
+	"UltrasonicRanger": {2, 5},
+	"FireSensor":       {2, 5},
+	"SyringePump":      {2, 5},
+	"TempSensor":       {2, 5},
+	"Charlieplexing":   {2, 4},
+	"LcdSensor":        {2, 5},
+}
+
+// TestSnapshotRestoreSealedPages pins what a sealed machine's snapshot
+// holds: only the pages of its image that hold a non-zero byte (2 of
+// the 256: the code and the vector table; the EILIDsw ROM adds 2–3),
+// for each Table IV app, handcrafted attack and generated victim of
+// scenario.Generate(1, 16), in the original build (the baseline,
+// shadow and critvar columns) and the instrumented one (eilid). A
+// snapshot that held pages of zeros, or missed a page, changes a count.
+func TestSnapshotRestoreSealedPages(t *testing.T) {
+	p, err := core.NewPipeline(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name, source string, want [2]int) {
+		t.Helper()
+		build, err := p.Build(name+".s", source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [2]int
+		for i, spec := range []*core.DefenseSpec{core.DefenseBaseline, core.DefenseEILID} {
+			m, err := attacks.TargetFor(p, build, spec).NewMachine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = mem.SnapshotPages(m.Space.Snapshot())
+		}
+		if got != want {
+			t.Errorf("%s: sealed snapshots hold %v pages, want %v (original/eilid)", name, got, want)
+		}
+	}
+	all := apps.All()
+	if len(all) != len(wantSealedPages) {
+		t.Fatalf("%d apps; the table pins %d", len(all), len(wantSealedPages))
+	}
+	for _, app := range all {
+		check(app.Name, app.Source, wantSealedPages[app.Name])
+	}
+	for _, sc := range attacks.Scenarios() {
+		check(sc.Name, sc.Source, [2]int{2, 4})
+	}
+	for _, v := range scenario.Generate(1, 16).Victims {
+		check(v.Name, v.Source, [2]int{2, 4})
 	}
 }

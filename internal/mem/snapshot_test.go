@@ -6,19 +6,23 @@ import "testing"
 // returns the slab and the bus-error count to exactly the sealed state,
 // leaving peripheral mappings in place and the written-page mask clear
 // (the restored bytes are the image any decode cache was built from, so
-// no cached decode is stale). Restore from the base copies only the
+// no cached decode is stale). Restore from the base restores only the
 // pages marked written, so each write path is
 // driven on its own, into pages no other step writes, and every
 // Restore is checked over all 64 KiB: a path that skips its mark leaves
-// its bytes behind. A foreign snapshot is a full copy, and Snapshot
-// re-bases.
+// its bytes behind. A snapshot keeps only the pages holding a non-zero
+// byte, so the steps also write a page that was zero when sealed (the
+// restore must clear it) and one whose only sealed non-zero byte is its
+// last (the snapshot must hold it). A foreign snapshot restores every
+// page, and Snapshot re-bases.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	s := MustNewSpace(DefaultLayout())
 	h := &stubHandler{}
-	if err := s.Map(0x0100, 0x010F, h); err != nil {
+	s := MustNewSpace(DefaultLayout(), Mapping{0x0100, 0x010F, h})
+	if err := s.LoadImage(0xE000, []byte{0x11, 0x22, 0x33, 0x44}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LoadImage(0xE000, []byte{0x11, 0x22, 0x33, 0x44}); err != nil {
+	// Page 0xF0 holds one non-zero byte, its last; page 0xF4 is zero.
+	if err := s.LoadImage(0xF0FF, []byte{0x77}); err != nil {
 		t.Fatal(err)
 	}
 	// Sealed bytes in every volatile page Reset clears but no other
@@ -32,6 +36,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	sealed := s.ReadRaw(0, Size)
 	if n := WrittenPages(s); n != 0 {
 		t.Fatalf("Snapshot left %d pages marked, want 0", n)
+	}
+	// The pages holding a non-zero byte: 0x02-0x0A, 0xE0 and 0xF0.
+	if n := SnapshotPages(snap); n != 11 {
+		t.Fatalf("snapshot holds %d pages, want 11", n)
 	}
 
 	// restore returns s to snap and requires all of memory to equal
@@ -63,6 +71,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			}
 		}, 2},
 		{"Reset", s.Reset, 9},
+		{"a zero page and a page sealed with only its last byte set", func() {
+			s.StoreWord(0xF400, 0x1234)
+			s.StoreByte(0xF4FF, 0x56)
+			s.StoreByte(0xF0FF, 0x00)
+			s.StoreWord(0xF080, 0x9ABC)
+		}, 2},
 		{"bus errors and a handler store", func() {
 			s.LoadWord(0x0C00)
 			s.LoadWord(0x0C02)
@@ -90,20 +104,28 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Errorf("peripheral mapping lost across restore: %d stores, want 2", h.stores)
 	}
 
-	// Another space's snapshot shares no base with s: Restore copies it
-	// whole (nothing is marked, so a partial copy would change nothing)
-	// and makes it the base; the next Restore of snap is whole again.
+	// Another space's snapshot shares no base with s: Restore restores
+	// every page (nothing is marked, so a partial restore would change
+	// nothing) and makes it the base; the next Restore of snap is whole
+	// again. The foreign image holds only the last byte of every even
+	// page, so the restore must also clear the odd pages s sealed.
 	o := MustNewSpace(DefaultLayout())
-	for a := 0; a < Size; a += 0x100 {
-		if err := o.LoadImage(uint16(a+0x40), []byte{^byte(a >> 8)}); err != nil {
+	for a := 0; a < Size; a += 0x200 {
+		if err := o.LoadImage(uint16(a+0xFF), []byte{^byte(a >> 8)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	o.BusErrors = 3
 	foreign := o.Snapshot()
+	if n := SnapshotPages(foreign); n != 128 {
+		t.Fatalf("foreign snapshot holds %d pages, want 128", n)
+	}
 	restore("foreign snapshot", foreign, o.ReadRaw(0, Size))
 	s.StoreByte(0x0300, 9)
+	s.StoreWord(0xF400, 0x1234)
 	restore("foreign base", foreign, o.ReadRaw(0, Size))
+	s.StoreWord(0xF400, 0x1234)
+	s.StoreByte(0xF0FF, 0x00)
 	restore("back to snap", snap, sealed)
 
 	// A second Snapshot re-bases: the pages written before it are not
