@@ -52,15 +52,23 @@ test:
 # Generate(1, 64) in every column: a change meant only to run faster
 # leaves them as they are. The sealed-machine gate bounds the live heap
 # one pooled machine holds, so a change that gives each machine its own
-# copy of something shareable fails here. This target fails if any of
-# these suites is skipped or matches nothing, or if those six tests do
-# not pass under their own names.
+# copy of something shareable fails here. The artifact gate bounds the
+# live heap one build flavour's decode cache and block table hold (32
+# KiB, against 250 KiB for tables sized to the whole code window), so a
+# change that stores pages holding no code, or a table per address of
+# the window, fails here; and the image-predecode differential requires
+# the cache the runner predecodes from a flavour's images to hold the
+# same decode and block at every address as one EnablePredecode takes
+# from a machine loaded with them, every decode to be what isa.Decode
+# gives, and a page to hold storage only where it holds code. This
+# target fails if any of these suites is skipped or matches nothing, or
+# if those eight tests do not pass under their own names.
 test-differential:
-	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults|TestSealedMachineBytes' \
+	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults|TestSealedMachineBytes|TestArtifactBytes|TestPredecodeImagesMatchMachine' \
 		./internal/mem ./internal/cpu ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \
-	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes; do \
+	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes TestArtifactBytes TestPredecodeImagesMatchMachine; do \
 		echo "$$out" | grep -q -- "--- PASS: $$t (" || { echo "$$t did not pass"; exit 1; }; \
 	done; \
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"
@@ -101,10 +109,11 @@ fuzz-smoke:
 # production path's gain over the cache-less reference machine stays
 # measurable; AppsByDefense runs the Table IV apps under every defense
 # column on recycled machines; MachineChurn guards the recycled
-# machine-lifecycle overhead, and Fleetd_WarmResubmit the daemon's
-# warm-resubmission latency.
+# machine-lifecycle overhead, ArtifactBuild what preparing a firmware's
+# shared decode caches and block tables costs and holds, and
+# Fleetd_WarmResubmit the daemon's warm-resubmission latency.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputReference$$|BenchmarkSimulator_AppsByDefense|BenchmarkFleet_MachineChurn' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputReference$$|BenchmarkSimulator_AppsByDefense|BenchmarkFleet_MachineChurn|BenchmarkFleet_ArtifactBuild' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkFleetd_WarmResubmit' -benchtime=1x ./cmd/eilid-fleetd
 
 bench:
@@ -117,7 +126,7 @@ bench:
 # output goes through a temp file so a failing/panicking benchmark fails
 # the target instead of silently writing a partial record.
 bench-json:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput|BenchmarkFleet_MachineChurn' -benchtime=2s . > BENCH.txt.tmp
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput|BenchmarkFleet_MachineChurn|BenchmarkFleet_ArtifactBuild' -benchtime=2s . > BENCH.txt.tmp
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator_FleetMatrix$$|BenchmarkTable4$$' -benchtime=1x . >> BENCH.txt.tmp
 	$(GO) test -run='^$$' -bench='BenchmarkFleetd_WarmResubmit' -benchtime=10x ./cmd/eilid-fleetd >> BENCH.txt.tmp
 	@f=$$($(GO) run ./cmd/eilid-benchjson -next < BENCH.txt.tmp) || { rm -f BENCH.txt.tmp; exit 1; }; \

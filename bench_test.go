@@ -28,6 +28,7 @@ import (
 	"eilid/internal/fleet"
 	"eilid/internal/hwcost"
 	"eilid/internal/isa"
+	"eilid/internal/scenario"
 )
 
 func newPipeline(b *testing.B) *core.Pipeline {
@@ -453,6 +454,63 @@ func BenchmarkFleet_MachineChurn(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFleet_ArtifactBuild measures what the fleet runner pays to
+// prepare a firmware's shared artifacts: each op predecodes both build
+// flavours of one Table IV app and of one generated victim straight
+// from their images and fuses their block tables, as Runner.prepare
+// does. live-B/flavour is the heap one flavour's cache and block table
+// hold after a collection, the share of a daemon's Warm that grows with
+// every firmware it has seen.
+func BenchmarkFleet_ArtifactBuild(b *testing.B) {
+	p := newPipeline(b)
+	app, ok := apps.ByName("TempSensor")
+	if !ok {
+		b.Fatal("TempSensor application missing")
+	}
+	victim := scenario.Generate(1, 1).Victims[0]
+	var targets []attacks.Target
+	for _, src := range [][2]string{{app.Name, app.Source}, {victim.Name, victim.Source}} {
+		build, err := p.Build(src[0]+".s", src[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, spec := range []*core.DefenseSpec{core.DefenseBaseline, core.DefenseEILID} {
+			targets = append(targets, attacks.TargetFor(p, build, spec))
+		}
+	}
+	build := func() []*isa.Predecoded {
+		pres := make([]*isa.Predecoded, len(targets))
+		for i, t := range targets {
+			pres[i] = t.Predecode()
+			pres[i].Blocks()
+		}
+		return pres
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+	b.StopTimer()
+	// The second collection frees what the first left in sync.Pool
+	// victim caches, so the reading holds live objects only.
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	held := build()
+	after := liveHeap()
+	// The builds behind targets stay live across both readings, or the
+	// second would count their release against the flavours.
+	runtime.KeepAlive(held)
+	runtime.KeepAlive(targets)
+	b.ReportMetric(float64(int64(after)-int64(before))/float64(len(held)), "live-B/flavour")
 }
 
 // BenchmarkEILIDsw_RoundTrip measures one full gateway round trip

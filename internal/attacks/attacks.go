@@ -96,10 +96,10 @@ type Target struct {
 	// Defense selects the monitor variant; nil means
 	// core.DefenseBaseline.
 	Defense *core.DefenseSpec
-	// Predecoded optionally shares a decode cache built (via
-	// core.Machine.EnablePredecode) from a machine loaded with this
-	// exact Image (and ROM, for instrumented defenses); nil makes each
-	// machine snapshot a private one.
+	// Predecoded optionally shares a decode cache built from this exact
+	// Image (and ROM, for instrumented defenses), by Predecode or by
+	// core.Machine.EnablePredecode on a machine loaded with them; nil
+	// makes each machine snapshot a private one.
 	Predecoded *isa.Predecoded
 }
 
@@ -146,6 +146,17 @@ func (t Target) NewMachine() (*core.Machine, error) {
 		m.EnablePredecode()
 	}
 	return m, nil
+}
+
+// Predecode returns the decode cache NewMachine would snapshot for this
+// target when it carries none, built straight from the target's images
+// (core.PredecodeImages) with no machine: the EILIDsw ROM image, which
+// NewMachine loads for an instrumented defense, then the target's own.
+func (t Target) Predecode() *isa.Predecoded {
+	if t.Defense != nil && t.Defense.Instrumented && t.ROM != nil {
+		return core.PredecodeImages(t.Config.Layout, t.ROM.Program.Image, t.Image)
+	}
+	return core.PredecodeImages(t.Config.Layout, t.Image)
 }
 
 // ExecuteOn runs the scenario on a prepared machine — fresh from

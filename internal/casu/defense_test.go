@@ -389,3 +389,45 @@ func TestQuietRead(t *testing.T) {
 		t.Error("eilid: a secure-data read from PMEM must be loud, from the ROM quiet")
 	}
 }
+
+// TestShadowClassifyFromFirstWord checks the shadow stack's one-peek
+// classification against a full isa.Decode of the three fetched words,
+// for every first word under a few fixed extension-word patterns: the
+// class, and for a call the return address, must agree.
+func TestShadowClassifyFromFirstWord(t *testing.T) {
+	const pc = 0xE100
+	full := func(words [3]uint16) stackOp {
+		op := stackOp{class: opOther, pc: pc}
+		if in, _, err := isa.Decode(words[:]); err == nil {
+			switch {
+			case in.Op == isa.CALL:
+				op = stackOp{class: opCall, ra: pc + in.Size(), pc: pc}
+			case in.Op == isa.RETI:
+				op = stackOp{class: opReti, pc: pc}
+			case in.Op == isa.MOV && !in.Byte &&
+				in.Src.Mode == isa.ModeIndirectInc && in.Src.Reg == isa.SP &&
+				in.Dst.Mode == isa.ModeRegister && in.Dst.Reg == isa.PC:
+				op = stackOp{class: opRet, pc: pc}
+			}
+		}
+		return op
+	}
+	var words [3]uint16
+	s := NewShadowStack(ShadowConfig{Peek: func(addr uint16) uint16 { return words[(addr-pc)/2] }})
+	seen := map[opClass]int{}
+	for _, ext := range [][2]uint16{{0, 0}, {0xFFFF, 0xFFFF}, {0x1234, 0x5678}, {0x4130, 0x1300}} {
+		for w := 0; w <= 0xFFFF; w++ {
+			words = [3]uint16{uint16(w), ext[0], ext[1]}
+			got, want := s.decodeAt(pc), full(words)
+			if got != want {
+				t.Fatalf("words %04x: classified %+v, full decode gives %+v", words, got, want)
+			}
+			seen[got.class]++
+		}
+	}
+	for _, c := range []opClass{opOther, opCall, opRet, opReti} {
+		if seen[c] == 0 {
+			t.Errorf("no first word classified as %d", c)
+		}
+	}
+}

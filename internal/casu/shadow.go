@@ -107,24 +107,25 @@ func (s *ShadowStack) trip(kind ViolationKind, pc, addr uint16) {
 	}
 }
 
-// decodeAt classifies the instruction at pc from memory.
+// decodeAt classifies the instruction at pc from memory. Only three
+// first words can open anything but opOther: RETI (0x1300, the one
+// encoding isa.Decode accepts), `mov @sp+, pc` (0x4130, the MSP430
+// emulated ret) and word-form CALL (0x1280 | As<<4 | reg). Every other
+// word is classified from one peek, and only a call is decoded whole,
+// for the size that places its return address.
 func (s *ShadowStack) decodeAt(pc uint16) stackOp {
-	words := [3]uint16{s.cfg.Peek(pc), s.cfg.Peek(pc + 2), s.cfg.Peek(pc + 4)}
-	op := stackOp{class: opOther, pc: pc}
-	if in, _, err := isa.Decode(words[:]); err == nil {
-		switch {
-		case in.Op == isa.CALL:
-			op = stackOp{class: opCall, ra: pc + in.Size(), pc: pc}
-		case in.Op == isa.RETI:
-			op = stackOp{class: opReti, pc: pc}
-		case in.Op == isa.MOV && !in.Byte &&
-			in.Src.Mode == isa.ModeIndirectInc && in.Src.Reg == isa.SP &&
-			in.Dst.Mode == isa.ModeRegister && in.Dst.Reg == isa.PC:
-			// ret — the MSP430 emulated `mov @sp+, pc`.
-			op = stackOp{class: opRet, pc: pc}
+	switch w := s.cfg.Peek(pc); {
+	case w == 0x1300:
+		return stackOp{class: opReti, pc: pc}
+	case w == 0x4130:
+		return stackOp{class: opRet, pc: pc}
+	case w&0xFFC0 == 0x1280:
+		words := [3]uint16{w, s.cfg.Peek(pc + 2), s.cfg.Peek(pc + 4)}
+		if in, _, err := isa.Decode(words[:]); err == nil && in.Op == isa.CALL {
+			return stackOp{class: opCall, ra: pc + in.Size(), pc: pc}
 		}
 	}
-	return op
+	return stackOp{class: opOther, pc: pc}
 }
 
 // push records a frame, discarding the eldest on overflow.

@@ -254,11 +254,47 @@ func (m *Machine) refreshDeadline() {
 // cache may be shared, via UsePredecoded, with any machine whose code
 // contents are byte-identical — the fleet runner's per-ROM artifact.
 func (m *Machine) EnablePredecode() *isa.Predecoded {
-	// Only cache addresses whose whole fetch window stays in RAM-backed
-	// regions: a window that strays into the unmapped hole between the
-	// secure ROM and the IVT must keep the live path, whose speculative
-	// bus reads there return 0xFFFF and count bus errors.
-	l := m.Space.Layout
+	p := predecode(m.Space.Layout, m.Space.PeekWord)
+	m.UsePredecoded(p)
+	return p
+}
+
+// PredecodeImages returns the decode cache EnablePredecode would build
+// on a machine of layout l whose memory holds images, loaded in order
+// into zeroed memory (a later image's bytes replace an earlier one's),
+// without building the machine: only the 256-byte pages the images
+// touch are materialized. A machine running an instrumented defense
+// holds the EILIDsw ROM image and then its firmware's.
+func PredecodeImages(l mem.Layout, images ...*asm.Image) *isa.Predecoded {
+	var pages [256]*[256]byte
+	for _, img := range images {
+		for _, c := range img.Chunks() {
+			for i, b := range c.Data {
+				a := c.Addr + uint16(i)
+				if pages[a>>8] == nil {
+					pages[a>>8] = new([256]byte)
+				}
+				pages[a>>8][a&0xFF] = b
+			}
+		}
+	}
+	return predecode(l, func(addr uint16) uint16 {
+		pg := pages[addr>>8]
+		if pg == nil {
+			return 0
+		}
+		a := addr & 0xFE
+		return uint16(pg[a]) | uint16(pg[a+1])<<8
+	})
+}
+
+// predecode builds the decode cache of layout l's fetchable upper memory
+// (user PMEM through the IVT) as read returns it. Only addresses whose
+// whole fetch window stays in RAM-backed regions are cached: a window
+// that strays into the unmapped hole between the secure ROM and the IVT
+// must keep the live path, whose speculative bus reads there return
+// 0xFFFF and count bus errors.
+func predecode(l mem.Layout, read func(addr uint16) uint16) *isa.Predecoded {
 	ramBacked := func(addr uint16) bool {
 		switch l.RegionOf(addr) {
 		case mem.RegionPMEM, mem.RegionSecureROM, mem.RegionIVT:
@@ -266,9 +302,7 @@ func (m *Machine) EnablePredecode() *isa.Predecoded {
 		}
 		return false
 	}
-	p := isa.Predecode(m.Space.PeekWord, l.PMEMStart, 0xFFFF, ramBacked)
-	m.UsePredecoded(p)
-	return p
+	return isa.Predecode(read, l.PMEMStart, 0xFFFF, ramBacked)
 }
 
 // UsePredecoded installs a cache previously built by EnablePredecode on

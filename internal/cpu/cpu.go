@@ -170,16 +170,19 @@ type CPU struct {
 
 	prevPC uint16
 
-	// pre is an optional shared read-only decode cache; preStart and
-	// preEntries mirror its table so the warm-path lookup needs no
-	// pointer chase through the cache object. Whether an entry is stale
-	// is read from the bus's written-page mask (see DirectBus).
-	pre        *isa.Predecoded
-	preStart   uint16
-	preEntries []isa.Entry
+	// pre is an optional shared read-only decode cache; prePage0 and
+	// prePages mirror its page index (see isa.Predecoded.Table) so the
+	// warm-path lookup needs no pointer chase through the cache object:
+	// one load of the page, which is nil on a page with no cached
+	// decode, then the entry. Whether an entry is stale is read from the
+	// bus's written-page mask (see DirectBus).
+	pre      *isa.Predecoded
+	prePage0 uint16
+	prePages []*isa.EntryPage
 
-	// blkStart/blkTable mirror the installed basic-block table (see
-	// isa.Blocks) so the block lookup needs no pointer chase.
+	// blkPage0/blkPages mirror the installed basic-block table's page
+	// index (see isa.Blocks.Table) so the block lookup needs no pointer
+	// chase.
 	// codeClean is the block executor's summary of the mask: no page at
 	// or above the cache window's first page is marked, so no cached
 	// decode is stale and admission need not read the mask. RunBlocks
@@ -192,8 +195,8 @@ type CPU struct {
 	// accesses quiet, handing control back to the machine loop exactly
 	// where per-instruction dispatch would have observed the side
 	// effect (peripheral state, halt, a new interrupt request).
-	blkStart   uint16
-	blkTable   []isa.Block
+	blkPage0   uint16
+	blkPages   []*isa.BlockPage
 	codeClean  bool
 	busTouched bool
 
@@ -216,9 +219,10 @@ type CPU struct {
 	// Exit constants; the counts sum to the number of RunBlocks calls.
 	BlockExits [NumBlockExits]uint64
 
-	// The block plan (see plan) holds, per block-table slot, the loud,
-	// admit, quiet and spin bits derived from planWatch, planIRQ and the
-	// bus. planned is cleared whenever the block table changes.
+	// The block plan (see plan) holds, per slot of the block table's
+	// window (see slot), the loud, admit, quiet and spin bits derived
+	// from planWatch, planIRQ and the bus. planned is cleared whenever
+	// the block table changes.
 	planned                  bool
 	planWatch                Watcher
 	planIRQ                  IRQSource
@@ -277,7 +281,7 @@ func (c *CPU) PrevPC() uint16 { return c.prevPC }
 // marked from the image load would keep its code on the live path.
 func (c *CPU) SetPredecoded(p *isa.Predecoded) {
 	c.pre = p
-	c.preStart, c.preEntries = p.Table()
+	c.prePage0, c.prePages = p.Table()
 	// A block table is only valid against the cache it was fused from;
 	// drop it until the caller re-pairs them.
 	c.SetBlocks(nil)
@@ -291,7 +295,7 @@ func (c *CPU) Predecoded() *isa.Predecoded { return c.pre }
 // The caller asserts the table matches the installed cache; install the
 // cache first, then its blocks.
 func (c *CPU) SetBlocks(b *isa.Blocks) {
-	c.blkStart, c.blkTable = b.Table()
+	c.blkPage0, c.blkPages = b.Table()
 	c.planned = false
 }
 
@@ -359,7 +363,7 @@ func (c *CPU) storeWord(pc, addr, v uint16) {
 		c.slab[a] = byte(v)
 		c.slab[a+1] = byte(v >> 8)
 		c.written[a>>14] |= 1 << (a >> 8 & 63)
-		if a>>8 >= c.preStart>>8 {
+		if a>>8 >= c.prePage0 {
 			c.codeClean = false
 		}
 		return
@@ -386,7 +390,7 @@ func (c *CPU) storeByte(pc, addr uint16, v uint8) {
 	if c.slab != nil && c.plain[addr] {
 		c.slab[addr] = v
 		c.written[addr>>14] |= 1 << (addr >> 8 & 63)
-		if addr>>8 >= c.preStart>>8 {
+		if addr>>8 >= c.prePage0 {
 			c.codeClean = false
 		}
 		return
@@ -453,8 +457,8 @@ func (c *CPU) Step() (int, error) {
 	// speculative fetch and the decoder entirely; its threaded-code
 	// lowering additionally skips the format switch and operand
 	// resolution.
-	if i := int(pc-c.preStart) >> 1; pc&1 == 0 && pc >= c.preStart && i < len(c.preEntries) {
-		if e := &c.preEntries[i]; e.OK && !c.staleAt(pc) {
+	if p := int(pc>>8) - int(c.prePage0); pc&1 == 0 && uint(p) < uint(len(c.prePages)) && c.prePages[p] != nil {
+		if e := &c.prePages[p][pc>>1%isa.PageSlots]; e.OK && !c.staleAt(pc) {
 			c.R[isa.PC] = pc + e.Size
 			c.prevPC = pc
 			c.execUOp(pc, &e.U)
@@ -1078,14 +1082,14 @@ func (c *CPU) staleRange(p0, p1 uint16) bool {
 // to which the machine syncs its peripherals when a violation ends the
 // call.
 func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre uint64) {
-	if c.blkTable == nil {
+	if c.blkPages == nil {
 		c.BlockExits[ExitOther]++
 		return false, 0
 	}
 	if !c.planned || c.Watch != c.planWatch || c.IRQ != c.planIRQ {
 		c.plan()
 	}
-	c.codeClean = !c.staleRange(c.preStart>>8, 0xFF)
+	c.codeClean = !c.staleRange(c.prePage0, 0xFF)
 	for {
 		sr := c.R[isa.SR]
 		if sr&isa.FlagCPUOff != 0 {
@@ -1098,13 +1102,18 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			return
 		}
 		pc := c.R[isa.PC]
-		i := int(pc-c.blkStart) >> 1
-		if pc&1 != 0 || pc < c.blkStart || i >= len(c.blkTable) || c.blkTable[i].Ops == nil {
+		p := int(pc>>8) - int(c.blkPage0)
+		if pc&1 != 0 || uint(p) >= uint(len(c.blkPages)) || c.blkPages[p] == nil {
 			c.BlockExits[ExitOther]++
 			return
 		}
-		b := &c.blkTable[i]
+		b := &c.blkPages[p][pc>>1%isa.PageSlots]
 		ops := b.Ops
+		if ops == nil {
+			c.BlockExits[ExitOther]++
+			return
+		}
+		i := c.slot(pc)
 		// Admission: entry + total <= limit implies every op starts
 		// strictly below limit, exactly the per-instruction rule.
 		if c.Cycles+uint64(b.Cycles) > limit {
@@ -1286,15 +1295,20 @@ func (c *CPU) countdown(b *isa.Block, limit uint64) {
 	c.PureInsns += 2 * t
 }
 
-// bitAt reports the plan bit of the block-table slot of pc.
+// slot returns the index of the fetch address pc, which lies in the
+// block table's window, in the plan's bitsets: the window's even
+// addresses in order, isa.PageSlots to a page.
+func (c *CPU) slot(pc uint16) int { return (int(pc) - int(c.blkPage0)<<8) >> 1 }
+
+// bitAt reports the plan bit of the slot of pc.
 func (c *CPU) bitAt(set []uint64, pc uint16) bool {
-	i := int(pc-c.blkStart) >> 1
+	i := c.slot(pc)
 	return set[i>>6]&(1<<(i&63)) != 0
 }
 
 // plan derives the block plan for the installed block table from the
 // current watcher, interrupt source and bus, as four bitsets over the
-// table's slots (~2 KB for a full window):
+// slots of the table's window (~2 KB for the 8 KiB code window):
 //
 //   - loud marks each slot whose op, arriving from its predecessor in
 //     the fused run, needs observing: the watcher is not a FetchFilter
@@ -1320,7 +1334,7 @@ func (c *CPU) bitAt(set []uint64, pc uint16) bool {
 // code image the table was fused from.
 func (c *CPU) plan() {
 	c.planned, c.planWatch, c.planIRQ = true, c.Watch, c.IRQ
-	n := (len(c.blkTable) + 63) >> 6
+	n := len(c.blkPages) * isa.PageSlots >> 6
 	c.loud, c.admit, c.quiet, c.spin = make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
 	f, filtered := c.Watch.(FetchFilter)
 	reads, _ := c.Watch.(ReadFilter)
@@ -1344,8 +1358,12 @@ func (c *CPU) plan() {
 	// A block's tail is the block at its second op, which sits higher
 	// in the table, so a downward walk finds the tail's admit bit
 	// already holding "every arrival after the entry is quiet".
-	for i := len(c.blkTable) - 1; i >= 0; i-- {
-		ops := c.blkTable[i].Ops
+	for i := len(c.blkPages)*isa.PageSlots - 1; i >= 0; i-- {
+		pg := c.blkPages[i/isa.PageSlots]
+		if pg == nil {
+			continue
+		}
+		ops := pg[i%isa.PageSlots].Ops
 		if ops == nil {
 			continue
 		}
@@ -1353,7 +1371,7 @@ func (c *CPU) plan() {
 			set(c.quiet, i)
 		}
 		if len(ops) > 1 {
-			j := int(ops[1].PC-c.blkStart) >> 1
+			j := c.slot(ops[1].PC)
 			if !quietStep(ops[0].PC, ops[1].PC) {
 				set(c.loud, j)
 				continue
@@ -1365,12 +1383,13 @@ func (c *CPU) plan() {
 		set(c.admit, i)
 	}
 	// Here admit still holds "every arrival after the entry is quiet",
-	// the first condition of both the pure path and a spin.
-	for i := range c.blkTable {
-		b := &c.blkTable[i]
+	// the first condition of both the pure path and a spin, and only
+	// slots holding a block have it.
+	for i := range len(c.blkPages) * isa.PageSlots {
 		if c.admit[i>>6]&(1<<(i&63)) == 0 {
 			continue
 		}
+		b := &c.blkPages[i/isa.PageSlots][i%isa.PageSlots]
 		last := &b.Ops[len(b.Ops)-1]
 		selfLoop := last.U.Class == isa.UJump && last.U.Target == b.Ops[0].PC
 		quietLoop := selfLoop && quietStep(last.PC, b.Ops[0].PC)

@@ -111,7 +111,7 @@ func TestResetCodeStateDiscardsStaleness(t *testing.T) {
 	if got := staleSet(c, p); got != nil {
 		t.Fatalf("staleness survived Restore: %04x", got)
 	}
-	if c.Predecoded() != p || c.blkTable == nil {
+	if c.Predecoded() != p || c.blkPages == nil {
 		t.Fatal("Restore dropped the installed decode cache or block table")
 	}
 	if ran, _ := c.RunBlocks(c.Cycles+100, nil); !ran || c.R[4] != 1 {

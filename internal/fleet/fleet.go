@@ -3,9 +3,9 @@
 // on independent core.Machine instances while sharing the expensive
 // read-only build artifacts — each firmware is assembled and
 // instrumented exactly once via core.Pipeline, and its predecoded
-// instruction cache (core.Machine.EnablePredecode) and fused
-// basic-block table (isa.Predecoded.Blocks) are built once per ROM and
-// handed to every machine that runs it. Machines live in one pool per
+// instruction cache (core.PredecodeImages, from the images alone) and
+// fused basic-block table (isa.Predecoded.Blocks) are built once per ROM
+// and handed to every machine that runs it. Machines live in one pool per
 // firmware and defense, in the runner's Warm: every job checks a
 // machine out, recycled to its sealed snapshot, and checks it back in.
 // Job results are aggregated deterministically in job order, so a run
@@ -84,15 +84,14 @@ type artifact struct {
 }
 
 // flavour is one build flavour's decode cache, built at most once from
-// a machine of the flavour's reference defense.
+// the images a machine of the flavour's reference defense holds.
 type flavour struct {
 	once sync.Once
 	pre  *isa.Predecoded
-	err  error
 }
 
 // flavour returns the slot of a defense's build flavour and the defense
-// its cache is snapshotted under: eilid for the instrumented build,
+// its cache is predecoded under: eilid for the instrumented build,
 // baseline for the original one.
 func (a *artifact) flavour(spec *core.DefenseSpec) (*flavour, *core.DefenseSpec) {
 	if spec.Instrumented {
@@ -268,8 +267,10 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 // eilid-only batch never builds the original one. A flavour missing
 // from a warm artifact is built here, once, whichever of the runners
 // sharing the Warm gets there first; the others wait for it. Each cache
-// is snapshotted from a reference machine carrying the exact image the
-// jobs will run.
+// is predecoded straight from the exact images the jobs' machines will
+// hold (attacks.Target.Predecode), and its block table is fused here,
+// during sequential preparation, so the first job to run this ROM pays
+// for neither.
 func (r *Runner) prepare(key, file, source string) (*artifact, error) {
 	if a, ok := r.artifacts[key]; ok {
 		return a, nil
@@ -285,25 +286,13 @@ func (r *Runner) prepare(key, file, source string) (*artifact, error) {
 	}
 	for _, d := range r.defenses {
 		f, ref := a.flavour(d)
-		f.once.Do(func() { f.pre, f.err = r.snapshot(a.build, ref) })
-		if f.err != nil {
-			return nil, f.err
-		}
+		f.once.Do(func() {
+			f.pre = attacks.TargetFor(r.p, a.build, ref).Predecode()
+			f.pre.Blocks()
+		})
 	}
 	r.artifacts[key] = a
 	return a, nil
-}
-
-// snapshot loads the build flavour a defense runs on a throwaway
-// machine and returns the decode cache it predecoded. Installing the
-// cache fused its block table too, during sequential preparation, so
-// the first job to run this ROM pays for neither.
-func (r *Runner) snapshot(build *core.BuildResult, ref *core.DefenseSpec) (*isa.Predecoded, error) {
-	m, err := attacks.TargetFor(r.p, build, ref).NewMachine()
-	if err != nil {
-		return nil, err
-	}
-	return m.CPU.Predecoded(), nil
 }
 
 // Jobs returns the enumerated matrix in execution order.

@@ -5,7 +5,7 @@ package fleet
 // Warm to every batch (NewRunnerWarm), so build artifacts and recycled
 // machines outlive any single batch. A cold batch pays the full
 // preparation cost — assembling and instrumenting every firmware,
-// snapshotting decode caches, fusing block tables, constructing
+// predecoding decode caches, fusing block tables, constructing
 // machines — while a warm resubmission of the same (or an overlapping)
 // matrix finds all of that already built and runs straight on recycled
 // machines.

@@ -87,33 +87,46 @@ type Block struct {
 	W0, W1 uint16
 }
 
-// Blocks is the basic-block table for a predecode window: index i holds
-// the block starting at fetch address start + 2*i (Ops == nil when no
-// block starts there). Read-only after construction; safe to share.
+// BlockPage holds the blocks starting on one 256-byte page, indexed by
+// slot (see PageSlots).
+type BlockPage [PageSlots]Block
+
+// Blocks is the basic-block table for a predecode window, stored a page
+// at a time like the decode cache it is fused from: a page holds a block
+// at every address that holds a cached decode, so the table has exactly
+// the cache's pages. Read-only after construction; safe to share.
 type Blocks struct {
-	start  uint16
-	blocks []Block
+	// page0 is the window's first page; pages[i] holds page page0+i,
+	// and is nil when no block starts on it.
+	page0 uint16
+	pages []*BlockPage
 }
 
-// Table exposes the window base and the block slice for callers that
-// inline the lookup (the CPU core). Blocks are shared and read-only.
-func (b *Blocks) Table() (start uint16, blocks []Block) {
+// Table exposes the window's first page and the page index for callers
+// that inline the lookup (the CPU core): pages[i] holds page page0+i, or
+// is nil when no block starts on that page, and slot pc>>1%PageSlots of
+// a page holds the block starting at fetch address pc (Ops == nil when
+// none does). Blocks are shared and read-only.
+func (b *Blocks) Table() (page0 uint16, pages []*BlockPage) {
 	if b == nil {
 		return 0, nil
 	}
-	return b.start, b.blocks
+	return b.page0, b.pages
 }
 
 // At returns the block starting at the fetch address pc, or nil.
 func (b *Blocks) At(pc uint16) *Block {
-	if b == nil || pc&1 != 0 || pc < b.start {
+	if b == nil || pc&1 != 0 {
 		return nil
 	}
-	i := int(pc-b.start) >> 1
-	if i >= len(b.blocks) || b.blocks[i].Ops == nil {
+	i := int(pc>>8) - int(b.page0)
+	if i < 0 || i >= len(b.pages) || b.pages[i] == nil {
 		return nil
 	}
-	return &b.blocks[i]
+	if blk := &b.pages[i][pc>>1%PageSlots]; blk.Ops != nil {
+		return blk
+	}
+	return nil
 }
 
 // Len reports how many addresses start a block (for tests and
@@ -123,9 +136,14 @@ func (b *Blocks) Len() int {
 		return 0
 	}
 	n := 0
-	for i := range b.blocks {
-		if b.blocks[i].Ops != nil {
-			n++
+	for _, pg := range b.pages {
+		if pg == nil {
+			continue
+		}
+		for i := range pg {
+			if pg[i].Ops != nil {
+				n++
+			}
 		}
 	}
 	return n
@@ -243,55 +261,75 @@ func markLiveFlags(ops []BlockOp) {
 // receives the run's suffix (sharing the backing array), and a walk
 // that reaches an already-materialized address simply ends its block
 // there — the executor chains into the existing block at run time.
+// Every cached decode lies in exactly one run, so the ops of all runs
+// share one array of p.Len() ops, and a page of blocks is allocated
+// exactly where the cache holds a page of entries.
 func BuildBlocks(p *Predecoded) *Blocks {
-	start, entries := p.Table()
-	bl := &Blocks{start: start}
-	if len(entries) == 0 {
+	page0, entries := p.Table()
+	bl := &Blocks{page0: page0}
+	n := p.Len()
+	if n == 0 {
 		return bl
 	}
-	bl.blocks = make([]Block, len(entries))
-	var idxs []int
-	for i := range entries {
-		if bl.blocks[i].Ops != nil || !entries[i].OK {
+	bl.pages = make([]*BlockPage, len(entries))
+	all := make([]BlockOp, 0, n)
+	for i, pg := range entries {
+		if pg == nil {
 			continue
 		}
-		var ops []BlockOp
-		idxs = idxs[:0]
-		for j := i; ; {
-			e := &entries[j]
-			pc := start + uint16(2*j)
-			ops = append(ops, BlockOp{U: &e.U, PC: pc, Next: pc + e.Size, Cycles: e.Cycles, Mem: !opPure(&e.U)})
-			idxs = append(idxs, j)
-			if endsBlock(&e.U) || len(ops) >= MaxBlockOps {
-				break
+		for k := range pg {
+			pc := (page0+uint16(i))<<8 | uint16(2*k)
+			if !pg[k].OK || bl.At(pc) != nil {
+				continue
 			}
-			nj := j + int(e.Size)>>1
-			if nj >= len(entries) || !entries[nj].OK || bl.blocks[nj].Ops != nil {
-				break
+			first := len(all)
+			for at := pc; ; {
+				e := p.EntryAt(at)
+				all = append(all, BlockOp{U: &e.U, PC: at, Next: at + e.Size, Cycles: e.Cycles, Mem: !opPure(&e.U)})
+				if endsBlock(&e.U) || len(all)-first >= MaxBlockOps {
+					break
+				}
+				// A run that wraps past 0xFFFF lands on 0x0000, which the
+				// walk reached first: it holds no entry or already a block.
+				next := at + e.Size
+				if p.EntryAt(next) == nil || bl.At(next) != nil {
+					break
+				}
+				at = next
 			}
-			j = nj
-		}
-		markLiveFlags(ops)
-		// Every op address starts its own block: the suffix of this run.
-		for d, idx := range idxs {
-			sub := ops[d:]
-			var cyc uint32
-			pure := true
-			for k := range sub {
-				cyc += uint32(sub[k].Cycles)
-				pure = pure && !sub[k].Mem
-			}
-			bl.blocks[idx] = Block{
-				Ops:       sub,
-				Cycles:    cyc,
-				Pure:      pure,
-				Countdown: countdown(sub),
-				W0:        sub[0].PC >> 8,
-				W1:        (sub[len(sub)-1].PC + 5) >> 8,
+			ops := all[first:len(all):len(all)]
+			markLiveFlags(ops)
+			// Every op address starts its own block: the suffix of this run.
+			for d := range ops {
+				sub := ops[d:]
+				var cyc uint32
+				pure := true
+				for j := range sub {
+					cyc += uint32(sub[j].Cycles)
+					pure = pure && !sub[j].Mem
+				}
+				*bl.slot(sub[0].PC) = Block{
+					Ops:       sub,
+					Cycles:    cyc,
+					Pure:      pure,
+					Countdown: countdown(sub),
+					W0:        sub[0].PC >> 8,
+					W1:        (sub[len(sub)-1].PC + 5) >> 8,
+				}
 			}
 		}
 	}
 	return bl
+}
+
+// slot returns the table slot of the fetch address pc, in the window,
+// allocating its page on first use.
+func (b *Blocks) slot(pc uint16) *Block {
+	pg := &b.pages[pc>>8-b.page0]
+	if *pg == nil {
+		*pg = new(BlockPage)
+	}
+	return &(*pg)[pc>>1%PageSlots]
 }
 
 // countdown reports whether ops is a `dec Rn; jnz` self-loop (see

@@ -198,3 +198,45 @@ func TestMarkLiveFlags(t *testing.T) {
 		t.Error("last flag writer of a block must stay live")
 	}
 }
+
+// TestBuildBlocksPages: the tables keep only the pages that hold code,
+// a run that crosses a page boundary still fuses into one block, and a
+// run that wraps past 0xFFFF ends there, even with 0x0000 in the
+// window.
+func TestBuildBlocksPages(t *testing.T) {
+	mov := Instruction{Op: MOV, Src: RegOp(4), Dst: RegOp(5)}
+	read, _ := buildMem(0x11FC, []Instruction{mov, mov, mov, {Op: JMP, JumpOffset: -4}})
+	p := Predecode(read, 0x1000, 0x1FFF, nil)
+	b := BuildBlocks(p)
+	if blk := b.At(0x11FC); blk == nil || len(blk.Ops) != 4 || blk.W0 != 0x11 || blk.W1 != 0x12 {
+		t.Fatalf("block at 0x11FC: %+v, want the 4 ops across pages 0x11-0x12", blk)
+	}
+	p0, entries := p.Table()
+	b0, blocks := b.Table()
+	if p0 != 0x10 || b0 != 0x10 || len(entries) != 16 || len(blocks) != 16 {
+		t.Fatalf("windows from pages 0x%02x/0x%02x over %d/%d pages, want 0x10 over 16", p0, b0, len(entries), len(blocks))
+	}
+	for i := range entries {
+		want := i == 1 || i == 2
+		if (entries[i] != nil) != want || (blocks[i] != nil) != want {
+			t.Errorf("page 0x%02x: entry page %v, block page %v, want %v", 0x10+i, entries[i] != nil, blocks[i] != nil, want)
+		}
+	}
+
+	// mov #0x1234, &0x0200 at 0xFFFA runs to 0x10000, which wraps to
+	// 0x0000, where the window holds a decode too.
+	words := map[uint16]uint16{}
+	for k, w := range MustEncode(Instruction{Op: MOV, Src: ImmExt(0x1234), Dst: Abs(0x0200)}) {
+		words[0xFFFA+2*uint16(k)] = w
+	}
+	nop := MustEncode(mov)[0]
+	wrap := Predecode(func(a uint16) uint16 {
+		if w, ok := words[a]; ok {
+			return w
+		}
+		return nop
+	}, 0, 0xFFFF, nil)
+	if blk := BuildBlocks(wrap).At(0xFFFA); blk == nil || len(blk.Ops) != 1 {
+		t.Fatalf("block at 0xFFFA: %+v, want the one op before the wrap", blk)
+	}
+}
