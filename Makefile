@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test test-differential test-benchmark fuzz-smoke bench-smoke bench bench-json check
+.PHONY: all build fmt vet vet-benchmark test test-differential test-benchmark fuzz-smoke bench-smoke bench bench-json check
 
 all: check
 
@@ -53,29 +53,40 @@ test:
 # leaves them as they are. The sealed-machine gate bounds the live heap
 # one pooled machine holds, so a change that gives each machine its own
 # copy of something shareable fails here. The artifact gate bounds the
-# live heap one build flavour's decode cache and block table hold (32
-# KiB, against 250 KiB for tables sized to the whole code window), so a
-# change that stores pages holding no code, or a table per address of
-# the window, fails here; and the image-predecode differential requires
+# live heap one build flavour's decode cache holds (18 KiB, against 21.1
+# KiB with a second page table of decodes beside the blocks and 250 KiB
+# for tables sized to the whole code window), so a change that stores
+# pages holding no code, a table per address of the window or a second
+# table per page fails here; the image-predecode differential requires
 # the cache the runner predecodes from a flavour's images to hold the
-# same decode and block at every address as one EnablePredecode takes
-# from a machine loaded with them, every decode to be what isa.Decode
-# gives, and a page to hold storage only where it holds code. This
-# target fails if any of these suites is skipped or matches nothing, or
-# if those eight tests do not pass under their own names.
+# same block at every address as one EnablePredecode takes from a
+# machine loaded with them, every block's first op to be what
+# isa.Decode gives, and a page to hold storage only where it holds
+# code; and the fuse differential requires isa.BuildBlocks, the fuse
+# pass the benchmark times on its own, to fuse every such cache's
+# decodes afresh into the same blocks. This target fails if any of
+# these suites is skipped or matches nothing, or if those nine tests do
+# not pass under their own names.
 test-differential:
-	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults|TestSealedMachineBytes|TestArtifactBytes|TestPredecodeImagesMatchMachine' \
+	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults|TestSealedMachineBytes|TestArtifactBytes|TestPredecodeImagesMatchMachine|TestBuildBlocksMatchesPredecode' \
 		./internal/mem ./internal/cpu ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \
-	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes TestArtifactBytes TestPredecodeImagesMatchMachine; do \
+	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes TestArtifactBytes TestPredecodeImagesMatchMachine TestBuildBlocksMatchesPredecode; do \
 		echo "$$out" | grep -q -- "--- PASS: $$t (" || { echo "$$t did not pass"; exit 1; }; \
 	done; \
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"
 
 # benchmark/ is a Go module of its own, so the root ./... patterns never
-# compile it; vet and test it here so a change to the packages it drives
-# cannot silently break the benchmark program.
+# compile it. vet-benchmark compiles and vets it against the root
+# packages, so a change to the packages it drives cannot silently break
+# the benchmark program; test-benchmark also runs its tests.
+# test-benchmark fails at TestSmokeTraced/apps-monitored until that
+# test's fetch and poll quotients are re-pinned, so check runs it last,
+# where it hides no other step.
+vet-benchmark:
+	cd benchmark && $(GO) vet ./...
+
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
@@ -110,7 +121,7 @@ fuzz-smoke:
 # measurable; AppsByDefense runs the Table IV apps under every defense
 # column on recycled machines; MachineChurn guards the recycled
 # machine-lifecycle overhead, ArtifactBuild what preparing a firmware's
-# shared decode caches and block tables costs and holds, and
+# shared decode caches costs and holds, and
 # Fleetd_WarmResubmit the daemon's warm-resubmission latency.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputReference$$|BenchmarkSimulator_AppsByDefense|BenchmarkFleet_MachineChurn|BenchmarkFleet_ArtifactBuild' -benchtime=1x .
@@ -132,4 +143,4 @@ bench-json:
 	@f=$$($(GO) run ./cmd/eilid-benchjson -next < BENCH.txt.tmp) || { rm -f BENCH.txt.tmp; exit 1; }; \
 	rm -f BENCH.txt.tmp; echo "wrote $$f"
 
-check: build fmt vet test test-differential test-benchmark bench-smoke
+check: build fmt vet vet-benchmark test test-differential bench-smoke test-benchmark

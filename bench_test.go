@@ -392,10 +392,9 @@ func BenchmarkFleet_MachineChurn(b *testing.B) {
 		}
 		return m
 	}
-	// The shared per-ROM decode cache + block table, as the fleet
-	// prepares them once, untimed.
+	// The shared per-ROM decode cache, as the fleet prepares it once,
+	// untimed.
 	pre := newMachine(b).EnablePredecode()
-	pre.Blocks()
 
 	b.Run("construct-per-job", func(b *testing.B) {
 		b.ReportAllocs()
@@ -459,10 +458,10 @@ func BenchmarkFleet_MachineChurn(b *testing.B) {
 // BenchmarkFleet_ArtifactBuild measures what the fleet runner pays to
 // prepare a firmware's shared artifacts: each op predecodes both build
 // flavours of one Table IV app and of one generated victim straight
-// from their images and fuses their block tables, as Runner.prepare
-// does. live-B/flavour is the heap one flavour's cache and block table
-// hold after a collection, the share of a daemon's Warm that grows with
-// every firmware it has seen.
+// from their images, blocks fused, as Runner.prepare does.
+// live-B/flavour is the heap one flavour's cache holds after a
+// collection, the share of a daemon's Warm that grows with every
+// firmware it has seen.
 func BenchmarkFleet_ArtifactBuild(b *testing.B) {
 	p := newPipeline(b)
 	app, ok := apps.ByName("TempSensor")
@@ -484,7 +483,6 @@ func BenchmarkFleet_ArtifactBuild(b *testing.B) {
 		pres := make([]*isa.Predecoded, len(targets))
 		for i, t := range targets {
 			pres[i] = t.Predecode()
-			pres[i].Blocks()
 		}
 		return pres
 	}

@@ -1,7 +1,7 @@
 // Command eilid-fleetd is the fleet's long-running service mode: a
 // persistent HTTP daemon that accepts batch submissions and runs them
 // through the ordinary fleet runner while keeping build artifacts,
-// decode caches, block tables and recycled machines warm across
+// decode caches and recycled machines warm across
 // batches in one fleet.Warm (internal/fleet/serve). Where every
 // `eilid-fleet` invocation pays the full cold start — pipeline
 // construction, a dozen victim builds for a generated batch, machine

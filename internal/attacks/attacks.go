@@ -96,10 +96,11 @@ type Target struct {
 	// Defense selects the monitor variant; nil means
 	// core.DefenseBaseline.
 	Defense *core.DefenseSpec
-	// Predecoded optionally shares a decode cache built from this exact
-	// Image (and ROM, for instrumented defenses), by Predecode or by
-	// core.Machine.EnablePredecode on a machine loaded with them; nil
-	// makes each machine snapshot a private one.
+	// Predecoded optionally shares a decode cache, decodes and blocks in
+	// one table, built from this exact Image (and ROM, for instrumented
+	// defenses), by Predecode or by core.Machine.EnablePredecode on a
+	// machine loaded with them; nil makes each machine snapshot a
+	// private one.
 	Predecoded *isa.Predecoded
 }
 

@@ -194,7 +194,7 @@ top:
 .word reset
 `, sel)
 		run, m, v, syms := cornerDifferential(t, p, core.DefenseEILID, src, "", nil)
-		if b := m.CPU.Predecoded().Blocks().At(syms["top"]); b == nil || b.Ops[len(b.Ops)-1].PC < 0xF800 {
+		if b := m.CPU.Predecoded().At(syms["top"]); b == nil || b.Ops[len(b.Ops)-1].PC < 0xF800 {
 			t.Fatal("no fused block runs from top into the ROM")
 		}
 		if !slices.Contains(run.events, event{kind: 'F', a: 0xf7fe, b: 0xf800}) {
@@ -226,7 +226,7 @@ func TestBlockAdmissionROMEntryBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := probe.EnablePredecode().Blocks()
+	blocks := probe.EnablePredecode()
 	var target uint16
 	l := p.Config().Layout
 	for a := p.ROM().Entry + 2; a < l.SecureROMEnd && target == 0; a += 2 {

@@ -111,7 +111,7 @@ func TestBlockCountdownDifferential(t *testing.T) {
 	// checkCountdown asserts that the loop is a countdown block.
 	checkCountdown := func(t *testing.T, ms []*core.Machine, syms map[string]uint16) {
 		t.Helper()
-		if b := ms[0].CPU.Predecoded().Blocks().At(syms["loop"]); b == nil || !b.Countdown {
+		if b := ms[0].CPU.Predecoded().At(syms["loop"]); b == nil || !b.Countdown {
 			t.Fatalf("the loop at 0x%04x is not a countdown block", syms["loop"])
 		}
 	}
@@ -219,7 +219,7 @@ func TestBlockCountdownDifferential(t *testing.T) {
 			for i, n := range countdownCounts {
 				src := countdownSource(s.setup, n, regs[i], s.step(regs[i]), s.jump)
 				ms, syms := countdownCorner(t, p, fmt.Sprintf("%s n=%d", s.name, n), src, 20_000)
-				blocks := ms[0].CPU.Predecoded().Blocks()
+				blocks := ms[0].CPU.Predecoded()
 				for a := syms["reset"]; a < syms["isr"]; a += 2 {
 					if b := blocks.At(a); b != nil && b.Countdown {
 						t.Errorf("%s: the block at 0x%04x is a countdown", s.name, a)

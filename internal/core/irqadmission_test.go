@@ -103,7 +103,7 @@ handler:
 	blk, _, bm := cornerPair(t, p, core.DefenseBaseline, prog, func(m *core.Machine) {
 		m.CPU.IRQ = &stubGate{inner: m.IRQ, pc: m.CPU.PC, lo: loop, hi: unmasked}
 	})
-	if b := bm.CPU.Predecoded().Blocks().At(loop); b == nil || b.Ops[len(b.Ops)-1].PC <= unmasked {
+	if b := bm.CPU.Predecoded().At(loop); b == nil || b.Ops[len(b.Ops)-1].PC <= unmasked {
 		t.Fatal("no fused block runs from loop across the mask boundary")
 	}
 	deferred := 0

@@ -246,13 +246,15 @@ func (m *Machine) refreshDeadline() {
 }
 
 // EnablePredecode snapshots the fetchable upper memory (user PMEM
-// through the IVT) into an immutable decode cache and installs it, so
-// Step skips isa.Decode on warm paths. Call it after LoadFirmware (the
-// snapshot must see the final code contents); a write that lands in a
-// code page after this point marks it in the space's written-page mask,
-// which sends the code there back to live decode. The returned
-// cache may be shared, via UsePredecoded, with any machine whose code
-// contents are byte-identical — the fleet runner's per-ROM artifact.
+// through the IVT) into an immutable decode cache, whose every cached
+// address holds its decode and the basic block starting there, and
+// installs it, so Step skips isa.Decode on warm paths and the run loop
+// executes whole blocks. Call it after LoadFirmware (the snapshot must
+// see the final code contents); a write that lands in a code page after
+// this point marks it in the space's written-page mask, which sends the
+// code there back to live decode. The returned cache may be shared, via
+// UsePredecoded, with any machine whose code contents are
+// byte-identical — the fleet runner's per-ROM artifact.
 func (m *Machine) EnablePredecode() *isa.Predecoded {
 	p := predecode(m.Space.Layout, m.Space.PeekWord)
 	m.UsePredecoded(p)
@@ -306,14 +308,13 @@ func predecode(l mem.Layout, read func(addr uint16) uint16) *isa.Predecoded {
 }
 
 // UsePredecoded installs a cache previously built by EnablePredecode on
-// a machine loaded with byte-identical code, together with the cache's
-// fused basic-block table (Predecoded.Blocks — built once, shared by
-// every machine holding the same cache). Installing asserts the cache
-// matches this machine's memory right now, and settles the space to
-// say so (mem.Space.Settle): the written-page mask, the record of what
-// may differ from the cache, is cleared without allocating, and the
-// base snapshot is dropped, so the next Recycle copies the sealed image
-// whole (the ones after it are partial again).
+// a machine loaded with byte-identical code: its decodes and its blocks
+// are one table, shared by every machine holding it. Installing asserts
+// the cache matches this machine's memory right now, and settles the
+// space to say so (mem.Space.Settle): the written-page mask, the record
+// of what may differ from the cache, is cleared without allocating, and
+// the base snapshot is dropped, so the next Recycle copies the sealed
+// image whole (the ones after it are partial again).
 //
 // The cache is the one thing that separates the two execution paths.
 // With it, the machine runs the production path: threaded-code UOps,
@@ -325,7 +326,6 @@ func predecode(l mem.Layout, read func(addr uint16) uint16) *isa.Predecoded {
 func (m *Machine) UsePredecoded(p *isa.Predecoded) {
 	m.Space.Settle()
 	m.CPU.SetPredecoded(p)
-	m.CPU.SetBlocks(p.Blocks())
 }
 
 // Snapshot seals the machine's current memory image as its recycle
@@ -348,13 +348,13 @@ var ErrNoSnapshot = errors.New("core: machine has no sealed snapshot to recycle 
 // controller return to power-on state, the monitor to its freshly
 // constructed one (Clear, as on every boot), all peripherals power on
 // (keeping their attached sensor models; the violation latch keeps no
-// state), and the shared per-ROM decode cache and block table stay
-// installed: the restore clears the written-page mask, and with it the
-// staleness of every cached decode, since the restored image is the one
-// the cache was built from. A recycled machine is observationally
-// identical to a freshly constructed one carrying the same image — the
-// recycle differential suites pin that, byte for byte, for every app ×
-// variant × scenario.
+// state), and the shared per-ROM decode cache stays installed: the
+// restore clears the written-page mask, and with it the staleness of
+// every cached decode, since the restored image is the one the cache
+// was built from. A recycled machine is observationally identical to a
+// freshly constructed one carrying the same image — the recycle
+// differential suites pin that, byte for byte, for every app × variant
+// × scenario.
 func (m *Machine) Recycle() error {
 	if m.snap == nil {
 		return ErrNoSnapshot

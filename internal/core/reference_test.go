@@ -389,7 +389,7 @@ func TestTickEquivalence(t *testing.T) {
 // installs it with UsePredecoded — here one cache per app and image,
 // built on the first column's machine and shared by every defense
 // column that runs the same image — watched through the defense's own
-// fetch filter. The shared cache and block table must be as invisible
+// fetch filter. The shared cache and its blocks must be as invisible
 // as a machine's own: every observable must match the reference, and
 // the stream may differ from it only by quiet fetches.
 func TestPredecodeDifferential(t *testing.T) {
@@ -503,7 +503,7 @@ func selfModDifferential(t *testing.T, name string, run drive) {
 			if err := probe.LoadFirmware(prog.Image); err != nil {
 				t.Fatal(err)
 			}
-			b := probe.EnablePredecode().Blocks().At(prog.Symbols["site"])
+			b := probe.EnablePredecode().At(prog.Symbols["site"])
 			if b == nil || b.Ops[len(b.Ops)-1].PC < site2 {
 				t.Fatalf("%s: no fused block runs from site through site2", tc.name)
 			}

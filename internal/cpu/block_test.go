@@ -32,7 +32,7 @@ func blockProgram(t *testing.T) *CPU {
 		isa.Instruction{Op: isa.JNE, JumpOffset: -4},                       // 0xE00A: jnz 0xE004
 		isa.Instruction{Op: isa.JMP, JumpOffset: -1},                       // 0xE00C: jmp $
 	)
-	c.SetBlocks(predecoded(c, s).Blocks())
+	predecoded(c, s)
 	return c
 }
 
@@ -141,7 +141,7 @@ func TestRunBlocksExitReasons(t *testing.T) {
 	run(c.Cycles+100, ExitStale)
 	c.R[isa.SR] |= isa.FlagCPUOff
 	run(c.Cycles+100, ExitOther)
-	c.SetBlocks(nil)
+	c.SetPredecoded(nil)
 	run(c.Cycles+100, ExitOther)
 	var sum uint64
 	for _, n := range c.BlockExits {

@@ -170,19 +170,13 @@ type CPU struct {
 
 	prevPC uint16
 
-	// pre is an optional shared read-only decode cache; prePage0 and
-	// prePages mirror its page index (see isa.Predecoded.Table) so the
-	// warm-path lookup needs no pointer chase through the cache object:
+	// pre is an optional shared read-only decode cache; page0 and pages
+	// mirror its page index (see isa.Predecoded.Table) so the lookups in
+	// Step and RunBlocks need no pointer chase through the cache object:
 	// one load of the page, which is nil on a page with no cached
-	// decode, then the entry. Whether an entry is stale is read from the
-	// bus's written-page mask (see DirectBus).
-	pre      *isa.Predecoded
-	prePage0 uint16
-	prePages []*isa.EntryPage
-
-	// blkPage0/blkPages mirror the installed basic-block table's page
-	// index (see isa.Blocks.Table) so the block lookup needs no pointer
-	// chase.
+	// decode, then the block, whose first op is the decode Step runs.
+	// Whether a decode or a block is stale is read from the bus's
+	// written-page mask (see DirectBus).
 	// codeClean is the block executor's summary of the mask: no page at
 	// or above the cache window's first page is marked, so no cached
 	// decode is stale and admission need not read the mask. RunBlocks
@@ -195,8 +189,9 @@ type CPU struct {
 	// accesses quiet, handing control back to the machine loop exactly
 	// where per-instruction dispatch would have observed the side
 	// effect (peripheral state, halt, a new interrupt request).
-	blkPage0   uint16
-	blkPages   []*isa.BlockPage
+	pre        *isa.Predecoded
+	page0      uint16
+	pages      []*isa.BlockPage
 	codeClean  bool
 	busTouched bool
 
@@ -219,10 +214,10 @@ type CPU struct {
 	// Exit constants; the counts sum to the number of RunBlocks calls.
 	BlockExits [NumBlockExits]uint64
 
-	// The block plan (see plan) holds, per slot of the block table's
+	// The block plan (see plan) holds, per slot of the decode cache's
 	// window (see slot), the loud, admit, quiet and spin bits derived
 	// from planWatch, planIRQ and the bus. planned is cleared whenever
-	// the block table changes.
+	// the cache changes.
 	planned                  bool
 	planWatch                Watcher
 	planIRQ                  IRQSource
@@ -241,8 +236,8 @@ const (
 	ExitIRQ
 	// ExitLimit: the next block would not finish before the limit.
 	ExitLimit
-	// ExitOther: CPUOFF, a PC with no fused block, or no block table
-	// at all.
+	// ExitOther: CPUOFF, a PC with no cached decode, or no decode
+	// cache at all.
 	ExitOther
 	// NumBlockExits is the number of reasons.
 	NumBlockExits
@@ -273,31 +268,22 @@ func (c *CPU) SR() uint16 { return c.R[isa.SR] }
 func (c *CPU) PrevPC() uint16 { return c.prevPC }
 
 // SetPredecoded installs (or, with nil, removes) a decode cache built
-// from the memory contents the CPU currently fetches from. The cache is
-// read-only and may be shared across CPUs running identical code. An
-// entry is trusted while no page its fetch window touches is marked in
-// the bus's written-page mask, so the caller settles the bus first
+// from the memory contents the CPU currently fetches from: its decodes
+// for Step and its blocks for RunBlocks. The cache is read-only and may
+// be shared across CPUs running identical code. A decode or block is
+// trusted while no page its fetch windows touch is marked in the bus's
+// written-page mask, so the caller settles the bus first
 // (mem.Space.Settle, as core.Machine.UsePredecoded does): a page still
 // marked from the image load would keep its code on the live path.
+// Installing drops the block plan, which RunBlocks then derives afresh.
 func (c *CPU) SetPredecoded(p *isa.Predecoded) {
 	c.pre = p
-	c.prePage0, c.prePages = p.Table()
-	// A block table is only valid against the cache it was fused from;
-	// drop it until the caller re-pairs them.
-	c.SetBlocks(nil)
+	c.page0, c.pages = p.Table()
+	c.planned = false
 }
 
 // Predecoded returns the installed decode cache, if any.
 func (c *CPU) Predecoded() *isa.Predecoded { return c.pre }
-
-// SetBlocks installs (or, with nil, removes) a basic-block table fused
-// from the installed decode cache (isa.BuildBlocks / Predecoded.Blocks).
-// The caller asserts the table matches the installed cache; install the
-// cache first, then its blocks.
-func (c *CPU) SetBlocks(b *isa.Blocks) {
-	c.blkPage0, c.blkPages = b.Table()
-	c.planned = false
-}
 
 // PowerOn returns the CPU to its freshly constructed state: registers
 // and every counter (cycles, instructions, interrupts, the executor and
@@ -312,7 +298,7 @@ func (c *CPU) PowerOn() {
 	c.prevPC = 0
 }
 
-// staleAt reports whether the cached entry at pc (below 0xFFFB, as every
+// staleAt reports whether the cached decode at pc (below 0xFFFB, as every
 // cached pc is) may be stale: a page its fetch window pc..pc+5 touches
 // is marked written, or the bus has no mask to tell.
 func (c *CPU) staleAt(pc uint16) bool {
@@ -363,7 +349,7 @@ func (c *CPU) storeWord(pc, addr, v uint16) {
 		c.slab[a] = byte(v)
 		c.slab[a+1] = byte(v >> 8)
 		c.written[a>>14] |= 1 << (a >> 8 & 63)
-		if a>>8 >= c.prePage0 {
+		if a>>8 >= c.page0 {
 			c.codeClean = false
 		}
 		return
@@ -390,7 +376,7 @@ func (c *CPU) storeByte(pc, addr uint16, v uint8) {
 	if c.slab != nil && c.plain[addr] {
 		c.slab[addr] = v
 		c.written[addr>>14] |= 1 << (addr >> 8 & 63)
-		if addr>>8 >= c.prePage0 {
+		if addr>>8 >= c.page0 {
 			c.codeClean = false
 		}
 		return
@@ -453,16 +439,17 @@ func (c *CPU) Step() (int, error) {
 		c.Watch.OnFetch(c.prevPC, pc)
 	}
 
-	// Warm path: a predecoded entry that no write has touched skips the
-	// speculative fetch and the decoder entirely; its threaded-code
-	// lowering additionally skips the format switch and operand
-	// resolution.
-	if p := int(pc>>8) - int(c.prePage0); pc&1 == 0 && uint(p) < uint(len(c.prePages)) && c.prePages[p] != nil {
-		if e := &c.prePages[p][pc>>1%isa.PageSlots]; e.OK && !c.staleAt(pc) {
-			c.R[isa.PC] = pc + e.Size
+	// Warm path: a cached decode that no write has touched, the first op
+	// of the block starting at pc, skips the speculative fetch and the
+	// decoder entirely; its threaded-code lowering additionally skips
+	// the format switch and operand resolution.
+	if p := int(pc>>8) - int(c.page0); pc&1 == 0 && uint(p) < uint(len(c.pages)) && c.pages[p] != nil {
+		if ops := c.pages[p][pc>>1%isa.PageSlots].Ops; len(ops) != 0 && !c.staleAt(pc) {
+			op := &ops[0]
+			c.R[isa.PC] = op.Next
 			c.prevPC = pc
-			c.execUOp(pc, &e.U)
-			c.Cycles += uint64(e.Cycles)
+			c.execUOp(pc, &op.U)
+			c.Cycles += uint64(op.Cycles)
 			c.Insns++
 			return int(c.Cycles - start), nil
 		}
@@ -1029,8 +1016,8 @@ func (c *CPU) staleRange(p0, p1 uint16) bool {
 //     or the machine loop could observe, so its block runs on;
 //   - a write landing in a page the block's fetch windows touch
 //     (self-modifying code) ends the block before the next op
-//     re-fetches, via the same written-page mask that guards individual
-//     predecoded entries. Admission and the check after each op read
+//     re-fetches, via the same written-page mask that guards the
+//     decodes Step runs. Admission and the check after each op read
 //     the mask only once codeClean is false, which a direct store into
 //     the cache window's pages makes it;
 //   - with GIE set the pending-interrupt poll runs at every block
@@ -1082,14 +1069,14 @@ func (c *CPU) staleRange(p0, p1 uint16) bool {
 // to which the machine syncs its peripherals when a violation ends the
 // call.
 func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre uint64) {
-	if c.blkPages == nil {
+	if c.pages == nil {
 		c.BlockExits[ExitOther]++
 		return false, 0
 	}
 	if !c.planned || c.Watch != c.planWatch || c.IRQ != c.planIRQ {
 		c.plan()
 	}
-	c.codeClean = !c.staleRange(c.prePage0, 0xFF)
+	c.codeClean = !c.staleRange(c.page0, 0xFF)
 	for {
 		sr := c.R[isa.SR]
 		if sr&isa.FlagCPUOff != 0 {
@@ -1102,12 +1089,12 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			return
 		}
 		pc := c.R[isa.PC]
-		p := int(pc>>8) - int(c.blkPage0)
-		if pc&1 != 0 || uint(p) >= uint(len(c.blkPages)) || c.blkPages[p] == nil {
+		p := int(pc>>8) - int(c.page0)
+		if pc&1 != 0 || uint(p) >= uint(len(c.pages)) || c.pages[p] == nil {
 			c.BlockExits[ExitOther]++
 			return
 		}
-		b := &c.blkPages[p][pc>>1%isa.PageSlots]
+		b := &c.pages[p][pc>>1%isa.PageSlots]
 		ops := b.Ops
 		if ops == nil {
 			c.BlockExits[ExitOther]++
@@ -1152,7 +1139,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 				c.R[isa.PC] = ops[n-1].Next
 				for k := range ops {
 					op := &ops[k]
-					u := op.U
+					u := &op.U
 					switch u.Class {
 					case isa.UFmt1Reg:
 						src := u.SrcVal
@@ -1234,7 +1221,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			}
 			c.R[isa.PC] = op.Next
 			c.prevPC = op.PC
-			c.execUOp(op.PC, op.U)
+			c.execUOp(op.PC, &op.U)
 			c.Cycles += uint64(op.Cycles)
 			c.Insns++
 			c.GuardedInsns++
@@ -1296,9 +1283,9 @@ func (c *CPU) countdown(b *isa.Block, limit uint64) {
 }
 
 // slot returns the index of the fetch address pc, which lies in the
-// block table's window, in the plan's bitsets: the window's even
+// decode cache's window, in the plan's bitsets: the window's even
 // addresses in order, isa.PageSlots to a page.
-func (c *CPU) slot(pc uint16) int { return (int(pc) - int(c.blkPage0)<<8) >> 1 }
+func (c *CPU) slot(pc uint16) int { return (int(pc) - int(c.page0)<<8) >> 1 }
 
 // bitAt reports the plan bit of the slot of pc.
 func (c *CPU) bitAt(set []uint64, pc uint16) bool {
@@ -1306,7 +1293,7 @@ func (c *CPU) bitAt(set []uint64, pc uint16) bool {
 	return set[i>>6]&(1<<(i&63)) != 0
 }
 
-// plan derives the block plan for the installed block table from the
+// plan derives the block plan for the installed decode cache from the
 // current watcher, interrupt source and bus, as four bitsets over the
 // slots of the table's window (~2 KB for the 8 KiB code window):
 //
@@ -1334,7 +1321,7 @@ func (c *CPU) bitAt(set []uint64, pc uint16) bool {
 // code image the table was fused from.
 func (c *CPU) plan() {
 	c.planned, c.planWatch, c.planIRQ = true, c.Watch, c.IRQ
-	n := len(c.blkPages) * isa.PageSlots >> 6
+	n := len(c.pages) * isa.PageSlots >> 6
 	c.loud, c.admit, c.quiet, c.spin = make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
 	f, filtered := c.Watch.(FetchFilter)
 	reads, _ := c.Watch.(ReadFilter)
@@ -1358,8 +1345,8 @@ func (c *CPU) plan() {
 	// A block's tail is the block at its second op, which sits higher
 	// in the table, so a downward walk finds the tail's admit bit
 	// already holding "every arrival after the entry is quiet".
-	for i := len(c.blkPages)*isa.PageSlots - 1; i >= 0; i-- {
-		pg := c.blkPages[i/isa.PageSlots]
+	for i := len(c.pages)*isa.PageSlots - 1; i >= 0; i-- {
+		pg := c.pages[i/isa.PageSlots]
 		if pg == nil {
 			continue
 		}
@@ -1367,7 +1354,7 @@ func (c *CPU) plan() {
 		if ops == nil {
 			continue
 		}
-		if ops[0].Mem && c.quietAccesses(ops[0].U, loads) {
+		if ops[0].Mem && c.quietAccesses(&ops[0].U, loads) {
 			set(c.quiet, i)
 		}
 		if len(ops) > 1 {
@@ -1385,11 +1372,11 @@ func (c *CPU) plan() {
 	// Here admit still holds "every arrival after the entry is quiet",
 	// the first condition of both the pure path and a spin, and only
 	// slots holding a block have it.
-	for i := range len(c.blkPages) * isa.PageSlots {
+	for i := range len(c.pages) * isa.PageSlots {
 		if c.admit[i>>6]&(1<<(i&63)) == 0 {
 			continue
 		}
-		b := &c.blkPages[i/isa.PageSlots][i%isa.PageSlots]
+		b := &c.pages[i/isa.PageSlots][i%isa.PageSlots]
 		last := &b.Ops[len(b.Ops)-1]
 		selfLoop := last.U.Class == isa.UJump && last.U.Target == b.Ops[0].PC
 		quietLoop := selfLoop && quietStep(last.PC, b.Ops[0].PC)
@@ -1407,7 +1394,7 @@ func (c *CPU) plan() {
 func (c *CPU) stillOps(ops []isa.BlockOp, loads LoadFilter, reads ReadFilter) bool {
 	for k := range ops {
 		op := &ops[k]
-		if op.Mem && (!c.bitAt(c.quiet, op.PC) || !c.stillAccesses(op.PC, op.U, loads, reads)) {
+		if op.Mem && (!c.bitAt(c.quiet, op.PC) || !c.stillAccesses(op.PC, &op.U, loads, reads)) {
 			return false
 		}
 	}

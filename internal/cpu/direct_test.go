@@ -152,10 +152,7 @@ func TestDirectRAMMatchesBus(t *testing.T) {
 			sd.c = New(busOnly{sd.s})
 		}
 		if executor != "live" {
-			pre := predecoded(sd.c, sd.s)
-			if executor == "blocks" {
-				sd.c.SetBlocks(pre.Blocks())
-			}
+			predecoded(sd.c, sd.s)
 		}
 		sd.snap, sd.sealed = sd.s.Snapshot(), sd.s.ReadRaw(0, mem.Size)
 		sd.c.Watch = &sd.watch

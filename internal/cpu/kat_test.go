@@ -319,7 +319,7 @@ func runKnownAnswer(k knownAnswer, cached bool) error {
 	c.Reset(0xFFFE)
 	if cached {
 		p := predecoded(c, s)
-		if p.EntryAt(0xE000) == nil || c.staleAt(0xE000) {
+		if p.At(0xE000) == nil || c.staleAt(0xE000) {
 			return fmt.Errorf("the instruction would not run from the cache")
 		}
 	}

@@ -22,7 +22,7 @@ func predecoded(c *CPU, s *mem.Space) *isa.Predecoded {
 func staleSet(c *CPU, p *isa.Predecoded) []uint16 {
 	var stale []uint16
 	for a := 0xE000; a < 0xFFFC; a += 2 {
-		if p.EntryAt(uint16(a)) != nil && c.staleAt(uint16(a)) {
+		if p.At(uint16(a)) != nil && c.staleAt(uint16(a)) {
 			stale = append(stale, uint16(a))
 		}
 	}
@@ -77,7 +77,7 @@ func TestInvalidateCodeBelowCacheIsFree(t *testing.T) {
 	}
 	var want []uint16
 	for a := 0xE0FC; a < 0xE110; a += 2 {
-		if p.EntryAt(uint16(a)) != nil {
+		if p.At(uint16(a)) != nil {
 			want = append(want, uint16(a))
 		}
 	}
@@ -88,15 +88,14 @@ func TestInvalidateCodeBelowCacheIsFree(t *testing.T) {
 
 // TestResetCodeStateDiscardsStaleness pins how staleness ends: a
 // Restore of the base the space was sealed with after the cache went in
-// makes every entry fresh again, with the cache and its block table
-// still installed, so blocks run again.
+// makes every entry fresh again, with the cache still installed, so
+// blocks run again.
 func TestResetCodeStateDiscardsStaleness(t *testing.T) {
 	c, s := program(t,
 		isa.Instruction{Op: isa.MOV, Src: isa.Imm(1), Dst: isa.RegOp(4)},
 		isa.Instruction{Op: isa.JMP, JumpOffset: -1},
 	)
 	p := predecoded(c, s)
-	c.SetBlocks(p.Blocks())
 	snap := s.Snapshot()
 	s.StoreWord(0xE000, 0x4303) // mov r3, r3 over mov #1, r4
 	if !c.staleAt(0xE000) {
@@ -111,8 +110,8 @@ func TestResetCodeStateDiscardsStaleness(t *testing.T) {
 	if got := staleSet(c, p); got != nil {
 		t.Fatalf("staleness survived Restore: %04x", got)
 	}
-	if c.Predecoded() != p || c.blkPages == nil {
-		t.Fatal("Restore dropped the installed decode cache or block table")
+	if c.Predecoded() != p || c.pages == nil {
+		t.Fatal("Restore dropped the installed code table")
 	}
 	if ran, _ := c.RunBlocks(c.Cycles+100, nil); !ran || c.R[4] != 1 {
 		t.Fatalf("restored block did not run: ran %v, r4 %d", ran, c.R[4])

@@ -192,7 +192,7 @@ func runApp(p *core.Pipeline, app apps.App, build *core.BuildResult, spec *core.
 	// One shared run sequence with the fleet jobs (machine setup,
 	// decode cache, UART feed, boot, run, inspect), so the Table IV and
 	// fleet paths cannot drift apart.
-	insp, _, err := fleet.ExecuteApp(p, app, build, spec, nil)
+	insp, _, err := fleet.ExecuteApp(p, app, build, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -12,11 +12,13 @@ import (
 )
 
 // maxArtifactBytes bounds the live heap one build flavour's decode cache
-// and block table hold: the entry and block pages of the few 256-byte
-// pages that hold code, their two page indexes and the fused ops. The
-// flavours TestArtifactBytes prepares hold 21.1 KiB each on average (2.3
-// code pages); tables sized to the whole 8 KiB window held 250 KiB.
-const maxArtifactBytes = 32 << 10
+// holds: the block pages of the few 256-byte pages that hold code, its
+// one page index and the fused ops, each carrying its decode. The
+// flavours TestArtifactBytes prepares hold 14.8 KiB each on average (2.3
+// code pages); a second page table beside the blocks, one decode per
+// slot, brought them to 21.1 KiB, and tables sized to the whole 8 KiB
+// window held 250 KiB.
+const maxArtifactBytes = 18 << 10
 
 // maxRunnerSetupBytes bounds what NewRunner allocates to prepare the
 // six handcrafted attacks in the four defense columns, 50 repeats each
@@ -67,8 +69,8 @@ func sameBlock(a, b *isa.Block) bool {
 		return false
 	}
 	for k := range a.Ops {
-		x, y := a.Ops[k], b.Ops[k]
-		if *x.U != *y.U || x.PC != y.PC || x.Next != y.Next || x.Cycles != y.Cycles || x.Flags != y.Flags || x.Mem != y.Mem {
+		x, y := &a.Ops[k], &b.Ops[k]
+		if x.U != y.U || x.PC != y.PC || x.Next != y.Next || x.Cycles != y.Cycles || x.Flags != y.Flags || x.Mem != y.Mem {
 			return false
 		}
 	}
@@ -79,11 +81,11 @@ func sameBlock(a, b *isa.Block) bool {
 // matrix, of Generate(1, 64) and of Generate(1, 16) both ways: from its
 // images, as the runner prepares it (attacks.Target.Predecode), and by
 // EnablePredecode on a machine loaded with them (Target.NewMachine). At
-// every even address of the window both must hold the same decode and
-// the same block; the decode must be exactly what isa.Decode and
-// isa.LowerUOp give for the machine's memory, or nothing where the live
-// path must run; and a page of either table holds storage exactly when
-// an address on it holds a decode.
+// every even address of the window both must hold the same block; its
+// first op, the decode Step runs, must be exactly what isa.Decode and
+// isa.LowerUOp give for the machine's memory, or there must be no block
+// where the live path must run; and a page of either table holds
+// storage exactly when an address on it holds a decode.
 func TestPredecodeImagesMatchMachine(t *testing.T) {
 	p := newPipeline(t)
 	l := p.Config().Layout
@@ -119,27 +121,29 @@ func TestPredecodeImagesMatchMachine(t *testing.T) {
 			bad := 0
 			for pc := int(l.PMEMStart); pc < 1<<16; pc += 2 {
 				a := uint16(pc)
-				e, re := got.EntryAt(a), ref.EntryAt(a)
-				switch {
-				case (e == nil) != (re == nil) || e != nil && *e != *re:
-					t.Errorf("%s/%s 0x%04x: image entry %+v, machine entry %+v", k.name, k.ref.Name, a, e, re)
-					bad++
-				case !sameBlock(got.Blocks().At(a), ref.Blocks().At(a)):
+				rb := ref.At(a)
+				if !sameBlock(got.At(a), rb) {
 					t.Errorf("%s/%s 0x%04x: image and machine blocks differ", k.name, k.ref.Name, a)
 					bad++
 				}
-				var wantE *isa.Entry
+				var want *isa.BlockOp
 				if a < 0xFFFC && fetchable(a) && fetchable(a+2) && fetchable(a+4) {
 					in, _, err := isa.Decode([]uint16{peek(a), peek(a + 2), peek(a + 4)})
 					if err == nil {
 						if u, ok := isa.LowerUOp(a, in); ok {
-							wantE = &isa.Entry{U: u, Size: in.Size(), Cycles: uint16(isa.Cycles(in)), OK: true}
+							want = &isa.BlockOp{U: u, PC: a, Next: a + in.Size(), Cycles: uint16(isa.Cycles(in))}
 						}
 					}
 				}
-				if (re == nil) != (wantE == nil) || re != nil && *re != *wantE {
-					t.Errorf("%s/%s 0x%04x: cached %+v, Decode and LowerUOp give %+v", k.name, k.ref.Name, a, re, wantE)
+				switch {
+				case (rb == nil) != (want == nil):
+					t.Errorf("%s/%s 0x%04x: cached %v, Decode and LowerUOp give %+v", k.name, k.ref.Name, a, rb != nil, want)
 					bad++
+				case rb != nil:
+					if op := &rb.Ops[0]; op.U != want.U || op.PC != want.PC || op.Next != want.Next || op.Cycles != want.Cycles {
+						t.Errorf("%s/%s 0x%04x: cached %+v, Decode and LowerUOp give %+v", k.name, k.ref.Name, a, *op, *want)
+						bad++
+					}
 				}
 				if bad > 10 {
 					t.Fatalf("%s/%s: too many mismatches", k.name, k.ref.Name)
@@ -147,18 +151,13 @@ func TestPredecodeImagesMatchMachine(t *testing.T) {
 			}
 			for _, pre := range []*isa.Predecoded{got, ref} {
 				page0, pages := pre.Table()
-				bpage0, bpages := pre.Blocks().Table()
-				if bpage0 != page0 || len(bpages) != len(pages) {
-					t.Fatalf("%s/%s: block window %d+%d pages, cache window %d+%d", k.name, k.ref.Name, bpage0, len(bpages), page0, len(pages))
-				}
 				for i := range pages {
 					code := false
 					for s := 0; s < isa.PageSlots; s++ {
-						code = code || pre.EntryAt((page0+uint16(i))<<8|uint16(2*s)) != nil
+						code = code || pre.At((page0+uint16(i))<<8|uint16(2*s)) != nil
 					}
-					if (pages[i] != nil) != code || (bpages[i] != nil) != code {
-						t.Errorf("%s/%s page 0x%02x: holds code %v, entry page %v, block page %v",
-							k.name, k.ref.Name, page0+uint16(i), code, pages[i] != nil, bpages[i] != nil)
+					if (pages[i] != nil) != code {
+						t.Errorf("%s/%s page 0x%02x: holds code %v, stored %v", k.name, k.ref.Name, page0+uint16(i), code, pages[i] != nil)
 					}
 				}
 			}
@@ -170,8 +169,43 @@ func TestPredecodeImagesMatchMachine(t *testing.T) {
 	t.Logf("%d flavours checked", n)
 }
 
-// TestArtifactBytes pins what a build flavour's decode cache and block
-// table cost a daemon's Warm. It prepares every flavour of the Table IV
+// TestBuildBlocksMatchesPredecode fuses every flavour of the default
+// matrix and of Generate(1, 16) afresh from its table's decodes
+// (isa.BuildBlocks, the pass Predecode ends with, which the benchmark
+// times on its own) and requires the same block at every address: the
+// same ops, with the same lowering, address, size, cost and flag
+// liveness, and the same totals, countdown mark and written-page range.
+func TestBuildBlocksMatchesPredecode(t *testing.T) {
+	p := newPipeline(t)
+	n := 0
+	for _, m := range []MatrixSpec{
+		{},
+		{NoApps: true, NoScenarios: true, Generated: GeneratedSpec{Seed: 1, Count: 16}},
+	} {
+		r, err := NewRunner(p, BatchSpec{Matrix: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, of := flavours(r)
+		for _, k := range keys {
+			f, _ := of[k].flavour(k.ref)
+			fused := isa.BuildBlocks(f.pre)
+			if fused.Len() != f.pre.Len() || fused.Len() == 0 {
+				t.Fatalf("%s/%s: fused afresh %d blocks, predecoded %d", k.name, k.ref.Name, fused.Len(), f.pre.Len())
+			}
+			for pc := 0; pc < 1<<16; pc += 2 {
+				if !sameBlock(fused.At(uint16(pc)), f.pre.At(uint16(pc))) {
+					t.Fatalf("%s/%s 0x%04x: the block fused afresh differs", k.name, k.ref.Name, pc)
+				}
+			}
+			n++
+		}
+	}
+	t.Logf("%d flavours checked", n)
+}
+
+// TestArtifactBytes pins what a build flavour's decode cache costs a
+// daemon's Warm. It prepares every flavour of the Table IV
 // apps, the handcrafted attacks and the victims of Generate(1, 16) in a
 // fresh Warm, then drops the flavours' caches, and reads the live heap
 // they held after a collection.

@@ -3,9 +3,9 @@
 // on independent core.Machine instances while sharing the expensive
 // read-only build artifacts — each firmware is assembled and
 // instrumented exactly once via core.Pipeline, and its predecoded
-// instruction cache (core.PredecodeImages, from the images alone) and
-// fused basic-block table (isa.Predecoded.Blocks) are built once per ROM
-// and handed to every machine that runs it. Machines live in one pool per
+// instruction cache (core.PredecodeImages, from the images alone), which
+// holds the fused basic blocks too, is built once per ROM and handed to
+// every machine that runs it. Machines live in one pool per
 // firmware and defense, in the runner's Warm: every job checks a
 // machine out, recycled to its sealed snapshot, and checks it back in.
 // Job results are aggregated deterministically in job order, so a run
@@ -73,7 +73,8 @@ type JobResult struct {
 }
 
 // artifact is the shared build product for one firmware: assembled
-// images plus up to one predecoded instruction cache per build flavour
+// images plus up to one decode cache per build flavour, one table that
+// holds each cached address's decode and the basic block starting there
 // (instrumented defenses share inst, all others orig — their memory
 // contents are byte-identical). A flavour's cache is built the first
 // time a runner that runs it prepares the artifact, and never changes
@@ -268,9 +269,8 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 // from a warm artifact is built here, once, whichever of the runners
 // sharing the Warm gets there first; the others wait for it. Each cache
 // is predecoded straight from the exact images the jobs' machines will
-// hold (attacks.Target.Predecode), and its block table is fused here,
-// during sequential preparation, so the first job to run this ROM pays
-// for neither.
+// hold (attacks.Target.Predecode), blocks fused, during sequential
+// preparation, so the first job to run this ROM pays for neither.
 func (r *Runner) prepare(key, file, source string) (*artifact, error) {
 	if a, ok := r.artifacts[key]; ok {
 		return a, nil
@@ -286,10 +286,7 @@ func (r *Runner) prepare(key, file, source string) (*artifact, error) {
 	}
 	for _, d := range r.defenses {
 		f, ref := a.flavour(d)
-		f.once.Do(func() {
-			f.pre = attacks.TargetFor(r.p, a.build, ref).Predecode()
-			f.pre.Blocks()
-		})
+		f.once.Do(func() { f.pre = attacks.TargetFor(r.p, a.build, ref).Predecode() })
 	}
 	r.artifacts[key] = a
 	return a, nil
@@ -586,17 +583,14 @@ func (r *Runner) checkout(k poolKey) (*core.Machine, error) {
 }
 
 // ExecuteApp runs one application build under the given defense on a
-// fresh machine and returns the observable inspection plus the first
-// reset reason (empty when none). pre optionally shares a decode cache
-// built from the same image; nil snapshots a private one. A non-nil
+// fresh machine with a private decode cache and returns the observable
+// inspection plus the first reset reason (empty when none). A non-nil
 // error with a non-nil inspection is a run error (e.g. cycle-budget
 // exhaustion) after which the partial observables are still meaningful.
-// This is the one app-run sequence both the fleet jobs and eval's
-// Table IV measurement go through.
-func ExecuteApp(p *core.Pipeline, app apps.App, build *core.BuildResult, spec *core.DefenseSpec, pre *isa.Predecoded) (*apps.Inspection, string, error) {
-	t := attacks.TargetFor(p, build, spec)
-	t.Predecoded = pre
-	m, err := t.NewMachine()
+// It is eval's Table IV measurement; the fleet jobs run the same
+// sequence on pooled machines through ExecuteAppOn.
+func ExecuteApp(p *core.Pipeline, app apps.App, build *core.BuildResult, spec *core.DefenseSpec) (*apps.Inspection, string, error) {
+	m, err := attacks.TargetFor(p, build, spec).NewMachine()
 	if err != nil {
 		return nil, "", err
 	}

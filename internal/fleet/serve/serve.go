@@ -1,8 +1,8 @@
 // Package serve is the fleet's service mode: a persistent HTTP server
 // (cmd/eilid-fleetd) that accepts fleet.BatchSpec submissions and runs
 // them through the ordinary Runner/journal machinery while keeping the
-// expensive state — built artifacts, decode caches, block tables and
-// recycled machines — warm in a fleet.Warm cache that outlives any
+// expensive state — built artifacts, decode caches and recycled
+// machines — warm in a fleet.Warm cache that outlives any
 // single batch. A cold submission pays the same preparation cost as a
 // CLI invocation; a warm resubmission of an overlapping matrix skips
 // straight to recycled machines.

@@ -13,13 +13,14 @@ package isa
 // only where a PC-gated source's mask flips between two fused ops
 // (cpu.IRQGate).
 //
-// Like Predecoded, a Blocks table is immutable after construction and
-// shared between every machine running byte-identical code; the fleet
-// runner's per-ROM predecode artifact carries its block table (see
-// Predecoded.Blocks). Staleness stays the CPU core's problem: a block
-// is entered only when no page its fetch windows touch has been written
-// (the same written-page mask that guards individual predecoded
-// entries; see cpu.DirectBus).
+// Blocks are what Predecoded stores: each cached address holds the
+// block starting there, whose first op is that address's decode, so the
+// table the CPU core steps single instructions from is the one it runs
+// blocks from, immutable after construction and shared between every
+// machine running byte-identical code. Staleness stays the CPU core's
+// problem: a block is entered only when no page its fetch windows touch
+// has been written (the same written-page mask that sends a stale
+// decode back to live decode; see cpu.DirectBus).
 
 // MaxBlockOps caps the instructions fused into one block. Long
 // straight-line runs are split into chainable segments so a block's
@@ -29,10 +30,10 @@ package isa
 // per-instruction dispatch.
 const MaxBlockOps = 32
 
-// BlockOp is one fused instruction of a Block.
+// BlockOp is one fused instruction of a Block: a cached decode.
 type BlockOp struct {
-	// U points at the shared predecoded lowering.
-	U *UOp
+	// U is the instruction's threaded-code lowering.
+	U UOp
 	// PC is the instruction's fetch address.
 	PC uint16
 	// Next is the architectural PC during execution (PC + size).
@@ -55,9 +56,10 @@ type BlockOp struct {
 
 // Block is a basic block: one or more fused ops plus the precomputed
 // totals the run loop compares against its deadline/budget limit before
-// committing to the whole block.
+// committing to the whole block. Its first op is the decode of the
+// address it starts at, which is all a single step runs.
 type Block struct {
-	// Ops is the fused run; nil marks "no block starts here". The
+	// Ops is the fused run; nil marks "no decode is cached here". The
 	// slice may alias a longer run's array (suffix sharing).
 	Ops []BlockOp
 	// Cycles is the precomputed total cycle cost of Ops.
@@ -90,64 +92,6 @@ type Block struct {
 // BlockPage holds the blocks starting on one 256-byte page, indexed by
 // slot (see PageSlots).
 type BlockPage [PageSlots]Block
-
-// Blocks is the basic-block table for a predecode window, stored a page
-// at a time like the decode cache it is fused from: a page holds a block
-// at every address that holds a cached decode, so the table has exactly
-// the cache's pages. Read-only after construction; safe to share.
-type Blocks struct {
-	// page0 is the window's first page; pages[i] holds page page0+i,
-	// and is nil when no block starts on it.
-	page0 uint16
-	pages []*BlockPage
-}
-
-// Table exposes the window's first page and the page index for callers
-// that inline the lookup (the CPU core): pages[i] holds page page0+i, or
-// is nil when no block starts on that page, and slot pc>>1%PageSlots of
-// a page holds the block starting at fetch address pc (Ops == nil when
-// none does). Blocks are shared and read-only.
-func (b *Blocks) Table() (page0 uint16, pages []*BlockPage) {
-	if b == nil {
-		return 0, nil
-	}
-	return b.page0, b.pages
-}
-
-// At returns the block starting at the fetch address pc, or nil.
-func (b *Blocks) At(pc uint16) *Block {
-	if b == nil || pc&1 != 0 {
-		return nil
-	}
-	i := int(pc>>8) - int(b.page0)
-	if i < 0 || i >= len(b.pages) || b.pages[i] == nil {
-		return nil
-	}
-	if blk := &b.pages[i][pc>>1%PageSlots]; blk.Ops != nil {
-		return blk
-	}
-	return nil
-}
-
-// Len reports how many addresses start a block (for tests and
-// diagnostics).
-func (b *Blocks) Len() int {
-	if b == nil {
-		return 0
-	}
-	n := 0
-	for _, pg := range b.pages {
-		if pg == nil {
-			continue
-		}
-		for i := range pg {
-			if pg[i].Ops != nil {
-				n++
-			}
-		}
-	}
-	return n
-}
 
 // endsBlock reports whether no block may continue past u: the op can
 // redirect the PC or rewrite SR system bits (GIE/CPUOFF), so the next
@@ -250,86 +194,92 @@ func flagSets(u *UOp) (writes, reads uint16) {
 func markLiveFlags(ops []BlockOp) {
 	live := uint16(arithFlags)
 	for k := len(ops) - 1; k >= 0; k-- {
-		w, r := flagSets(ops[k].U)
+		w, r := flagSets(&ops[k].U)
 		ops[k].Flags = w&live != 0
 		live = live&^w | r
 	}
 }
 
-// BuildBlocks fuses the cache's threaded-code entries into basic
-// blocks. Runs are walked once: every address inside a materialized run
-// receives the run's suffix (sharing the backing array), and a walk
-// that reaches an already-materialized address simply ends its block
-// there — the executor chains into the existing block at run time.
-// Every cached decode lies in exactly one run, so the ops of all runs
-// share one array of p.Len() ops, and a page of blocks is allocated
-// exactly where the cache holds a page of entries.
-func BuildBlocks(p *Predecoded) *Blocks {
-	page0, entries := p.Table()
-	bl := &Blocks{page0: page0}
-	n := p.Len()
-	if n == 0 {
-		return bl
-	}
-	bl.pages = make([]*BlockPage, len(entries))
-	all := make([]BlockOp, 0, n)
-	for i, pg := range entries {
+// BuildBlocks fuses the decodes p holds, the first op of each of its
+// blocks, into basic blocks afresh and returns the new table, over p's
+// window. It is the fuse pass Predecode ends with, so the result holds
+// the same blocks as p.
+func BuildBlocks(p *Predecoded) *Predecoded {
+	var decs []BlockOp
+	for _, pg := range p.pages {
 		if pg == nil {
 			continue
 		}
 		for k := range pg {
-			pc := (page0+uint16(i))<<8 | uint16(2*k)
-			if !pg[k].OK || bl.At(pc) != nil {
-				continue
-			}
-			first := len(all)
-			for at := pc; ; {
-				e := p.EntryAt(at)
-				all = append(all, BlockOp{U: &e.U, PC: at, Next: at + e.Size, Cycles: e.Cycles, Mem: !opPure(&e.U)})
-				if endsBlock(&e.U) || len(all)-first >= MaxBlockOps {
-					break
-				}
-				// A run that wraps past 0xFFFF lands on 0x0000, which the
-				// walk reached first: it holds no entry or already a block.
-				next := at + e.Size
-				if p.EntryAt(next) == nil || bl.At(next) != nil {
-					break
-				}
-				at = next
-			}
-			ops := all[first:len(all):len(all)]
-			markLiveFlags(ops)
-			// Every op address starts its own block: the suffix of this run.
-			for d := range ops {
-				sub := ops[d:]
-				var cyc uint32
-				pure := true
-				for j := range sub {
-					cyc += uint32(sub[j].Cycles)
-					pure = pure && !sub[j].Mem
-				}
-				*bl.slot(sub[0].PC) = Block{
-					Ops:       sub,
-					Cycles:    cyc,
-					Pure:      pure,
-					Countdown: countdown(sub),
-					W0:        sub[0].PC >> 8,
-					W1:        (sub[len(sub)-1].PC + 5) >> 8,
-				}
+			if ops := pg[k].Ops; ops != nil {
+				decs = append(decs, ops[0])
 			}
 		}
 	}
-	return bl
+	return fuse(p.page0, len(p.pages), decs)
 }
 
-// slot returns the table slot of the fetch address pc, in the window,
-// allocating its page on first use.
-func (b *Blocks) slot(pc uint16) *Block {
-	pg := &b.pages[pc>>8-b.page0]
-	if *pg == nil {
-		*pg = new(BlockPage)
+// fuse builds the table of the npages-page window from page0 out of its
+// decodes, given in ascending address order. Runs are walked once: every
+// address inside a materialized run receives the run's suffix (sharing
+// the backing array), and a walk that reaches an already-materialized
+// address simply ends its block there — the executor chains into the
+// existing block at run time. Every decode lies in exactly one run, so
+// the ops of all runs share one array of len(decs) ops, and a page is
+// allocated exactly where a decode lies.
+func fuse(page0 uint16, npages int, decs []BlockOp) *Predecoded {
+	p := &Predecoded{page0: page0}
+	if len(decs) == 0 {
+		return p
 	}
-	return &(*pg)[pc>>1%PageSlots]
+	p.pages = make([]*BlockPage, npages)
+	all := make([]BlockOp, 0, len(decs))
+	for k := range decs {
+		if p.At(decs[k].PC) != nil {
+			continue
+		}
+		first := len(all)
+		for j := k; ; {
+			op := &decs[j]
+			all = append(all, *op)
+			if endsBlock(&op.U) || len(all)-first >= MaxBlockOps {
+				break
+			}
+			// The run goes on at op.Next, at most three decodes on, if a
+			// decode starts there that no earlier run took. A run that
+			// wraps past 0xFFFF lands on 0x0000, behind the scan, and
+			// ends.
+			next := j + 1
+			for next < len(decs) && decs[next].PC < op.Next {
+				next++
+			}
+			if next == len(decs) || decs[next].PC != op.Next || p.At(op.Next) != nil {
+				break
+			}
+			j = next
+		}
+		ops := all[first:len(all):len(all)]
+		markLiveFlags(ops)
+		// Every op address starts its own block: the suffix of this run.
+		for d := range ops {
+			sub := ops[d:]
+			var cyc uint32
+			pure := true
+			for j := range sub {
+				cyc += uint32(sub[j].Cycles)
+				pure = pure && !sub[j].Mem
+			}
+			*p.slot(sub[0].PC) = Block{
+				Ops:       sub,
+				Cycles:    cyc,
+				Pure:      pure,
+				Countdown: countdown(sub),
+				W0:        sub[0].PC >> 8,
+				W1:        (sub[len(sub)-1].PC + 5) >> 8,
+			}
+		}
+	}
+	return p
 }
 
 // countdown reports whether ops is a `dec Rn; jnz` self-loop (see
@@ -338,7 +288,7 @@ func countdown(ops []BlockOp) bool {
 	if len(ops) != 2 {
 		return false
 	}
-	d, j := ops[0].U, ops[1].U
+	d, j := &ops[0].U, &ops[1].U
 	return d.Class == UFmt1Reg && d.Op == SUB && d.SrcK == SrcConst && d.SrcVal == 1 &&
 		j.Class == UJump && j.Op == JNE && j.Target == ops[0].PC
 }

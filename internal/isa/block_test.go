@@ -17,8 +17,8 @@ func buildMem(base uint16, ins []Instruction) (func(uint16) uint16, uint16) {
 }
 
 // TestBuildBlocksEndersAndTotals: a straight-line run ends exactly at
-// the jump, the block's cycle total is the sum of its entries, and the
-// per-op PC/Next/Cycles fields match the predecode table.
+// the jump, the block's cycle total is the sum of its ops, and the
+// per-op PC/Next/Cycles fields match what Decode gives at each address.
 func TestBuildBlocksEndersAndTotals(t *testing.T) {
 	ins := []Instruction{
 		{Op: MOV, Src: ImmExt(0x1234), Dst: RegOp(10)},
@@ -28,8 +28,7 @@ func TestBuildBlocksEndersAndTotals(t *testing.T) {
 		{Op: MOV, Src: Imm(1), Dst: RegOp(4)}, // next block
 	}
 	read, end := buildMem(0x1000, ins)
-	p := Predecode(read, 0x1000, end, nil)
-	b := BuildBlocks(p)
+	b := Predecode(read, 0x1000, end, nil)
 
 	blk := b.At(0x1000)
 	if blk == nil {
@@ -41,10 +40,13 @@ func TestBuildBlocksEndersAndTotals(t *testing.T) {
 	var cyc uint32
 	pc := uint16(0x1000)
 	for k, op := range blk.Ops {
-		e := p.EntryAt(pc)
-		if op.PC != pc || op.Next != pc+e.Size || op.Cycles != e.Cycles {
+		in, _, err := Decode([]uint16{read(pc), read(pc + 2), read(pc + 4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.PC != pc || op.Next != pc+in.Size() || int(op.Cycles) != Cycles(in) {
 			t.Errorf("op %d: pc/next/cycles %04x/%04x/%d, want %04x/%04x/%d",
-				k, op.PC, op.Next, op.Cycles, pc, pc+e.Size, e.Cycles)
+				k, op.PC, op.Next, op.Cycles, pc, pc+in.Size(), Cycles(in))
 		}
 		cyc += uint32(op.Cycles)
 		pc = op.Next
@@ -70,7 +72,7 @@ func TestBuildBlocksSuffixSharing(t *testing.T) {
 		{Op: JMP, JumpOffset: -1},                 // 0x1006
 	}
 	read, end := buildMem(0x1000, ins)
-	b := BuildBlocks(Predecode(read, 0x1000, end, nil))
+	b := Predecode(read, 0x1000, end, nil)
 
 	head := b.At(0x1000)
 	mid := b.At(0x1002)
@@ -97,7 +99,7 @@ func TestBuildBlocksPurity(t *testing.T) {
 		{Op: JMP, JumpOffset: -1},
 	}
 	read, end := buildMem(0x1000, ins)
-	b := BuildBlocks(Predecode(read, 0x1000, end, nil))
+	b := Predecode(read, 0x1000, end, nil)
 	if blk := b.At(0x1000); blk == nil || blk.Pure {
 		t.Errorf("block with a memory load marked pure: %+v", blk)
 	}
@@ -110,7 +112,7 @@ func TestBuildBlocksPurity(t *testing.T) {
 		{Op: JMP, JumpOffset: -1},
 	}
 	read, end = buildMem(0x2000, ins)
-	b = BuildBlocks(Predecode(read, 0x2000, end, nil))
+	b = Predecode(read, 0x2000, end, nil)
 	if blk := b.At(0x2000); blk == nil || blk.Pure {
 		t.Errorf("PUSH block marked pure: %+v", blk)
 	}
@@ -125,7 +127,7 @@ func TestBuildBlocksCap(t *testing.T) {
 	}
 	ins = append(ins, Instruction{Op: JMP, JumpOffset: -1})
 	read, end := buildMem(0x1000, ins)
-	b := BuildBlocks(Predecode(read, 0x1000, end, nil))
+	b := Predecode(read, 0x1000, end, nil)
 	blk := b.At(0x1000)
 	if blk == nil || len(blk.Ops) != MaxBlockOps {
 		t.Fatalf("head block has %d ops, want the cap %d", len(blk.Ops), MaxBlockOps)
@@ -146,7 +148,7 @@ func TestBuildBlocksSRWriteEnds(t *testing.T) {
 		{Op: JMP, JumpOffset: -1},
 	}
 	read, end := buildMem(0x1000, ins)
-	b := BuildBlocks(Predecode(read, 0x1000, end, nil))
+	b := Predecode(read, 0x1000, end, nil)
 	blk := b.At(0x1000)
 	if blk == nil || len(blk.Ops) != 2 {
 		t.Fatalf("block has %d ops, want 2 (ends at the SR write)", len(blk.Ops))
@@ -164,7 +166,7 @@ func TestMarkLiveFlags(t *testing.T) {
 		{Op: JNE, JumpOffset: -4},
 	}
 	read, end := buildMem(0x1000, ins)
-	b := BuildBlocks(Predecode(read, 0x1000, end, nil))
+	b := Predecode(read, 0x1000, end, nil)
 	blk := b.At(0x1000)
 	if blk == nil || len(blk.Ops) != 4 {
 		t.Fatalf("unexpected block shape: %+v", blk)
@@ -184,7 +186,7 @@ func TestMarkLiveFlags(t *testing.T) {
 		{Op: JNE, JumpOffset: -4},
 	}
 	read, end = buildMem(0x2000, ins)
-	b = BuildBlocks(Predecode(read, 0x2000, end, nil))
+	b = Predecode(read, 0x2000, end, nil)
 	blk = b.At(0x2000)
 	if blk == nil || len(blk.Ops) != 4 {
 		t.Fatalf("unexpected block shape: %+v", blk)
@@ -199,27 +201,26 @@ func TestMarkLiveFlags(t *testing.T) {
 	}
 }
 
-// TestBuildBlocksPages: the tables keep only the pages that hold code,
-// a run that crosses a page boundary still fuses into one block, and a
-// run that wraps past 0xFFFF ends there, even with 0x0000 in the
-// window.
+// TestBuildBlocksPages: the table keeps only the pages that hold code,
+// a run that crosses a page boundary still fuses into one block, a
+// table fused afresh has the same pages, and a run that wraps past
+// 0xFFFF ends there, even with 0x0000 in the window.
 func TestBuildBlocksPages(t *testing.T) {
 	mov := Instruction{Op: MOV, Src: RegOp(4), Dst: RegOp(5)}
 	read, _ := buildMem(0x11FC, []Instruction{mov, mov, mov, {Op: JMP, JumpOffset: -4}})
 	p := Predecode(read, 0x1000, 0x1FFF, nil)
-	b := BuildBlocks(p)
-	if blk := b.At(0x11FC); blk == nil || len(blk.Ops) != 4 || blk.W0 != 0x11 || blk.W1 != 0x12 {
+	if blk := p.At(0x11FC); blk == nil || len(blk.Ops) != 4 || blk.W0 != 0x11 || blk.W1 != 0x12 {
 		t.Fatalf("block at 0x11FC: %+v, want the 4 ops across pages 0x11-0x12", blk)
 	}
-	p0, entries := p.Table()
-	b0, blocks := b.Table()
-	if p0 != 0x10 || b0 != 0x10 || len(entries) != 16 || len(blocks) != 16 {
-		t.Fatalf("windows from pages 0x%02x/0x%02x over %d/%d pages, want 0x10 over 16", p0, b0, len(entries), len(blocks))
-	}
-	for i := range entries {
-		want := i == 1 || i == 2
-		if (entries[i] != nil) != want || (blocks[i] != nil) != want {
-			t.Errorf("page 0x%02x: entry page %v, block page %v, want %v", 0x10+i, entries[i] != nil, blocks[i] != nil, want)
+	for _, tab := range []*Predecoded{p, BuildBlocks(p)} {
+		page0, pages := tab.Table()
+		if page0 != 0x10 || len(pages) != 16 {
+			t.Fatalf("window from page 0x%02x over %d pages, want 0x10 over 16", page0, len(pages))
+		}
+		for i := range pages {
+			if want := i == 1 || i == 2; (pages[i] != nil) != want {
+				t.Errorf("page 0x%02x: stored %v, want %v", 0x10+i, pages[i] != nil, want)
+			}
 		}
 	}
 
@@ -236,7 +237,7 @@ func TestBuildBlocksPages(t *testing.T) {
 		}
 		return nop
 	}, 0, 0xFFFF, nil)
-	if blk := BuildBlocks(wrap).At(0xFFFA); blk == nil || len(blk.Ops) != 1 {
+	if blk := wrap.At(0xFFFA); blk == nil || len(blk.Ops) != 1 {
 		t.Fatalf("block at 0xFFFA: %+v, want the one op before the wrap", blk)
 	}
 }

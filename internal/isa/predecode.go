@@ -1,65 +1,47 @@
 package isa
 
-import "sync"
-
-// Entry caches one decode at a fixed fetch address as its threaded-code
-// lowering (see UOp), with the instruction's size and cycle figures.
-// Entries are read-only after construction; callers must not mutate
-// them.
-type Entry struct {
-	U      UOp
-	Size   uint16
-	Cycles uint16
-	OK     bool
-}
-
 // PageSlots is the number of even fetch addresses on one 256-byte page:
 // slot k of page n holds the fetch address n<<8 | 2k. The decode cache
-// and the block table store their window a page at a time, the same
-// pages the written-page mask marks (see cpu.DirectBus).
+// stores its window a page at a time, the same pages the written-page
+// mask marks (see cpu.DirectBus).
 const PageSlots = 128
 
-// EntryPage holds the cached decodes of one 256-byte page, indexed by
-// slot (see PageSlots).
-type EntryPage [PageSlots]Entry
-
 // Predecoded is an immutable decode cache for a fixed code image: the
-// instructions of its window are decoded once, up front, so the CPU core
-// can skip both the speculative three-word fetch and Decode on warm
-// paths. A cached decode is its threaded-code lowering (see UOp), so the
-// warm path skips the per-step format switch and operand resolution
-// too; an instruction LowerUOp refuses stays uncached. Only the 256-byte
-// pages of the window that hold at least one cached decode are stored,
-// so a cache costs the code it holds, not the size of its window. A
-// Predecoded is read-only after construction and therefore safe to
-// share between any number of machines running byte-identical code —
-// the per-ROM artifact the fleet runner builds once per application.
+// instructions of its window are decoded once, up front, and fused into
+// basic blocks, so the CPU core can skip both the speculative three-word
+// fetch and Decode on warm paths. Each cached address holds the block
+// starting there (see Block), whose first op is that address's decode
+// as its threaded-code lowering (see UOp): stepping one instruction runs
+// that op, and the block executor runs the whole block, from the same
+// slot. An instruction LowerUOp refuses stays uncached. Only the
+// 256-byte pages of the window that hold at least one cached decode are
+// stored, so a cache costs the code it holds, not the size of its
+// window. A Predecoded is read-only after construction and therefore
+// safe to share between any number of machines running byte-identical
+// code — the per-ROM artifact the fleet runner builds once per
+// application.
 //
 // Staleness is the caller's problem: the CPU core reads each machine's
-// written-page mask (see cpu.DirectBus), so an entry whose fetch window
-// touches a page written since the cache was installed re-decodes live.
+// written-page mask (see cpu.DirectBus), so a decode whose fetch window
+// touches a page written since the cache was installed re-decodes live,
+// and a block is entered only when no page its fetch windows touch has
+// been written.
 type Predecoded struct {
 	// page0 is the window's first page; pages[i] holds page page0+i,
 	// and is nil when no address on it holds a cached decode.
 	page0 uint16
-	pages []*EntryPage
-
-	// blkOnce/blk lazily build the basic-block table fused from the
-	// entries (see BuildBlocks). Keeping the blocks on the cache means
-	// every machine sharing this per-ROM artifact also shares one block
-	// table, built at most once, concurrency-safe.
-	blkOnce sync.Once
-	blk     *Blocks
+	pages []*BlockPage
 }
 
 // Predecode decodes every even address in [start, end] using read to
-// fetch words. Addresses that do not decode (data, padding), whose
-// decode LowerUOp refuses (shapes that fault at run time, such as an
-// immediate operand on rrc, where the live path raises the same fault
-// at the same pc) or whose fetch window would wrap (the last two word
-// slots of the address space) simply stay uncached and fall back to the
-// live path at run time. A page of the window none of whose addresses
-// is cached gets no storage.
+// fetch words, then fuses the decodes into blocks (see BuildBlocks).
+// Addresses that do not decode (data, padding), whose decode LowerUOp
+// refuses (shapes that fault at run time, such as an immediate operand
+// on rrc, where the live path raises the same fault at the same pc) or
+// whose fetch window would wrap (the last two word slots of the address
+// space) simply stay uncached and fall back to the live path at run
+// time. A page of the window none of whose addresses is cached gets no
+// storage.
 //
 // fetchable, when non-nil, restricts caching to addresses whose whole
 // three-word fetch window it accepts. The live path speculatively reads
@@ -69,24 +51,20 @@ type Predecoded struct {
 // stay on the live path.
 func Predecode(read func(addr uint16) uint16, start, end uint16, fetchable func(addr uint16) bool) *Predecoded {
 	start &^= 1
-	p := &Predecoded{page0: start >> 8}
-	if end < start {
-		return p
-	}
-	p.pages = make([]*EntryPage, end>>8-start>>8+1)
-	for a := int(start); a <= int(end); a += 2 {
+	var decs []BlockOp
+	for a := int(start); a <= int(min(end, 0xFFFB)); a += 2 {
 		addr := uint16(a)
-		if addr >= 0xFFFC {
+		// Most of a window is empty flash or data: the first word alone
+		// rules it out, before the fetchable checks, the extension-word
+		// reads and Decode's error allocation.
+		w := read(addr)
+		if !opensInstruction(w) {
 			continue
 		}
 		if fetchable != nil && !(fetchable(addr) && fetchable(addr+2) && fetchable(addr+4)) {
 			continue
 		}
-		words := [3]uint16{read(addr), read(addr + 2), read(addr + 4)}
-		if !opensInstruction(words[0]) {
-			continue // empty flash: skip Decode's error allocation
-		}
-		in, _, err := Decode(words[:])
+		in, _, err := Decode([]uint16{w, read(addr + 2), read(addr + 4)})
 		if err != nil {
 			continue
 		}
@@ -94,60 +72,44 @@ func Predecode(read func(addr uint16) uint16, start, end uint16, fetchable func(
 		if !ok {
 			continue
 		}
-		pg := &p.pages[addr>>8-p.page0]
-		if *pg == nil {
-			*pg = new(EntryPage)
-		}
-		(*pg)[addr>>1%PageSlots] = Entry{U: u, Size: in.Size(), Cycles: uint16(Cycles(in)), OK: true}
+		decs = append(decs, BlockOp{U: u, PC: addr, Next: addr + in.Size(), Cycles: uint16(Cycles(in)), Mem: !opPure(&u)})
 	}
-	return p
+	return fuse(start>>8, int(end>>8-start>>8)+1, decs)
 }
 
 // Table exposes the window's first page and the page index for callers
-// that inline the lookup (the CPU core's warm path): pages[i] holds page
-// page0+i, or is nil when no address on that page is cached, and slot
-// pc>>1%PageSlots of a page holds the entry for fetch address pc. Pages
-// are shared and read-only; an entry is valid only when its OK flag is
-// set.
-func (p *Predecoded) Table() (page0 uint16, pages []*EntryPage) {
+// that inline the lookup (the CPU core): pages[i] holds page page0+i, or
+// is nil when no address on that page is cached, and slot
+// pc>>1%PageSlots of a page holds the block starting at fetch address pc
+// (Ops == nil when none does). Pages are shared and read-only.
+func (p *Predecoded) Table() (page0 uint16, pages []*BlockPage) {
 	if p == nil {
 		return 0, nil
 	}
 	return p.page0, p.pages
 }
 
-// EntryAt returns the cached entry for a fetch at addr, or nil when
-// addr is outside the window, odd (a misaligned fetch takes the live
-// path, which models the bus's A0-ignore), or did not decode at
-// predecode time. The entry is shared and read-only.
-func (p *Predecoded) EntryAt(addr uint16) *Entry {
-	if p == nil || addr&1 != 0 {
+// At returns the block starting at the fetch address pc, whose first op
+// is pc's decode, or nil when pc is outside the window, odd (a
+// misaligned fetch takes the live path, which models the bus's
+// A0-ignore), or did not decode at predecode time. The block is shared
+// and read-only.
+func (p *Predecoded) At(pc uint16) *Block {
+	if p == nil || pc&1 != 0 {
 		return nil
 	}
-	i := int(addr>>8) - int(p.page0)
+	i := int(pc>>8) - int(p.page0)
 	if i < 0 || i >= len(p.pages) || p.pages[i] == nil {
 		return nil
 	}
-	if e := &p.pages[i][addr>>1%PageSlots]; e.OK {
-		return e
+	if b := &p.pages[i][pc>>1%PageSlots]; b.Ops != nil {
+		return b
 	}
 	return nil
 }
 
-// Blocks returns the basic-block table fused from this cache's entries,
-// building it on first use. The table is immutable and shared by every
-// caller — the per-ROM artifact the fleet runner hands to each machine
-// alongside the decode cache itself.
-func (p *Predecoded) Blocks() *Blocks {
-	if p == nil {
-		return nil
-	}
-	p.blkOnce.Do(func() { p.blk = BuildBlocks(p) })
-	return p.blk
-}
-
-// Len reports how many addresses hold a cached decode (for tests and
-// diagnostics).
+// Len reports how many addresses hold a cached decode, each the start
+// of a block (for tests and diagnostics).
 func (p *Predecoded) Len() int {
 	if p == nil {
 		return 0
@@ -158,10 +120,20 @@ func (p *Predecoded) Len() int {
 			continue
 		}
 		for i := range pg {
-			if pg[i].OK {
+			if pg[i].Ops != nil {
 				n++
 			}
 		}
 	}
 	return n
+}
+
+// slot returns the table slot of the fetch address pc, in the window,
+// allocating its page on first use.
+func (p *Predecoded) slot(pc uint16) *Block {
+	pg := &p.pages[pc>>8-p.page0]
+	if *pg == nil {
+		*pg = new(BlockPage)
+	}
+	return &(*pg)[pc>>1%PageSlots]
 }

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestPredecodeMatchesDecode: every cached entry must be exactly the
-// lowering of what Decode returns for the same words, and addresses that
-// fail to decode, or whose decode LowerUOp refuses, must stay uncached.
+// TestPredecodeMatchesDecode: the first op of every cached block must be
+// exactly the lowering of what Decode returns for the same words, and
+// addresses that fail to decode, or whose decode LowerUOp refuses, must
+// stay uncached.
 func TestPredecodeMatchesDecode(t *testing.T) {
 	// A small "memory": two valid instructions, a data word that does
 	// not decode, an instruction that decodes but only faults at run
@@ -33,10 +34,10 @@ func TestPredecodeMatchesDecode(t *testing.T) {
 	refused := 0
 	for a := uint16(0x1000); a < end; a += 2 {
 		words := []uint16{read(a), read(a + 2), read(a + 4)}
-		e := p.EntryAt(a)
+		b := p.At(a)
 		in, _, err := Decode(words)
 		if err != nil {
-			if e != nil {
+			if b != nil {
 				t.Errorf("0x%04x: cached but Decode fails", a)
 			}
 			continue
@@ -44,20 +45,21 @@ func TestPredecodeMatchesDecode(t *testing.T) {
 		want, lowered := LowerUOp(a, in)
 		if !lowered {
 			refused++
-			if e != nil {
+			if b != nil {
 				t.Errorf("0x%04x: cached although LowerUOp refuses %+v", a, in)
 			}
 			continue
 		}
-		if e == nil {
+		if b == nil {
 			t.Errorf("0x%04x: decodable but not cached", a)
 			continue
 		}
-		if e.U != want {
-			t.Errorf("0x%04x: cached %+v, LowerUOp gives %+v", a, e.U, want)
+		op := &b.Ops[0]
+		if op.U != want {
+			t.Errorf("0x%04x: cached %+v, LowerUOp gives %+v", a, op.U, want)
 		}
-		if e.Size != in.Size() || int(e.Cycles) != Cycles(in) {
-			t.Errorf("0x%04x: size/cycles %d/%d, want %d/%d", a, e.Size, e.Cycles, in.Size(), Cycles(in))
+		if op.PC != a || op.Next != a+in.Size() || int(op.Cycles) != Cycles(in) {
+			t.Errorf("0x%04x: pc/next/cycles %04x/%04x/%d, want %04x/%04x/%d", a, op.PC, op.Next, op.Cycles, a, a+in.Size(), Cycles(in))
 		}
 	}
 	if refused == 0 {
@@ -69,20 +71,20 @@ func TestPredecodeLookupBounds(t *testing.T) {
 	read := func(a uint16) uint16 { return 0x4303 } // nop (mov r3, r3)
 	p := Predecode(read, 0x2000, 0x2010, nil)
 
-	if p.EntryAt(0x1FFE) != nil {
+	if p.At(0x1FFE) != nil {
 		t.Error("below window cached")
 	}
-	if p.EntryAt(0x2012) != nil {
+	if p.At(0x2012) != nil {
 		t.Error("above window cached")
 	}
-	if p.EntryAt(0x2001) != nil {
+	if p.At(0x2001) != nil {
 		t.Error("odd address cached")
 	}
-	if p.EntryAt(0x2000) == nil {
+	if p.At(0x2000) == nil {
 		t.Error("window start not cached")
 	}
 	var nilP *Predecoded
-	if nilP.EntryAt(0x2000) != nil {
+	if nilP.At(0x2000) != nil {
 		t.Error("nil cache returned a hit")
 	}
 	if nilP.Len() != 0 {
@@ -96,11 +98,11 @@ func TestPredecodeWrapWindow(t *testing.T) {
 	read := func(a uint16) uint16 { return 0x4303 }
 	p := Predecode(read, 0xFFF0, 0xFFFF, nil)
 	for _, a := range []uint16{0xFFFC, 0xFFFE} {
-		if p.EntryAt(a) != nil {
+		if p.At(a) != nil {
 			t.Errorf("0x%04x cached despite wrapping fetch window", a)
 		}
 	}
-	if p.EntryAt(0xFFFA) == nil {
+	if p.At(0xFFFA) == nil {
 		t.Error("0xFFFA should be cacheable")
 	}
 }
@@ -112,12 +114,12 @@ func TestPredecodeFetchablePredicate(t *testing.T) {
 	read := func(a uint16) uint16 { return 0x4303 } // nop (mov r3, r3)
 	fetchable := func(a uint16) bool { return a < 0x3010 }
 	p := Predecode(read, 0x3000, 0x3020, fetchable)
-	if p.EntryAt(0x3008) == nil {
+	if p.At(0x3008) == nil {
 		t.Error("window fully inside the region should be cached")
 	}
 	// 0x300C reads 0x300C/0x300E/0x3010; the last word is outside.
 	for _, a := range []uint16{0x300C, 0x300E, 0x3010, 0x3012} {
-		if p.EntryAt(a) != nil {
+		if p.At(a) != nil {
 			t.Errorf("0x%04x cached despite fetch window leaving the region", a)
 		}
 	}

@@ -109,21 +109,22 @@ func TestPredecodeEntriesCarryUOps(t *testing.T) {
 	p := Predecode(read, 0x3000, a+6, nil)
 	n := 0
 	for addr := uint16(0x3000); addr <= a; addr += 2 {
-		e := p.EntryAt(addr)
-		if e == nil {
+		b := p.At(addr)
+		if b == nil {
 			continue
 		}
+		e := &b.Ops[0]
 		n++
 		in, _, err := Decode([]uint16{read(addr), read(addr + 2), read(addr + 4)})
 		if err != nil {
 			t.Fatalf("0x%04x: cached but does not decode: %v", addr, err)
 		}
 		if u, ok := LowerUOp(addr, in); !ok || e.U != u {
-			t.Errorf("0x%04x: entry %+v, LowerUOp gives %+v (ok=%v)", addr, e.U, u, ok)
+			t.Errorf("0x%04x: decode %+v, LowerUOp gives %+v (ok=%v)", addr, e.U, u, ok)
 		}
-		if e.Size != in.Size() || int(e.Cycles) != Cycles(in) {
-			t.Errorf("0x%04x: entry size/cycles %d/%d disagree with instruction %d/%d",
-				addr, e.Size, e.Cycles, in.Size(), Cycles(in))
+		if e.Next != addr+in.Size() || int(e.Cycles) != Cycles(in) {
+			t.Errorf("0x%04x: decode size/cycles %d/%d disagree with instruction %d/%d",
+				addr, e.Next-addr, e.Cycles, in.Size(), Cycles(in))
 		}
 	}
 	if n == 0 {
@@ -134,7 +135,7 @@ func TestPredecodeEntriesCarryUOps(t *testing.T) {
 	} else if _, ok := LowerUOp(rra, in); ok {
 		t.Fatal("LowerUOp accepts rra #4")
 	}
-	if p.EntryAt(rra) != nil {
+	if p.At(rra) != nil {
 		t.Error("rra #4 cached although LowerUOp refuses it")
 	}
 }

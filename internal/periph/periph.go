@@ -65,11 +65,6 @@ const (
 	IRQTimerA     = 8
 )
 
-// Ticker is implemented by peripherals that advance with CPU cycles.
-type Ticker interface {
-	Tick(cycles int)
-}
-
 // NoEvent is the NextEvent sentinel meaning "no pending deadline".
 const NoEvent = ^uint64(0)
 
@@ -80,7 +75,6 @@ const NoEvent = ^uint64(0)
 // touches one of its registers, so register reads observe exactly the
 // state per-instruction ticking would have produced.
 type Cycled interface {
-	Ticker
 	// SyncTo ticks the peripheral forward to the absolute cycle.
 	SyncTo(cycle uint64)
 	// Resync moves the anchor to cycle without ticking the elapsed
