@@ -64,15 +64,18 @@ test:
 # isa.Decode gives, and a page to hold storage only where it holds
 # code; and the fuse differential requires isa.BuildBlocks, the fuse
 # pass the benchmark times on its own, to fuse every such cache's
-# decodes afresh into the same blocks. This target fails if any of
-# these suites is skipped or matches nothing, or if those nine tests do
-# not pass under their own names.
+# decodes afresh into the same blocks. The run-to differential requires
+# Machine.RunTo, which runs an attack to its poke point on the block
+# path, to stop where a Step loop stops, with the same cycle, registers,
+# peripherals and RAM, and pins how few instructions Step then retires.
+# This target fails if any of these suites is skipped or matches
+# nothing, or if those ten tests do not pass under their own names.
 test-differential:
 	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults|TestSealedMachineBytes|TestArtifactBytes|TestPredecodeImagesMatchMachine|TestBuildBlocksMatchesPredecode' \
 		./internal/mem ./internal/cpu ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \
-	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes TestArtifactBytes TestPredecodeImagesMatchMachine TestBuildBlocksMatchesPredecode; do \
+	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes TestArtifactBytes TestPredecodeImagesMatchMachine TestBuildBlocksMatchesPredecode TestRunToMatchesStep; do \
 		echo "$$out" | grep -q -- "--- PASS: $$t (" || { echo "$$t did not pass"; exit 1; }; \
 	done; \
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"eilid/internal/apps"
@@ -368,9 +369,11 @@ func BenchmarkSimulator_AppsByDefense(b *testing.B) {
 // machine runs nothing, so it copies none: recycled-after-attack
 // measures what a short attack job pays, Recycle plus the stack-smash
 // run, with 64 machines in rotation so the copies do not hit a warm
-// cache. Every case reports its allocations, so B/op and allocs/op land
-// in the BENCH_<n>.json records: construct-per-job's B/op is about what
-// one machine holds.
+// cache. recycled-after-poke does the same with isr-context-tamper,
+// whose victim spins longest before the harness write, so it measures
+// the run to a poke point (Machine.RunTo). Every case reports its
+// allocations, so B/op and allocs/op land in the BENCH_<n>.json
+// records: construct-per-job's B/op is about what one machine holds.
 func BenchmarkFleet_MachineChurn(b *testing.B) {
 	p := newPipeline(b)
 	app, ok := apps.ByName("TempSensor")
@@ -417,41 +420,47 @@ func BenchmarkFleet_MachineChurn(b *testing.B) {
 			m.Boot()
 		}
 	})
-	sc := attacks.Scenarios()[0]
-	if sc.Name != "stack-smash" {
-		b.Fatalf("first handcrafted scenario is %s, want stack-smash", sc.Name)
-	}
-	victim, err := p.Build(sc.Name+".s", sc.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, spec := range []*core.DefenseSpec{core.DefenseBaseline, core.DefenseEILID} {
-		b.Run("recycled-after-attack/"+spec.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			tg := attacks.TargetFor(p, victim, spec)
-			// The machines share the first one's decode cache, as a
-			// fleet pool's do.
-			ms := make([]*core.Machine, 64)
-			for i := range ms {
-				m, err := tg.NewMachine()
-				if err != nil {
-					b.Fatal(err)
+	for _, c := range []struct{ name, scenario string }{
+		{"recycled-after-attack", "stack-smash"},
+		{"recycled-after-poke", "isr-context-tamper"},
+	} {
+		i := slices.IndexFunc(attacks.Scenarios(), func(sc attacks.Scenario) bool { return sc.Name == c.scenario })
+		if i < 0 {
+			b.Fatalf("no handcrafted scenario %s", c.scenario)
+		}
+		sc := attacks.Scenarios()[i]
+		victim, err := p.Build(sc.Name+".s", sc.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, spec := range []*core.DefenseSpec{core.DefenseBaseline, core.DefenseEILID} {
+			b.Run(c.name+"/"+spec.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				tg := attacks.TargetFor(p, victim, spec)
+				// The machines share the first one's decode cache, as a
+				// fleet pool's do.
+				ms := make([]*core.Machine, 64)
+				for i := range ms {
+					m, err := tg.NewMachine()
+					if err != nil {
+						b.Fatal(err)
+					}
+					tg.Predecoded = m.CPU.Predecoded()
+					m.Snapshot()
+					ms[i] = m
 				}
-				tg.Predecoded = m.CPU.Predecoded()
-				m.Snapshot()
-				ms[i] = m
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := ms[i%len(ms)]
-				if err := m.Recycle(); err != nil {
-					b.Fatal(err)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m := ms[i%len(ms)]
+					if err := m.Recycle(); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := attacks.ExecuteOn(m, tg, sc); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := attacks.ExecuteOn(m, tg, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -56,14 +56,12 @@ func main() {
 	m = newMachine()
 	m.UART.Feed([]byte("D002\nQ"))
 	m.Boot()
-	// Step to the forward-edge guard (the instrumented load of the
+	// Run to the forward-edge guard (the instrumented load of the
 	// dispatch target) and corrupt the handler register there, modelling
 	// a function pointer that was trampled in memory before the load.
 	guard := findIndirectGuard(build)
-	for m.CPU.PC() != guard {
-		if _, err := m.Step(); err != nil {
-			log.Fatal(err)
-		}
+	if res, err := m.RunTo(guard, app.MaxCycles); err != nil || res.Resets > 0 {
+		log.Fatalf("never reached the indirect guard: %v (%d resets)", err, res.Resets)
 	}
 	m.CPU.R[11] = 0xE000 // divert the dispatch to an arbitrary address
 	resAtk, err := m.RunUntilReset(app.MaxCycles)

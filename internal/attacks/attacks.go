@@ -17,6 +17,7 @@
 package attacks
 
 import (
+	"errors"
 	"fmt"
 
 	"eilid/internal/asm"
@@ -42,7 +43,10 @@ type Scenario struct {
 	// the build under attack (nil when the scenario uses Poke).
 	Payload func(syms map[string]uint16) []byte
 	// PokeAt names the symbol at which the harness performs the
-	// adversary's arbitrary memory write; empty when unused.
+	// adversary's arbitrary memory write; empty when unused. ExecuteOn
+	// runs the victim to it with core.Machine.RunTo, so the write lands
+	// the first time the PC reaches the symbol at an instruction
+	// boundary, on the cycle a single-step loop would reach it.
 	PokeAt string
 	// Poke performs that write.
 	Poke func(m *core.Machine, syms map[string]uint16)
@@ -163,6 +167,11 @@ func (t Target) Predecode() *isa.Predecoded {
 // ExecuteOn runs the scenario on a prepared machine — fresh from
 // Target.NewMachine, or recycled by the fleet's machine pool — which
 // must carry the target's image (and decode cache, when shared).
+//
+// A poke scenario first runs the victim to its PokeAt symbol
+// (core.Machine.RunTo) within budget cycles; one that never gets there
+// is an error, and a device reset before it ends the run unpoked. Then
+// the write lands and the run goes on under the scenario's budget.
 func ExecuteOn(m *core.Machine, t Target, sc Scenario) (Outcome, error) {
 	syms := t.Symbols
 	monitored := m.Monitor != nil
@@ -176,18 +185,17 @@ func ExecuteOn(m *core.Machine, t Target, sc Scenario) (Outcome, error) {
 		if !ok {
 			return Outcome{}, fmt.Errorf("symbol %q not found", sc.PokeAt)
 		}
-		for steps := 0; m.CPU.PC() != addr; steps++ {
-			if steps > budget {
-				return Outcome{}, fmt.Errorf("never reached %s (0x%04x)", sc.PokeAt, addr)
-			}
-			if _, err := m.Step(); err != nil {
-				return Outcome{}, err
-			}
-			if m.ResetCount > 0 {
-				// Device reset before the poke point (shouldn't happen on
-				// a benign path); report as-is.
-				return outcomeOf(m), nil
-			}
+		res, err := m.RunTo(addr, budget)
+		if errors.Is(err, core.ErrCycleBudget) {
+			return Outcome{}, fmt.Errorf("never reached %s (0x%04x)", sc.PokeAt, addr)
+		}
+		if err != nil {
+			return Outcome{}, err
+		}
+		if res.Resets > 0 {
+			// Device reset before the poke point (shouldn't happen on
+			// a benign path); report as-is.
+			return outcomeOf(m), nil
 		}
 		sc.Poke(m, syms)
 	}

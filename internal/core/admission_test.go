@@ -105,23 +105,9 @@ const cornerBudget = 200_000
 // until the first reset, halt or the budget.
 func cornerRun(t *testing.T, p *core.Pipeline, spec *core.DefenseSpec, prog *asm.Program, production bool, pokeAt uint16, poke func(*core.Machine), budget uint64) (observed, *core.Machine) {
 	t.Helper()
-	opts := core.MachineOptions{Config: p.Config(), Defense: spec}
-	if spec.Instrumented {
-		opts.ROM = p.ROM()
-	}
-	m, err := core.NewMachine(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadFirmware(prog.Image); err != nil {
-		t.Fatal(err)
-	}
-	if production {
-		m.EnablePredecode()
-	}
+	m := bootCorner(t, p, spec, prog, production)
 	rec := &eventRecorder{inner: m.Monitor, clock: func() uint64 { return m.CPU.Cycles }}
 	m.CPU.Watch = &quietRecorder{eventRecorder: rec, filter: filterOf(m)}
-	m.Boot()
 	if poke != nil {
 		for steps := 0; m.CPU.PC() != pokeAt; steps++ {
 			if steps > 10_000 {

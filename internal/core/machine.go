@@ -449,14 +449,41 @@ var ErrCycleBudget = errors.New("core: cycle budget exhausted before halt")
 // Run executes until the firmware halts via the simulation-control
 // register, a fault occurs, or maxCycles elapse.
 func (m *Machine) Run(maxCycles uint64) (RunResult, error) {
-	return m.runLoop(maxCycles, false)
+	return m.runLoop(maxCycles, untilHalt, 0)
 }
 
 // RunUntilReset executes until a monitor reset happens (attack testing),
 // the firmware halts, or maxCycles elapse.
 func (m *Machine) RunUntilReset(maxCycles uint64) (RunResult, error) {
-	return m.runLoop(maxCycles, true)
+	return m.runLoop(maxCycles, untilReset, 0)
 }
+
+// RunTo executes until the PC reaches addr at an instruction boundary,
+// the monitor resets the device, a fault occurs, or maxCycles elapse
+// (ErrCycleBudget). A halt does not end it: the CPU runs on after the
+// firmware writes the simulation-control register, as it does under
+// Step. A PC that is at addr already returns at once, and one that the
+// reset vector sets to addr after a reset returns as a reset.
+//
+// It is how a harness stops at a code label to act there (the attack
+// suite's poke, a measurement's marker): everything before the label
+// runs as under Run, in blocks, batched ticks, spin skips and
+// countdowns, except the block that holds addr, which runs one Step at a
+// time up to it (see cpu.RunBlocks' break). The machine stops on the
+// cycle, registers and memory a Step loop stopping at addr reaches.
+func (m *Machine) RunTo(addr uint16, maxCycles uint64) (RunResult, error) {
+	return m.runLoop(maxCycles, untilPC, addr)
+}
+
+// until names the event that ends runLoop besides a fault and an
+// exhausted budget.
+type until uint8
+
+const (
+	untilHalt  until = iota // the firmware halts (Run)
+	untilReset              // it halts or the monitor resets it (RunUntilReset)
+	untilPC                 // the PC reaches the break or the monitor resets it (RunTo)
+)
 
 // runLoop is the hot simulation loop. Unlike Step, it ticks the clocked
 // peripherals in batches: each reports the absolute cycle it next acts
@@ -486,7 +513,13 @@ func (m *Machine) RunUntilReset(maxCycles uint64) (RunResult, error) {
 // block's reset syncs the peripherals to the cycle before its last op
 // (RunBlocks' lastPre), a step's to the cycle before that step, and
 // the reference machine reaches only the second.
-func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) {
+//
+// mode picks the event that ends the loop. Under untilPC the loop looks
+// at the PC before every block and every Step, and hands brk to
+// RunBlocks, which enters no block that starts at it or holds it, so
+// the PC can equal brk only where the loop looks; a halt does not end
+// that run. The other modes take brk 0, no break.
+func (m *Machine) runLoop(maxCycles uint64, mode until, brk uint16) (RunResult, error) {
 	startCycles, startInsns, startResets := m.CPU.Cycles, m.CPU.Insns, m.ResetCount
 	// A zero budget can execute nothing: report it as an exhausted
 	// budget unconditionally, so callers can tell it apart from a clean
@@ -502,6 +535,7 @@ func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) 
 	space := m.Space
 	ctl := m.ctl
 	mon := m.Monitor
+	toPC := mode == untilPC
 	m.syncPeriph() // anchor the deadline and write generation
 	// limit fuses the cycle budget and the earliest peripheral deadline
 	// into the single comparison the hot loop makes per instruction; a
@@ -528,8 +562,11 @@ func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) 
 		stopFn = func() bool { return mon.Violation() != nil }
 	}
 	limit := newLimit()
-	for !ctl.halted {
-		if untilReset && m.ResetCount != startResets {
+	for !ctl.halted || toPC {
+		if mode != untilHalt && m.ResetCount != startResets {
+			break
+		}
+		if toPC && cpu.R[isa.PC] == brk {
 			break
 		}
 		if cpu.Cycles >= limit || space.HandlerStores() != m.hGen {
@@ -541,7 +578,7 @@ func (m *Machine) runLoop(maxCycles uint64, untilReset bool) (RunResult, error) 
 			limit = newLimit()
 		}
 		if !reference {
-			if ran, blkPre := cpu.RunBlocks(limit, stopFn); ran {
+			if ran, blkPre := cpu.RunBlocks(limit, stopFn, brk); ran {
 				if mon != nil {
 					if v := mon.Violation(); v != nil {
 						m.syncPeriphTo(blkPre)

@@ -61,7 +61,7 @@ func TestRunBlocksFetchFilter(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := blockProgram(t)
 			c.Watch = tc.w
-			c.RunBlocks(c.Cycles+100, nil)
+			c.RunBlocks(c.Cycles+100, nil, 0)
 			got := tc.w.(interface{ fetched() []uint16 }).fetched()
 			if tc.want == nil && uint64(len(got)) != c.Insns {
 				t.Errorf("%d fetches for %d instructions", len(got), c.Insns)
@@ -90,7 +90,7 @@ func TestRunBlocksEntryTrip(t *testing.T) {
 	w := &filterWatcher{}
 	c.Watch = w
 	start := c.Cycles
-	ran, lastPre := c.RunBlocks(c.Cycles+100, func() bool { return len(w.fetches) > 0 })
+	ran, lastPre := c.RunBlocks(c.Cycles+100, func() bool { return len(w.fetches) > 0 }, 0)
 	if !ran {
 		t.Fatal("nothing ran")
 	}
@@ -118,7 +118,7 @@ func TestRunBlocksExitReasons(t *testing.T) {
 		t.Helper()
 		calls++
 		before := c.BlockExits[reason]
-		c.RunBlocks(limit, nil)
+		c.RunBlocks(limit, nil, 0)
 		if c.BlockExits[reason] != before+1 {
 			t.Errorf("call %d: exits %v, want one more at index %d", calls, c.BlockExits, reason)
 		}

@@ -236,8 +236,9 @@ const (
 	ExitIRQ
 	// ExitLimit: the next block would not finish before the limit.
 	ExitLimit
-	// ExitOther: CPUOFF, a PC with no cached decode, or no decode
-	// cache at all.
+	// ExitOther: CPUOFF, a PC with no cached decode, no decode cache
+	// at all, or a next block that starts at the break address or holds
+	// it after its first op (see RunBlocks).
 	ExitOther
 	// NumBlockExits is the number of reasons.
 	NumBlockExits
@@ -503,9 +504,11 @@ func (c *CPU) resolve(pc uint16, o isa.Operand, extAddr uint16, byteOp bool) loc
 	case isa.ModeIndirect:
 		return loc{ea: c.R[o.Reg]}
 	case isa.ModeIndirectInc:
+		// A byte op steps its register by one, but SP by two (POP.B
+		// is mov.b @sp+, dst), so SP stays word-aligned.
 		ea := c.R[o.Reg]
 		step := uint16(2)
-		if byteOp {
+		if byteOp && o.Reg != isa.SP {
 			step = 1
 		}
 		c.R[o.Reg] = ea + step
@@ -1061,6 +1064,15 @@ func (c *CPU) staleRange(p0, p1 uint16) bool {
 // write made off the CPU between calls (a harness poke, LoadImage,
 // Space.Reset) stales exactly what it would stale for Step.
 //
+// brk, when non-zero, is an address the PC must reach only at a return
+// from here: a block that starts at it, or holds it after its first op,
+// is not entered (ExitOther), so the caller can step up to it one
+// instruction at a time. A block is straight-line code, so the PC takes
+// the address of each of its ops and of no other instruction; a block
+// without brk among them cannot pass it, and a jump to brk ends its
+// block and is seen at the next entry. 0 means none: address 0 is a
+// special-function register, not code.
+//
 // Interrupt service, low-power idling and non-fused instructions are
 // never handled here; the caller falls back to Step. Nothing a block
 // runs can fault (see ExecError). Every return counts one BlockExits
@@ -1068,7 +1080,7 @@ func (c *CPU) staleRange(p0, p1 uint16) bool {
 // lastPre is the cycle count before the last one that ran: the anchor
 // to which the machine syncs its peripherals when a violation ends the
 // call.
-func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre uint64) {
+func (c *CPU) RunBlocks(limit uint64, stop func() bool, brk uint16) (executed bool, lastPre uint64) {
 	if c.pages == nil {
 		c.BlockExits[ExitOther]++
 		return false, 0
@@ -1096,7 +1108,7 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 		}
 		b := &c.pages[p][pc>>1%isa.PageSlots]
 		ops := b.Ops
-		if ops == nil {
+		if len(ops) == 0 || brk != 0 && brk-pc <= ops[len(ops)-1].PC-pc {
 			c.BlockExits[ExitOther]++
 			return
 		}

@@ -166,7 +166,7 @@ func TestDirectRAMMatchesBus(t *testing.T) {
 			sd := build(direct, executor)
 			for sd.c.Cycles < budget {
 				if executor == "blocks" {
-					if ran, _ := sd.c.RunBlocks(budget, nil); ran {
+					if ran, _ := sd.c.RunBlocks(budget, nil, 0); ran {
 						continue
 					}
 				}

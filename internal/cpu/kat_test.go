@@ -247,6 +247,21 @@ var knownAnswers = []knownAnswer{
 		regs: regs{isa.SP: 0x09FC}, mem: ram{0x09FC: 0x0F, 0x09FD: 0x01, 0x09FE: 0x23, 0x09FF: 0xE1},
 		want: regs{isa.PC: 0xE123, isa.SP: 0x0A00, isa.SR: 0x010F}},
 
+	// A format I @Rn+ source steps Rn by the operand width, except SP,
+	// which steps by two in byte ops too: POP.B is mov.b @sp+, dst, and
+	// SLAU049 gives it as @SP → temp, SP + 2 → SP, temp → dst. A byte
+	// to a register clears its high byte; MOV leaves SR alone.
+	{name: "mov.b @sp+, r5", code: []uint16{0x4175},
+		regs: regs{isa.SP: 0x0240}, mem: ram{0x0240: 0x5A, 0x0241: 0xA5},
+		want: regs{isa.PC: 0xE002, isa.SP: 0x0242, 5: 0x005A}},
+	// 0x7F + 0x01 = 0x80: N, and V (two positives give a negative).
+	{name: "add.b @sp+, r5", code: []uint16{0x5175},
+		regs: regs{isa.SP: 0x0240, 5: 0x127F}, mem: ram{0x0240: 0x01, 0x0241: 0xFF},
+		want: regs{isa.PC: 0xE002, isa.SP: 0x0242, 5: 0x0080, isa.SR: 0x0104}},
+	{name: "mov.b @r5+, r6", code: []uint16{0x4576},
+		regs: regs{5: 0x0240}, mem: ram{0x0240: 0x34, 0x0241: 0x12},
+		want: regs{isa.PC: 0xE002, 5: 0x0241, 6: 0x0034}},
+
 	// Jumps: taken, PC + 2 + 2×offset → PC; otherwise PC + 2. Offset 5
 	// lands on 0xE00C. SR is never written.
 	{name: "jne taken", code: []uint16{0x2005}, regs: regs{isa.SR: 0x0105}, want: regs{isa.PC: 0xE00C}},
@@ -283,8 +298,9 @@ var knownAnswers = []knownAnswer{
 // live path (no decode cache: live decode and the generic interpreter)
 // and once from a decode cache (threaded-code UOps), and checks every
 // register and every byte of memory against the worked answer. It is
-// the one check of the format II and jump bodies the two paths share
-// that does not compare the simulator with itself.
+// the one check of the format II and jump bodies the two paths share,
+// and of the @Rn+ step each path computes for itself, that does not
+// compare the simulator with itself.
 func TestKnownAnswerFormat2AndJumps(t *testing.T) {
 	for _, k := range knownAnswers {
 		if _, ok := k.want[isa.PC]; !ok {

@@ -101,7 +101,7 @@ func TestResetCodeStateDiscardsStaleness(t *testing.T) {
 	if !c.staleAt(0xE000) {
 		t.Fatal("setup: entry not stale")
 	}
-	if ran, _ := c.RunBlocks(c.Cycles+100, nil); ran || c.BlockExits[ExitStale] != 1 {
+	if ran, _ := c.RunBlocks(c.Cycles+100, nil, 0); ran || c.BlockExits[ExitStale] != 1 {
 		t.Fatalf("stale block ran (%v) or exits %v", ran, c.BlockExits)
 	}
 	if err := s.Restore(snap); err != nil {
@@ -113,7 +113,7 @@ func TestResetCodeStateDiscardsStaleness(t *testing.T) {
 	if c.Predecoded() != p || c.pages == nil {
 		t.Fatal("Restore dropped the installed code table")
 	}
-	if ran, _ := c.RunBlocks(c.Cycles+100, nil); !ran || c.R[4] != 1 {
+	if ran, _ := c.RunBlocks(c.Cycles+100, nil, 0); !ran || c.R[4] != 1 {
 		t.Fatalf("restored block did not run: ran %v, r4 %d", ran, c.R[4])
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -70,19 +71,16 @@ func MeasureMicro(p *core.Pipeline) (MicroOverhead, error) {
 
 	var mo MicroOverhead
 	runTo := func(target uint16) (insns, cycles uint64, err error) {
-		i0, c0 := m.CPU.Insns, m.CPU.Cycles
-		for m.CPU.PC() != target {
-			if _, err := m.Step(); err != nil {
-				return 0, 0, err
-			}
-			if m.ResetCount > 0 {
-				return 0, 0, fmt.Errorf("eval: micro driver reset: %v", m.ResetReasons)
-			}
-			if m.CPU.Cycles-c0 > 100_000 {
-				return 0, 0, fmt.Errorf("eval: micro driver never reached 0x%04x", target)
-			}
+		res, err := m.RunTo(target, 100_000)
+		switch {
+		case errors.Is(err, core.ErrCycleBudget):
+			return 0, 0, fmt.Errorf("eval: micro driver never reached 0x%04x", target)
+		case err != nil:
+			return 0, 0, err
+		case res.Resets > 0:
+			return 0, 0, fmt.Errorf("eval: micro driver reset: %v", m.ResetReasons)
 		}
-		return m.CPU.Insns - i0, m.CPU.Cycles - c0, nil
+		return res.Insns, res.Cycles, nil
 	}
 
 	if _, _, err := runTo(prog.Symbols["m_store_begin"]); err != nil {

@@ -76,7 +76,8 @@ const (
 	// ModeIndirect is @Rn: memory at Rn (source only).
 	ModeIndirect
 	// ModeIndirectInc is @Rn+: memory at Rn, then Rn advances by the
-	// operand width (source only).
+	// operand width, except SP, which advances by two in byte ops too
+	// (source only).
 	ModeIndirectInc
 	// ModeImmediate is #n (source only), encoded as @PC+ or via the
 	// constant generators for n ∈ {-1,0,1,2,4,8}.

@@ -51,12 +51,28 @@ type Predecoded struct {
 // stay on the live path.
 func Predecode(read func(addr uint16) uint16, start, end uint16, fetchable func(addr uint16) bool) *Predecoded {
 	start &^= 1
-	var decs []BlockOp
-	for a := int(start); a <= int(min(end, 0xFFFB)); a += 2 {
+	last := int(min(end, 0xFFFB))
+	// Most of a window is empty flash or data: the first word alone
+	// rules an address out, before the fetchable checks, the
+	// extension-word reads and Decode's error allocation. A first pass
+	// screens every address this way, counting the words that pass and
+	// marking their pages: the decode list is then allocated once, and
+	// the second pass visits only the marked pages.
+	var marked [4]uint64
+	n := 0
+	for a := int(start); a <= last; a += 2 {
+		if opensInstruction(read(uint16(a))) {
+			n++
+			marked[a>>14] |= 1 << (a >> 8 & 63)
+		}
+	}
+	decs := make([]BlockOp, 0, n)
+	for a := int(start); a <= last; a += 2 {
+		if marked[a>>14]>>(a>>8&63)&1 == 0 {
+			a |= 0xFE // on to the next page
+			continue
+		}
 		addr := uint16(a)
-		// Most of a window is empty flash or data: the first word alone
-		// rules it out, before the fetchable checks, the extension-word
-		// reads and Decode's error allocation.
 		w := read(addr)
 		if !opensInstruction(w) {
 			continue

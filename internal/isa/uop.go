@@ -181,8 +181,8 @@ func lowerUSrc(u *UOp, pc uint16, in Instruction, foldPC bool) bool {
 		u.SrcK = SrcMemRegInc
 		u.SrcReg = in.Src.Reg
 		u.Inc = 2
-		if in.Byte {
-			u.Inc = 1
+		if in.Byte && in.Src.Reg != SP {
+			u.Inc = 1 // SP steps by two in either width (POP.B)
 		}
 	default:
 		return false
