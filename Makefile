@@ -68,14 +68,18 @@ test:
 # Machine.RunTo, which runs an attack to its poke point on the block
 # path, to stop where a Step loop stops, with the same cycle, registers,
 # peripherals and RAM, and pins how few instructions Step then retires.
+# The pool gate requires Runner.Run's workers, which claim their own
+# job positions, never to run two jobs of one pool 2×workers or more
+# positions apart at once, so a pool holds one machine in batches whose
+# pools' jobs lie that far apart.
 # This target fails if any of these suites is skipped or matches
-# nothing, or if those ten tests do not pass under their own names.
+# nothing, or if those eleven tests do not pass under their own names.
 test-differential:
 	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults|TestSealedMachineBytes|TestArtifactBytes|TestPredecodeImagesMatchMachine|TestBuildBlocksMatchesPredecode' \
 		./internal/mem ./internal/cpu ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \
-	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes TestArtifactBytes TestPredecodeImagesMatchMachine TestBuildBlocksMatchesPredecode TestRunToMatchesStep; do \
+	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes TestArtifactBytes TestPredecodeImagesMatchMachine TestBuildBlocksMatchesPredecode TestRunToMatchesStep TestRunPoolsHoldOneMachine; do \
 		echo "$$out" | grep -q -- "--- PASS: $$t (" || { echo "$$t did not pass"; exit 1; }; \
 	done; \
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"
@@ -122,26 +126,29 @@ fuzz-smoke:
 # without burning CI minutes. ThroughputReference rides along so the
 # production path's gain over the cache-less reference machine stays
 # measurable; AppsByDefense runs the Table IV apps under every defense
-# column on recycled machines; MachineChurn guards the recycled
+# column on recycled machines; FleetMatrix/short-jobs runs the short
+# handcrafted attack jobs through the runner's scheduler and the journal
+# encoder; MachineChurn guards the recycled
 # machine-lifecycle overhead, ArtifactBuild what preparing a firmware's
 # shared decode caches costs and holds, and
 # Fleetd_WarmResubmit the daemon's warm-resubmission latency.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputReference$$|BenchmarkSimulator_AppsByDefense|BenchmarkFleet_MachineChurn|BenchmarkFleet_ArtifactBuild' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputReference$$|BenchmarkSimulator_AppsByDefense|BenchmarkSimulator_FleetMatrix/short-jobs$$|BenchmarkFleet_MachineChurn|BenchmarkFleet_ArtifactBuild' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkFleetd_WarmResubmit' -benchtime=1x ./cmd/eilid-fleetd
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # bench-json records the performance trajectory in-repo: the simulator
-# throughput benchmarks (timed) plus the Table IV sweep (one iteration),
+# throughput benchmarks and the fleet's short-jobs batch (timed) plus
+# the full fleet matrix and the Table IV sweep (one iteration),
 # parsed into the first free BENCH_<n>.json so each PR appends a point
 # to the trajectory instead of overwriting the previous one. The bench
 # output goes through a temp file so a failing/panicking benchmark fails
 # the target instead of silently writing a partial record.
 bench-json:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput|BenchmarkFleet_MachineChurn|BenchmarkFleet_ArtifactBuild' -benchtime=2s . > BENCH.txt.tmp
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator_FleetMatrix$$|BenchmarkTable4$$' -benchtime=1x . >> BENCH.txt.tmp
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput|BenchmarkSimulator_FleetMatrix/short-jobs$$|BenchmarkFleet_MachineChurn|BenchmarkFleet_ArtifactBuild' -benchtime=2s . > BENCH.txt.tmp
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator_FleetMatrix/full$$|BenchmarkTable4$$' -benchtime=1x . >> BENCH.txt.tmp
 	$(GO) test -run='^$$' -bench='BenchmarkFleetd_WarmResubmit' -benchtime=10x ./cmd/eilid-fleetd >> BENCH.txt.tmp
 	@f=$$($(GO) run ./cmd/eilid-benchjson -next < BENCH.txt.tmp) || { rm -f BENCH.txt.tmp; exit 1; }; \
 	rm -f BENCH.txt.tmp; echo "wrote $$f"

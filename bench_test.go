@@ -263,33 +263,60 @@ func BenchmarkSimulator_Throughput(b *testing.B) { benchmarkThroughput(b, true) 
 // gain over the executable spec stays measurable.
 func BenchmarkSimulator_ThroughputReference(b *testing.B) { benchmarkThroughput(b, false) }
 
-// BenchmarkSimulator_FleetMatrix executes the full application ×
-// variant × scenario matrix through the fleet runner on all CPUs —
-// the batch workload the fleet subsystem exists for. Artifacts (builds
-// and decode caches) are prepared once, untimed.
+// BenchmarkSimulator_FleetMatrix runs fleet batches through the runner
+// on all CPUs — the batch workload the fleet subsystem exists for.
+// full is the whole application × variant × scenario matrix, with
+// results discarded. short-jobs is the handcrafted attack suite × 4
+// defense columns × 50 repeats, 3–1,144 simulated cycles per job, each
+// result encoded by WriteNDJSONLine into io.Discard: there the runner's
+// per-job work (scheduling, recycle, oracle, encoding) dominates.
+// Artifacts (builds and decode caches) are prepared once, untimed.
 func BenchmarkSimulator_FleetMatrix(b *testing.B) {
 	p := newPipeline(b)
-	r, err := fleet.NewRunner(p, fleet.BatchSpec{Exec: fleet.ExecSpec{Workers: runtime.GOMAXPROCS(0)}})
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		matrix fleet.MatrixSpec
+		encode bool
+	}{
+		{"full", fleet.MatrixSpec{}, false},
+		{"short-jobs", fleet.MatrixSpec{NoApps: true, Repeat: 50}, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r, err := fleet.NewRunner(p, fleet.BatchSpec{Matrix: c.matrix, Exec: fleet.ExecSpec{Workers: runtime.GOMAXPROCS(0)}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var emit func(fleet.JobResult)
+			var werr error
+			if c.encode {
+				emit = func(jr fleet.JobResult) {
+					if err := fleet.WriteNDJSONLine(io.Discard, jr); err != nil {
+						werr = err
+					}
+				}
+			}
+			var cycles uint64
+			var jobs int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, _, err := r.Run(nil, nil, emit)
+				if err == nil {
+					err = werr
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Failures != 0 {
+					b.Fatalf("%d fleet jobs failed", rep.Failures)
+				}
+				cycles += rep.TotalCycles
+				jobs += rep.Jobs
+			}
+			sec := b.Elapsed().Seconds()
+			b.ReportMetric(float64(cycles)/sec/1e6, "simMcycles/s")
+			b.ReportMetric(float64(jobs)/sec, "jobs/s")
+		})
 	}
-	var cycles uint64
-	var jobs int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, _, err := r.Run(nil, nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Failures != 0 {
-			b.Fatalf("%d fleet jobs failed", rep.Failures)
-		}
-		cycles += rep.TotalCycles
-		jobs += rep.Jobs
-	}
-	sec := b.Elapsed().Seconds()
-	b.ReportMetric(float64(cycles)/sec/1e6, "simMcycles/s")
-	b.ReportMetric(float64(jobs)/sec, "jobs/s")
 }
 
 // BenchmarkSimulator_AppsByDefense runs the seven Table IV apps under

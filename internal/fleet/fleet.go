@@ -13,8 +13,9 @@
 // matrix.
 //
 // Runner.Run is the one scheduler of simulation batches: it starts one
-// goroutine per worker, hands out jobs, emits their results in order
-// and abandons a job that outruns the batch's job timeout. The
+// goroutine per worker, whose workers claim their jobs in order
+// themselves, emits the results in order on the calling goroutine and
+// abandons a job that outruns the batch's job timeout. The
 // cmd/eilid-fleet CLI, eilid-fleetd, the eilid-attack sweep and the
 // repository benchmarks all sit on top of this package.
 package fleet
@@ -24,7 +25,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"eilid/internal/apps"
@@ -326,11 +326,20 @@ func (r *Runner) Spec() BatchSpec { return r.spec }
 //
 // Run is the one place job goroutines start. It starts min(workers, n)
 // workers (at least one), each running one job at a time, and the
-// calling goroutine alone schedules them. It hands out job positions
-// at most 2×workers past the last emitted one, so a batch streams in
-// O(workers) memory however slow an early job is. A single worker gets
-// one position at a time: it runs its jobs one after another, as a
+// workers claim job positions themselves, in order, under one lock. A
+// worker claims the next position only while it is fewer than
+// 2×workers past the oldest unfinished one, so jobs of one machine pool
+// that far apart in the order never run at once and a pool holds no
+// more machines than a window of that width needs, and fewer than
+// backlogPerWorker×workers past the last emitted one, so a batch
+// streams in O(workers) memory however slow emit or an early job is. A
+// single worker may claim one position at a time, and only once its
+// last one is emitted: it runs its jobs one after another, as a
 // sequential run does, and a cancel closed by emit stops the next one.
+// The calling goroutine sleeps until the oldest unfinished job
+// finishes, the watchdog is due or cancel closes, and emits the
+// finished prefix in order, outside the lock.
+//
 // Run is also the watchdog: a job running longer than the batch's
 // job_timeout is recorded as a watchdog failure at its place in the
 // order, and a replacement worker takes its worker's place. The
@@ -344,8 +353,10 @@ func (r *Runner) Spec() BatchSpec { return r.spec }
 // The report carries the aggregate counters of the emitted jobs; the
 // results are not retained. A failing or panicking job becomes a result
 // with Err set rather than aborting the batch. Closing cancel stops
-// dispatch: the jobs already handed out run and emit, and Run returns
-// interrupted=true. Every emitted result is final. emit must not panic.
+// claims: no worker claims a position once it has seen cancel closed,
+// the jobs already claimed run, every claimed position is emitted, and
+// Run returns interrupted=true if any position was left unclaimed.
+// Every emitted result is final. emit must not panic.
 func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)) (rep *Report, interrupted bool, err error) {
 	n := len(r.jobs)
 	if indices != nil {
@@ -360,93 +371,73 @@ func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)
 	rep = &Report{Workers: r.workers}
 
 	workers := max(min(r.workers, n), 1)
-	window := 2 * workers
+	s := &sched{indices: indices, cancel: cancel, n: n, inflight: 2 * workers, backlog: backlogPerWorker * workers, wake: make(chan struct{}, 1)}
 	if workers == 1 {
-		window = 1
+		s.inflight, s.backlog = 1, 1
 	}
-	// slots[pos%window] is the attempt at a handed-out, unemitted
-	// position. Both channels hold a whole window, so neither Run nor a
-	// worker ever waits to hand one over.
-	slots := make([]*attempt, window)
-	todo := make(chan *attempt, window)
-	done := make(chan *attempt, window)
-	defer close(todo)
+	s.slots = make([]*attempt, s.backlog)
+	s.claimable.L = &s.mu
 	for w := 0; w < workers; w++ {
-		go r.work(todo, done)
+		go r.work(s)
 	}
 	var (
-		next, emitted int
-		stopped       bool
-		watchdog      *time.Timer
-		armed         bool
+		watchdog *time.Timer
+		fired    <-chan time.Time
 	)
+	s.mu.Lock()
 	for {
-		for emitted < next && slots[emitted%window].ready {
-			a := slots[emitted%window]
-			slots[emitted%window] = nil
-			emitted++
-			rep.add(a.res)
-			if emit != nil {
-				emit(a.res)
+		if s.emitted < s.done {
+			from, to := s.emitted, s.done
+			s.mu.Unlock()
+			for pos := from; pos < to; pos++ {
+				a := s.at(pos)
+				rep.add(a.res)
+				if emit != nil {
+					emit(a.res)
+				}
 			}
-		}
-		// Cancel stops hand-outs, and every hand-out is preceded by
-		// this check.
-		select {
-		case <-cancel:
-			stopped = true
-		default:
-		}
-		if emitted == next && (stopped || next == n) {
-			break
-		}
-		if !stopped && next < n && next < emitted+window {
-			a := &attempt{job: next}
-			if indices != nil {
-				a.job = indices[next]
-			}
-			slots[next%window] = a
-			next++
-			todo <- a
+			s.mu.Lock()
+			s.emitted = to
+			s.claimable.Broadcast()
 			continue
 		}
-		if r.jobTimeout > 0 && !armed {
-			if d, ok := r.watchdogDue(slots, emitted, next); ok {
-				if watchdog == nil {
-					watchdog = time.NewTimer(d)
-				} else {
-					watchdog.Reset(d)
-				}
-				armed = true
-			}
+		if s.emitted == s.next && (s.stopped || s.next == n) {
+			break
 		}
-		var fired <-chan time.Time
-		if armed {
+		if r.jobTimeout > 0 && fired == nil {
+			d := r.watchdogDue(s)
+			if watchdog == nil {
+				watchdog = time.NewTimer(d)
+			} else {
+				watchdog.Reset(d)
+			}
 			fired = watchdog.C
 		}
+		s.asleep = true
+		s.mu.Unlock()
 		select {
-		case a := <-done:
-			a.ready = true
+		case <-s.wake:
+			s.mu.Lock()
 		case <-fired:
-			armed = false
-			now := monotonic()
-			for pos := emitted; pos < next; pos++ {
-				a := slots[pos%window]
-				if at := time.Duration(a.started.Load()); at == 0 || now-at < r.jobTimeout {
-					continue
-				}
-				if a.claimed.CompareAndSwap(false, true) {
-					a.res = r.watchdogRecord(a.job)
-					a.ready = true
-					go r.work(todo, done)
-				}
-			}
+			s.mu.Lock()
+			fired = nil
+			r.abandonOverdue(s)
+		case <-cancel:
+			s.mu.Lock()
+			// A closed channel is always ready: stop selecting on it.
+			s.stopped, cancel = true, nil
+			s.claimable.Broadcast()
 		}
+		s.asleep = false
 	}
+	// Idle workers wait for a claim that will never come: release them.
+	s.stopped = true
+	s.claimable.Broadcast()
+	s.mu.Unlock()
 	if watchdog != nil {
 		watchdog.Stop()
 	}
-	return rep.finish(time.Since(start)), emitted < n, nil
+	return rep.finish(time.Since(start)), s.emitted < n, nil
 }
 
 // RunStream is Run over every job with no cancel; the benchmark module
@@ -456,61 +447,150 @@ func (r *Runner) RunStream(emit func(JobResult)) (*Report, error) {
 	return rep, err
 }
 
-// attempt is one job position handed to Run's workers. The worker
-// finishing it and the watchdog abandoning it race to claim it, and
-// exactly one wins: only a worker that claims its attempt reports it,
-// and an abandoned attempt's result is the watchdog's record.
+// backlogPerWorker bounds, per worker, how many positions past the last
+// emitted one Run's workers may claim, and so how many finished results
+// wait for a slow emit.
+const backlogPerWorker = 64
+
+// sched is the state Run shares with its workers, guarded by mu. Run's
+// goroutine reads the finished slots it emits outside the lock: no
+// worker writes a slot until its position is emitted. Positions
+// [0, emitted) are emitted, [emitted, done) are finished and wait for
+// emit, and [done, next) are claimed, the one at done still running and
+// the others running or finished.
+type sched struct {
+	mu        sync.Mutex
+	claimable sync.Cond // a bound moved, or the batch stopped
+	indices   []int
+	cancel    <-chan struct{}
+	slots     []*attempt // the attempt at each position in [emitted, next)
+	n         int
+	inflight  int // next stays below done+inflight
+	backlog   int // next stays below emitted+backlog
+	next      int
+	done      int
+	emitted   int
+	stopped   bool          // cancel closed or Run returned: no more claims
+	asleep    bool          // Run's goroutine waits on wake
+	wake      chan struct{} // one slot
+}
+
+// at returns the attempt at a position in [emitted, next).
+func (s *sched) at(pos int) *attempt { return s.slots[pos%len(s.slots)] }
+
+// claim records a worker's result for the attempt it last ran (none on
+// its first call) and hands it the next position. It returns nil when
+// the worker is to exit: the watchdog has recorded its last attempt and
+// a replacement has its place, every position is claimed, or the batch
+// has stopped. It waits while either bound holds the next position back.
+func (s *sched) claim(last *attempt, res JobResult) *attempt {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if last != nil {
+		if last.ready {
+			return nil
+		}
+		last.res, last.ready = res, true
+		s.advance()
+	}
+	for {
+		if !s.stopped {
+			select {
+			case <-s.cancel:
+				s.stopped = true
+			default:
+			}
+		}
+		if s.stopped || s.next == s.n {
+			return nil
+		}
+		if s.next < s.done+s.inflight && s.next < s.emitted+s.backlog {
+			break
+		}
+		s.claimable.Wait()
+	}
+	a := &attempt{job: s.next, started: time.Now()}
+	if s.indices != nil {
+		a.job = s.indices[s.next]
+	}
+	s.slots[s.next%len(s.slots)] = a
+	s.next++
+	return a
+}
+
+// advance moves done past the finished positions, and when it moves,
+// lets waiting workers claim and wakes Run's goroutine to emit.
+func (s *sched) advance() {
+	from := s.done
+	for s.done < s.next && s.at(s.done).ready {
+		s.done++
+	}
+	if s.done == from {
+		return
+	}
+	s.claimable.Broadcast()
+	if s.asleep {
+		s.asleep = false
+		select {
+		case s.wake <- struct{}{}:
+		default: // a wake Run's goroutine did not take is still pending
+		}
+	}
+}
+
+// attempt is one claimed job position. The worker that claimed it and
+// the watchdog abandoning it race to record it, under the scheduler's
+// lock, and exactly one wins: only a worker whose attempt is not yet
+// ready records its result, and an abandoned attempt's result is the
+// watchdog's record.
 type attempt struct {
 	job     int
-	started atomic.Int64 // monotonic() when a worker took it; 0 while queued
-	claimed atomic.Bool
-	res     JobResult // written by whoever claimed the attempt
-	ready   bool      // res is final; Run's goroutine only
+	started time.Time // when a worker claimed it
+	res     JobResult // written by whoever recorded the attempt
+	ready   bool      // res is final
 }
 
-// epoch anchors monotonic.
-var epoch = time.Now()
+// watchdogDue returns how long the watchdog may sleep before a claimed
+// job that is not yet recorded can first pass the job timeout. A job
+// claimed later starts no earlier than now. The caller holds s.mu.
+func (r *Runner) watchdogDue(s *sched) time.Duration {
+	first := time.Now()
+	for pos := s.done; pos < s.next; pos++ {
+		if a := s.at(pos); !a.ready && a.started.Before(first) {
+			first = a.started
+		}
+	}
+	return time.Until(first.Add(r.jobTimeout))
+}
 
-// monotonic reads the monotonic clock as a Duration since epoch, so an
-// attempt's start fits one atomic word.
-func monotonic() time.Duration { return time.Since(epoch) }
-
-// watchdogDue returns how long the watchdog may sleep before a job
-// among positions [from, to) that nobody has claimed can first pass
-// the job timeout, or false when no such job is out. A job still
-// queued starts no earlier than now.
-func (r *Runner) watchdogDue(slots []*attempt, from, to int) (time.Duration, bool) {
-	now := monotonic()
-	first, ok := now, false
-	for pos := from; pos < to; pos++ {
-		a := slots[pos%len(slots)]
-		if a.claimed.Load() {
+// abandonOverdue records every claimed job running past the job timeout
+// as a watchdog failure and starts a replacement for each of their
+// workers. The caller holds s.mu.
+func (r *Runner) abandonOverdue(s *sched) {
+	now := time.Now()
+	for pos := s.done; pos < s.next; pos++ {
+		a := s.at(pos)
+		if a.ready || now.Sub(a.started) < r.jobTimeout {
 			continue
 		}
-		if at := time.Duration(a.started.Load()); at != 0 && at < first {
-			first = at
-		}
-		ok = true
+		a.res, a.ready = r.watchdogRecord(a.job), true
+		go r.work(s)
 	}
-	return first + r.jobTimeout - now, ok
+	s.advance()
 }
 
-// work is one of Run's workers: it runs the attempts handed out, one at
-// a time, until todo closes, or until it loses a claim to the watchdog
-// and leaves its place to a replacement.
-func (r *Runner) work(todo <-chan *attempt, done chan<- *attempt) {
-	for a := range todo {
-		start := monotonic()
-		a.started.Store(int64(start))
-		res := r.runJobOnce(a.job)
-		if !a.claimed.CompareAndSwap(false, true) {
-			return
-		}
-		if r.jobTimeout > 0 && monotonic()-start >= r.jobTimeout {
+// work is one of Run's workers. It claims the next position itself,
+// runs its job, records the result and claims again in the same locked
+// step, one job at a time, until claim sends it away: no position is
+// left to claim, the batch has stopped, or the watchdog recorded its
+// job first and a replacement has its place.
+func (r *Runner) work(s *sched) {
+	var res JobResult
+	for a := s.claim(nil, res); a != nil; a = s.claim(a, res) {
+		res = r.runJobOnce(a.job)
+		if r.jobTimeout > 0 && time.Since(a.started) >= r.jobTimeout {
 			res = r.watchdogRecord(a.job)
 		}
-		a.res = res
-		done <- a
 	}
 }
 

@@ -1,9 +1,9 @@
 package fleet
 
-// Scheduler suite: Run hands out job positions, emits results in order,
-// stops dispatch on cancel and is the watchdog. The jobs are real (a
-// cheap attack on the baseline, repeated); the runner's beforeJob hook
-// slows, counts or hangs them.
+// Scheduler suite: Run's workers claim job positions within its two
+// bounds, and Run emits results in order, stops claims on cancel and is
+// the watchdog. The jobs are real (a cheap attack on the baseline,
+// repeated); the runner's beforeJob hook slows, counts or hangs them.
 
 import (
 	"runtime"
@@ -114,7 +114,7 @@ func TestRunEmpty(t *testing.T) {
 }
 
 // TestRunWindowBound: while the hook holds job 0, so nothing can be
-// emitted, Run hands out at most 2×workers positions.
+// emitted, Run's workers claim at most 2×workers positions.
 func TestRunWindowBound(t *testing.T) {
 	const workers, window = 4, 2 * 4
 	r := schedRunner(t, 200, workers, 0)
@@ -133,6 +133,84 @@ func TestRunWindowBound(t *testing.T) {
 	}
 }
 
+// TestRunBacklog: while emit blocks on job 0, the workers claim and run
+// exactly the backlog's worth of positions past it, and no more; once
+// emit returns, every result is emitted in order.
+func TestRunBacklog(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		backlog := backlogPerWorker * workers
+		if workers == 1 {
+			backlog = 1
+		}
+		n := backlog + 3*workers
+		r := schedRunner(t, n, workers, 0)
+		var started atomic.Int64
+		r.beforeJob = func(int) { started.Add(1) }
+		var got []JobResult
+		rep, interrupted, err := r.Run(nil, nil, func(jr JobResult) {
+			if got = append(got, jr); len(got) == 1 {
+				waitFor(t, func() int { return int(started.Load()) }, backlog, "jobs started while emit held job 0")
+				time.Sleep(20 * time.Millisecond)
+				if s := started.Load(); s != int64(backlog) {
+					t.Errorf("workers=%d: %d jobs started while emit held job 0, backlog %d", workers, s, backlog)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if interrupted || len(got) != n || rep.Jobs != n {
+			t.Fatalf("workers=%d: interrupted %v after %d of %d jobs (report %d)", workers, interrupted, len(got), n, rep.Jobs)
+		}
+		for k, jr := range got {
+			if jr.Index != k || jr.Err != "" {
+				t.Fatalf("workers=%d: position %d emitted job %d (error %q)", workers, k, jr.Index, jr.Err)
+			}
+		}
+	}
+}
+
+// TestRunPoolsHoldOneMachine: jobs of one pool that are 2×workers or
+// more positions apart never run at once, so a pool whose jobs lie
+// farther apart holds one machine, however often the batch runs on a
+// shared Warm. The handcrafted suite × 4 columns puts a pool's jobs 24
+// positions apart, so 24 pools hold 24 machines at 1, 2 and 4 workers;
+// Generate(1, 64) puts a (victim, defense) pool's jobs at least 4 apart,
+// so its 44 pools hold 44 at 1 and 2 workers.
+func TestRunPoolsHoldOneMachine(t *testing.T) {
+	p := newPipeline(t)
+	for _, c := range []struct {
+		name    string
+		matrix  MatrixSpec
+		workers []int
+		runs    int
+		pools   int
+	}{
+		{"handcrafted", MatrixSpec{NoApps: true, Repeat: 10}, []int{1, 2, 4}, 20, 24},
+		{"generated", MatrixSpec{NoApps: true, NoScenarios: true, Generated: GeneratedSpec{Seed: 1, Count: 64}}, []int{1, 2}, 8, 44},
+	} {
+		warm := NewWarm()
+		for _, workers := range c.workers {
+			r, err := NewRunnerWarm(p, BatchSpec{Matrix: c.matrix, Exec: ExecSpec{Workers: workers}}, warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 0; run < c.runs; run++ {
+				rep, _, err := r.Run(nil, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Failures != 0 {
+					t.Fatalf("%s: %d jobs failed", c.name, rep.Failures)
+				}
+			}
+			if got := warm.Stats().Machines; got != c.pools {
+				t.Fatalf("%s, workers=%d: %d machines in %d pools", c.name, workers, got, c.pools)
+			}
+		}
+	}
+}
+
 // TestRunCancelPreClosed: a cancel closed before Run starts runs no job.
 func TestRunCancelPreClosed(t *testing.T) {
 	cancel := make(chan struct{})
@@ -148,27 +226,37 @@ func TestRunCancelPreClosed(t *testing.T) {
 	}
 }
 
-// TestRunCancel: a cancel closed mid-run stops dispatch; the in-flight
-// jobs drain, and Run returns an interrupted prefix contiguous from the
-// first position. A cancel closed by emit stops every job not yet
-// running, so one worker runs no job past the one emitted.
+// TestRunCancel: a cancel closed mid-run stops claims; the claimed jobs
+// drain, and Run returns an interrupted prefix contiguous from the first
+// position. There are more jobs than the backlog bound lets the workers
+// claim before the close, so the run is interrupted. Each worker holds
+// at most one claimed position it has not started, so at most workers
+// jobs start after the close, and every job that ran is emitted. A
+// cancel closed by emit stops every job not yet running, so one worker
+// runs no job past the one emitted.
 func TestRunCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		r := schedRunner(t, 200, workers, 0)
+		const n = 21 + backlogPerWorker*4 + 100
+		r := schedRunner(t, n, workers, 0)
 		var ran atomic.Int64
 		r.beforeJob = func(int) { ran.Add(1) }
 		cancel := make(chan struct{})
 		var got []JobResult
+		var ranAtClose int64
 		rep, interrupted, err := r.Run(nil, cancel, func(jr JobResult) {
 			if got = append(got, jr); len(got) == 21 {
 				close(cancel)
+				ranAtClose = ran.Load()
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !interrupted || len(got) < 21 || len(got) > 21+2*workers || rep.Jobs != len(got) {
+		if !interrupted || len(got) < 21 || rep.Jobs != len(got) {
 			t.Fatalf("workers=%d: interrupted %v after %d jobs (report %d)", workers, interrupted, len(got), rep.Jobs)
+		}
+		if after := ran.Load() - ranAtClose; after > int64(workers) {
+			t.Fatalf("workers=%d: %d jobs started after the cancel closed", workers, after)
 		}
 		if workers == 1 && len(got) != 21 || ran.Load() != int64(len(got)) {
 			t.Fatalf("workers=%d: %d jobs ran, %d emitted, cancel closed at the 21st", workers, ran.Load(), len(got))
@@ -176,6 +264,62 @@ func TestRunCancel(t *testing.T) {
 		for k, jr := range got {
 			if jr.Index != k || jr.Err != "" {
 				t.Fatalf("workers=%d: position %d emitted job %d (error %q)", workers, k, jr.Index, jr.Err)
+			}
+		}
+	}
+}
+
+// TestRunCancelExternal: a cancel closed from another goroutine, as a
+// signal handler or a server stop closes it, ends every Run wherever it
+// lands: before the first claim, between jobs, or after the last
+// emission. Run returns, its emitted prefix is contiguous, and it is
+// interrupted exactly when a position was not emitted.
+func TestRunCancelExternal(t *testing.T) {
+	const n, runs = 24, 200
+	for _, workers := range []int{1, 2, 4} {
+		r := schedRunner(t, n, workers, 0)
+		for run := 0; run < runs; run++ {
+			cancel := make(chan struct{})
+			last := make(chan struct{})
+			switch delay := time.Duration(run%6) * 25 * time.Microsecond; {
+			case run%7 == 6:
+				go func() { <-last; close(cancel) }()
+			case delay == 0:
+				go close(cancel)
+			default:
+				go func() { time.Sleep(delay); close(cancel) }()
+			}
+			type outcome struct {
+				got         []JobResult
+				interrupted bool
+				err         error
+			}
+			finished := make(chan outcome, 1)
+			go func() {
+				var got []JobResult
+				_, interrupted, err := r.Run(nil, cancel, func(jr JobResult) {
+					if got = append(got, jr); len(got) == n {
+						close(last)
+					}
+				})
+				finished <- outcome{got, interrupted, err}
+			}()
+			var o outcome
+			select {
+			case o = <-finished:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("workers=%d run %d: Run did not return after cancel closed", workers, run)
+			}
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			if o.interrupted != (len(o.got) < n) {
+				t.Fatalf("workers=%d run %d: interrupted %v after %d of %d jobs", workers, run, o.interrupted, len(o.got), n)
+			}
+			for k, jr := range o.got {
+				if jr.Index != k || jr.Err != "" {
+					t.Fatalf("workers=%d run %d: position %d emitted job %d (error %q)", workers, run, k, jr.Index, jr.Err)
+				}
 			}
 		}
 	}
