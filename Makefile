@@ -71,15 +71,20 @@ test:
 # The pool gate requires Runner.Run's workers, which claim their own
 # job positions, never to run two jobs of one pool 2×workers or more
 # positions apart at once, so a pool holds one machine in batches whose
-# pools' jobs lie that far apart.
+# pools' jobs lie that far apart; the pool-bound test requires a job
+# that holds the oldest position back to stop the claims of its own
+# pool and no others, and the emit test requires the workers, which
+# emit the results themselves, to call emit in order and one call at a
+# time. The journal-line test requires the job line WriteNDJSONLine
+# appends by hand to be json.Marshal's, byte for byte.
 # This target fails if any of these suites is skipped or matches
-# nothing, or if those eleven tests do not pass under their own names.
+# nothing, or if those fourteen tests do not pass under their own names.
 test-differential:
 	@out=$$($(GO) test -v -run 'TestDispatchDifferential|TestSnapshotRestore|TestDirectRAMMatchesBus|TestInvalidateCode|TestResetCodeState|TestPredecodeDifferential|TestPredecodeSelfModifying|TestFastSlow|TestBlock|TestTickEquivalence|TestTimerTickClosedForm|TestRecycle|TestGenerated|TestCrashResume|TestFault|TestJournal|TestRun|TestFleetCrashResumeCLI|TestFleetFaultInjectionCLI|TestServe|TestFleetdSmoke|TestKnownAnswer|TestOnlyLiveDecodeFaults|TestSealedMachineBytes|TestArtifactBytes|TestPredecodeImagesMatchMachine|TestBuildBlocksMatchesPredecode' \
 		./internal/mem ./internal/cpu ./internal/core ./internal/periph ./internal/fleet ./internal/fleet/serve ./cmd/eilid-fleet ./cmd/eilid-fleetd) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q -- '--- PASS' || { echo 'no differential tests ran'; exit 1; }; \
 	if echo "$$out" | grep -q -- '--- SKIP'; then echo "$$out" | grep -- '--- SKIP'; echo 'differential tests were skipped'; exit 1; fi; \
-	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes TestArtifactBytes TestPredecodeImagesMatchMachine TestBuildBlocksMatchesPredecode TestRunToMatchesStep TestRunPoolsHoldOneMachine; do \
+	for t in TestKnownAnswerFormat2AndJumps TestOnlyLiveDecodeFaults TestOnlyLiveDecodeFaultsMachine TestBlockCountdownDifferential TestJournalGoldenDigests TestSealedMachineBytes TestArtifactBytes TestPredecodeImagesMatchMachine TestBuildBlocksMatchesPredecode TestRunToMatchesStep TestRunPoolsHoldOneMachine TestRunPoolBound TestRunEmitOneAtATime TestJournalLineMatchesMarshal; do \
 		echo "$$out" | grep -q -- "--- PASS: $$t (" || { echo "$$t did not pass"; exit 1; }; \
 	done; \
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"
@@ -103,7 +108,8 @@ test-benchmark:
 # runs on crash-torn files must never panic and must accept every torn
 # prefix of a valid journal (and what it accepts must Validate, list
 # its Remaining jobs and Merge consistently against a runner rebuilt
-# from the header), and the BatchSpec decoder behind -spec and
+# from the header), the job-line appender must write json.Marshal's
+# bytes for any field values, and the BatchSpec decoder behind -spec and
 # POST /batches must never panic and must resolve every spec it accepts
 # idempotently with an overflow-free job count, and arbitrary
 # instruction streams ending in a spin loop must run on the production
@@ -119,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAssemble$$' -fuzztime=5s ./internal/asm
 	$(GO) test -run='^$$' -fuzz='^FuzzUARTPayload$$' -fuzztime=5s ./internal/attacks
 	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/fleet
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalLine$$' -fuzztime=5s ./internal/fleet
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchSpec$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/fleet
 	$(GO) test -run='^$$' -fuzz='^FuzzExecDifferential$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/core
 

@@ -14,8 +14,9 @@
 //
 // Runner.Run is the one scheduler of simulation batches: it starts one
 // goroutine per worker, whose workers claim their jobs in order
-// themselves, emits the results in order on the calling goroutine and
-// abandons a job that outruns the batch's job timeout. The
+// themselves and emit the finished results in order, one of them at a
+// time; the calling goroutine sleeps until the batch ends and is the
+// watchdog, abandoning a job that outruns the batch's job timeout. The
 // cmd/eilid-fleet CLI, eilid-fleetd, the eilid-attack sweep and the
 // repository benchmarks all sit on top of this package.
 package fleet
@@ -109,11 +110,13 @@ func (a *artifact) pre(spec *core.DefenseSpec) *isa.Predecoded {
 }
 
 // cell is what a job resolves to when NewRunnerWarm enumerates it: the
-// machine pool it runs in (its build under its defense) and its entry
-// in the runner's app, scenario or generated list.
+// machine pool it runs in (its build under its defense), that pool's
+// number in the runner and its entry in the runner's app, scenario or
+// generated list.
 type cell struct {
 	pool poolKey
-	item int
+	id   int32
+	item int32
 }
 
 // Runner holds a prepared matrix: every firmware built, the decode cache
@@ -131,6 +134,7 @@ type Runner struct {
 	artifacts map[string]*artifact // keyed by kind/name (gen jobs: gen/victim)
 	jobs      []Job
 	cells     []cell // cells[i] is where jobs[i] runs
+	pools     int    // the cells' pool numbers are [0, pools)
 	workers   int
 
 	// jobTimeout is the wall-clock limit past which Run abandons a job
@@ -209,27 +213,40 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 		}
 	}
 
-	// Every row of the matrix resolves once to its artifact and its list
-	// entry; the jobs cross the rows with the defense columns, per repeat.
+	// Every row of the matrix resolves once to its artifact, its list
+	// entry and its pools; the jobs cross the rows with the defense
+	// columns, per repeat. The pools are numbered densely as the rows and
+	// columns are enumerated: an artifact's pools get the next
+	// len(defenses) numbers the first time a row runs it, one per column.
 	type row struct {
 		job  Job // kind and name (generated rows: family and victim too)
 		a    *artifact
 		item int
+		pool int // the number of its pool in the first column
 	}
 	var rows []row
+	pools := map[*artifact]int{}
+	addRow := func(job Job, a *artifact, item int) {
+		pool, ok := pools[a]
+		if !ok {
+			pool = len(pools) * len(r.defenses)
+			pools[a] = pool
+		}
+		rows = append(rows, row{job, a, item, pool})
+	}
 	for i, app := range r.apps {
 		a, err := r.prepare("app/"+app.Name, app.Name+".s", app.Source)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: building %s: %w", app.Name, err)
 		}
-		rows = append(rows, row{Job{Kind: "app", Name: app.Name}, a, i})
+		addRow(Job{Kind: "app", Name: app.Name}, a, i)
 	}
 	for i, sc := range r.scenarios {
 		a, err := r.prepare("attack/"+sc.Name, sc.Name+".s", sc.Source)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: building %s: %w", sc.Name, err)
 		}
-		rows = append(rows, row{Job{Kind: "attack", Name: sc.Name}, a, i})
+		addRow(Job{Kind: "attack", Name: sc.Name}, a, i)
 	}
 	if spec.Matrix.Generated.Count > 0 {
 		batch := scenario.Generate(spec.Matrix.Generated.Seed, spec.Matrix.Generated.Count)
@@ -242,19 +259,19 @@ func NewRunnerWarm(p *core.Pipeline, spec BatchSpec, warm *Warm) (*Runner, error
 		// Generated jobs share their victim's artifact: a thousand-item
 		// batch runs on a dozen builds.
 		for i, g := range batch.Items {
-			job := Job{Kind: "gen", Name: g.Scenario.Name, Family: g.Family, Victim: g.Victim}
-			rows = append(rows, row{job, r.artifacts["gen/"+g.Victim], i})
+			addRow(Job{Kind: "gen", Name: g.Scenario.Name, Family: g.Family, Victim: g.Victim}, r.artifacts["gen/"+g.Victim], i)
 		}
 	}
+	r.pools = len(pools) * len(r.defenses)
 	n := spec.Matrix.Repeat * len(rows) * len(r.defenses)
 	r.jobs, r.cells = make([]Job, 0, n), make([]cell, 0, n)
 	for rep := 0; rep < spec.Matrix.Repeat; rep++ {
 		for _, rw := range rows {
-			for _, d := range r.defenses {
+			for k, d := range r.defenses {
 				job := rw.job
 				job.Index, job.Defense, job.Repeat = len(r.jobs), d.Name, rep
 				r.jobs = append(r.jobs, job)
-				r.cells = append(r.cells, cell{pool: poolKey{a: rw.a, spec: d}, item: rw.item})
+				r.cells = append(r.cells, cell{pool: poolKey{a: rw.a, spec: d}, id: int32(rw.pool + k), item: int32(rw.item)})
 			}
 		}
 	}
@@ -315,30 +332,42 @@ func (r *Runner) Workers() int { return r.workers }
 func (r *Runner) Spec() BatchSpec { return r.spec }
 
 // Run executes jobs and delivers each JobResult to emit (nil = discard)
-// on the calling goroutine, in the order given, as soon as it and its
-// predecessors complete. Nil indices runs every job; a resume passes the
-// remainder of an interrupted batch. An index outside the matrix is an
-// error before any job runs. A job's result depends neither on the
-// worker count nor on which jobs ran beside it — job identity is
-// (seed, index)-deterministic and machines recycle to sealed snapshots
-// — so a resumed batch merges byte-identically into an uninterrupted
-// one.
+// in the order given, as soon as it and its predecessors complete. Nil
+// indices runs every job; a resume passes the remainder of an
+// interrupted batch. An index outside the matrix is an error before any
+// job runs. A job's result depends neither on the worker count nor on
+// which jobs ran beside it — job identity is (seed, index)-deterministic
+// and machines recycle to sealed snapshots — so a resumed batch merges
+// byte-identically into an uninterrupted one.
+//
+// emit is called once per position, in order and one call at a time,
+// and every call returns before Run does, so emit may keep unguarded
+// state that the caller reads once Run returns. It is not called on the
+// calling goroutine, bar the results a watchdog record frees: the
+// workers call it, so it must not panic or call runtime.Goexit (as
+// t.FailNow does).
 //
 // Run is the one place job goroutines start. It starts min(workers, n)
 // workers (at least one), each running one job at a time, and the
 // workers claim job positions themselves, in order, under one lock. A
 // worker claims the next position only while it is fewer than
-// 2×workers past the oldest unfinished one, so jobs of one machine pool
-// that far apart in the order never run at once and a pool holds no
-// more machines than a window of that width needs, and fewer than
 // backlogPerWorker×workers past the last emitted one, so a batch
-// streams in O(workers) memory however slow emit or an early job is. A
-// single worker may claim one position at a time, and only once its
-// last one is emitted: it runs its jobs one after another, as a
+// streams in O(workers) memory however slow emit or an early job is,
+// and, when it is 2×workers or more past the oldest unfinished one,
+// only while no job of its machine pool is running: jobs of one pool
+// that far apart in the order never run at once, so a pool holds no
+// more machines than a window of that width needs, while a job that
+// holds the oldest position back stops only the claims of its own
+// pool. A single worker may claim one position at a time, and only once
+// its last one is emitted: it runs its jobs one after another, as a
 // sequential run does, and a cancel closed by emit stops the next one.
-// The calling goroutine sleeps until the oldest unfinished job
-// finishes, the watchdog is due or cancel closes, and emits the
-// finished prefix in order, outside the lock.
+//
+// The worker whose result completes the oldest unfinished position
+// emits the finished prefix itself, outside the lock, and then claims
+// again; a worker that finds another emitting goes straight on to its
+// next claim, and the emitting one emits its result too. The calling
+// goroutine sleeps until the batch is finished, the watchdog is due or
+// cancel closes.
 //
 // Run is also the watchdog: a job running longer than the batch's
 // job_timeout is recorded as a watchdog failure at its place in the
@@ -356,7 +385,7 @@ func (r *Runner) Spec() BatchSpec { return r.spec }
 // claims: no worker claims a position once it has seen cancel closed,
 // the jobs already claimed run, every claimed position is emitted, and
 // Run returns interrupted=true if any position was left unclaimed.
-// Every emitted result is final. emit must not panic.
+// Every emitted result is final.
 func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)) (rep *Report, interrupted bool, err error) {
 	n := len(r.jobs)
 	if indices != nil {
@@ -371,7 +400,8 @@ func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)
 	rep = &Report{Workers: r.workers}
 
 	workers := max(min(r.workers, n), 1)
-	s := &sched{indices: indices, cancel: cancel, n: n, inflight: 2 * workers, backlog: backlogPerWorker * workers, wake: make(chan struct{}, 1)}
+	s := &sched{indices: indices, cells: r.cells, cancel: cancel, emit: emit, rep: rep, n: n,
+		inflight: 2 * workers, backlog: backlogPerWorker * workers, running: make([]int32, r.pools), wake: make(chan struct{}, 1)}
 	if workers == 1 {
 		s.inflight, s.backlog = 1, 1
 	}
@@ -385,25 +415,7 @@ func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)
 		fired    <-chan time.Time
 	)
 	s.mu.Lock()
-	for {
-		if s.emitted < s.done {
-			from, to := s.emitted, s.done
-			s.mu.Unlock()
-			for pos := from; pos < to; pos++ {
-				a := s.at(pos)
-				rep.add(a.res)
-				if emit != nil {
-					emit(a.res)
-				}
-			}
-			s.mu.Lock()
-			s.emitted = to
-			s.claimable.Broadcast()
-			continue
-		}
-		if s.emitted == s.next && (s.stopped || s.next == n) {
-			break
-		}
+	for !s.finished() {
 		if r.jobTimeout > 0 && fired == nil {
 			d := r.watchdogDue(s)
 			if watchdog == nil {
@@ -413,7 +425,6 @@ func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)
 			}
 			fired = watchdog.C
 		}
-		s.asleep = true
 		s.mu.Unlock()
 		select {
 		case <-s.wake:
@@ -422,13 +433,13 @@ func (r *Runner) Run(indices []int, cancel <-chan struct{}, emit func(JobResult)
 			s.mu.Lock()
 			fired = nil
 			r.abandonOverdue(s)
+			s.flush()
 		case <-cancel:
 			s.mu.Lock()
 			// A closed channel is always ready: stop selecting on it.
 			s.stopped, cancel = true, nil
 			s.claimable.Broadcast()
 		}
-		s.asleep = false
 	}
 	// Idle workers wait for a claim that will never come: release them.
 	s.stopped = true
@@ -452,37 +463,59 @@ func (r *Runner) RunStream(emit func(JobResult)) (*Report, error) {
 // wait for a slow emit.
 const backlogPerWorker = 64
 
-// sched is the state Run shares with its workers, guarded by mu. Run's
-// goroutine reads the finished slots it emits outside the lock: no
-// worker writes a slot until its position is emitted. Positions
-// [0, emitted) are emitted, [emitted, done) are finished and wait for
-// emit, and [done, next) are claimed, the one at done still running and
-// the others running or finished.
+// sched is the state Run shares with its workers, guarded by mu.
+// Positions [0, emitted) are emitted, [emitted, done) are finished and
+// wait for emit, and [done, next) are claimed, the one at done still
+// running and the others running or finished. The one goroutine that
+// has set emitting reads the finished slots and adds them to rep
+// outside the lock: no worker writes a slot until its position is
+// emitted, and no other goroutine emits until emitting is clear.
 type sched struct {
 	mu        sync.Mutex
-	claimable sync.Cond // a bound moved, or the batch stopped
+	claimable sync.Cond // a bound moved, a pool fell idle, or the batch stopped
 	indices   []int
+	cells     []cell // the runner's: each job's pool number
 	cancel    <-chan struct{}
+	emit      func(JobResult)
+	rep       *Report
 	slots     []*attempt // the attempt at each position in [emitted, next)
+	running   []int32    // per pool number, its claimed jobs not yet recorded
 	n         int
-	inflight  int // next stays below done+inflight
+	inflight  int // past done+inflight, next waits for its pool to fall idle
 	backlog   int // next stays below emitted+backlog
 	next      int
 	done      int
 	emitted   int
+	emitting  bool          // a goroutine is emitting [emitted, done) outside the lock
 	stopped   bool          // cancel closed or Run returned: no more claims
-	asleep    bool          // Run's goroutine waits on wake
-	wake      chan struct{} // one slot
+	wake      chan struct{} // one slot: the batch is finished
 }
 
 // at returns the attempt at a position in [emitted, next).
 func (s *sched) at(pos int) *attempt { return s.slots[pos%len(s.slots)] }
 
+// job returns the job index at a position.
+func (s *sched) job(pos int) int {
+	if s.indices != nil {
+		return s.indices[pos]
+	}
+	return pos
+}
+
+// finished reports whether the batch is over: no position will be
+// claimed, every claimed one is emitted, and no emit call is running.
+func (s *sched) finished() bool {
+	return !s.emitting && s.emitted == s.next && (s.stopped || s.next == s.n)
+}
+
 // claim records a worker's result for the attempt it last ran (none on
-// its first call) and hands it the next position. It returns nil when
+// its first call), emits the finished prefix if no other goroutine is
+// emitting, and hands the worker the next position. It returns nil when
 // the worker is to exit: the watchdog has recorded its last attempt and
 // a replacement has its place, every position is claimed, or the batch
-// has stopped. It waits while either bound holds the next position back.
+// has stopped. It waits while the backlog bound holds the next position
+// back, or while the next position is 2×workers or more past done and a
+// job of its pool is running.
 func (s *sched) claim(last *attempt, res JobResult) *attempt {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -490,8 +523,8 @@ func (s *sched) claim(last *attempt, res JobResult) *attempt {
 		if last.ready {
 			return nil
 		}
-		last.res, last.ready = res, true
-		s.advance()
+		s.record(last, res)
+		s.flush()
 	}
 	for {
 		if !s.stopped {
@@ -504,36 +537,62 @@ func (s *sched) claim(last *attempt, res JobResult) *attempt {
 		if s.stopped || s.next == s.n {
 			return nil
 		}
-		if s.next < s.done+s.inflight && s.next < s.emitted+s.backlog {
+		if s.next < s.emitted+s.backlog && (s.next < s.done+s.inflight || s.running[s.cells[s.job(s.next)].id] == 0) {
 			break
 		}
 		s.claimable.Wait()
 	}
-	a := &attempt{job: s.next, started: time.Now()}
-	if s.indices != nil {
-		a.job = s.indices[s.next]
-	}
+	a := &attempt{job: s.job(s.next), started: time.Now()}
+	s.running[s.cells[a.job].id]++
 	s.slots[s.next%len(s.slots)] = a
 	s.next++
 	return a
 }
 
-// advance moves done past the finished positions, and when it moves,
-// lets waiting workers claim and wakes Run's goroutine to emit.
-func (s *sched) advance() {
+// record makes res the result of a claimed attempt and moves done past
+// the finished positions. When done moves or the attempt's pool falls
+// idle, it lets waiting workers claim. The caller holds s.mu.
+func (s *sched) record(a *attempt, res JobResult) {
+	a.res, a.ready = res, true
+	running := &s.running[s.cells[a.job].id]
+	*running--
 	from := s.done
 	for s.done < s.next && s.at(s.done).ready {
 		s.done++
 	}
-	if s.done == from {
+	if s.done != from || *running == 0 {
+		s.claimable.Broadcast()
+	}
+}
+
+// flush emits the finished positions in [emitted, done), in order and
+// outside the lock, unless another goroutine is emitting: that one
+// emits whatever finished while it emitted before it stops. Once the
+// batch is finished it wakes Run's goroutine. The caller holds s.mu.
+func (s *sched) flush() {
+	if s.emitting {
 		return
 	}
-	s.claimable.Broadcast()
-	if s.asleep {
-		s.asleep = false
+	s.emitting = true
+	for s.emitted < s.done {
+		from, to := s.emitted, s.done
+		s.mu.Unlock()
+		for pos := from; pos < to; pos++ {
+			res := s.at(pos).res
+			s.rep.add(res)
+			if s.emit != nil {
+				s.emit(res)
+			}
+		}
+		s.mu.Lock()
+		s.emitted = to
+		s.claimable.Broadcast()
+	}
+	s.emitting = false
+	if s.finished() {
 		select {
 		case s.wake <- struct{}{}:
-		default: // a wake Run's goroutine did not take is still pending
+		default: // a wake is already pending
 		}
 	}
 }
@@ -565,7 +624,7 @@ func (r *Runner) watchdogDue(s *sched) time.Duration {
 
 // abandonOverdue records every claimed job running past the job timeout
 // as a watchdog failure and starts a replacement for each of their
-// workers. The caller holds s.mu.
+// workers. The caller holds s.mu and emits what the records free.
 func (r *Runner) abandonOverdue(s *sched) {
 	now := time.Now()
 	for pos := s.done; pos < s.next; pos++ {
@@ -573,16 +632,16 @@ func (r *Runner) abandonOverdue(s *sched) {
 		if a.ready || now.Sub(a.started) < r.jobTimeout {
 			continue
 		}
-		a.res, a.ready = r.watchdogRecord(a.job), true
+		s.record(a, r.watchdogRecord(a.job))
 		go r.work(s)
 	}
-	s.advance()
 }
 
 // work is one of Run's workers. It claims the next position itself,
-// runs its job, records the result and claims again in the same locked
-// step, one job at a time, until claim sends it away: no position is
-// left to claim, the batch has stopped, or the watchdog recorded its
+// runs its job, then records the result, emits the finished prefix
+// when no other goroutine is emitting and claims again, all in one call
+// to claim, one job at a time, until claim sends it away: no position
+// is left to claim, the batch has stopped, or the watchdog recorded its
 // job first and a replacement has its place.
 func (r *Runner) work(s *sched) {
 	var res JobResult

@@ -17,9 +17,11 @@ func genNDJSON(t *testing.T, spec BatchSpec, noRecycle bool) []byte {
 	}
 	r.noRecycle = noRecycle
 	var buf bytes.Buffer
+	// emit may run on a worker goroutine, where t.Fatal must not be
+	// called.
 	rep, _, err := r.Run(nil, nil, func(jr JobResult) {
 		if err := WriteNDJSONLine(&buf, jr); err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
 	})
 	if err != nil {

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"eilid/internal/core"
@@ -201,5 +203,71 @@ func (r *Report) RenderSummary(w io.Writer) {
 }
 
 // WriteNDJSONLine emits one job result as a single JSON line, in one
-// Write.
-func WriteNDJSONLine(w io.Writer, jr JobResult) error { return writeLine(w, jr) }
+// Write: the bytes json.Marshal gives for jr, then a newline. The line
+// is appended by hand (appendJobResult), with no reflection.
+func WriteNDJSONLine(w io.Writer, jr JobResult) error {
+	b := appendJobResult(make([]byte, 0, 256), &jr)
+	_, err := w.Write(append(b, '\n'))
+	return err
+}
+
+// appendJobResult appends what json.Marshal gives for jr: JobResult's
+// fields (Job's first, as embedded) in declaration order, under their
+// json tags, omitempty fields left out when zero. A field added to
+// JobResult or Job needs its case here; TestJournalLineMatchesMarshal
+// fails until it has one.
+func appendJobResult(b []byte, jr *JobResult) []byte {
+	b = append(b, `{"index":`...)
+	b = strconv.AppendInt(b, int64(jr.Index), 10)
+	b = appendString(append(b, `,"kind":`...), jr.Kind)
+	b = appendString(append(b, `,"name":`...), jr.Name)
+	b = appendString(append(b, `,"defense":`...), jr.Defense)
+	b = strconv.AppendInt(append(b, `,"repeat":`...), int64(jr.Repeat), 10)
+	if jr.Family != "" {
+		b = appendString(append(b, `,"family":`...), jr.Family)
+	}
+	if jr.Victim != "" {
+		b = appendString(append(b, `,"victim":`...), jr.Victim)
+	}
+	b = strconv.AppendUint(append(b, `,"cycles":`...), jr.Cycles, 10)
+	b = strconv.AppendUint(append(b, `,"insns":`...), jr.Insns, 10)
+	b = strconv.AppendBool(append(b, `,"halted":`...), jr.Halted)
+	b = strconv.AppendUint(append(b, `,"exit_code":`...), uint64(jr.ExitCode), 10)
+	b = strconv.AppendInt(append(b, `,"resets":`...), int64(jr.Resets), 10)
+	if jr.Reason != "" {
+		b = appendString(append(b, `,"reason":`...), jr.Reason)
+	}
+	if jr.ReasonsRecorded != 0 {
+		b = strconv.AppendInt(append(b, `,"reasons_recorded":`...), int64(jr.ReasonsRecorded), 10)
+	}
+	if jr.UART != "" {
+		b = appendString(append(b, `,"uart":`...), jr.UART)
+	}
+	if jr.Compromised {
+		b = append(b, `,"compromised":true`...)
+	}
+	b = strconv.AppendBool(append(b, `,"check_ok":`...), jr.CheckOK)
+	if jr.Oracle != "" {
+		b = appendString(append(b, `,"oracle":`...), jr.Oracle)
+	}
+	if jr.Err != "" {
+		b = appendString(append(b, `,"error":`...), jr.Err)
+	}
+	return append(b, '}')
+}
+
+// appendString appends s as json.Marshal quotes it. A string with no
+// byte Marshal escapes or replaces (a quote, a backslash, a control
+// byte, <, > or &) and no byte of 0x80 or above is copied between
+// quotes as it is; any other string goes through Marshal itself.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}

@@ -1,9 +1,10 @@
 package fleet
 
-// Scheduler suite: Run's workers claim job positions within its two
-// bounds, and Run emits results in order, stops claims on cancel and is
-// the watchdog. The jobs are real (a cheap attack on the baseline,
-// repeated); the runner's beforeJob hook slows, counts or hangs them.
+// Scheduler suite: Run's workers claim job positions within its bounds
+// and emit the results in order, one emit call at a time; Run stops
+// claims on cancel and is the watchdog. The jobs are real (a cheap
+// attack on the baseline, repeated, or the handcrafted suite); the
+// runner's beforeJob hook slows, counts or hangs them.
 
 import (
 	"runtime"
@@ -50,16 +51,32 @@ func collect(t *testing.T, r *Runner, indices []int, cancel <-chan struct{}) ([]
 // it last saw if that takes more than 5 s.
 func waitFor(t *testing.T, count func() int, want int, what string) {
 	t.Helper()
+	if got, ok := poll(count, want); !ok {
+		t.Fatalf("%s: %d, want %d", what, got, want)
+	}
+}
+
+// poll polls count until it returns want, for at most 5 s, and returns
+// the count it last saw and whether that is want. It does not fail the
+// test, so unlike waitFor it may run inside emit, which may be called
+// on a worker goroutine.
+func poll(count func() int, want int) (got int, ok bool) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got := count()
-		if got == want {
-			return
+		if got = count(); got == want {
+			return got, true
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d, want %d", what, got, want)
+			return got, false
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// spin busy-waits for d: the jobs and emit calls it lengthens last
+// microseconds, far below time.Sleep's granularity.
+func spin(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
 	}
 }
 
@@ -149,7 +166,10 @@ func TestRunBacklog(t *testing.T) {
 		var got []JobResult
 		rep, interrupted, err := r.Run(nil, nil, func(jr JobResult) {
 			if got = append(got, jr); len(got) == 1 {
-				waitFor(t, func() int { return int(started.Load()) }, backlog, "jobs started while emit held job 0")
+				if s, ok := poll(func() int { return int(started.Load()) }, backlog); !ok {
+					t.Errorf("jobs started while emit held job 0: %d, want %d", s, backlog)
+					return
+				}
 				time.Sleep(20 * time.Millisecond)
 				if s := started.Load(); s != int64(backlog) {
 					t.Errorf("workers=%d: %d jobs started while emit held job 0, backlog %d", workers, s, backlog)
@@ -207,6 +227,102 @@ func TestRunPoolsHoldOneMachine(t *testing.T) {
 			if got := warm.Stats().Machines; got != c.pools {
 				t.Fatalf("%s, workers=%d: %d machines in %d pools", c.name, workers, got, c.pools)
 			}
+		}
+	}
+}
+
+// TestRunPoolBound: a job that holds the oldest position back stops only
+// the claims of its own pool. The handcrafted suite × 4 columns × 3
+// repeats puts each of its 24 pools' jobs 24 positions apart, so while
+// the hook holds job 0 exactly positions 0–23 start, at 2 and at 4
+// workers, far past the 2×workers in-flight window; position 24, job
+// 0's pool again, starts only once job 0 returns.
+func TestRunPoolBound(t *testing.T) {
+	const pools = 24
+	p := newPipeline(t)
+	for _, workers := range []int{2, 4} {
+		r, err := NewRunner(p, BatchSpec{Matrix: MatrixSpec{NoApps: true, Repeat: 3}, Exec: ExecSpec{Workers: workers}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.pools != pools || len(r.jobs) != 3*pools {
+			t.Fatalf("%d pools and %d jobs, want %d and %d", r.pools, len(r.jobs), pools, 3*pools)
+		}
+		for i, c := range r.cells {
+			if int(c.id) != i%pools {
+				t.Fatalf("job %d runs in pool %d, want %d", i, c.id, i%pools)
+			}
+		}
+		release := make(chan struct{})
+		var releaseOnce sync.Once
+		defer releaseOnce.Do(func() { close(release) })
+		var started atomic.Int64
+		r.beforeJob = func(job int) {
+			started.Add(1)
+			switch job {
+			case 0:
+				<-release
+			case pools:
+				select {
+				case <-release:
+				default:
+					t.Errorf("workers=%d: job %d started while job 0 of its pool ran", workers, job)
+				}
+			}
+		}
+		finished := make(chan []JobResult, 1)
+		go func() {
+			var got []JobResult
+			r.Run(nil, nil, func(jr JobResult) { got = append(got, jr) })
+			finished <- got
+		}()
+		waitFor(t, func() int { return int(started.Load()) }, pools, "jobs started while job 0 ran")
+		time.Sleep(20 * time.Millisecond)
+		if s := started.Load(); s != pools {
+			t.Fatalf("workers=%d: %d jobs started while job 0 ran, want %d", workers, s, pools)
+		}
+		releaseOnce.Do(func() { close(release) })
+		got := <-finished
+		if len(got) != len(r.jobs) {
+			t.Fatalf("workers=%d: emitted %d of %d", workers, len(got), len(r.jobs))
+		}
+		for k, jr := range got {
+			if jr.Index != k || jr.Err != "" {
+				t.Fatalf("workers=%d: position %d emitted job %d (error %q)", workers, k, jr.Index, jr.Err)
+			}
+		}
+	}
+}
+
+// TestRunEmitOneAtATime: whichever goroutines emit, emit is called once
+// per position, in order and never twice at once, while jobs of
+// jittered length finish out of order.
+func TestRunEmitOneAtATime(t *testing.T) {
+	p := newPipeline(t)
+	for _, workers := range []int{1, 2, 4} {
+		r, err := NewRunner(p, BatchSpec{Matrix: MatrixSpec{NoApps: true, Repeat: 20}, Exec: ExecSpec{Workers: workers}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.beforeJob = func(job int) { spin(time.Duration(job*7%5) * 20 * time.Microsecond) }
+		var inEmit, next atomic.Int64
+		rep, interrupted, err := r.Run(nil, nil, func(jr JobResult) {
+			if in := inEmit.Add(1); in != 1 {
+				t.Errorf("workers=%d: %d emit calls at once", workers, in)
+			}
+			if pos := next.Add(1) - 1; int64(jr.Index) != pos {
+				t.Errorf("workers=%d: position %d emitted job %d", workers, pos, jr.Index)
+			}
+			if jr.Index%3 == 0 {
+				spin(20 * time.Microsecond)
+			}
+			inEmit.Add(-1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(r.jobs); interrupted || next.Load() != int64(n) || rep.Jobs != n {
+			t.Fatalf("workers=%d: interrupted %v after %d emitted of %d (report %d)", workers, interrupted, next.Load(), n, rep.Jobs)
 		}
 	}
 }
